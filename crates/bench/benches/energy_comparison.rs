@@ -1,4 +1,6 @@
-//! Regenerates the derived energy comparison (see DESIGN.md).
+//! Regenerates the derived energy comparison
+//! (`iceclave_experiments::figures::energy_table`; `repro energy` prints
+//! the same artifact).
 //! Runs as a `harness = false` bench target so `cargo bench`
 //! reproduces the artifact.
 

@@ -1,4 +1,5 @@
-//! Regenerates the paper's fig5 (see DESIGN.md experiment index).
+//! Regenerates the paper's fig5 (`iceclave_experiments::figures::fig5`;
+//! `repro fig5` prints the same artifact).
 //! Runs as a `harness = false` bench target so `cargo bench`
 //! reproduces the artifact.
 

@@ -1,4 +1,5 @@
-//! Regenerates the paper's fig8 (see DESIGN.md experiment index).
+//! Regenerates the paper's fig8 (`iceclave_experiments::figures::fig8`;
+//! `repro fig8` prints the same artifact).
 //! Runs as a `harness = false` bench target so `cargo bench`
 //! reproduces the artifact.
 

@@ -1,4 +1,5 @@
-//! Regenerates the paper's fig11 (see DESIGN.md experiment index).
+//! Regenerates the paper's fig11 (`iceclave_experiments::figures::fig11`;
+//! `repro fig11` prints the same artifact).
 //! Runs as a `harness = false` bench target so `cargo bench`
 //! reproduces the artifact.
 

@@ -1,4 +1,5 @@
-//! Regenerates the paper's fig14 (see DESIGN.md experiment index).
+//! Regenerates the paper's fig14 (`iceclave_experiments::figures::fig14`;
+//! `repro fig14` prints the same artifact).
 //! Runs as a `harness = false` bench target so `cargo bench`
 //! reproduces the artifact.
 

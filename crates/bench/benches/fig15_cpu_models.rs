@@ -1,4 +1,5 @@
-//! Regenerates the paper's fig15 (see DESIGN.md experiment index).
+//! Regenerates the paper's fig15 (`iceclave_experiments::figures::fig15`;
+//! `repro fig15` prints the same artifact).
 //! Runs as a `harness = false` bench target so `cargo bench`
 //! reproduces the artifact.
 

@@ -1,4 +1,5 @@
-//! Regenerates the paper's fig16 (see DESIGN.md experiment index).
+//! Regenerates the paper's fig16 (`iceclave_experiments::figures::fig16`;
+//! `repro fig16` prints the same artifact).
 //! Runs as a `harness = false` bench target so `cargo bench`
 //! reproduces the artifact.
 

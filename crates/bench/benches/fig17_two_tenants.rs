@@ -1,4 +1,5 @@
-//! Regenerates the paper's fig17 (see DESIGN.md experiment index).
+//! Regenerates the paper's fig17 (`iceclave_experiments::figures::fig17`;
+//! `repro fig17` prints the same artifact).
 //! Runs as a `harness = false` bench target so `cargo bench`
 //! reproduces the artifact.
 

@@ -1,4 +1,5 @@
-//! Regenerates the paper's fig18 (see DESIGN.md experiment index).
+//! Regenerates the paper's fig18 (`iceclave_experiments::figures::fig18`;
+//! `repro fig18` prints the same artifact).
 //! Runs as a `harness = false` bench target so `cargo bench`
 //! reproduces the artifact.
 

@@ -1,4 +1,5 @@
-//! Regenerates the paper's table5 (see DESIGN.md experiment index).
+//! Regenerates the paper's table5 (`iceclave_experiments::figures::table5`;
+//! `repro table5` prints the same artifact).
 //! Runs as a `harness = false` bench target so `cargo bench`
 //! reproduces the artifact.
 

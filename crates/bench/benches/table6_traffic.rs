@@ -1,4 +1,5 @@
-//! Regenerates the paper's table6 (see DESIGN.md experiment index).
+//! Regenerates the paper's table6 (`iceclave_experiments::figures::table6`;
+//! `repro table6` prints the same artifact).
 //! Runs as a `harness = false` bench target so `cargo bench`
 //! reproduces the artifact.
 

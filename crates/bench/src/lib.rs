@@ -12,8 +12,8 @@ use iceclave_workloads::WorkloadConfig;
 /// The workload scale used by the benchmark harness.
 ///
 /// Defaults to 8 MiB of functional data per workload (modeling the
-/// paper's 32 GiB — see DESIGN.md for why relative results are
-/// scale-robust). Override with the `ICECLAVE_SCALE_MIB` environment
+/// paper's 32 GiB — the `iceclave_workloads` crate docs explain the two
+/// scales). Override with the `ICECLAVE_SCALE_MIB` environment
 /// variable; 32 MiB gives tighter numbers at ~4x the runtime.
 pub fn bench_config() -> WorkloadConfig {
     let mib = std::env::var("ICECLAVE_SCALE_MIB")

@@ -6,7 +6,7 @@
 //! reproduces the estimate analytically from published synthesis
 //! results: a 64-bit-parallel Trivium core is ≈4.9 kGE, and the
 //! engine's area is dominated by its per-channel page/stream SRAM
-//! buffers (Figure 10). The substitution is documented in DESIGN.md.
+//! buffers (Figure 10).
 
 use iceclave_types::ByteSize;
 

@@ -962,7 +962,7 @@ impl IceClave {
                 )
             })
             .collect();
-        let state = self.tees.get_mut(&tee.raw()).expect("running tee exists");
+        let state = self.tee_mut(tee).expect("running tee exists");
         let mut pages: Vec<PageState> = translations
             .iter()
             .zip(lpns)
@@ -1131,7 +1131,7 @@ impl IceClave {
         // downstream stages; the seal's counter-increment + MAC
         // generation run concurrently and gate durability alone.
         let seals: Vec<PageSeal> = {
-            let state = self.tees.get_mut(&tee.raw()).expect("running tee exists");
+            let state = self.tee_mut(tee).expect("running tee exists");
             let working_pages = (state.region_pages - state.input_pages()).max(1);
             let working_base = state.region_page + state.input_pages();
             writes

@@ -1,7 +1,6 @@
 //! The IceClave runtime: TEE lifecycle, access control, and the
 //! protected data path (§4.5, §4.6, Table 2).
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -19,6 +18,10 @@ use iceclave_types::{
 };
 
 use crate::config::IceClaveConfig;
+
+/// One TEE slot per value of the 4-bit mapping-entry ID field (§4.3),
+/// the reserved unowned id 0 included.
+const TEE_SLOTS: usize = 1 << iceclave_types::tee::DEFAULT_ID_BITS;
 
 /// Why a TEE was thrown out (§4.5: access-control violation, corrupted
 /// memory/metadata, or a program exception).
@@ -243,9 +246,11 @@ pub struct IceClave {
     pub(crate) page_ivs: crate::slab::IvTable,
     memory_map: MemoryMap,
     pub(crate) config: IceClaveConfig,
-    pub(crate) tees: HashMap<u8, TeeState>,
+    /// TEE state indexed by raw id. A slot fills when its id first
+    /// serves a TEE and keeps the last TEE's status after teardown, so
+    /// an occupied slot also means "this id has been used since boot".
+    tees: [Option<TeeState>; TEE_SLOTS],
     free_ids: Vec<TeeId>,
-    used_ids: Vec<bool>,
     free_regions: Vec<u64>,
     pub(crate) stats: RuntimeStats,
     /// The event-driven batch executor behind the asynchronous
@@ -298,9 +303,8 @@ impl IceClave {
             page_ivs: crate::slab::IvTable::new(),
             memory_map,
             config,
-            tees: HashMap::new(),
+            tees: Default::default(),
             free_ids,
-            used_ids: vec![false; 16],
             free_regions,
             stats: RuntimeStats::default(),
             exec: iceclave_exec::Executor::new(),
@@ -327,9 +331,15 @@ impl IceClave {
         Ok(())
     }
 
-    /// The fair-queueing weight `tee` is currently scheduled at.
+    /// The fair-queueing weight `tee` is currently scheduled at (the
+    /// default weight for an id outside the 4-bit pool, which the
+    /// arbiter's per-id table cannot hold).
     pub fn tee_weight(&self, tee: TeeId) -> u32 {
-        self.arbiter.weight_of(tee)
+        if usize::from(tee.raw()) < TEE_SLOTS {
+            self.arbiter.weight_of(tee)
+        } else {
+            self.config.fairness.default_weight
+        }
     }
 
     /// The runtime configuration.
@@ -474,9 +484,8 @@ impl IceClave {
         self.cipher_lanes = (0..self.config.platform.flash.geometry.channels)
             .map(|i| Pipeline::new(format!("cipher-engine{i}")))
             .collect();
-        self.tees.clear();
+        self.tees = Default::default();
         self.free_ids = Self::build_free_ids();
-        self.used_ids = vec![false; 16];
         self.free_regions = Self::build_free_regions(&self.config);
         self.arbiter = Self::build_arbiter(&self.config);
         self.exec = iceclave_exec::Executor::new();
@@ -560,10 +569,9 @@ impl IceClave {
             self.free_regions.push(region_page);
             return Err(e.into());
         }
-        if self.used_ids[id.raw() as usize] {
+        if self.tee(id).is_some() {
             self.stats.id_reuses += 1;
         }
-        self.used_ids[id.raw() as usize] = true;
 
         let region_pages = self.config.tee_region.as_bytes() / PAGE_SIZE;
         // Working half starts writable; input half becomes read-only as
@@ -572,18 +580,15 @@ impl IceClave {
             self.mee
                 .set_page_class(region_page + p, PageClass::Writable);
         }
-        self.tees.insert(
-            id.raw(),
-            TeeState {
-                status: TeeStatus::Running,
-                lpns: lpns.to_vec(),
-                region_page,
-                region_pages,
-                next_fill: 0,
-                next_seal: 0,
-                user_key: None,
-            },
-        );
+        self.tees[usize::from(id.raw())] = Some(TeeState {
+            status: TeeStatus::Running,
+            lpns: lpns.to_vec(),
+            region_page,
+            region_pages,
+            next_fill: 0,
+            next_seal: 0,
+            user_key: None,
+        });
         self.stats.created += 1;
         let create_cost = self.config.tee_create;
         let done = self
@@ -852,15 +857,16 @@ impl IceClave {
     ///
     /// # Errors
     ///
-    /// [`IceClaveError::RegionViolation`] aborts the TEE (ThrowOutTEE)
-    /// when the offset is out of bounds.
+    /// [`IceClaveError::RegionViolation`] when the offset is out of
+    /// bounds: the TEE is thrown out ([`IceClave::throw_out`]), which
+    /// reclaims its id and region and fails its in-flight tickets.
     pub fn mem_read(
         &mut self,
         tee: TeeId,
         line_offset: u64,
         now: SimTime,
     ) -> Result<SimTime, IceClaveError> {
-        let line = self.checked_line(tee, line_offset)?;
+        let line = self.checked_line(tee, line_offset, now)?;
         let done = self.mee.read_line(&mut self.platform.dram, line, now);
         self.escalate_tamper(tee, done)?;
         Ok(done)
@@ -878,7 +884,7 @@ impl IceClave {
         line_offset: u64,
         now: SimTime,
     ) -> Result<SimTime, IceClaveError> {
-        let line = self.checked_line(tee, line_offset)?;
+        let line = self.checked_line(tee, line_offset, now)?;
         let done = self.mee.write_line(&mut self.platform.dram, line, now);
         self.escalate_tamper(tee, done)?;
         Ok(done)
@@ -923,11 +929,9 @@ impl IceClave {
         bytes: u64,
         now: SimTime,
     ) -> Result<SimTime, IceClaveError> {
-        self.ensure_running(tee)?;
+        let first = CacheLine::new(self.ensure_running(tee)?.region_page * LINES_PER_PAGE);
         // Copy into the metadata region happens in the secure world.
         let lines = ByteSize::from_bytes(bytes).cache_lines();
-        let state = self.tees.get(&tee.raw()).expect("running");
-        let first = CacheLine::new(state.region_page * LINES_PER_PAGE);
         let copy_done = self.platform.dram.access_run(
             first,
             lines.min(LINES_PER_PAGE * 4),
@@ -975,7 +979,7 @@ impl IceClave {
     /// Lifecycle status of a TEE (live or historical ids return their
     /// last status; unknown ids return `None`).
     pub fn status(&self, tee: TeeId) -> Option<TeeStatus> {
-        self.tees.get(&tee.raw()).map(|s| s.status)
+        self.tee(tee).map(|s| s.status)
     }
 
     /// Provisions the user's data-decryption key into a running TEE
@@ -988,15 +992,14 @@ impl IceClave {
     /// The TEE must be running.
     pub fn provision_user_key(&mut self, tee: TeeId, key: [u8; 16]) -> Result<(), IceClaveError> {
         self.ensure_running(tee)?;
-        let state = self.tees.get_mut(&tee.raw()).expect("running");
-        state.user_key = Some(key);
+        self.tee_mut(tee).expect("running").user_key = Some(key);
         Ok(())
     }
 
     /// The user key provisioned into a TEE, if any (secure-world
     /// accessor used by the in-TEE decryption path and tests).
     pub fn user_key(&self, tee: TeeId) -> Option<[u8; 16]> {
-        self.tees.get(&tee.raw()).and_then(|s| s.user_key)
+        self.tee(tee).and_then(|s| s.user_key)
     }
 
     /// **Attack surface check**: what happens when a normal-world
@@ -1074,9 +1077,20 @@ impl IceClave {
         Ok(())
     }
 
-    pub(crate) fn ensure_running(&self, tee: TeeId) -> Result<(), IceClaveError> {
-        match self.tees.get(&tee.raw()) {
-            Some(state) if state.status == TeeStatus::Running => Ok(()),
+    /// The TEE's slot, live or historical. An id wider than the 4-bit
+    /// pool reads as absent.
+    pub(crate) fn tee(&self, tee: TeeId) -> Option<&TeeState> {
+        self.tees.get(usize::from(tee.raw()))?.as_ref()
+    }
+
+    pub(crate) fn tee_mut(&mut self, tee: TeeId) -> Option<&mut TeeState> {
+        self.tees.get_mut(usize::from(tee.raw()))?.as_mut()
+    }
+
+    /// The TEE's state, provided it is running.
+    pub(crate) fn ensure_running(&self, tee: TeeId) -> Result<&TeeState, IceClaveError> {
+        match self.tee(tee) {
+            Some(state) if state.status == TeeStatus::Running => Ok(state),
             Some(_) => Err(IceClaveError::NotRunning(tee)),
             None => Err(IceClaveError::UnknownTee(tee)),
         }
@@ -1084,19 +1098,20 @@ impl IceClave {
 
     /// Bounds-checks a TEE-relative line offset; violations throw the
     /// TEE out (§4.5 abort condition 1).
-    fn checked_line(&mut self, tee: TeeId, line_offset: u64) -> Result<CacheLine, IceClaveError> {
-        self.ensure_running(tee)?;
-        let state = self.tees.get(&tee.raw()).expect("running");
-        let region_lines = state.region_pages * LINES_PER_PAGE;
-        if line_offset >= region_lines {
-            let state = self.tees.get_mut(&tee.raw()).expect("running");
-            state.status = TeeStatus::Aborted(AbortReason::AccessViolation);
-            self.stats.aborted += 1;
-            return Err(IceClaveError::RegionViolation { tee, line_offset });
+    fn checked_line(
+        &mut self,
+        tee: TeeId,
+        line_offset: u64,
+        now: SimTime,
+    ) -> Result<CacheLine, IceClaveError> {
+        let state = self.ensure_running(tee)?;
+        if line_offset < state.region_pages * LINES_PER_PAGE {
+            return Ok(CacheLine::new(
+                state.region_page * LINES_PER_PAGE + line_offset,
+            ));
         }
-        Ok(CacheLine::new(
-            state.region_page * LINES_PER_PAGE + line_offset,
-        ))
+        self.throw_out(tee, AbortReason::AccessViolation, now)?;
+        Err(IceClaveError::RegionViolation { tee, line_offset })
     }
 
     fn reclaim(
@@ -1105,10 +1120,7 @@ impl IceClave {
         status: TeeStatus,
         now: SimTime,
     ) -> Result<SimTime, IceClaveError> {
-        let state = self
-            .tees
-            .get_mut(&tee.raw())
-            .ok_or(IceClaveError::UnknownTee(tee))?;
+        let state = self.tee_mut(tee).ok_or(IceClaveError::UnknownTee(tee))?;
         if state.status != TeeStatus::Running {
             return Err(IceClaveError::NotRunning(tee));
         }
@@ -1443,5 +1455,86 @@ mod tests {
             Some(TeeStatus::Aborted(AbortReason::IntegrityFailure))
         );
         assert_eq!(ice.stats().aborted, 1);
+    }
+
+    #[test]
+    fn region_violations_reclaim_the_tee() {
+        // More violators than there are ids: each must hand its id and
+        // region back, and its in-flight read must fail, not deliver
+        // pages to a TEE that was thrown out.
+        let (mut ice, mut t) = setup_with_data(4);
+        let region_lines = ice.config().tee_region.as_bytes() / 64;
+        for round in 0..20u64 {
+            let (tee, t2) = match ice.offload_code(1024, &lpns(0..4), t) {
+                Ok(created) => created,
+                Err(e) => panic!("round {round}: offload failed: {e}"),
+            };
+            let ticket = ice.submit_batch_async(tee, &lpns(0..4), t2).unwrap();
+            let err = if round % 2 == 0 {
+                ice.mem_read(tee, region_lines + round, t2)
+            } else {
+                ice.mem_write(tee, region_lines + round, t2)
+            }
+            .unwrap_err();
+            assert!(matches!(err, IceClaveError::RegionViolation { .. }));
+            assert_eq!(
+                ice.status(tee),
+                Some(TeeStatus::Aborted(AbortReason::AccessViolation))
+            );
+            let events = ice.drain_completions();
+            assert_eq!(events.len(), 4, "round {round}");
+            for event in &events {
+                assert_eq!(event.ticket, ticket);
+                assert!(
+                    matches!(event.status, iceclave_types::PageStatus::Failed { .. }),
+                    "round {round}: page {} retired {:?}",
+                    event.index,
+                    event.status
+                );
+            }
+            t = events
+                .iter()
+                .map(|e| e.breakdown.ready)
+                .fold(t2, SimTime::max);
+        }
+        assert_eq!(ice.stats().aborted, 20);
+        assert_eq!(ice.in_flight_tickets(), 0);
+    }
+
+    #[test]
+    fn ids_outside_the_pool_are_unknown() {
+        let (mut ice, t) = setup_with_data(2);
+        let (live, t) = ice.offload_code(1024, &lpns(0..2), t).unwrap();
+        let wide = TeeId::with_bits(200, 8).unwrap();
+        assert_eq!(
+            ice.mem_read(wide, 0, t),
+            Err(IceClaveError::UnknownTee(wide))
+        );
+        assert_eq!(ice.status(wide), None);
+        assert_eq!(
+            ice.terminate_tee(wide, t),
+            Err(IceClaveError::UnknownTee(wide))
+        );
+        assert_eq!(
+            ice.set_tee_weight(wide, 2),
+            Err(IceClaveError::UnknownTee(wide))
+        );
+        assert_eq!(ice.tee_weight(wide), ice.config().fairness.default_weight);
+        assert_eq!(ice.status(live), Some(TeeStatus::Running));
+    }
+
+    #[test]
+    fn recover_forgets_every_tee() {
+        let mut cfg = IceClaveConfig::tiny();
+        cfg.platform.ftl.journal_blocks = 6;
+        let mut ice = IceClave::new(cfg);
+        let t = ice.populate(Lpn::new(0), 2, SimTime::ZERO).unwrap();
+        let (tee, t) = ice.offload_code(1024, &lpns(0..2), t).unwrap();
+        ice.recover(t).unwrap();
+        assert_eq!(ice.status(tee), None);
+        // The first id handed out after the reboot is a fresh use.
+        let (again, _) = ice.offload_code(1024, &lpns(0..2), t).unwrap();
+        assert_eq!(again, tee);
+        assert_eq!(ice.stats().id_reuses, 0);
     }
 }

@@ -7,7 +7,7 @@
 //! throughput* of these cores on data-processing operators, not on
 //! microarchitectural detail, so this crate models a core as
 //! `(frequency, effective IPC per operator class)` — the standard
-//! analytic substitute documented in DESIGN.md.
+//! analytic substitute.
 //!
 //! Workloads report their compute demand as [`OpCounts`] (tuples
 //! scanned, predicates evaluated, hash probes, ...); a [`CoreModel`]

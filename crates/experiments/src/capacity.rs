@@ -1,7 +1,8 @@
 //! Paper-scale capacity modeling.
 //!
 //! Workloads execute at a small *functional* scale but model the
-//! paper's 32 GiB datasets (DESIGN.md). Whether a staged table or a
+//! paper's 32 GiB datasets (see the `iceclave_workloads` crate docs).
+//! Whether a staged table or a
 //! randomly re-accessed page is DRAM-resident depends on the *modeled*
 //! sizes, so the capacity model scales structure sizes up before
 //! comparing them with the (real) DRAM capacity — this is what makes

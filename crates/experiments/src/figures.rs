@@ -2,8 +2,8 @@
 //!
 //! Every function runs the necessary simulations and returns a
 //! [`FigureReport`]: a printable table whose rows mirror the paper's,
-//! plus named headline numbers for EXPERIMENTS.md. The `repro` binary
-//! in `iceclave-bench` prints them all.
+//! plus named headline numbers. The `repro` binary in `iceclave_bench`
+//! prints them all.
 
 use iceclave_cipher::CipherAreaModel;
 use iceclave_cpu::CoreModel;
@@ -20,7 +20,7 @@ use crate::run::{run, RunResult};
 pub struct FigureReport {
     /// The rows, in the paper's layout.
     pub table: TextTable,
-    /// Named headline values (averages, ranges) for EXPERIMENTS.md.
+    /// Named headline values (averages, ranges), printed after the table.
     pub summary: Vec<(String, f64)>,
 }
 

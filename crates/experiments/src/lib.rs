@@ -16,8 +16,8 @@
 //!   [`Mode::IceClaveSc64`] (Figure 8).
 //!
 //! [`figures`] exposes one function per table/figure returning
-//! structured rows; the `iceclave-bench` crate prints them in the
-//! paper's format and EXPERIMENTS.md records paper-vs-measured.
+//! structured rows; the `repro` binary of the `iceclave_bench` crate
+//! prints them in the paper's format, each with its headline numbers.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -256,11 +256,13 @@ enum PageContent {
     Translation(u64),
 }
 
-/// Grow-on-demand vector map for dense `u64` keys. Block indices and
-/// translation-page numbers are small and bounded by the device
-/// geometry, so direct indexing replaces hashing on the per-I/O
-/// bookkeeping path. (Per-PPN state must NOT live here: PPN keys span
-/// the whole device and would make the vector gigabytes large.)
+/// Grow-on-demand vector map for keys used densely from zero: the
+/// translation-page numbers (`lpn / ENTRIES_PER_TRANSLATION_PAGE`, and
+/// LPNs are staged from zero), where direct indexing replaces hashing
+/// on the per-I/O bookkeeping path. Keys the allocator strides across
+/// the device must NOT live here: PPNs span every die, and flat block
+/// indexes are plane-major, so one steered write batch touching every
+/// plane would grow the vector to nearly the device's block count.
 #[derive(Debug, Default)]
 struct DenseSlab<T> {
     slots: Vec<Option<T>>,
@@ -276,37 +278,12 @@ impl<T> DenseSlab<T> {
         self.slots.get(key as usize).and_then(Option::as_ref)
     }
 
-    #[inline]
-    fn get_mut(&mut self, key: u64) -> Option<&mut T> {
-        self.slots.get_mut(key as usize).and_then(Option::as_mut)
-    }
-
-    #[inline]
-    fn slot_mut(&mut self, key: u64) -> &mut Option<T> {
+    fn insert(&mut self, key: u64, value: T) -> Option<T> {
         let idx = key as usize;
         if idx >= self.slots.len() {
             self.slots.resize_with(idx + 1, || None);
         }
-        &mut self.slots[idx]
-    }
-
-    fn insert(&mut self, key: u64, value: T) -> Option<T> {
-        self.slot_mut(key).replace(value)
-    }
-
-    fn remove(&mut self, key: u64) -> Option<T> {
-        self.slots.get_mut(key as usize).and_then(Option::take)
-    }
-
-    fn or_insert_with(&mut self, key: u64, make: impl FnOnce() -> T) -> &mut T {
-        self.slot_mut(key).get_or_insert_with(make)
-    }
-
-    fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.as_ref().map(|v| (i as u64, v)))
+        self.slots[idx].replace(value)
     }
 }
 
@@ -376,7 +353,10 @@ pub struct Ftl {
     mapping: MappingTable,
     cmt: CachedMappingTable,
     planes: Vec<PlaneState>,
-    blocks: DenseSlab<BlockInfo>,
+    /// Valid-page bitmaps of blocks holding live pages, keyed by flat
+    /// block index. Sparse: flat indexes are plane-major and the
+    /// allocator steers the first batch across every plane.
+    blocks: FastMap<u64, BlockInfo>,
     /// What each programmed physical page holds, keyed by raw PPN.
     /// Sparse: the allocator strides PPNs across every die.
     contents: FastMap<u64, PageContent>,
@@ -420,7 +400,7 @@ impl Ftl {
             mapping: MappingTable::new(),
             cmt: CachedMappingTable::new(config.cmt_capacity),
             planes,
-            blocks: DenseSlab::new(),
+            blocks: FastMap::default(),
             contents: FastMap::default(),
             translation_ppns: DenseSlab::new(),
             plane_cursor: 0,
@@ -591,7 +571,7 @@ impl Ftl {
         // real devices keep in their own durable store.)
         self.mapping = MappingTable::new();
         self.cmt = CachedMappingTable::new(self.config.cmt_capacity);
-        self.blocks = DenseSlab::new();
+        self.blocks = FastMap::default();
         self.contents = FastMap::default();
         self.translation_ppns = DenseSlab::new();
         self.plane_cursor = 0;
@@ -1190,10 +1170,7 @@ impl Ftl {
 
     /// Total valid data pages (consistency checks and tests).
     pub fn valid_pages(&self) -> u64 {
-        self.blocks
-            .iter()
-            .map(|(_, b)| u64::from(b.valid_count))
-            .sum()
+        self.blocks.values().map(|b| u64::from(b.valid_count)).sum()
     }
 
     /// Erase-count spread across blocks that have been erased at least
@@ -1202,7 +1179,7 @@ impl Ftl {
         let g = self.flash.config().geometry;
         let mut min = u32::MAX;
         let mut max = 0;
-        for (idx, _) in self.blocks.iter() {
+        for &idx in self.blocks.keys() {
             let count = self.flash.erase_count(g.block_from_index(idx));
             min = min.min(count);
             max = max.max(count);
@@ -1645,7 +1622,7 @@ impl Ftl {
             });
             let score = |b: u32| -> f64 {
                 let idx = g.block_index(self.plane_block_addr(plane_idx, b));
-                let info = self.blocks.get(idx);
+                let info = self.blocks.get(&idx);
                 let valid = info.map_or(0, |i| i.valid_count);
                 match self.config.gc_policy {
                     // Lower is better for both policies.
@@ -1686,7 +1663,7 @@ impl Ftl {
         let mut t = now;
         let valid_pages: Vec<u32> = self
             .blocks
-            .get(victim_idx)
+            .get(&victim_idx)
             .map(|info| info.iter_valid(g.pages_per_block).collect())
             .unwrap_or_default();
         for page in valid_pages {
@@ -1757,7 +1734,7 @@ impl Ftl {
             }
             self.stats.gc_pages_moved += 1;
         }
-        self.blocks.remove(victim_idx);
+        self.blocks.remove(&victim_idx);
         if self.grown_bad.contains(&victim_idx) {
             // A retired victim is drained, never erased: it leaves the
             // plane's lists for good.
@@ -1842,7 +1819,7 @@ impl Ftl {
         let mut t = now;
         let valid_pages: Vec<u32> = self
             .blocks
-            .get(cold_idx)
+            .get(&cold_idx)
             .map(|info| info.iter_valid(g.pages_per_block).collect())
             .unwrap_or_default();
         for page in valid_pages {
@@ -1897,7 +1874,7 @@ impl Ftl {
                 }
             }
         }
-        self.blocks.remove(cold_idx);
+        self.blocks.remove(&cold_idx);
         self.planes[plane_idx].full_blocks.push(hot);
         self.stats.wl_migrations += 1;
         // Migration records must be durable before the source erase
@@ -1998,7 +1975,8 @@ impl Ftl {
         let pages_per_block = g.pages_per_block;
         let info = self
             .blocks
-            .or_insert_with(idx, || BlockInfo::new(pages_per_block));
+            .entry(idx)
+            .or_insert_with(|| BlockInfo::new(pages_per_block));
         info.set(addr.page);
         info.last_programmed = info.last_programmed.max(now);
         self.contents.insert(ppn.raw(), content);
@@ -2008,7 +1986,7 @@ impl Ftl {
         let g = self.flash.config().geometry;
         let addr = g.unpack(ppn);
         let idx = g.block_index(addr.block_addr());
-        if let Some(info) = self.blocks.get_mut(idx) {
+        if let Some(info) = self.blocks.get_mut(&idx) {
             info.clear(addr.page);
         }
         self.contents.remove(&ppn.raw());
@@ -2555,6 +2533,37 @@ mod tests {
         // One secure entry + one exit for the whole batch (the
         // sequential path pays a pair per page).
         assert_eq!(m.stats().switches, before + 2);
+    }
+
+    #[test]
+    fn block_table_holds_only_programmed_blocks() {
+        // The steered first batch strides the plane-major flat block
+        // index across the device; the table must stay as small as the
+        // set of blocks actually programmed.
+        let mut ftl = Ftl::new(FlashConfig::table3(), FtlConfig::default());
+        let mut m = WorldMonitor::with_table5_cost();
+        let lpns: Vec<Lpn> = (0..64).map(Lpn::new).collect();
+        let out = ftl
+            .write_batch(
+                Requestor::Host,
+                &WriteBatchRequest::from_lpns(&lpns),
+                &mut m,
+                SimTime::ZERO,
+            )
+            .unwrap();
+        let g = ftl.flash().config().geometry;
+        let programmed: FastSet<u64> = out
+            .pages
+            .iter()
+            .map(|p| g.block_index(g.unpack(p.ppn).block_addr()))
+            .collect();
+        assert_eq!(ftl.blocks.len(), programmed.len());
+        assert_eq!(ftl.valid_pages(), 64);
+        let widest = programmed.iter().copied().max().unwrap();
+        assert!(
+            widest >= g.total_blocks() / 2,
+            "flat index {widest} does not stride the device"
+        );
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! re-read tables without materializing them — the generator *is* the
 //! storage content. Distributions follow the TPC specifications loosely
 //! (uniform keys, date windows, categorical fields with the right
-//! cardinalities); EXPERIMENTS.md documents this substitution for the
-//! proprietary 32 GiB datasets.
+//! cardinalities); they stand in for the paper's proprietary 32 GiB
+//! datasets.
 
 /// SplitMix64 finalizer: a high-quality 64-bit mixer.
 #[inline]

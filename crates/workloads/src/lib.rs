@@ -14,7 +14,7 @@
 //! `iceclave-experiments` replay those batches against the simulated
 //! host or SSD.
 //!
-//! Two scales coexist (see DESIGN.md): the *functional* scale actually
+//! Two scales coexist: the *functional* scale actually
 //! computed (MBs, keeps simulation fast) and the *modeled* scale
 //! (the paper's 32 GiB) used for cache-visibility decisions, so DRAM
 //! write ratios (Table 1) match the paper's profile instead of the
