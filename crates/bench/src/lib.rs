@@ -1,8 +1,10 @@
 //! Shared plumbing for the benchmark harness.
 //!
-//! Every `benches/` target regenerates one table or figure of the
-//! paper by calling into [`iceclave_experiments::figures`]; this crate
-//! only holds the scale configuration they share.
+//! The `repro` binary regenerates every table and figure of the paper
+//! by calling into [`iceclave_experiments::figures`] (`repro
+//! <artifact>` prints one); the `benches/` targets are the channel
+//! sweeps, component microbenchmarks and gated `BENCH_*.json` reports.
+//! This crate only holds the scale configuration they share.
 
 #![warn(missing_docs)]
 

@@ -44,10 +44,11 @@ pub struct FairnessConfig {
     /// order, bit-identical to the pre-hierarchical arbiter.
     /// [`TicketPolicy::Wfq`] runs a second SFQ level across the
     /// tenant's tickets, so a deep ticket shares its tenant's channel
-    /// slots with a small sibling page by page. Per-ticket weights
-    /// (bounded by [`iceclave_ftl::MAX_TICKET_WEIGHT`]) are supplied
-    /// at submission ([`crate::IceClave::submit_batch_async_weighted`]).
-    /// Only meaningful under [`SchedPolicy::Wfq`].
+    /// slots with a small sibling page by page. The runtime submits
+    /// every read ticket at weight 1; per-ticket weights (bounded by
+    /// [`iceclave_ftl::MAX_TICKET_WEIGHT`]) enter through
+    /// [`iceclave_ftl::WfqArbiter::enqueue_weighted`]. Only meaningful
+    /// under [`SchedPolicy::Wfq`].
     pub ticket_policy: TicketPolicy,
     /// Virtual-time cost of one attributed MEE metadata line, in
     /// 64-byte line quanta. When positive, the exec driver feeds each

@@ -107,11 +107,10 @@ struct PageState {
     /// re-advance the ticket's FIFO chain).
     attempts: u32,
     /// Read path: the ticket's next page on the same channel. Within a
-    /// ticket each channel serves its pages FIFO in request order (the
-    /// per-channel queue discipline of `Ftl::read_batch`); the chain
-    /// schedules each page's flash stage only after its predecessor
-    /// issued, so the blocking wrapper reproduces `read_batch` exactly
-    /// while other tickets still interleave in time order.
+    /// ticket each channel serves its pages FIFO in request order; the
+    /// chain schedules each page's flash stage only after its
+    /// predecessor issued, while other tickets still interleave in time
+    /// order.
     next_same_channel: Option<u32>,
 }
 
@@ -861,44 +860,6 @@ impl IceClave {
         class: PageClass,
         now: SimTime,
     ) -> Result<Ticket, IceClaveError> {
-        self.submit_batch_async_inner(tee, lpns, class, 1, now)
-    }
-
-    /// Submits a read batch whose ticket is scheduled at `weight`
-    /// inside its tenant's lane when
-    /// [`TicketPolicy::Wfq`](iceclave_ftl::TicketPolicy) is configured:
-    /// while the tenant's tickets contend for a channel, a weight-2
-    /// ticket is granted twice the pages of a weight-1 sibling. Under
-    /// the default `TicketPolicy::Fifo` the weight is ignored. See
-    /// [`IceClave::submit_batch_async_as`] for the submission
-    /// semantics.
-    ///
-    /// # Errors
-    ///
-    /// As [`IceClave::submit_batch_async_as`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is outside
-    /// `1..=`[`iceclave_ftl::MAX_TICKET_WEIGHT`].
-    pub fn submit_batch_async_weighted(
-        &mut self,
-        tee: TeeId,
-        lpns: &[Lpn],
-        weight: u32,
-        now: SimTime,
-    ) -> Result<Ticket, IceClaveError> {
-        self.submit_batch_async_inner(tee, lpns, PageClass::ReadOnly, weight, now)
-    }
-
-    fn submit_batch_async_inner(
-        &mut self,
-        tee: TeeId,
-        lpns: &[Lpn],
-        class: PageClass,
-        ticket_weight: u32,
-        now: SimTime,
-    ) -> Result<Ticket, IceClaveError> {
         self.ensure_powered()?;
         self.ensure_running(tee)?;
         if lpns.is_empty() {
@@ -996,10 +957,9 @@ impl IceClave {
         let channels = geometry.channels as usize;
         match self.config.fairness.policy {
             SchedPolicy::Fifo => {
-                // Per-channel FIFO chains in request order (the queue
-                // discipline of `Ftl::read_batch`): only each channel's
-                // head is scheduled now; successors issue as their
-                // predecessors do.
+                // Per-channel FIFO chains in request order: only each
+                // channel's head is scheduled now; successors issue as
+                // their predecessors do.
                 let mut head: Vec<Option<u32>> = vec![None; channels];
                 let mut prev_in_channel: Vec<Option<u32>> = vec![None; channels];
                 for index in 0..pages.len() {
@@ -1019,12 +979,11 @@ impl IceClave {
                 // Every page enters its channel's per-tenant WFQ lane
                 // under its *chain-effective* ready time — a page may
                 // not overtake its own ticket's earlier pages on the
-                // same channel, the `Ftl::read_batch` queue discipline
-                // the FIFO chains encode. The arbiter then grants one
-                // page per channel at a time in virtual-time order, so
-                // a lone tenant replays the FIFO schedule exactly
-                // while contending tenants split each channel by
-                // weight.
+                // same channel, the queue discipline the FIFO chains
+                // encode. The arbiter then grants one page per channel
+                // at a time in virtual-time order, so a lone tenant
+                // replays the FIFO schedule exactly while contending
+                // tenants split each channel by weight.
                 let mut chain_ready: Vec<Option<SimTime>> = vec![None; channels];
                 let mut touched: Vec<bool> = vec![false; channels];
                 for (index, page) in pages.iter().enumerate() {
@@ -1035,14 +994,8 @@ impl IceClave {
                     };
                     chain_ready[channel] = Some(ready);
                     touched[channel] = true;
-                    self.arbiter.enqueue_weighted(
-                        channel,
-                        tee,
-                        ticket,
-                        index as u32,
-                        ready,
-                        ticket_weight,
-                    );
+                    self.arbiter
+                        .enqueue(channel, tee, ticket, index as u32, ready);
                 }
                 for (channel, &touched) in touched.iter().enumerate() {
                     if touched {

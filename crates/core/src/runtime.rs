@@ -641,48 +641,13 @@ impl IceClave {
         lpn: Lpn,
         now: SimTime,
     ) -> Result<SimTime, IceClaveError> {
-        self.read_flash_page_as(tee, lpn, PageClass::ReadOnly, now)
-    }
-
-    /// As [`IceClave::read_flash_page`], but the caller chooses the
-    /// protection class of the filled page: transactional programs fill
-    /// pages they are about to update as writable (§4.4: "for the
-    /// memory region allocated for storing intermediate data, its pages
-    /// are set to be writable").
-    ///
-    /// # Errors
-    ///
-    /// As [`IceClave::read_flash_page`].
-    pub fn read_flash_page_as(
-        &mut self,
-        tee: TeeId,
-        lpn: Lpn,
-        class: PageClass,
-        now: SimTime,
-    ) -> Result<SimTime, IceClaveError> {
-        let batch = self.submit_batch_as(tee, &[lpn], class, now)?;
-        Ok(batch.finished)
-    }
-
-    /// Submits a multi-page read as one batch, filling the pages
-    /// read-only (streaming input, §4.4). See
-    /// [`IceClave::submit_batch_as`].
-    ///
-    /// # Errors
-    ///
-    /// As [`IceClave::submit_batch_as`].
-    pub fn submit_batch(
-        &mut self,
-        tee: TeeId,
-        lpns: &[Lpn],
-        now: SimTime,
-    ) -> Result<BatchCompletion, IceClaveError> {
-        self.submit_batch_as(tee, lpns, PageClass::ReadOnly, now)
+        Ok(self.submit_batch(tee, &[lpn], now)?.finished)
     }
 
     /// The batched protected data path: translates, permission-checks,
     /// reads, deciphers and MEE-fills a whole page set as one
-    /// channel-parallel request.
+    /// channel-parallel request, filling the pages read-only
+    /// (streaming input, §4.4).
     ///
     /// Pipeline shape (workflow steps 3–6 of Figure 9, batched):
     ///
@@ -690,9 +655,8 @@ impl IceClave {
     ///    (ID-bit check included) up front — a denied page aborts the
     ///    batch *before any flash traffic* and throws the TEE out
     ///    (§4.5: access violations are fatal to the enclave);
-    /// 2. the FTL buckets the physical pages into per-channel queues
-    ///    and issues them round-robin, so the channel buses fill
-    ///    concurrently;
+    /// 2. each channel serves the batch's pages FIFO in request order,
+    ///    so the channel buses fill concurrently;
     /// 3. each channel's stream-decipher engine drains its pages in
     ///    flash-completion order, overlapping decryption with the
     ///    other channels' transfers;
@@ -700,25 +664,23 @@ impl IceClave {
     ///    TEE's input ring (counter initialization overlapped the same
     ///    way).
     ///
-    /// Returns per-page completion times (and deciphered content for
-    /// pages with functional data) in request order.
+    /// This submits one ticket ([`IceClave::submit_batch_async`]) and
+    /// drains it ([`IceClave::wait_batch`]). Returns per-page
+    /// completion times (and deciphered content for pages with
+    /// functional data) in request order.
     ///
     /// # Errors
     ///
     /// The TEE must be running. On [`FtlError::AccessDenied`] the TEE
     /// is thrown out ([`AbortReason::AccessViolation`]) and the error
     /// is returned; other FTL errors pass through with the TEE intact.
-    pub fn submit_batch_as(
+    pub fn submit_batch(
         &mut self,
         tee: TeeId,
         lpns: &[Lpn],
-        class: PageClass,
         now: SimTime,
     ) -> Result<BatchCompletion, IceClaveError> {
-        // Thin wrapper over the event-driven executor: submit one
-        // ticket, drain it. With no other tickets in flight this runs
-        // the same stages the call-graph used to run inline.
-        let ticket = self.submit_batch_async_as(tee, lpns, class, now)?;
+        let ticket = self.submit_batch_async(tee, lpns, now)?;
         self.wait_batch(ticket)
     }
 
@@ -739,7 +701,7 @@ impl IceClave {
     }
 
     /// The batched protected write path — the program-side mirror of
-    /// [`IceClave::submit_batch_as`]: ownership-checks, allocates,
+    /// [`IceClave::submit_batch`]: ownership-checks, allocates,
     /// seals and programs a whole page set as one channel-parallel
     /// request.
     ///
@@ -759,9 +721,9 @@ impl IceClave {
     ///    secure world **once**, steers each page's fresh allocation
     ///    to the earliest-available channel (a GC pass stalls only its
     ///    own channel and routes later pages around it) and issues the
-    ///    programs round-robin over the per-channel program queues,
-    ///    each admitted only once its ciphertext exists, coalescing
-    ///    dirty translation-page write-backs to one persist per batch.
+    ///    programs round-robin across the channels, each admitted only
+    ///    once its ciphertext exists, coalescing dirty translation-page
+    ///    write-backs to one persist per batch.
     ///
     /// A page is durable when its program and its seal metadata have
     /// both drained; the batch finishes when every page is durable and
@@ -788,24 +750,6 @@ impl IceClave {
         // the same stages the call-graph used to run inline.
         let ticket = self.submit_write_batch_async_as(tee, writes, now)?;
         self.wait_write_batch(ticket)
-    }
-
-    /// Writes one granted flash page from the TEE (a one-element
-    /// [`IceClave::submit_write_batch`]); programs that know their
-    /// dirty page set ahead of time should batch instead and let the
-    /// device overlap the channels.
-    ///
-    /// # Errors
-    ///
-    /// As [`IceClave::submit_write_batch_as`].
-    pub fn write_flash_page(
-        &mut self,
-        tee: TeeId,
-        lpn: Lpn,
-        now: SimTime,
-    ) -> Result<SimTime, IceClaveError> {
-        let batch = self.submit_write_batch(tee, &[lpn], now)?;
-        Ok(batch.finished)
     }
 
     /// Host-side data staging with functional content: encrypts
@@ -1355,21 +1299,6 @@ mod tests {
             ice.submit_write_batch(tee, &[Lpn::new(0)], t),
             Err(IceClaveError::NotRunning(_))
         ));
-    }
-
-    #[test]
-    fn write_flash_page_is_a_one_element_batch() {
-        let (mut ice_a, t) = setup_with_data(2);
-        let (tee_a, t_a) = ice_a.offload_code(1024, &lpns(0..2), t).unwrap();
-        let (mut ice_b, _) = setup_with_data(2);
-        let (tee_b, t_b) = ice_b.offload_code(1024, &lpns(0..2), t).unwrap();
-        assert_eq!(t_a, t_b);
-        let wrapper = ice_a.write_flash_page(tee_a, Lpn::new(1), t_a).unwrap();
-        let batch = ice_b
-            .submit_write_batch(tee_b, &[Lpn::new(1)], t_b)
-            .unwrap()
-            .finished;
-        assert_eq!(wrapper, batch);
     }
 
     #[test]

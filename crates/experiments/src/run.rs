@@ -255,8 +255,8 @@ impl SsdSession {
             PageClass::ReadOnly
         };
         // The whole step's page set is submitted as ONE batch, so the
-        // FTL's channel scheduler can stripe it across every bus —
-        // this is the channel parallelism Figures 12/13 measure.
+        // executor can stripe it across every bus — this is the
+        // channel parallelism Figures 12/13 measure.
         let mut lpns: Vec<Lpn> = Vec::new();
         for run in &batch.flash_reads {
             for lpn in run.iter() {

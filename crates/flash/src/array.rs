@@ -1,6 +1,5 @@
 //! The flash array: NAND state machine plus die/channel timing.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -247,43 +246,6 @@ impl FlashArray {
         })
     }
 
-    /// Reads a batch of pages, each admitted at its own arrival time.
-    ///
-    /// The caller (the FTL's channel scheduler) fixes the issue order;
-    /// per-die cell reads and per-channel bus transfers then overlap or
-    /// queue on the same [`Resource`] timelines as single reads, so a
-    /// batch striped across channels completes in roughly
-    /// `cell_read + pages_per_channel * transfer` instead of the serial
-    /// sum — the channel-parallelism effect of Figures 12–13.
-    ///
-    /// The batch is validated before any timeline is touched: one bad
-    /// address leaves the device state unchanged. Injected read faults
-    /// are *not* part of that validation — they surface per page, so a
-    /// mid-batch uncorrectable read aborts the batch after the earlier
-    /// pages transferred (exactly as the device would).
-    ///
-    /// # Errors
-    ///
-    /// [`FlashError::OutOfRange`] or [`FlashError::ReadUnwritten`] for
-    /// the first invalid request; [`FlashError::ReadUncorrectable`]
-    /// for the first injected fault.
-    pub fn read_pages(
-        &mut self,
-        requests: &[(Ppn, SimTime)],
-    ) -> Result<Vec<ServiceSpan>, FlashError> {
-        for &(ppn, _) in requests {
-            let addr = self.checked_addr(ppn)?;
-            let block_idx = self.config.geometry.block_index(addr.block_addr()) as usize;
-            if addr.page >= self.blocks[block_idx].frontier {
-                return Err(FlashError::ReadUnwritten(ppn));
-            }
-        }
-        requests
-            .iter()
-            .map(|&(ppn, arrival)| self.read_page(ppn, arrival))
-            .collect()
-    }
-
     /// Programs a page: channel bus transfers the data to the die
     /// register, then the die is busy for the program time.
     ///
@@ -330,52 +292,6 @@ impl FlashArray {
             start: xfer.start,
             end: prog.end,
         })
-    }
-
-    /// Programs a batch of pages, each admitted at its own arrival
-    /// time.
-    ///
-    /// The caller (the FTL's channel scheduler) fixes the issue order;
-    /// per-channel bus transfers and per-die program pulses then
-    /// overlap or queue on the same [`Resource`] timelines as single
-    /// programs, so a batch striped across channels completes in
-    /// roughly `pages_per_channel * (transfer + program/dies)` instead
-    /// of the serial sum — the write-side mirror of
-    /// [`FlashArray::read_pages`].
-    ///
-    /// The batch is validated before any timeline is touched: the NAND
-    /// in-order-program rule is checked against a shadow frontier (so a
-    /// batch may legally carry several consecutive pages of one block),
-    /// and one bad address leaves the device state unchanged.
-    ///
-    /// # Errors
-    ///
-    /// [`FlashError::OutOfRange`] or [`FlashError::ProgramOutOfOrder`]
-    /// for the first invalid request; [`FlashError::ProgramFailed`]
-    /// for the first injected fault (earlier pages of the batch stay
-    /// programmed — the caller's remap path takes over).
-    pub fn program_pages(
-        &mut self,
-        requests: &[(Ppn, SimTime)],
-    ) -> Result<Vec<ServiceSpan>, FlashError> {
-        let mut shadow: HashMap<usize, u32> = HashMap::new();
-        for &(ppn, _) in requests {
-            let addr = self.checked_addr(ppn)?;
-            let block_idx = self.config.geometry.block_index(addr.block_addr()) as usize;
-            let pending = shadow.entry(block_idx).or_insert(0);
-            let expected = self.blocks[block_idx].frontier + *pending;
-            if addr.page != expected {
-                return Err(FlashError::ProgramOutOfOrder {
-                    ppn,
-                    expected_page: expected,
-                });
-            }
-            *pending += 1;
-        }
-        requests
-            .iter()
-            .map(|&(ppn, arrival)| self.program_page(ppn, arrival))
-            .collect()
     }
 
     /// Erases a block: the die is busy for the erase time; all pages in
@@ -515,34 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn program_pages_accepts_consecutive_pages_of_one_block() {
-        let mut a = tiny();
-        // Three consecutive pages of block 0 in one batch: legal under
-        // the shadow-frontier validation.
-        let reqs: Vec<(Ppn, SimTime)> = (0..3).map(|p| (Ppn::new(p), SimTime::ZERO)).collect();
-        let spans = a.program_pages(&reqs).unwrap();
-        assert_eq!(spans.len(), 3);
-        assert!(spans[1].end > spans[0].end);
-        assert_eq!(a.stats().programs, 3);
-    }
-
-    #[test]
-    fn program_pages_rejects_gaps_without_side_effects() {
-        let mut a = tiny();
-        // Page 0 then page 2 of block 0: out of order; nothing programs.
-        let reqs = [(Ppn::new(0), SimTime::ZERO), (Ppn::new(2), SimTime::ZERO)];
-        assert!(matches!(
-            a.program_pages(&reqs),
-            Err(FlashError::ProgramOutOfOrder {
-                expected_page: 1,
-                ..
-            })
-        ));
-        assert_eq!(a.stats().programs, 0);
-        assert!(!a.is_written(Ppn::new(0)));
-    }
-
-    #[test]
     fn programs_on_different_channels_overlap() {
         let mut a = tiny();
         let g = a.config().geometry;
@@ -554,11 +442,10 @@ mod tests {
             block: 0,
             page: 0,
         });
-        let spans = a
-            .program_pages(&[(Ppn::new(0), SimTime::ZERO), (ch1, SimTime::ZERO)])
-            .unwrap();
+        let first = a.program_page(Ppn::new(0), SimTime::ZERO).unwrap();
+        let second = a.program_page(ch1, SimTime::ZERO).unwrap();
         // Separate channel buses: both transfers start at time zero.
-        assert_eq!(spans[0].start, spans[1].start);
+        assert_eq!(first.start, second.start);
     }
 
     #[test]

@@ -12,13 +12,11 @@ use iceclave_flash::{
 use iceclave_sim::ServiceSpan;
 use iceclave_trustzone::{World, WorldMonitor};
 use iceclave_types::{
-    BatchRequest, ByteSize, FastMap, FastSet, Lpn, Ppn, SimDuration, SimTime, TeeId,
-    WriteBatchRequest,
+    ByteSize, FastMap, FastSet, Lpn, Ppn, SimDuration, SimTime, TeeId, WriteBatchRequest,
 };
 
 use crate::cmt::CachedMappingTable;
 use crate::mapping::MappingTable;
-use crate::scheduler::ChannelScheduler;
 
 /// Garbage-collection victim-selection policy.
 #[derive(Copy, Clone, Eq, PartialEq, Debug)]
@@ -98,21 +96,6 @@ pub struct Translation {
     pub ready_at: SimTime,
     /// Whether the cached mapping table had the entry.
     pub cmt_hit: bool,
-}
-
-/// One page of a completed batch read: where it was, whether its
-/// translation hit the CMT, and when its data reached the controller.
-#[derive(Copy, Clone, Eq, PartialEq, Debug)]
-pub struct BatchPageRead {
-    /// The logical page.
-    pub lpn: Lpn,
-    /// The physical page it translated to.
-    pub ppn: Ppn,
-    /// Whether the cached mapping table had the entry.
-    pub cmt_hit: bool,
-    /// The flash service span; `flash.end` is when the page data has
-    /// crossed the channel bus into the controller.
-    pub flash: ServiceSpan,
 }
 
 /// One page of a completed batch write: where it landed and when its
@@ -808,9 +791,9 @@ impl Ftl {
     }
 
     /// Translates (and permission-checks) a whole batch of logical
-    /// pages up front — phase 1 of [`Ftl::read_batch`], exposed so the
-    /// event-driven executor can run the atomic access check at
-    /// submission and schedule the flash stage per page.
+    /// pages up front, so the event-driven executor can run the atomic
+    /// access check at submission and schedule the flash stage per
+    /// page.
     ///
     /// A batch is atomic with respect to access control: if any page is
     /// denied or unmapped, the error names the offending page and *no*
@@ -839,10 +822,9 @@ impl Ftl {
         Ok(translations)
     }
 
-    /// Accounts `n` logical reads served — the accounting hook of the
-    /// batch read paths: [`Ftl::read_batch`] calls it once its flash
-    /// phase is issued, the event-driven executor at submission (its
-    /// flash stages run later, page by page).
+    /// Accounts `n` logical reads served — the event-driven executor
+    /// calls it at submission (its flash stages run later, page by
+    /// page).
     pub fn record_logical_reads(&mut self, n: u64) {
         self.stats.reads += n;
     }
@@ -878,64 +860,6 @@ impl Ftl {
             .read_page(translation.ppn, translation.ready_at)?;
         self.stats.reads += 1;
         Ok(span.end)
-    }
-
-    /// Reads a [`BatchRequest`] of logical pages as one
-    /// channel-parallel request.
-    ///
-    /// All pages are translated (and permission-checked) up front — a
-    /// batch is atomic with respect to access control: if any page is
-    /// denied or unmapped, *no* flash traffic is issued and the error
-    /// names the offending page. The translated pages are then bucketed
-    /// into per-channel queues and issued round-robin across channels
-    /// ([`ChannelScheduler`]), so the per-channel bus timelines fill
-    /// concurrently instead of serially.
-    ///
-    /// Returns one [`BatchPageRead`] per request, in request order.
-    ///
-    /// # Errors
-    ///
-    /// [`FtlError::AccessDenied`], [`FtlError::Unmapped`], or a flash
-    /// error if a mapping is stale (an internal invariant violation).
-    pub fn read_batch(
-        &mut self,
-        requestor: Requestor,
-        batch: &BatchRequest,
-        monitor: &mut WorldMonitor,
-        now: SimTime,
-    ) -> Result<Vec<BatchPageRead>, FtlError> {
-        let lpns: Vec<Lpn> = batch.requests.iter().map(|r| r.lpn).collect();
-        let translations = self.translate_batch(requestor, &lpns, monitor, now)?;
-
-        // Phase 2: channel-aware issue. Bucket by the physical page's
-        // channel, then interleave round-robin.
-        let g = self.flash.config().geometry;
-        let mut scheduler = ChannelScheduler::new(g.channels as usize);
-        for (idx, translation) in translations.iter().enumerate() {
-            let channel = g.unpack(translation.ppn).channel as usize;
-            scheduler.enqueue(channel, idx);
-        }
-        let order = scheduler.issue_order();
-        let issue: Vec<(Ppn, SimTime)> = order
-            .iter()
-            .map(|&idx| (translations[idx].ppn, translations[idx].ready_at))
-            .collect();
-        let spans = self.flash.read_pages(&issue)?;
-        self.record_logical_reads(lpns.len() as u64);
-
-        let mut results: Vec<Option<BatchPageRead>> = vec![None; lpns.len()];
-        for (pos, &idx) in order.iter().enumerate() {
-            results[idx] = Some(BatchPageRead {
-                lpn: lpns[idx],
-                ppn: translations[idx].ppn,
-                cmt_hit: translations[idx].cmt_hit,
-                flash: spans[pos],
-            });
-        }
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("every request was scheduled exactly once"))
-            .collect())
     }
 
     /// Writes logical page `lpn` out-of-place: allocates a fresh page,
@@ -987,8 +911,7 @@ impl Ftl {
     }
 
     /// Writes a [`WriteBatchRequest`] of logical pages as one
-    /// channel-parallel program request — the write-side mirror of
-    /// [`Ftl::read_batch`].
+    /// channel-parallel program request.
     ///
     /// All pages are ownership-checked up front — a batch is atomic
     /// with respect to access control: if any page belongs to another
@@ -1002,10 +925,9 @@ impl Ftl {
     ///    mid-batch stalls only its own channel's later programs, and
     ///    the steering naturally routes subsequent pages away from the
     ///    stalled channel);
-    /// 2. programs are issued round-robin across the per-channel
-    ///    program queues ([`ChannelScheduler`]), overlapping on the
-    ///    channel-bus and die timelines
-    ///    ([`FlashArray::program_pages`]);
+    /// 2. programs are issued round-robin across the channels,
+    ///    overlapping on the channel-bus and die timelines
+    ///    ([`FlashArray::program_page`]);
     /// 3. mapping updates dirty the CMT with *coalesced* write-back:
     ///    each dirty translation page evicted during the batch is
     ///    persisted once at the end instead of once per page.
@@ -1326,9 +1248,9 @@ impl Ftl {
     /// deprioritized, so the batch only fails when the whole device is
     /// out of space.
     ///
-    /// Programs are issued round-robin through the per-channel program
-    /// queues; allocation uses a shadow frontier so several pages of
-    /// one block stay in NAND program order within the batch.
+    /// Programs are issued round-robin across channels; allocation uses
+    /// a shadow frontier so several pages of one block stay in NAND
+    /// program order within the batch.
     ///
     /// The mapping/validity maintenance for each page (driven by its
     /// `targets` entry — data page or translation page) happens at the
@@ -1357,22 +1279,28 @@ impl Ftl {
             .collect();
         let mut results: Vec<Option<(Ppn, ServiceSpan)>> = vec![None; ready.len()];
 
-        // The batch proceeds in waves of (at most) one page per
-        // channel — one round-robin sweep of the program queues. The
-        // shadow frontier drains at the end of every wave, so garbage
-        // collection stays available to any plane that runs low at any
-        // wave boundary (the once-per-plane GC gate is per wave, not
-        // per batch) and the batch reclaims space exactly as
-        // aggressively as a sequential write loop would.
+        // The batch proceeds in waves of `channels` pages. Steering
+        // usually spreads a wave one page per channel, but it puts two
+        // pages of a wave on one channel whenever another channel's
+        // horizon lags by more than one transfer, which is why the
+        // issue order below sorts by (k-th page on its channel,
+        // channel) and not by wave position. The shadow frontier
+        // drains at the end of every wave, so garbage collection stays
+        // available to any plane that runs low at any wave boundary
+        // (the once-per-plane GC gate is per wave, not per batch) and
+        // the batch reclaims space exactly as aggressively as a
+        // sequential write loop would.
         let mut next = 0usize;
         while next < ready.len() {
             let wave_end = (next + channels).min(ready.len());
-            let mut scheduler = ChannelScheduler::new(channels);
             let mut shadow: HashMap<u64, u32> = HashMap::new();
             let mut gc_checked = vec![false; self.planes.len()];
             let mut plane_pending = vec![0u32; self.planes.len()];
             let mut dry_attempts = vec![0u32; channels];
+            let mut wave_rank = vec![0u32; channels];
             let mut placements: Vec<(Ppn, SimTime)> = Vec::with_capacity(wave_end - next);
+            // (k-th page on its channel, channel, wave index) per page.
+            let mut order: Vec<(u32, usize, usize)> = Vec::with_capacity(wave_end - next);
             for (idx, &page_ready) in ready.iter().enumerate().take(wave_end).skip(next) {
                 let (ppn, arrival) = loop {
                     let ch = (0..channels)
@@ -1392,7 +1320,8 @@ impl Ftl {
                             // from it).
                             channel_ready[ch] = channel_ready[ch].max(gc_done);
                             assigned[ch] += 1;
-                            scheduler.enqueue_program(ch, idx - next);
+                            order.push((wave_rank[ch], ch, idx - next));
+                            wave_rank[ch] += 1;
                             break (ppn, channel_ready[ch].max(page_ready));
                         }
                         Err(FtlError::CapacityExhausted) => {
@@ -1408,27 +1337,33 @@ impl Ftl {
                 };
                 placements.push((ppn, arrival));
             }
-            // Issue the wave's programs one channel-interleaved item at
-            // a time so a status-FAIL program degrades to a per-page
-            // remap instead of failing the batch. A failure retires the
-            // target block; wave items steered to the same (now
-            // retired) block skip the device entirely — their allocated
-            // page numbers assumed the failed program advanced the
-            // frontier, so programming them would break NAND order.
-            let order = scheduler.issue_order_mixed();
+            // Issue the wave's programs round-robin across channels:
+            // every channel's first page in channel order, then every
+            // channel's second, FIFO within a channel. Each bus and die
+            // keeps its own timeline and each page its own arrival, so
+            // the cross-channel order never changes timing, but it
+            // decides which page a fault plan's k-th program draw hits.
+            // Programs issue one at a time so a status-FAIL program
+            // degrades to a per-page remap instead of failing the
+            // batch. A failure retires the target block; wave items
+            // steered to the same (now retired) block skip the device
+            // entirely — their allocated page numbers assumed the
+            // failed program advanced the frontier, so programming them
+            // would break NAND order.
+            order.sort_unstable();
             let mut resteer: Vec<usize> = Vec::new();
-            for item in &order {
-                let (ppn, arrival) = placements[item.index];
+            for &(_, _, index) in &order {
+                let (ppn, arrival) = placements[index];
                 if self.is_grown_bad(ppn) {
-                    resteer.push(item.index);
+                    resteer.push(index);
                     continue;
                 }
                 match self.flash.program_page(ppn, arrival) {
-                    Ok(span) => results[next + item.index] = Some((ppn, span)),
+                    Ok(span) => results[next + index] = Some((ppn, span)),
                     Err(FlashError::ProgramFailed(_)) => {
                         let g = self.flash.config().geometry;
                         self.retire_block(g.unpack(ppn).block_addr(), true);
-                        resteer.push(item.index);
+                        resteer.push(index);
                     }
                     Err(e) => return Err(e.into()),
                 }
@@ -2402,25 +2337,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_read_matches_sequential_pages_and_stats() {
-        let (mut ftl, mut m) = setup();
-        let mut t = SimTime::ZERO;
-        for i in 0..8u64 {
-            t = ftl.write(Requestor::Host, Lpn::new(i), &mut m, t).unwrap();
-        }
-        let lpns: Vec<Lpn> = (0..8).map(Lpn::new).collect();
-        let reads = ftl
-            .read_batch(Requestor::Host, &BatchRequest::from_lpns(&lpns), &mut m, t)
-            .unwrap();
-        assert_eq!(reads.len(), 8);
-        for (i, r) in reads.iter().enumerate() {
-            assert_eq!(r.lpn, Lpn::new(i as u64));
-            assert!(r.flash.end > t);
-        }
-        assert_eq!(ftl.stats().reads, 8);
-    }
-
-    #[test]
     fn batch_read_is_atomic_on_access_denial() {
         let (mut ftl, mut m) = setup();
         let mut t = SimTime::ZERO;
@@ -2430,12 +2346,12 @@ mod tests {
         ftl.set_id_bits(&[Lpn::new(0), Lpn::new(1)], tee(1))
             .unwrap();
         let flash_reads_before = ftl.flash().stats().reads;
-        // Page 2 is not owned by TEE 1: the whole batch is refused
-        // before any flash traffic.
+        // Page 2 is not owned by TEE 1: the whole batch is refused at
+        // translation, before any flash traffic.
         let err = ftl
-            .read_batch(
+            .translate_batch(
                 Requestor::Tee(tee(1)),
-                &BatchRequest::from_lpns(&[Lpn::new(0), Lpn::new(2), Lpn::new(1)]),
+                &[Lpn::new(0), Lpn::new(2), Lpn::new(1)],
                 &mut m,
                 t,
             )
@@ -2443,44 +2359,6 @@ mod tests {
         assert!(matches!(err, FtlError::AccessDenied { lpn, .. } if lpn == Lpn::new(2)));
         assert_eq!(ftl.flash().stats().reads, flash_reads_before);
         assert_eq!(ftl.stats().reads, 0);
-    }
-
-    #[test]
-    fn batch_read_overlaps_channels() {
-        // A batch striped across the tiny device's channels must beat
-        // the serial sum of its pages.
-        let (mut ftl, mut m) = setup();
-        let mut t = SimTime::ZERO;
-        let pages = 8u64;
-        for i in 0..pages {
-            t = ftl.write(Requestor::Host, Lpn::new(i), &mut m, t).unwrap();
-        }
-        let lpns: Vec<Lpn> = (0..pages).map(Lpn::new).collect();
-        let batch_end = ftl
-            .read_batch(Requestor::Host, &BatchRequest::from_lpns(&lpns), &mut m, t)
-            .unwrap()
-            .iter()
-            .map(|r| r.flash.end)
-            .max()
-            .unwrap();
-
-        let (mut serial, mut m2) = setup();
-        let mut t2 = SimTime::ZERO;
-        for i in 0..pages {
-            t2 = serial
-                .write(Requestor::Host, Lpn::new(i), &mut m2, t2)
-                .unwrap();
-        }
-        let mut chained = t2;
-        for &lpn in &lpns {
-            chained = serial.read(Requestor::Host, lpn, &mut m2, chained).unwrap();
-        }
-        assert!(
-            batch_end.saturating_since(t) < chained.saturating_since(t2),
-            "batch {:?} must beat serial {:?}",
-            batch_end.saturating_since(t),
-            chained.saturating_since(t2)
-        );
     }
 
     #[test]
@@ -2827,6 +2705,50 @@ mod tests {
         for &lpn in &lpns {
             t = ftl.read(Requestor::Host, lpn, &mut m, t).unwrap();
         }
+    }
+
+    #[test]
+    fn wave_programs_issue_round_robin_by_channel() {
+        let mut flash_config = FlashConfig::tiny();
+        flash_config.geometry = flash_config.geometry.with_channels(3);
+        let mut ftl = Ftl::new(flash_config, FtlConfig::default());
+        let mut m = WorldMonitor::with_table5_cost();
+        ftl.install_fault_plan(FaultPlan {
+            program_fail_ops: vec![1],
+            ..FaultPlan::none()
+        });
+        let g = ftl.flash().config().geometry;
+        // Program ordinal 0 lands on channel 0.
+        ftl.write(Requestor::Host, Lpn::new(0), &mut m, SimTime::ZERO)
+            .unwrap();
+        let ppn = ftl.current_ppn(Lpn::new(0)).unwrap();
+        assert_eq!(g.unpack(ppn).channel, 0);
+        // Keep channel 0's bus busy until just past the next batch's
+        // secure-world entry, so its wave steers to channels [1, 2, 0].
+        let batch_at = SimTime::ZERO + SimDuration::from_millis(10);
+        ftl.flash_mut()
+            .read_page(ppn, batch_at - SimDuration::from_micros(50))
+            .unwrap();
+        let lpns: Vec<Lpn> = (1..4).map(Lpn::new).collect();
+        let out = ftl
+            .write_batch(
+                Requestor::Host,
+                &WriteBatchRequest::from_lpns(&lpns),
+                &mut m,
+                batch_at,
+            )
+            .unwrap();
+        // Round-robin issue hands program ordinal 1 to channel 0's
+        // page, not to the wave's first page.
+        assert_eq!(ftl.stats().program_remaps, 1);
+        let channels: Vec<u32> = out.pages[..2]
+            .iter()
+            .map(|p| g.unpack(p.ppn).channel)
+            .collect();
+        assert_eq!(channels, vec![1, 2]);
+        let retired = ftl.grown_bad_blocks();
+        assert_eq!(retired.len(), 1);
+        assert_eq!(g.block_from_index(retired[0]).channel, 0);
     }
 
     #[test]

@@ -16,10 +16,7 @@
 //! * [`cmt`] — the DFTL-style cached mapping table living in the
 //!   protected region; misses escalate to the secure world and flash.
 //! * [`ftl`] — the façade: translation, reads/writes with permission
-//!   checks, GC, wear leveling.
-//! * [`scheduler`] — the per-channel queue order *inside* one batch
-//!   (round-robin across channels, read/program alternation within a
-//!   channel).
+//!   checks, the channel-steered write batch, GC, wear leveling.
 //! * [`wfq`] — weighted fair queueing *across* TEEs: per-channel
 //!   start-time fair queueing over page-sized quanta, with preemption
 //!   points at page boundaries (Figures 17/18 multi-tenancy).
@@ -52,17 +49,15 @@
 pub mod cmt;
 pub mod ftl;
 pub mod mapping;
-pub mod scheduler;
 pub mod wfq;
 
 pub use cmt::{CachedMappingTable, CmtLookup};
 pub use ftl::{
-    BatchPageRead, BatchPageWrite, Ftl, FtlConfig, FtlError, FtlRecovery, FtlStats, Requestor,
-    Translation, WriteBatchOutcome,
+    BatchPageWrite, Ftl, FtlConfig, FtlError, FtlRecovery, FtlStats, Requestor, Translation,
+    WriteBatchOutcome,
 };
 pub use iceclave_flash::{
     FaultInjector, FaultPlan, FlashError, JournalRecord, MetadataJournal, ReadFault,
 };
 pub use mapping::{MappingEntry, MappingTable};
-pub use scheduler::{ChannelScheduler, QueuedOp, ScheduledItem};
 pub use wfq::{IssueGrant, SchedPolicy, TicketPolicy, WfqArbiter, MAX_TICKET_WEIGHT, MAX_WEIGHT};

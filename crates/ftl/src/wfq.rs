@@ -1,13 +1,12 @@
 //! Weighted fair queueing across TEEs — the cross-tenant arbiter of
 //! the flash channels.
 //!
-//! [`ChannelScheduler`](crate::ChannelScheduler) orders the requests
-//! *inside* one batch; it cannot stop a greedy tenant that keeps eight
-//! 32-page tickets in flight from booking a channel's entire timeline
-//! before a latency-sensitive tenant's four-page ticket gets a single
-//! slot. The [`WfqArbiter`] closes that gap with **start-time fair
-//! queueing (SFQ) over page-sized quanta**, independently per flash
-//! channel:
+//! Per-channel FIFO order *inside* one ticket cannot stop a greedy
+//! tenant that keeps eight 32-page tickets in flight from booking a
+//! channel's entire timeline before a latency-sensitive tenant's
+//! four-page ticket gets a single slot. The [`WfqArbiter`] closes that
+//! gap with **start-time fair queueing (SFQ) over page-sized quanta**,
+//! independently per flash channel:
 //!
 //! * Every channel keeps one *lane* per tenant (TEE). A lane holds the
 //!   tenant's queued page reads for that channel, ordered by

@@ -276,19 +276,7 @@ impl MeeStats {
     }
 }
 
-/// One page of a batched DRAM fill (flash-to-DRAM staging).
-#[derive(Copy, Clone, Debug)]
-pub struct PageFill {
-    /// Destination DRAM page.
-    pub page: u64,
-    /// Protection class the page is filled as.
-    pub class: PageClass,
-    /// When the deciphered data is available to the fill engine.
-    pub ready: SimTime,
-}
-
-/// One page of a batched DRAM drain (DRAM-to-flash persistence) — the
-/// write-side mirror of [`PageFill`].
+/// One page of a batched DRAM drain (DRAM-to-flash persistence).
 #[derive(Copy, Clone, Debug)]
 pub struct PageSeal {
     /// Source DRAM page.
@@ -552,26 +540,6 @@ impl MeeEngine {
         end + self.config.aes_latency
     }
 
-    /// Fills a batch of DRAM pages, each admitted when its upstream
-    /// (deciphered flash data) is ready.
-    ///
-    /// Fills are issued in ascending ready order, so counter
-    /// initialization and MAC generation of early pages overlap with
-    /// the flash transfers of later ones — the DRAM channel timelines
-    /// provide the only serialization, exactly as the bulk-fill engine
-    /// of the paper overlaps verification with data movement. Returns
-    /// per-page completion times **in input order**.
-    pub fn fill_pages(&mut self, dram: &mut Dram, fills: &[PageFill]) -> Vec<SimTime> {
-        let mut order: Vec<usize> = (0..fills.len()).collect();
-        order.sort_by_key(|&i| (fills[i].ready, i));
-        let mut done = vec![SimTime::ZERO; fills.len()];
-        for i in order {
-            let fill = &fills[i];
-            done[i] = self.fill_page(dram, fill.page, fill.class, fill.ready);
-        }
-        done
-    }
-
     /// Seals one whole DRAM page for flash persistence (DRAM-to-flash
     /// draining through the MEE's streaming path): 64 line reads, a
     /// counter-epoch increment and an outbound MAC generation, billed
@@ -610,8 +578,7 @@ impl MeeEngine {
         }
     }
 
-    /// Seals a batch of DRAM pages, each admitted at its ready time —
-    /// the write-side analogue of [`MeeEngine::fill_pages`].
+    /// Seals a batch of DRAM pages, each admitted at its ready time.
     ///
     /// Seals are issued in ascending ready order, so counter increments
     /// and MAC generation of early pages overlap with the channel

@@ -55,9 +55,7 @@ pub mod tree;
 
 pub use cache::{CacheOutcome, MetaCache};
 pub use counters::{MajorCounterBlock, PageClass, SplitCounterBlock, MINOR_LIMIT};
-pub use engine::{
-    CounterMode, MeeConfig, MeeEngine, MeeStats, MetaTraffic, PageFill, PageSeal, SealSpan,
-};
+pub use engine::{CounterMode, MeeConfig, MeeEngine, MeeStats, MetaTraffic, PageSeal, SealSpan};
 pub use faults::{MacFault, MacFaultInjector, MacFaultPlan};
 pub use l2::{L2Demotion, L2MetaStore, L2Promotion};
 pub use secure::{SecureMemory, VerifyError};

@@ -1,116 +1,10 @@
-//! Deterministic time-ordered event queue.
+//! Deterministic time-ordered event queues with a caller-supplied
+//! same-tick order.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
 use iceclave_types::SimTime;
-
-/// A time-ordered queue of events.
-///
-/// Ties are broken by insertion order, which keeps the simulation fully
-/// deterministic regardless of payload type.
-///
-/// # Examples
-///
-/// ```
-/// use iceclave_sim::EventQueue;
-/// use iceclave_types::{SimDuration, SimTime};
-///
-/// let mut q = EventQueue::new();
-/// q.push(SimTime::ZERO + SimDuration::from_nanos(5), "late");
-/// q.push(SimTime::ZERO, "early");
-/// assert_eq!(q.pop().map(|(_, e)| e), Some("early"));
-/// assert_eq!(q.pop().map(|(_, e)| e), Some("late"));
-/// assert!(q.is_empty());
-/// ```
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    seq: u64,
-}
-
-#[derive(Debug)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert to pop the earliest event first,
-        // breaking ties by insertion order.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    /// Schedules `event` at `time`.
-    pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry { time, seq, event });
-    }
-
-    /// Removes and returns the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.time, e.event))
-    }
-
-    /// The timestamp of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Pops the earliest event only if it is scheduled at or before `now`.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, E)> {
-        match self.peek_time() {
-            Some(t) if t <= now => self.pop(),
-            _ => None,
-        }
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// The reference keyed queue: a plain binary heap over
 /// *(time, key, insertion seq)*.
@@ -522,44 +416,6 @@ mod tests {
 
     fn at(ns: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_nanos(ns)
-    }
-
-    #[test]
-    fn orders_by_time() {
-        let mut q = EventQueue::new();
-        q.push(at(30), 3);
-        q.push(at(10), 1);
-        q.push(at(20), 2);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn ties_break_by_insertion_order() {
-        let mut q = EventQueue::new();
-        q.push(at(5), "first");
-        q.push(at(5), "second");
-        q.push(at(5), "third");
-        assert_eq!(q.pop().unwrap().1, "first");
-        assert_eq!(q.pop().unwrap().1, "second");
-        assert_eq!(q.pop().unwrap().1, "third");
-    }
-
-    #[test]
-    fn pop_due_respects_now() {
-        let mut q = EventQueue::new();
-        q.push(at(100), ());
-        assert!(q.pop_due(at(50)).is_none());
-        assert!(q.pop_due(at(100)).is_some());
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.push(at(7), 42);
-        assert_eq!(q.peek_time(), Some(at(7)));
-        assert_eq!(q.len(), 1);
     }
 
     #[test]

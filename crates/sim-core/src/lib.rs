@@ -11,11 +11,9 @@
 //!   `max(arrival, next_free) .. + service`. Composing timelines across
 //!   components yields queueing delay and cross-tenant interference
 //!   without a full event-driven core model.
-//! * [`EventQueue`] — a deterministic time-ordered queue used for
-//!   background activities (garbage collection, wear leveling) and for
-//!   interleaving multiple tenants. [`KeyedEventQueue`] is the variant
-//!   with a caller-supplied same-tick order, and [`EventClock`] the
-//!   monotone clock, both backing the `iceclave_exec` batch executor.
+//! * [`KeyedEventQueue`] — a deterministic time-ordered queue with a
+//!   caller-supplied same-tick order, and [`EventClock`] the monotone
+//!   clock, both backing the `iceclave_exec` batch executor.
 //!
 //! [`stats`] adds the counters and histograms used to report every table
 //! and figure, and [`rng`] provides deterministically seeded random
@@ -46,7 +44,7 @@ pub mod rng;
 pub mod stats;
 
 pub use clock::EventClock;
-pub use event::{EventQueue, HeapKeyedEventQueue, KeyedEventQueue};
+pub use event::{HeapKeyedEventQueue, KeyedEventQueue};
 pub use pipeline::Pipeline;
 pub use resource::{Resource, ResourcePool, ServiceSpan};
 pub use rng::SimRng;

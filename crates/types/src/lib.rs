@@ -45,8 +45,8 @@ pub use fault::{FaultStats, PageError, PageErrorCause, RecoveryStats};
 pub use freq::Hertz;
 pub use hash::{FastMap, FastSet, FxHasher};
 pub use request::{
-    BatchCompletion, BatchRequest, PageCompletion, PageRequest, PageWrite, WriteBatchCompletion,
-    WriteBatchRequest, WritePageCompletion, WritePageRequest,
+    BatchCompletion, PageCompletion, PageWrite, WriteBatchCompletion, WriteBatchRequest,
+    WritePageCompletion, WritePageRequest,
 };
 pub use size::ByteSize;
 pub use tee::{TeeId, TeeIdError};

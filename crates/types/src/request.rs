@@ -1,59 +1,17 @@
-//! The request/batch/completion vocabulary of the protected data path.
+//! The batch/completion vocabulary of the protected data path.
 //!
 //! IceClave's evaluation (Figures 12–13) rests on flash *channel
 //! parallelism*: an in-storage program asks for many pages at once and
 //! the device overlaps their cell reads, bus transfers, decryption and
-//! MEE fills. These types carry one such multi-page request through
-//! every layer — the runtime builds a [`BatchRequest`], the FTL/flash
-//! schedule it channel-by-channel, and the runtime hands back a
-//! [`BatchCompletion`] with per-page ready times (and plaintext, when
-//! functional content exists).
+//! MEE fills. A read batch is submitted as a slice of logical pages and
+//! comes back as a [`BatchCompletion`] with per-page ready times (and
+//! plaintext, when functional content exists); a write batch travels
+//! as a [`WriteBatchRequest`] and comes back as a
+//! [`WriteBatchCompletion`] with per-page durable times.
 
 use crate::addr::Lpn;
 use crate::ticket::PageStatus;
 use crate::time::{SimDuration, SimTime};
-
-/// One page of a batch: a logical page the TEE wants streamed into its
-/// input buffer.
-#[derive(Copy, Clone, Eq, PartialEq, Debug)]
-pub struct PageRequest {
-    /// The logical page to read.
-    pub lpn: Lpn,
-}
-
-impl PageRequest {
-    /// A request for `lpn`.
-    pub fn new(lpn: Lpn) -> Self {
-        PageRequest { lpn }
-    }
-}
-
-/// A multi-page read request, issued as one unit so the device can
-/// exploit channel parallelism.
-#[derive(Clone, Eq, PartialEq, Debug, Default)]
-pub struct BatchRequest {
-    /// The pages, in the order the caller's input ring consumes them.
-    pub requests: Vec<PageRequest>,
-}
-
-impl BatchRequest {
-    /// A batch over `lpns`, preserving order.
-    pub fn from_lpns(lpns: &[Lpn]) -> Self {
-        BatchRequest {
-            requests: lpns.iter().copied().map(PageRequest::new).collect(),
-        }
-    }
-
-    /// Number of pages in the batch.
-    pub fn len(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// True when the batch has no pages.
-    pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
-    }
-}
 
 /// The completion record of one page of a batch.
 #[derive(Clone, Eq, PartialEq, Debug)]
@@ -132,8 +90,7 @@ impl WritePageRequest {
 }
 
 /// A multi-page program request, issued as one unit so the device can
-/// allocate GC-aware and overlap the channel programs — the write-side
-/// mirror of [`BatchRequest`].
+/// allocate GC-aware and overlap the channel programs.
 #[derive(Clone, Eq, PartialEq, Debug, Default)]
 pub struct WriteBatchRequest {
     /// The pages, in the order the caller produced them.
@@ -238,17 +195,6 @@ impl WriteBatchCompletion {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn batch_request_preserves_order() {
-        let lpns: Vec<Lpn> = (0..4).map(Lpn::new).collect();
-        let batch = BatchRequest::from_lpns(&lpns);
-        assert_eq!(batch.len(), 4);
-        assert!(!batch.is_empty());
-        for (i, req) in batch.requests.iter().enumerate() {
-            assert_eq!(req.lpn, Lpn::new(i as u64));
-        }
-    }
 
     #[test]
     fn empty_completion_has_zero_latency() {

@@ -27,94 +27,14 @@
 //!   [`iceclave_cpu`], [`iceclave_isc`], [`iceclave_sim`],
 //!   [`iceclave_exec`], [`iceclave_types`].
 //!
-//! # Architecture: the request pipeline
-//!
-//! The protected data path is *batched and channel-parallel*. An
-//! in-storage program submits its whole page set as one request
-//! (`IceClave::submit_batch`); `read_flash_page` survives as the
-//! one-element wrapper. A batch flows through four stages, each
-//! overlapping with the others on the simulator's resource timelines:
-//!
-//! ```text
-//!  submit_batch(tee, lpns, now)
-//!      │ 1. translate + ID-bit check every page up front
-//!      │    (a denied page aborts the batch before any flash
-//!      │     traffic and throws the TEE out, §4.5)
-//!      ▼
-//!  Ftl::read_batch ── ChannelScheduler: per-channel FIFO queues,
-//!      │               issued round-robin across channels
-//!      ▼
-//!  FlashArray::read_pages ── per-die cell reads and per-channel bus
-//!      │                     transfers overlap/queue on Resource
-//!      │                     timelines (Figures 12–13 scaling)
-//!      ▼
-//!  decrypt lanes (iceclave_sim::Pipeline, one per channel) ── each
-//!      │        channel's cipher engine drains its pages in
-//!      │        flash-completion order, hiding decryption under the
-//!      │        other channels' transfers
-//!      ▼
-//!  MeeEngine::fill_pages ── counter-init + MAC generation of early
-//!               pages overlap with later transfers; per-page
-//!               completion times return in request order
-//! ```
-//!
-//! The vocabulary types ([`iceclave_types::BatchRequest`],
-//! [`iceclave_types::BatchCompletion`]) carry per-page ready times and
-//! — for pages with functional content — the deciphered plaintext, so
-//! tests can assert byte-identical batch/sequential equivalence
-//! (`tests/batch_equivalence.rs`).
-//!
-//! The **write path** mirrors the read pipeline for programs. A
-//! program submits its dirty page set as one request
-//! (`IceClave::submit_write_batch` / `submit_write_batch_as`, the
-//! latter carrying plaintext payloads); `write_flash_page` is the
-//! one-element wrapper:
-//!
-//! ```text
-//!  submit_write_batch(tee, lpns, now)
-//!      │ 1. ownership-check every page up front (all-or-nothing: a
-//!      │    foreign page aborts the batch before any allocation or
-//!      │    flash traffic and throws the TEE out, §4.5)
-//!      ▼
-//!  Ftl::write_batch ── ONE secure-world entry per batch (vs. two
-//!      │               switches per page on Ftl::write); GC-aware
-//!      │               allocation steers each page to the least-loaded
-//!      │               channel, and a GC pass triggered mid-batch
-//!      │               stalls only its own channel's later programs
-//!      ▼
-//!  ChannelScheduler ── per-channel *program* queues beside the read
-//!      │               queues; reads and writes interleave round-robin
-//!      │               per channel, FIFO within a queue
-//!      ▼
-//!  FlashArray::program_pages ── per-channel bus transfers and per-die
-//!      │                        program pulses overlap/queue on the
-//!      │                        Resource timelines; CMT updates are
-//!      │                        coalesced so each dirty translation
-//!      │                        page persists once per batch
-//!      ▼
-//!  MeeEngine::seal_pages + cipher lanes ── counter-epoch increments,
-//!               outbound MAC generation and per-channel stream
-//!               encryption overlap with the channel programs; a page
-//!               is durable at max(program, seal, encrypt)
-//! ```
-//!
-//! The write vocabulary ([`iceclave_types::WriteBatchRequest`],
-//! [`iceclave_types::WriteBatchCompletion`],
-//! [`iceclave_types::PageWrite`]) carries per-page durable times, and
-//! `tests/write_batch_equivalence.rs` asserts batch/sequential
-//! post-state equivalence, the ThrowOutTEE denial, and the
-//! channel-scaling acceptance criteria. `Ftl::flush_cmt` drains dirty
-//! translation pages through the same steered program path, so
-//! shutdown latency also scales with channels.
-//!
 //! # Architecture: the event-driven batch executor
 //!
-//! Both pipelines above are driven by a deterministic discrete-event
-//! executor ([`iceclave_exec`]) so that batches from **multiple TEEs
-//! interleave at stage granularity** instead of call granularity:
-//! every contended unit (per-channel flash bus and dies, per-lane
-//! cipher engines, the MEE/DRAM datapath, the secure monitor) is a
-//! resource timeline, and each *stage event* acquires exactly one
+//! The protected read and write paths are driven by a deterministic
+//! discrete-event executor ([`iceclave_exec`]) so that batches from
+//! **multiple TEEs interleave at stage granularity** instead of call
+//! granularity: every contended unit (per-channel flash bus and dies,
+//! per-lane cipher engines, the MEE/DRAM datapath, the secure monitor)
+//! is a resource timeline, and each *stage event* acquires exactly one
 //! stage for one page at the simulated time it becomes ready. While
 //! TEE A's pages occupy channels 0–3, TEE B's batch streams through
 //! channels 4–15 and the decrypt lanes concurrently.

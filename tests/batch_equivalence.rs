@@ -96,6 +96,7 @@ fn batch_with_foreign_page_throws_the_tee_out() {
 
     let mut probe = lpns.clone();
     probe.push(Lpn::new(PAGES)); // out of the granted region
+    let flash_reads_before = ice.platform().ftl.flash().stats().reads;
     let err = ice.submit_batch(tee, &probe, t).unwrap_err();
     assert!(matches!(
         err,
@@ -106,8 +107,9 @@ fn batch_with_foreign_page_throws_the_tee_out() {
         Some(TeeStatus::Aborted(AbortReason::AccessViolation))
     );
     assert_eq!(ice.stats().aborted, 1);
-    // The atomic denial loaded nothing.
+    // The atomic denial loaded nothing and read no flash page.
     assert_eq!(ice.stats().pages_loaded, 0);
+    assert_eq!(ice.platform().ftl.flash().stats().reads, flash_reads_before);
     // A dead TEE cannot submit again.
     assert!(matches!(
         ice.submit_batch(tee, &lpns, t),
