@@ -1,5 +1,5 @@
 //! Cross-tenant fairness sweep: a 2-tenant antagonist duel through the
-//! weighted-fair-queueing channel arbiter (Figures 17/18 machinery).
+//! fair-queueing channel arbiter (Figures 17/18 machinery).
 //!
 //! One tenant (the *antagonist*) keeps {1, 2, 4, 8} 32-page read
 //! tickets in flight; the other (the *victim*) cycles solo 4-page

@@ -8,70 +8,27 @@ use iceclave_types::{ByteSize, Hertz, SimDuration};
 /// Cross-tenant channel-scheduling configuration (§6.8, Figures
 /// 17/18).
 ///
-/// The runtime arbitrates the flash channels across TEEs with weighted
-/// fair queueing ([`iceclave_ftl::WfqArbiter`]): per-channel
-/// start-time fair queueing over page-sized quanta, preemption points
-/// at page boundaries. This struct selects the policy, seeds the
-/// per-tenant weights, and optionally caps how many pages one tenant
-/// may keep queued per channel.
-#[derive(Clone, Debug)]
+/// The runtime arbitrates the flash channels across TEEs with fair
+/// queueing ([`iceclave_ftl::WfqArbiter`]): per-channel start-time
+/// fair queueing over page-sized quanta, preemption points at page
+/// boundaries, an equal share for every backlogged tenant. This struct
+/// selects the policy at each of the two levels.
+#[derive(Clone, Debug, Default)]
 pub struct FairnessConfig {
     /// The arbitration policy. [`SchedPolicy::Wfq`] (the default)
-    /// enforces weighted fairness across tenants;
-    /// [`SchedPolicy::Fifo`] reproduces the legacy event-order
-    /// scheduling bit for bit (useful as the antagonist baseline in
-    /// the fairness benches).
+    /// enforces fairness across tenants; [`SchedPolicy::Fifo`]
+    /// reproduces the legacy event-order scheduling bit for bit
+    /// (useful as the antagonist baseline in the fairness benches).
     pub policy: SchedPolicy,
-    /// Weight for tenants without an explicit entry in `weights`.
-    /// Must be positive.
-    pub default_weight: u32,
-    /// Per-tenant weights as `(raw TEE id, weight)` pairs, applied at
-    /// startup. TEE ids are handed out LIFO from 1, so the first
-    /// offloaded program gets id 1, the second id 2, and so on;
-    /// [`crate::IceClave::set_tee_weight`] adjusts weights at runtime.
-    pub weights: Vec<(u16, u32)>,
-    /// Optional cap on the pages one tenant may keep *queued* per
-    /// channel. A read submission that would exceed the cap fails with
-    /// [`crate::IceClaveError::ChannelBudgetExceeded`] instead of
-    /// deepening the queue — admission control that bounds the
-    /// head-of-line debt any tenant can build up. `None` (the
-    /// default) leaves queue depth unbounded; the WFQ policy alone
-    /// already bounds the *service* share.
-    pub channel_budget: Option<u32>,
     /// How pages are ordered *inside* one tenant's lane.
     /// [`TicketPolicy::Fifo`] (the default) keeps the legacy flat
     /// order — a tenant's tickets drain in *(ready, ticket, page)*
     /// order, bit-identical to the pre-hierarchical arbiter.
     /// [`TicketPolicy::Wfq`] runs a second SFQ level across the
     /// tenant's tickets, so a deep ticket shares its tenant's channel
-    /// slots with a small sibling page by page. The runtime submits
-    /// every read ticket at weight 1; per-ticket weights (bounded by
-    /// [`iceclave_ftl::MAX_TICKET_WEIGHT`]) enter through
-    /// [`iceclave_ftl::WfqArbiter::enqueue_weighted`]. Only meaningful
-    /// under [`SchedPolicy::Wfq`].
+    /// slots with a small sibling page by page. Only meaningful under
+    /// [`SchedPolicy::Wfq`].
     pub ticket_policy: TicketPolicy,
-    /// Virtual-time cost of one attributed MEE metadata line, in
-    /// 64-byte line quanta. When positive, the exec driver feeds each
-    /// page's measured fill/seal metadata delta
-    /// (`TicketAttribution::cost_lines`) back into the arbiter as a
-    /// clock surcharge, so metadata-heavy tickets (and tenants) pay
-    /// for the DRAM bandwidth they consume; `1` prices a metadata
-    /// line like a line of flash payload. Zero (the default) disables
-    /// the surcharge and keeps schedules bit-identical to PR 8.
-    pub mee_line_cost: u32,
-}
-
-impl Default for FairnessConfig {
-    fn default() -> Self {
-        FairnessConfig {
-            policy: SchedPolicy::Wfq,
-            default_weight: 1,
-            weights: Vec::new(),
-            channel_budget: None,
-            ticket_policy: TicketPolicy::Fifo,
-            mee_line_cost: 0,
-        }
-    }
 }
 
 /// Everything the IceClave runtime needs to know: platform, security
@@ -103,8 +60,7 @@ pub struct IceClaveConfig {
     /// Largest offloaded binary accepted (popular in-storage programs
     /// are 28–528 KiB, §4.5).
     pub max_code_size: ByteSize,
-    /// Cross-tenant channel arbitration (weighted fair queueing by
-    /// default).
+    /// Cross-tenant channel arbitration (fair queueing by default).
     pub fairness: FairnessConfig,
 }
 

@@ -486,24 +486,6 @@ impl StageCtx<'_> {
                 let channel = geometry.unpack(out.ppn).channel as usize;
                 self.arbiter.charge(channel, job.tee, 1);
             }
-            // Seal-side attribution feedback: the ticket's accumulated
-            // metadata lines (seal drain + counter epochs) are spread
-            // across the channels its programs landed on. Writes never
-            // queue in the arbiter, so this debits the tenant's clocks
-            // only; a no-op at the default zero line cost.
-            if self.config.fairness.mee_line_cost > 0 {
-                let total = job.attrib.cost_lines();
-                let pages = outcome.pages.len() as u64;
-                for (index, out) in outcome.pages.iter().enumerate() {
-                    let channel = geometry.unpack(out.ppn).channel as usize;
-                    let mut lines = total / pages;
-                    if index == 0 {
-                        lines += total % pages;
-                    }
-                    self.arbiter
-                        .surcharge_lines(channel, job.tee, ev.ticket, lines);
-                }
-            }
         }
 
         // Durable = program done AND seal metadata (counter + MAC)
@@ -710,18 +692,6 @@ impl StageMachine for StageCtx<'_> {
                 job.attrib.add(&delta);
                 job.faults.mac_fallbacks += mac_fallbacks;
                 self.stats.ticket_meta.add(&delta);
-                // Attribution feedback: the fill's measured metadata
-                // traffic surcharges the ticket's (and tenant's)
-                // virtual clocks on the page's channel, so
-                // metadata-heavy tickets yield channel slots to lean
-                // siblings. A no-op at the default zero line cost.
-                if self.config.fairness.policy == SchedPolicy::Wfq
-                    && self.config.fairness.mee_line_cost > 0
-                {
-                    let channel = job.pages[idx].lane;
-                    self.arbiter
-                        .surcharge_lines(channel, job.tee, ev.ticket, delta.cost_lines());
-                }
                 let page = &mut job.pages[idx];
                 page.breakdown.ready = done;
                 page.retired = true;
@@ -883,27 +853,6 @@ impl IceClave {
         };
         let geometry = self.platform.ftl.flash().config().geometry;
 
-        // Admission control: a configured per-tenant channel budget
-        // bounds how many pages one TEE may keep queued per channel.
-        // Checked before any ring slot, ticket or queue state changes;
-        // the translation timing above has already been charged.
-        if self.config.fairness.policy == SchedPolicy::Wfq {
-            if let Some(budget) = self.config.fairness.channel_budget {
-                let mut counts = vec![0u32; geometry.channels as usize];
-                for translation in &translations {
-                    counts[geometry.unpack(translation.ppn).channel as usize] += 1;
-                }
-                for (channel, &count) in counts.iter().enumerate() {
-                    if count > 0 && self.arbiter.queued(channel, tee) as u32 + count > budget {
-                        return Err(IceClaveError::ChannelBudgetExceeded {
-                            tee,
-                            channel: channel as u32,
-                        });
-                    }
-                }
-            }
-        }
-
         // Input-ring slots are assigned in request order at submission,
         // so the ring semantics match N sequential reads exactly. The
         // functional content is snapshotted here too — consistent with
@@ -983,7 +932,7 @@ impl IceClave {
                 // encode. The arbiter then grants one page per channel
                 // at a time in virtual-time order, so a lone tenant
                 // replays the FIFO schedule exactly while contending
-                // tenants split each channel by weight.
+                // tenants split each channel equally.
                 let mut chain_ready: Vec<Option<SimTime>> = vec![None; channels];
                 let mut touched: Vec<bool> = vec![false; channels];
                 for (index, page) in pages.iter().enumerate() {

@@ -54,15 +54,13 @@
 
 pub mod config;
 pub mod exec_driver;
-pub mod host;
 pub mod runtime;
 mod slab;
 pub mod trace;
 
 pub use config::{FairnessConfig, IceClaveConfig};
 pub use exec_driver::{Stage, READ_RETRY_LIMIT, READ_RETRY_STEP_US};
-pub use host::{HostLibrary, OffloadResult, OffloadTicket};
 pub use iceclave_exec::{PowerLossInjector, PowerLossPlan};
-pub use iceclave_ftl::{JournalRecord, SchedPolicy, TicketPolicy, MAX_TICKET_WEIGHT};
+pub use iceclave_ftl::{JournalRecord, SchedPolicy, TicketPolicy};
 pub use iceclave_types::RecoveryStats;
 pub use runtime::{AbortReason, IceClave, IceClaveError, RuntimeStats, TeeStatus};

@@ -91,17 +91,6 @@ pub enum IceClaveError {
         /// The TEE whose protected memory failed verification.
         tee: TeeId,
     },
-    /// The read submission would push the TEE past its configured
-    /// per-tenant channel budget
-    /// ([`crate::FairnessConfig::channel_budget`]): admission control
-    /// rejected the batch instead of deepening the channel queue. The
-    /// TEE stays running; resubmit after draining in-flight tickets.
-    ChannelBudgetExceeded {
-        /// The over-budget TEE.
-        tee: TeeId,
-        /// The flash channel whose queue would exceed the budget.
-        channel: u32,
-    },
     /// Power was cut (see [`IceClave::install_power_loss_plan`]): every
     /// volatile byte on the controller is gone and no API call can make
     /// progress until the device is rebooted through
@@ -134,9 +123,6 @@ impl fmt::Display for IceClaveError {
             }
             IceClaveError::Integrity { tee } => {
                 write!(f, "{tee} failed memory integrity verification")
-            }
-            IceClaveError::ChannelBudgetExceeded { tee, channel } => {
-                write!(f, "{tee} exceeded its queue budget on channel {channel}")
             }
             IceClaveError::PowerLost => {
                 f.write_str("power was cut; reboot the device through recover()")
@@ -212,10 +198,6 @@ pub(crate) struct TeeState {
     /// Ring cursor for outbound seals (pages drained from the working
     /// half toward flash by the batched write path).
     pub(crate) next_seal: u64,
-    /// The user's data-decryption key, provisioned over the secure
-    /// channel with the offloaded program (§4.6). Lives in the secure
-    /// metadata region; cleared at teardown.
-    user_key: Option<[u8; 16]>,
 }
 
 impl TeeState {
@@ -261,7 +243,7 @@ pub struct IceClave {
     pub(crate) jobs: crate::slab::JobTable,
     /// Ticket-level errors of batches that failed mid-flight.
     pub(crate) failed: crate::slab::ErrorSlab,
-    /// The weighted-fair-queueing channel arbiter across TEEs
+    /// The fair-queueing channel arbiter across TEEs
     /// (Figures 17/18): read pages queue in per-tenant lanes per
     /// channel and are granted in virtual-time order, one page at a
     /// time per channel.
@@ -311,34 +293,6 @@ impl IceClave {
             jobs: crate::slab::JobTable::new(),
             failed: crate::slab::ErrorSlab::new(),
             arbiter,
-        }
-    }
-
-    /// Sets `tee`'s fair-queueing weight: while channels are
-    /// contended, a weight-2 tenant is granted twice the channel time
-    /// of a weight-1 tenant. Applies from the next grant on.
-    ///
-    /// # Errors
-    ///
-    /// The TEE must be running.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is zero.
-    pub fn set_tee_weight(&mut self, tee: TeeId, weight: u32) -> Result<(), IceClaveError> {
-        self.ensure_running(tee)?;
-        self.arbiter.set_weight(tee, weight);
-        Ok(())
-    }
-
-    /// The fair-queueing weight `tee` is currently scheduled at (the
-    /// default weight for an id outside the 4-bit pool, which the
-    /// arbiter's per-id table cannot hold).
-    pub fn tee_weight(&self, tee: TeeId) -> u32 {
-        if usize::from(tee.raw()) < TEE_SLOTS {
-            self.arbiter.weight_of(tee)
-        } else {
-            self.config.fairness.default_weight
         }
     }
 
@@ -587,7 +541,6 @@ impl IceClave {
             region_pages,
             next_fill: 0,
             next_seal: 0,
-            user_key: None,
         });
         self.stats.created += 1;
         let create_cost = self.config.tee_create;
@@ -926,26 +879,6 @@ impl IceClave {
         self.tee(tee).map(|s| s.status)
     }
 
-    /// Provisions the user's data-decryption key into a running TEE
-    /// (§4.6: the key arrives over the secure channel with the
-    /// offloaded program and lets the TEE decrypt user-encrypted data
-    /// at runtime).
-    ///
-    /// # Errors
-    ///
-    /// The TEE must be running.
-    pub fn provision_user_key(&mut self, tee: TeeId, key: [u8; 16]) -> Result<(), IceClaveError> {
-        self.ensure_running(tee)?;
-        self.tee_mut(tee).expect("running").user_key = Some(key);
-        Ok(())
-    }
-
-    /// The user key provisioned into a TEE, if any (secure-world
-    /// accessor used by the in-TEE decryption path and tests).
-    pub fn user_key(&self, tee: TeeId) -> Option<[u8; 16]> {
-        self.tee(tee).and_then(|s| s.user_key)
-    }
-
     /// **Attack surface check**: what happens when a normal-world
     /// program tries to write the protected mapping table directly. The
     /// MMU faults — this is the Figure 6 permission matrix at work.
@@ -1001,13 +934,7 @@ impl IceClave {
     fn build_arbiter(config: &IceClaveConfig) -> iceclave_ftl::WfqArbiter {
         let mut arbiter =
             iceclave_ftl::WfqArbiter::new(config.platform.flash.geometry.channels as usize);
-        arbiter.set_default_weight(config.fairness.default_weight);
         arbiter.set_ticket_policy(config.fairness.ticket_policy);
-        arbiter.set_mee_line_cost(config.fairness.mee_line_cost);
-        for &(raw, weight) in &config.fairness.weights {
-            let tee = TeeId::new(raw).expect("fairness weight names a valid TEE id (1..=15)");
-            arbiter.set_weight(tee, weight);
-        }
         arbiter
     }
 
@@ -1069,7 +996,6 @@ impl IceClave {
             return Err(IceClaveError::NotRunning(tee));
         }
         state.status = status;
-        state.user_key = None; // keys never outlive the TEE
         let lpns = state.lpns.clone();
         let region_page = state.region_page;
         // The TEE's in-flight executor tickets die with it: their
@@ -1077,19 +1003,8 @@ impl IceClave {
         // ever touch the recycled region or act under the recycled id.
         self.cancel_tickets_of(tee, now);
         // The arbiter forgets the tenant's lanes so a future TEE
-        // recycling the id starts with a clean virtual clock. Weights
-        // set at runtime die with the TEE; weights named in the config
-        // are reseeded so a recycled id keeps its configured share.
+        // recycling the id starts with a clean virtual clock.
         self.arbiter.forget_tee(tee);
-        if let Some(&(_, weight)) = self
-            .config
-            .fairness
-            .weights
-            .iter()
-            .find(|&&(raw, _)| raw == u16::from(tee.raw()))
-        {
-            self.arbiter.set_weight(tee, weight);
-        }
         self.platform.ftl.clear_id_bits(&lpns);
         self.free_regions.push(region_page);
         self.free_ids.push(tee);
@@ -1444,11 +1359,6 @@ mod tests {
             ice.terminate_tee(wide, t),
             Err(IceClaveError::UnknownTee(wide))
         );
-        assert_eq!(
-            ice.set_tee_weight(wide, 2),
-            Err(IceClaveError::UnknownTee(wide))
-        );
-        assert_eq!(ice.tee_weight(wide), ice.config().fairness.default_weight);
         assert_eq!(ice.status(live), Some(TeeStatus::Running));
     }
 

@@ -80,14 +80,6 @@ pub struct DramConfig {
     pub t_wr: u32,
     /// Data-burst occupancy of the bus per 64 B line (BL8 = 4 cycles).
     pub burst_cycles: u32,
-    /// Model periodic refresh: every `t_refi` cycles the rank is
-    /// unavailable for `t_rfc` cycles. Off by default (a ~1–3% effect);
-    /// enable for refresh-sensitivity studies.
-    pub refresh_enabled: bool,
-    /// Refresh interval (DDR3: 7.8 us = 6240 cycles at 800 MHz).
-    pub t_refi: u32,
-    /// Refresh cycle time (4 Gb DDR3: ~260 ns = 208 cycles).
-    pub t_rfc: u32,
 }
 
 impl DramConfig {
@@ -107,16 +99,7 @@ impl DramConfig {
             t_cl: 11,
             t_wr: 12,
             burst_cycles: 4,
-            refresh_enabled: false,
-            t_refi: 6240,
-            t_rfc: 208,
         }
-    }
-
-    /// Enables periodic-refresh modeling.
-    pub fn with_refresh(mut self) -> Self {
-        self.refresh_enabled = true;
-        self
     }
 
     /// Table 3 configuration with a different capacity (Figure 16 sweeps
@@ -156,8 +139,6 @@ pub struct DramStats {
     pub row_closed_misses: u64,
     /// Row-buffer conflicts.
     pub row_conflicts: u64,
-    /// Accesses delayed by a refresh cycle (refresh modeling only).
-    pub refresh_stalls: u64,
     /// Sum of access latencies.
     pub total_latency: SimDuration,
 }
@@ -222,10 +203,6 @@ struct Timing {
     t_cl: SimDuration,
     /// Data-bus burst occupancy.
     burst: SimDuration,
-    /// Refresh interval in picoseconds.
-    refi_ps: u64,
-    /// Refresh cycle time in picoseconds.
-    rfc_ps: u64,
 }
 
 impl Timing {
@@ -239,8 +216,6 @@ impl Timing {
             t_ras: clock.cycles(c.t_ras.into()),
             t_cl: clock.cycles(c.t_cl.into()),
             burst: clock.cycles(c.burst_cycles.into()),
-            refi_ps: clock.cycles(c.t_refi.into()).as_ps(),
-            rfc_ps: clock.cycles(c.t_rfc.into()).as_ps(),
         }
     }
 }
@@ -339,21 +314,12 @@ impl Dram {
 
         // On a conflict the precharge may additionally wait for tRAS since
         // the previous activate.
-        let mut earliest_start = if outcome == RowOutcome::Conflict {
+        let earliest_start = if outcome == RowOutcome::Conflict {
             let ras_done = self.banks[bank_idx].last_activate + timing.t_ras;
             arrival.max(ras_done)
         } else {
             arrival
         };
-        // Periodic refresh: commands issued while the rank refreshes
-        // wait for the refresh cycle to complete.
-        if self.config.refresh_enabled {
-            let into_window = earliest_start.as_ps() % timing.refi_ps;
-            if into_window < timing.rfc_ps {
-                earliest_start += SimDuration::from_ps(timing.rfc_ps - into_window);
-                self.stats.refresh_stalls += 1;
-            }
-        }
 
         let command = self.banks[bank_idx].busy.acquire(earliest_start, occupancy);
         // Data appears tCL after the column command and occupies the
@@ -397,10 +363,10 @@ impl Dram {
     ) -> SimTime {
         // The streaming runs of the page fill/seal paths dominate the
         // simulator's wall-clock profile, so the common case (power-of-
-        // two geometry, no refresh) runs a specialized loop with the
-        // timing constants hoisted and statistics batched into locals.
+        // two geometry) runs a specialized loop with the timing
+        // constants hoisted and statistics batched into locals.
         // `run_equals_access_loop` pins it to the general path.
-        let (Some(s), false) = (self.shifts, self.config.refresh_enabled) else {
+        let Some(s) = self.shifts else {
             let mut t = arrival;
             for i in 0..count {
                 t = self
@@ -743,30 +709,6 @@ mod tests {
         let first = d.access(CacheLine::new(0), MemOp::Read, SimTime::ZERO);
         let c = *d.config();
         assert_eq!(first.service(), cycles(c.t_rcd + c.t_cl + c.burst_cycles));
-    }
-
-    #[test]
-    fn refresh_delays_unlucky_accesses() {
-        let mut d = Dram::new(DramConfig::table3().with_refresh());
-        // An access at t=0 lands inside the first refresh window.
-        let delayed = d.access(CacheLine::new(0), MemOp::Read, SimTime::ZERO);
-        assert_eq!(d.stats().refresh_stalls, 1);
-
-        let mut plain = Dram::new(DramConfig::table3());
-        let base = plain.access(CacheLine::new(0), MemOp::Read, SimTime::ZERO);
-        assert!(delayed.end > base.end);
-        // 260 ns of tRFC shift.
-        let shift = delayed.end.saturating_since(base.end);
-        assert_eq!(shift.as_nanos(), 260);
-    }
-
-    #[test]
-    fn refresh_leaves_mid_interval_accesses_alone() {
-        let mut d = Dram::new(DramConfig::table3().with_refresh());
-        // Midway between refreshes: unaffected.
-        let t = SimTime::ZERO + SimDuration::from_nanos(4_000);
-        d.access(CacheLine::new(0), MemOp::Read, t);
-        assert_eq!(d.stats().refresh_stalls, 0);
     }
 
     #[test]

@@ -130,7 +130,7 @@ type EventKey = (u64, u64, u64, u32);
 /// carries the fair-queueing arbiter's tenant-level start tags and the
 /// ticket-virtual-time component its ticket-level start tags
 /// ([`Executor::schedule_hierarchical`]) so that contended same-tick
-/// stages dequeue in weighted-fair order across tenants and then
+/// stages dequeue in fair-queueing order across tenants and then
 /// across one tenant's tickets; stages scheduled through
 /// [`Executor::schedule_weighted`] use ticket virtual time 0, and
 /// stages scheduled through [`Executor::schedule`] use virtual time 0
@@ -349,12 +349,6 @@ impl<S> Executor<S> {
     /// The direction of `ticket`, if it is not yet drained.
     pub fn kind_of(&self, ticket: Ticket) -> Option<TicketKind> {
         self.tickets.get(ticket.raw()).map(|s| s.kind)
-    }
-
-    /// Number of pages `ticket` was opened with, if it is not yet
-    /// drained.
-    pub fn pages_of(&self, ticket: Ticket) -> Option<u32> {
-        self.tickets.get(ticket.raw()).map(|s| s.pages)
     }
 
     /// Number of `ticket`'s completions already drained through

@@ -30,7 +30,7 @@
 //!   same tick fire in *(virtual time, ticket virtual time, ticket id,
 //!   page index)* order ([`iceclave_sim::KeyedEventQueue`]). The
 //!   virtual-time component carries the channel arbiter's
-//!   tenant-level weighted-fair start tags and the
+//!   tenant-level fair-queueing start tags and the
 //!   ticket-virtual-time component its per-ticket start tags under
 //!   the hierarchical policy ([`Executor::schedule_hierarchical`]);
 //!   [`Executor::schedule_weighted`] uses ticket virtual time 0, and

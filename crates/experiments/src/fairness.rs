@@ -5,8 +5,8 @@
 //!
 //! One role (the *antagonist*) keeps a configurable number of 32-page
 //! read tickets in flight; the other (the *victim*) cycles small
-//! 4-page tickets — the latency-sensitive pattern the
-//! weighted-fair-queueing channel arbiter protects (Figures 17/18).
+//! 4-page tickets — the latency-sensitive pattern the fair-queueing
+//! channel arbiter protects (Figures 17/18).
 //! The roles run either as two tenants (the classic cross-tenant duel,
 //! [`run_duel`]) or inside **one** tenant ([`run_intra_duel`]), where
 //! only the hierarchical per-ticket clocks ([`TicketPolicy::Wfq`]) can
@@ -34,8 +34,6 @@ pub struct DuelConfig {
     pub policy: SchedPolicy,
     /// Intra-lane (per-ticket) scheduling policy.
     pub ticket_policy: TicketPolicy,
-    /// MEE metadata surcharge multiplier (`FairnessConfig::mee_line_cost`).
-    pub mee_line_cost: u32,
     /// Flash channels on the device.
     pub channels: u32,
     /// 32-page antagonist tickets kept in flight.
@@ -82,7 +80,6 @@ pub fn run_duel(
     run_duel_with(&DuelConfig {
         policy,
         ticket_policy: TicketPolicy::Fifo,
-        mee_line_cost: 0,
         channels,
         antagonist_in_flight,
         victim_in_flight,
@@ -112,7 +109,6 @@ pub fn run_intra_duel(
     run_duel_with(&DuelConfig {
         policy: SchedPolicy::Wfq,
         ticket_policy,
-        mee_line_cost: 0,
         channels,
         antagonist_in_flight,
         victim_in_flight: 1,
@@ -134,7 +130,6 @@ pub fn run_duel_with(cfg: &DuelConfig) -> DuelOutcome {
     let mut config = Mode::IceClave.ssd_config(&overrides);
     config.fairness.policy = cfg.policy;
     config.fairness.ticket_policy = cfg.ticket_policy;
-    config.fairness.mee_line_cost = cfg.mee_line_cost;
     let (antagonist_in_flight, victim_in_flight, victim_tickets) = (
         cfg.antagonist_in_flight,
         cfg.victim_in_flight,

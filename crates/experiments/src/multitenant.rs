@@ -5,13 +5,12 @@
 //! mapping table. Each tenant gets its own TEE (distinct ID bits) and
 //! its own LPN range. The host-side loop always advances the tenant
 //! whose virtual clock is earliest, and **inside the device** the
-//! weighted-fair-queueing channel arbiter
+//! fair-queueing channel arbiter
 //! ([`iceclave_ftl::wfq`](iceclave_ftl::WfqArbiter), the default
 //! [`SchedPolicy::Wfq`](iceclave_core::SchedPolicy)) splits every
-//! contended flash channel across the tenants' in-flight tickets in
-//! page-sized quanta, so one tenant's deep batches cannot collapse
-//! another's bandwidth share. [`run_colocated_weighted`] exposes the
-//! per-tenant weights.
+//! contended flash channel equally across the tenants' in-flight
+//! tickets in page-sized quanta, so one tenant's deep batches cannot
+//! collapse another's bandwidth share.
 
 use iceclave_core::IceClave;
 use iceclave_sim::SimRng;
@@ -33,33 +32,13 @@ pub struct TenantResult {
     pub output: WorkloadOutput,
 }
 
-/// Runs `kinds` concurrently on one shared IceClave SSD, every tenant
-/// at fair-queueing weight 1.
+/// Runs `kinds` concurrently on one shared IceClave SSD.
 ///
 /// # Panics
 ///
 /// Panics if the platform cannot host the tenants (more than 15, or
 /// datasets exceeding the device).
 pub fn run_colocated(kinds: &[WorkloadKind], wl_config: &WorkloadConfig) -> Vec<TenantResult> {
-    let weighted: Vec<(WorkloadKind, u32)> = kinds.iter().map(|&k| (k, 1)).collect();
-    run_colocated_weighted(&weighted, wl_config)
-}
-
-/// Runs colocated tenants with explicit fair-queueing weights: while
-/// channels are contended, a weight-2 tenant is granted twice the
-/// channel time of a weight-1 tenant (the WFQ arbiter's per-channel
-/// page quanta).
-///
-/// # Panics
-///
-/// Panics if the platform cannot host the tenants (more than 15, or
-/// datasets exceeding the device) or a weight is zero.
-pub fn run_colocated_weighted(
-    tenants_spec: &[(WorkloadKind, u32)],
-    wl_config: &WorkloadConfig,
-) -> Vec<TenantResult> {
-    let kinds: Vec<WorkloadKind> = tenants_spec.iter().map(|&(k, _)| k).collect();
-    let kinds = &kinds[..];
     assert!(
         (1..=15).contains(&kinds.len()),
         "tenant count must fit the TEE id space"
@@ -112,14 +91,13 @@ pub fn run_colocated_weighted(
     // Create all TEEs, then sessions. Each tenant's runtime is measured
     // from before its own offload so lifecycle costs are included, as
     // in the solo runs it is compared against.
-    for (tenant, &(_, weight)) in tenants.iter_mut().zip(tenants_spec) {
+    for tenant in &mut tenants {
         let workload = tenant.kind.build(wl_config);
         let pages = workload.dataset_pages();
         let lpns: Vec<Lpn> = (0..pages).map(|i| Lpn::new(tenant.base_lpn + i)).collect();
         let (tee, after) = ice
             .offload_code(256 << 10, &lpns, run_start)
             .expect("id space fits tenants");
-        ice.set_tee_weight(tee, weight).expect("tee is running");
         let rng = SimRng::new(wl_config.seed).derive(&format!(
             "tenant/{}/{}",
             tenant.base_lpn,
@@ -222,19 +200,6 @@ mod tests {
             .find(|t| t.kind == WorkloadKind::TpchQ1)
             .unwrap();
         assert!(q1_four.total >= q1_two.total);
-    }
-
-    /// Weights change scheduling, never answers: a weighted colocated
-    /// run still produces every tenant's solo output.
-    #[test]
-    fn weighted_colocation_preserves_answers() {
-        let spec = [(WorkloadKind::TpcC, 3), (WorkloadKind::Aggregate, 1)];
-        let colocated = run_colocated_weighted(&spec, &cfg());
-        assert_eq!(colocated.len(), 2);
-        for tenant in &colocated {
-            let solo = run(Mode::IceClave, tenant.kind, &cfg(), &Overrides::none());
-            assert_eq!(solo.output, tenant.output, "{}", tenant.kind);
-        }
     }
 
     #[test]

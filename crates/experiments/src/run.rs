@@ -86,12 +86,6 @@ impl RunResult {
     pub fn speedup_over(&self, baseline: &RunResult) -> f64 {
         baseline.total / self.total
     }
-
-    /// Runtime normalized to `baseline` (the paper's "normalized
-    /// performance", lower is better for runtime plots).
-    pub fn normalized_runtime(&self, baseline: &RunResult) -> f64 {
-        self.total / baseline.total
-    }
 }
 
 /// Runs `kind` under `mode` and returns the measurements.

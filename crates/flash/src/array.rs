@@ -170,11 +170,6 @@ impl FlashArray {
         self.injector = Some(injector);
     }
 
-    /// The installed fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.injector.as_ref()
-    }
-
     /// Reads a page: die busy for the cell-read time, then the channel
     /// bus busy for the page transfer. Returns the bus-transfer span
     /// (`end` is when the data has reached the controller).

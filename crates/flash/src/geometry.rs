@@ -122,13 +122,6 @@ impl FlashGeometry {
         self.total_blocks() * u64::from(self.pages_per_block)
     }
 
-    /// Pages per die (all planes).
-    pub fn pages_per_die(&self) -> u64 {
-        u64::from(self.planes_per_die)
-            * u64::from(self.blocks_per_plane)
-            * u64::from(self.pages_per_block)
-    }
-
     /// Raw device capacity.
     pub fn capacity(&self) -> ByteSize {
         ByteSize::from_bytes(self.total_pages() * u64::from(self.page_size))

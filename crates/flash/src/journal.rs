@@ -297,11 +297,6 @@ impl MetadataJournal {
         &self.blocks
     }
 
-    /// Records buffered but not yet durable.
-    pub fn pending_records(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Total records made durable since construction.
     pub fn records_synced(&self) -> u64 {
         self.records_synced
@@ -310,13 +305,6 @@ impl MetadataJournal {
     /// Journal pages programmed since construction.
     pub fn pages_written(&self) -> u64 {
         self.pages_written
-    }
-
-    /// The next sequence number the journal will assign. Replay seeds
-    /// this so post-recovery appends stay contiguous with the
-    /// surviving records.
-    pub fn set_next_seq(&mut self, seq: u64) {
-        self.next_seq = seq;
     }
 
     /// Buffers `record` for the next [`MetadataJournal::sync`].

@@ -18,17 +18,6 @@ use iceclave_types::{
 use crate::cmt::CachedMappingTable;
 use crate::mapping::MappingTable;
 
-/// Garbage-collection victim-selection policy.
-#[derive(Copy, Clone, Eq, PartialEq, Debug)]
-pub enum GcPolicy {
-    /// Pick the block with the fewest valid pages (minimum copy cost).
-    Greedy,
-    /// Cost-benefit (Rosenblum/LFS style): weigh copy cost against the
-    /// block's age, preferring old, cold blocks — better under skewed
-    /// update patterns.
-    CostBenefit,
-}
-
 /// FTL configuration knobs.
 #[derive(Copy, Clone, Debug)]
 pub struct FtlConfig {
@@ -48,8 +37,6 @@ pub struct FtlConfig {
     pub secure_translation_batch: u32,
     /// Per-plane free-block low-water mark that triggers GC.
     pub gc_free_block_threshold: u32,
-    /// GC victim-selection policy.
-    pub gc_policy: GcPolicy,
     /// Erase-count spread that triggers static wear leveling.
     pub wear_delta_threshold: u32,
     /// Flash blocks reserved for the write-ahead metadata journal,
@@ -69,7 +56,6 @@ impl Default for FtlConfig {
             mapping_in_secure_world: false,
             secure_translation_batch: 64,
             gc_free_block_threshold: 2,
-            gc_policy: GcPolicy::Greedy,
             wear_delta_threshold: 16,
             journal_blocks: 0,
         }
@@ -274,9 +260,6 @@ impl<T> DenseSlab<T> {
 struct BlockInfo {
     valid: Vec<u64>,
     valid_count: u32,
-    /// When the block last accepted a program (proxy for data age,
-    /// used by cost-benefit GC).
-    last_programmed: SimTime,
 }
 
 impl BlockInfo {
@@ -284,7 +267,6 @@ impl BlockInfo {
         BlockInfo {
             valid: vec![0; (pages_per_block as usize).div_ceil(64)],
             valid_count: 0,
-            last_programmed: SimTime::ZERO,
         }
     }
 
@@ -612,7 +594,7 @@ impl Ftl {
                 continue;
             }
             self.mapping.update(Lpn::new(lpn), ppn);
-            self.mark_valid(ppn, PageContent::Data(Lpn::new(lpn)), summary.end_time);
+            self.mark_valid(ppn, PageContent::Data(Lpn::new(lpn)));
             mapped_pages += 1;
         }
         for (&tvpn, &ppn) in &trans {
@@ -623,7 +605,7 @@ impl Ftl {
                 continue;
             }
             self.translation_ppns.insert(tvpn, ppn);
-            self.mark_valid(ppn, PageContent::Translation(tvpn), summary.end_time);
+            self.mark_valid(ppn, PageContent::Translation(tvpn));
         }
 
         let mut iv_list: Vec<(u64, u64, u32)> = ivs
@@ -897,7 +879,7 @@ impl Ftl {
                 let _ = self.mapping.set_owner(lpn, tee);
             }
         }
-        self.mark_valid(ppn, PageContent::Data(lpn), span.end);
+        self.mark_valid(ppn, PageContent::Data(lpn));
         if let Some(old_ppn) = old {
             self.invalidate(old_ppn);
         }
@@ -1151,7 +1133,7 @@ impl Ftl {
         if let Some(old) = self.translation_ppns.insert(tvpn, ppn) {
             self.invalidate(old);
         }
-        self.mark_valid(ppn, PageContent::Translation(tvpn), span.end);
+        self.mark_valid(ppn, PageContent::Translation(tvpn));
         self.journal_note(JournalRecord::TransPersist {
             tvpn,
             ppn: ppn.raw(),
@@ -1381,7 +1363,7 @@ impl Ftl {
             // Wave maintenance: mapping + validity must be current
             // before the next wave's allocations may trigger GC.
             for idx in next..wave_end {
-                let (ppn, span) = results[idx].expect("wave page was scheduled");
+                let (ppn, _) = results[idx].expect("wave page was scheduled");
                 match targets[idx] {
                     PageContent::Data(lpn) => {
                         let old = self.mapping.update(lpn, ppn);
@@ -1394,7 +1376,7 @@ impl Ftl {
                             // that TEE.
                             let _ = self.mapping.set_owner(lpn, tee);
                         }
-                        self.mark_valid(ppn, PageContent::Data(lpn), span.end);
+                        self.mark_valid(ppn, PageContent::Data(lpn));
                         if let Some(old_ppn) = old {
                             self.invalidate(old_ppn);
                         }
@@ -1408,7 +1390,7 @@ impl Ftl {
                         if let Some(old) = self.translation_ppns.insert(tvpn, ppn) {
                             self.invalidate(old);
                         }
-                        self.mark_valid(ppn, PageContent::Translation(tvpn), span.end);
+                        self.mark_valid(ppn, PageContent::Translation(tvpn));
                         self.journal_note(JournalRecord::TransPersist {
                             tvpn,
                             ppn: ppn.raw(),
@@ -1546,42 +1528,23 @@ impl Ftl {
         let g = self.flash.config().geometry;
         let victim_pos = {
             let plane = &self.planes[plane_idx];
-            let pages_per_block = f64::from(g.pages_per_block);
             // A retired block parked in the full list is pure drain
-            // work: relocate its valid pages and drop it, regardless of
-            // the configured victim policy (it can never re-enter
-            // service, so its "benefit" is the freed bookkeeping).
+            // work: relocate its valid pages and drop it, however many
+            // it holds (it can never re-enter service).
             let retired_pos = plane.full_blocks.iter().position(|&b| {
                 self.grown_bad
                     .contains(&g.block_index(self.plane_block_addr(plane_idx, b)))
             });
-            let score = |b: u32| -> f64 {
-                let idx = g.block_index(self.plane_block_addr(plane_idx, b));
-                let info = self.blocks.get(&idx);
-                let valid = info.map_or(0, |i| i.valid_count);
-                match self.config.gc_policy {
-                    // Lower is better for both policies.
-                    GcPolicy::Greedy => f64::from(valid),
-                    GcPolicy::CostBenefit => {
-                        // Rosenblum's benefit/cost inverted into a cost:
-                        // u/(1-u) divided by age. Older, emptier blocks
-                        // score lowest.
-                        let u = f64::from(valid) / pages_per_block;
-                        let age_ns = now
-                            .saturating_since(info.map_or(SimTime::ZERO, |i| i.last_programmed))
-                            .as_nanos_f64()
-                            .max(1.0);
-                        (u + 1e-6) / ((1.0 - u).max(1e-6) * age_ns)
-                    }
-                }
-            };
+            // Fewest valid pages first; ties go to the block listed
+            // first.
             let pos = retired_pos.or_else(|| {
                 plane
                     .full_blocks
                     .iter()
                     .enumerate()
-                    .min_by(|(_, &a), (_, &b)| {
-                        score(a).partial_cmp(&score(b)).expect("scores are finite")
+                    .min_by_key(|&(_, &b)| {
+                        let idx = g.block_index(self.plane_block_addr(plane_idx, b));
+                        self.blocks.get(&idx).map_or(0, |i| i.valid_count)
                     })
                     .map(|(i, _)| i)
             });
@@ -1649,7 +1612,7 @@ impl Ftl {
                 self.flash.write_data(new_ppn, &data);
             }
             self.invalidate(old_ppn);
-            self.mark_valid(new_ppn, content, t);
+            self.mark_valid(new_ppn, content);
             match content {
                 PageContent::Data(lpn) => {
                     self.mapping.update(lpn, new_ppn);
@@ -1790,7 +1753,7 @@ impl Ftl {
                 self.flash.write_data(new_ppn, &data);
             }
             self.invalidate(old_ppn);
-            self.mark_valid(new_ppn, content, t);
+            self.mark_valid(new_ppn, content);
             match content {
                 PageContent::Data(lpn) => {
                     self.mapping.update(lpn, new_ppn);
@@ -1903,7 +1866,7 @@ impl Ftl {
         }
     }
 
-    fn mark_valid(&mut self, ppn: Ppn, content: PageContent, now: SimTime) {
+    fn mark_valid(&mut self, ppn: Ppn, content: PageContent) {
         let g = self.flash.config().geometry;
         let addr = g.unpack(ppn);
         let idx = g.block_index(addr.block_addr());
@@ -1913,7 +1876,6 @@ impl Ftl {
             .entry(idx)
             .or_insert_with(|| BlockInfo::new(pages_per_block));
         info.set(addr.page);
-        info.last_programmed = info.last_programmed.max(now);
         self.contents.insert(ppn.raw(), content);
     }
 
@@ -2307,33 +2269,84 @@ mod tests {
         assert!(!ftl.trim(Requestor::Tee(tee(1)), Lpn::new(99)).unwrap());
     }
 
+    /// Victim choice is fewest-valid-first, and of blocks tied on valid
+    /// pages the one listed first in the plane's full list goes.
     #[test]
-    fn cost_benefit_gc_prefers_old_cold_blocks() {
-        // Two policies over the same churn: both must stay correct; the
-        // policies must actually differ in configuration plumbing.
-        for policy in [GcPolicy::Greedy, GcPolicy::CostBenefit] {
-            let config = FtlConfig {
-                gc_free_block_threshold: 2,
-                gc_policy: policy,
-                ..FtlConfig::default()
-            };
-            let mut ftl = Ftl::new(FlashConfig::tiny(), config);
-            let mut m = WorldMonitor::with_table5_cost();
-            let mut t = SimTime::ZERO;
-            let mut lcg: u64 = 7;
-            for _ in 0..2500u64 {
-                lcg = lcg
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let lpn = (lcg >> 33) % 200;
-                t = ftl
-                    .write(Requestor::Host, Lpn::new(lpn), &mut m, t)
-                    .unwrap();
-            }
-            assert!(ftl.stats().gc_runs > 0, "{policy:?}");
-            assert_eq!(ftl.valid_pages(), 200, "{policy:?} lost pages");
-            assert_eq!(ftl.config().gc_policy, policy);
+    fn gc_victim_is_fewest_valid_first_on_ties() {
+        let config = FtlConfig {
+            gc_free_block_threshold: 0,
+            ..FtlConfig::default()
+        };
+        let mut ftl = Ftl::new(FlashConfig::tiny(), config);
+        let mut m = WorldMonitor::with_table5_cost();
+        let mut t = SimTime::ZERO;
+        // Host writes stripe across the 4 planes, so plane 0 holds every
+        // fourth LPN: 65 pages, 4 full blocks and one open page.
+        for lpn in 0..257u64 {
+            t = ftl
+                .write(Requestor::Host, Lpn::new(lpn), &mut m, t)
+                .unwrap();
         }
+        let full = ftl.planes[0].full_blocks.clone();
+        assert_eq!(full.len(), 4);
+        // Leave 13, 11, 11 and 15 valid pages in those blocks.
+        let g = ftl.flash().config().geometry;
+        for (&block, trims) in full.iter().zip([3, 5, 5, 1]) {
+            let lpns: Vec<Lpn> = (0..257u64)
+                .map(Lpn::new)
+                .filter(|&lpn| {
+                    ftl.current_ppn(lpn).is_some_and(|ppn| {
+                        let addr = g.unpack(ppn).block_addr();
+                        ftl.plane_index_of(addr) == 0 && addr.block == block
+                    })
+                })
+                .take(trims)
+                .collect();
+            for lpn in lpns {
+                assert!(ftl.trim(Requestor::Host, lpn).unwrap());
+            }
+        }
+        let valid: Vec<u32> = full
+            .iter()
+            .map(|&b| {
+                let idx = g.block_index(ftl.plane_block_addr(0, b));
+                ftl.blocks.get(&idx).map_or(0, |i| i.valid_count)
+            })
+            .collect();
+        assert_eq!(valid, [13, 11, 11, 15]);
+        ftl.collect_plane(0, t).unwrap();
+        let plane = &ftl.planes[0];
+        assert!(
+            plane.free_blocks.contains(&full[1]),
+            "the first block of the tied pair is the victim"
+        );
+        assert!(
+            plane.full_blocks.contains(&full[2]),
+            "the later block of the tied pair stays"
+        );
+    }
+
+    #[test]
+    fn greedy_gc_survives_random_churn() {
+        let config = FtlConfig {
+            gc_free_block_threshold: 2,
+            ..FtlConfig::default()
+        };
+        let mut ftl = Ftl::new(FlashConfig::tiny(), config);
+        let mut m = WorldMonitor::with_table5_cost();
+        let mut t = SimTime::ZERO;
+        let mut lcg: u64 = 7;
+        for _ in 0..2500u64 {
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let lpn = (lcg >> 33) % 200;
+            t = ftl
+                .write(Requestor::Host, Lpn::new(lpn), &mut m, t)
+                .unwrap();
+        }
+        assert!(ftl.stats().gc_runs > 0);
+        assert_eq!(ftl.valid_pages(), 200, "GC lost pages");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   protected region; misses escalate to the secure world and flash.
 //! * [`ftl`] — the façade: translation, reads/writes with permission
 //!   checks, the channel-steered write batch, GC, wear leveling.
-//! * [`wfq`] — weighted fair queueing *across* TEEs: per-channel
+//! * [`wfq`] — fair queueing *across* TEEs: per-channel
 //!   start-time fair queueing over page-sized quanta, with preemption
 //!   points at page boundaries (Figures 17/18 multi-tenancy).
 //!
@@ -60,4 +60,4 @@ pub use iceclave_flash::{
     FaultInjector, FaultPlan, FlashError, JournalRecord, MetadataJournal, ReadFault,
 };
 pub use mapping::{MappingEntry, MappingTable};
-pub use wfq::{IssueGrant, SchedPolicy, TicketPolicy, WfqArbiter, MAX_TICKET_WEIGHT, MAX_WEIGHT};
+pub use wfq::{IssueGrant, SchedPolicy, TicketPolicy, WfqArbiter};

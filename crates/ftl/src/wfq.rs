@@ -1,5 +1,5 @@
-//! Weighted fair queueing across TEEs — the cross-tenant arbiter of
-//! the flash channels.
+//! Fair queueing across TEEs — the cross-tenant arbiter of the flash
+//! channels.
 //!
 //! Per-channel FIFO order *inside* one ticket cannot stop a greedy
 //! tenant that keeps eight 32-page tickets in flight from booking a
@@ -13,10 +13,10 @@
 //!   *(effective ready time, ticket id, page index)* — the exact order
 //!   a lone tenant's pages would issue in without the arbiter.
 //! * Each lane carries a *virtual finish tag*. Granting a page advances
-//!   the lane's tag by one page-sized quantum divided by the tenant's
-//!   weight; the channel's virtual time follows the granted start tag.
-//!   A tenant that went idle re-enters at the current virtual time
-//!   (`max(vtime, finish)`), so sleeping never banks credit.
+//!   the lane's tag by one page quantum; the channel's virtual time
+//!   follows the granted start tag. A tenant that went idle re-enters
+//!   at the current virtual time (`max(vtime, finish)`), so sleeping
+//!   never banks credit.
 //! * A grant covers exactly **one page**. The channel's next grant is
 //!   decided only when the granted page's flash service completes, so
 //!   an in-flight 32-page ticket yields the channel between pages —
@@ -29,17 +29,14 @@
 //! level down: the winning *lane* runs its own virtual clock over
 //! per-ticket sub-lanes, so a tenant's deep analytics ticket yields to
 //! that same tenant's four-page point lookup at every page boundary.
-//! Ticket clocks can additionally be *surcharged* with the MEE line
-//! traffic the ticket's pages actually generated
-//! ([`WfqArbiter::surcharge_lines`]), making integrity-metadata
-//! bandwidth a scheduled resource rather than an externality. A fresh
-//! sub-lane enters at the lane clock (prompt first grant for sparse
-//! arrivals), and a *draining* sub-lane surrenders its finish tag to
-//! the lane clock on departure — so a tenant cannot grow its share by
-//! splitting work across many short tickets, and a cycling K-page
-//! ticket's long-run grant share is exactly its weighted share. With
-//! one ticket per lane — or under the legacy [`TicketPolicy::Fifo`] —
-//! the grant sequence is bit-identical to the flat arbiter.
+//! A fresh sub-lane enters at the lane clock (prompt first grant for
+//! sparse arrivals), and a *draining* sub-lane surrenders its finish
+//! tag to the lane clock on departure — so a tenant cannot grow its
+//! share by splitting work across many short tickets, and a cycling
+//! K-page ticket's long-run grant share is exactly an equal share.
+//! With one ticket per lane — or under the legacy
+//! [`TicketPolicy::Fifo`] — the grant sequence is bit-identical to the
+//! flat arbiter.
 //!
 //! # Invariants
 //!
@@ -50,15 +47,14 @@
 //!    idle the channel until it becomes ready. Ready times are
 //!    translation offsets — sub-microsecond — so the idle window is
 //!    bounded by a CMT miss, not by other tenants' queue depths.
-//! 2. **Weighted fairness.** While two lanes stay backlogged, the
-//!    number of pages granted to each is proportional to its weight,
-//!    within one quantum per lane (regression-tested: any 10k-grant
-//!    window of an equal-weight duel stays within 10% of an even
-//!    split). Under `TicketPolicy::Wfq` the same holds one level down
-//!    between a lane's backlogged tickets.
+//! 2. **Fairness.** While two lanes stay backlogged, each is granted an
+//!    equal number of pages, within one quantum per lane
+//!    (regression-tested: any 10k-grant window of a duel stays within
+//!    10% of an even split). Under `TicketPolicy::Wfq` the same holds
+//!    one level down between a lane's backlogged tickets.
 //! 3. **Starvation freedom.** A backlogged lane's head page is granted
-//!    after at most `ceil(W_other / w_self)` quanta of other-lane
-//!    service, no matter how deep the other queues are. Under
+//!    after at most one quantum of service per other backlogged lane,
+//!    no matter how deep the other queues are. Under
 //!    `TicketPolicy::Wfq` a backlogged *ticket* enjoys the same bound
 //!    against its sibling tickets.
 //! 4. **Single-tenant transparency.** With one lane, grants replay the
@@ -95,8 +91,8 @@ pub enum SchedPolicy {
     /// pacing. A tenant's in-flight pages book the channel timelines
     /// in event order, so a greedy tenant can starve the others.
     Fifo,
-    /// Weighted fair queueing across tenants (the default): per-channel
-    /// SFQ over page-sized quanta with preemption points at page
+    /// Fair queueing across tenants (the default): per-channel SFQ
+    /// over page-sized quanta with preemption points at page
     /// boundaries.
     #[default]
     Wfq,
@@ -111,31 +107,15 @@ pub enum TicketPolicy {
     #[default]
     Fifo,
     /// Hierarchical fair queueing: each ticket gets its own virtual
-    /// clock inside the lane, weighted per ticket and optionally
-    /// surcharged by attributed MEE line traffic, so sibling tickets
-    /// share the tenant's channel slots page by page.
+    /// clock inside the lane, so sibling tickets share the tenant's
+    /// channel slots page by page.
     Wfq,
 }
 
-/// One page-sized quantum in virtual-time units, scaled by `1 << 16`
-/// so integer division by the weight keeps sub-quantum precision.
+/// One page-sized quantum in virtual-time units: every grant and every
+/// charged page advances a finish tag by exactly this much. The tags
+/// order same-tick executor events ([`IssueGrant::vstart`]).
 const QUANTUM_FP: u64 = 4096 << 16;
-
-/// One MEE cache line (64 bytes, 64 per 4 KiB page) in the same
-/// virtual-time units as [`QUANTUM_FP`] — the unit
-/// [`WfqArbiter::surcharge_lines`] charges in.
-const LINE_FP: u64 = QUANTUM_FP / 64;
-
-/// Largest accepted tenant weight. Bounded so `QUANTUM_FP / weight`
-/// can never truncate to zero — a zero per-grant quantum would stop a
-/// lane's finish tag from advancing and let that tenant monopolize the
-/// channel, silently breaking starvation freedom.
-pub const MAX_WEIGHT: u32 = 1 << 20;
-
-/// Largest accepted per-ticket weight, mirroring [`MAX_WEIGHT`] for
-/// the same reason one level down: the ticket-clock quantum must never
-/// truncate to zero.
-pub const MAX_TICKET_WEIGHT: u32 = MAX_WEIGHT;
 
 /// A page read granted the channel by [`WfqArbiter::try_issue`].
 #[derive(Copy, Clone, Eq, PartialEq, Debug)]
@@ -160,10 +140,8 @@ pub struct IssueGrant {
 struct TicketLane {
     /// Raw ticket id.
     ticket: u64,
-    /// Per-ticket weight, fixed at enqueue time.
-    weight: u32,
-    /// Virtual finish tag of the ticket's last grant (or surcharge),
-    /// in the lane's ticket-clock domain.
+    /// Virtual finish tag of the ticket's last grant, in the lane's
+    /// ticket-clock domain.
     finish: u64,
     /// Queued pages as a min-heap over *(effective ready, page)*.
     queue: BinaryHeap<Reverse<(SimTime, u32)>>,
@@ -218,7 +196,7 @@ impl ChannelWfq {
     }
 }
 
-/// The per-channel weighted-fair-queueing arbiter across TEEs.
+/// The per-channel fair-queueing arbiter across TEEs.
 ///
 /// Owned by the runtime (`iceclave_core`) and consulted by the
 /// executor's stage machine: read pages enter per-tenant lanes at
@@ -227,8 +205,8 @@ impl ChannelWfq {
 ///
 /// # Examples
 ///
-/// A backlogged duel between two equal-weight tenants alternates
-/// grants page by page, regardless of queue depth:
+/// A backlogged duel between two tenants alternates grants page by
+/// page, regardless of queue depth:
 ///
 /// ```
 /// use iceclave_ftl::WfqArbiter;
@@ -277,20 +255,12 @@ impl ChannelWfq {
 #[derive(Clone, Debug)]
 pub struct WfqArbiter {
     channels: Vec<ChannelWfq>,
-    /// Per-tenant weights indexed by raw TEE id; `None` entries use
-    /// `default_weight`.
-    weights: [Option<u32>; MAX_TENANTS],
-    default_weight: u32,
     ticket_policy: TicketPolicy,
-    /// Virtual-time cost of one attributed MEE line, in units of
-    /// [`LINE_FP`]. Zero (the default) disables surcharging entirely.
-    mee_line_cost: u32,
 }
 
 impl WfqArbiter {
-    /// An arbiter over `channels` idle channels with every tenant at
-    /// weight 1, ticket policy [`TicketPolicy::Fifo`], and MEE
-    /// surcharging off.
+    /// An arbiter over `channels` idle channels with ticket policy
+    /// [`TicketPolicy::Fifo`].
     ///
     /// # Panics
     ///
@@ -299,43 +269,8 @@ impl WfqArbiter {
         assert!(channels > 0, "arbiter needs at least one channel");
         WfqArbiter {
             channels: vec![ChannelWfq::default(); channels],
-            weights: [None; MAX_TENANTS],
-            default_weight: 1,
             ticket_policy: TicketPolicy::Fifo,
-            mee_line_cost: 0,
         }
-    }
-
-    /// Sets the weight every tenant without an explicit weight gets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is outside `1..=`[`MAX_WEIGHT`].
-    pub fn set_default_weight(&mut self, weight: u32) {
-        assert!(
-            (1..=MAX_WEIGHT).contains(&weight),
-            "weights must be in 1..={MAX_WEIGHT}"
-        );
-        self.default_weight = weight;
-    }
-
-    /// Sets `tee`'s weight. Applies from the next grant on; already
-    /// assigned finish tags are kept.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is outside `1..=`[`MAX_WEIGHT`].
-    pub fn set_weight(&mut self, tee: TeeId, weight: u32) {
-        assert!(
-            (1..=MAX_WEIGHT).contains(&weight),
-            "weights must be in 1..={MAX_WEIGHT}"
-        );
-        self.weights[usize::from(tee.raw())] = Some(weight);
-    }
-
-    /// The weight `tee` is currently scheduled at.
-    pub fn weight_of(&self, tee: TeeId) -> u32 {
-        self.weights[usize::from(tee.raw())].unwrap_or(self.default_weight)
     }
 
     /// Selects how pages are ordered inside one tenant's lane. Must be
@@ -360,28 +295,13 @@ impl WfqArbiter {
         self.ticket_policy
     }
 
-    /// Sets the virtual-time cost of one attributed MEE line, in
-    /// 64-byte line quanta (1/64 of the page quantum). Zero (the
-    /// default) makes
-    /// [`WfqArbiter::surcharge_lines`] a no-op; `cost` = 1 prices a
-    /// metadata line like a line of flash payload.
-    pub fn set_mee_line_cost(&mut self, cost: u32) {
-        self.mee_line_cost = cost;
-    }
-
-    /// The configured per-line MEE surcharge multiplier.
-    pub fn mee_line_cost(&self) -> u32 {
-        self.mee_line_cost
-    }
-
     /// Number of channels under arbitration.
     pub fn channels(&self) -> usize {
         self.channels.len()
     }
 
-    /// Queues `(ticket, page)` of `tee` on `channel` at ticket weight
-    /// 1, eligible from `ready` (the page's chain-effective ready
-    /// time).
+    /// Queues `(ticket, page)` of `tee` on `channel`, eligible from
+    /// `ready` (the page's chain-effective ready time).
     ///
     /// # Panics
     ///
@@ -394,32 +314,6 @@ impl WfqArbiter {
         page: u32,
         ready: SimTime,
     ) {
-        self.enqueue_weighted(channel, tee, ticket, page, ready, 1);
-    }
-
-    /// Queues `(ticket, page)` of `tee` on `channel`, eligible from
-    /// `ready`, with the ticket scheduled at `weight` inside its lane
-    /// under [`TicketPolicy::Wfq`]. Under [`TicketPolicy::Fifo`] the
-    /// weight is ignored (the lane is a single FIFO). All pages of one
-    /// ticket carry the same weight; the last enqueued value wins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` is out of range or `weight` is outside
-    /// `1..=`[`MAX_TICKET_WEIGHT`].
-    pub fn enqueue_weighted(
-        &mut self,
-        channel: usize,
-        tee: TeeId,
-        ticket: Ticket,
-        page: u32,
-        ready: SimTime,
-        weight: u32,
-    ) {
-        assert!(
-            (1..=MAX_TICKET_WEIGHT).contains(&weight),
-            "ticket weights must be in 1..={MAX_TICKET_WEIGHT}"
-        );
         let lane = self.channels[channel].lane_mut(u16::from(tee.raw()));
         match self.ticket_policy {
             TicketPolicy::Fifo => lane.queue.push(Reverse((ready, ticket.raw(), page))),
@@ -437,24 +331,22 @@ impl WfqArbiter {
                         // `try_issue`): back-to-back short tickets
                         // each start one quantum later, keeping a
                         // cycling K-page ticket's long-run share at
-                        // exactly its weighted share.
+                        // exactly an equal share.
                         lane.tickets.push(TicketLane {
                             ticket: raw,
-                            weight,
                             finish: 0,
                             queue: BinaryHeap::new(),
                         });
                         lane.tickets.last_mut().expect("just pushed")
                     }
                 };
-                sub.weight = weight;
                 sub.queue.push(Reverse((ready, page)));
             }
         }
     }
 
     /// Number of pages `tee` has queued (not yet granted) on
-    /// `channel` — the quantity the per-tenant channel budget bounds.
+    /// `channel`.
     ///
     /// # Panics
     ///
@@ -536,7 +428,6 @@ impl WfqArbiter {
     ///
     /// Panics if `channel` is out of range.
     pub fn try_issue(&mut self, channel: usize) -> Option<IssueGrant> {
-        let default_weight = self.default_weight;
         let ch = &mut self.channels[channel];
         if ch.busy.is_some() {
             return None;
@@ -556,7 +447,6 @@ impl WfqArbiter {
             }
         }
         let (start, tee_raw) = winner?;
-        let weight = self.weights[tee_raw].unwrap_or(default_weight);
         let lane = ch.lanes[tee_raw].as_mut().expect("winning lane exists");
         let (ready, ticket, page, tstart) = match self.ticket_policy {
             TicketPolicy::Fifo => {
@@ -578,7 +468,7 @@ impl WfqArbiter {
                 let (tstart, index) = best.expect("lane is backlogged");
                 let sub = &mut lane.tickets[index];
                 let Reverse((ready, page)) = sub.queue.pop().expect("sub-lane is non-empty");
-                sub.finish = tstart + QUANTUM_FP / u64::from(sub.weight);
+                sub.finish = tstart + QUANTUM_FP;
                 lane.tvtime = tstart;
                 let ticket = sub.ticket;
                 if sub.queue.is_empty() {
@@ -597,7 +487,7 @@ impl WfqArbiter {
                 (ready, ticket, page, tstart)
             }
         };
-        lane.finish = start + QUANTUM_FP / u64::from(weight);
+        lane.finish = start + QUANTUM_FP;
         ch.vtime = start;
         ch.busy = Some((ticket, page));
         Some(IssueGrant {
@@ -633,46 +523,10 @@ impl WfqArbiter {
     ///
     /// Panics if `channel` is out of range.
     pub fn charge(&mut self, channel: usize, tee: TeeId, pages: u64) {
-        let weight = u64::from(self.weight_of(tee));
         let ch = &mut self.channels[channel];
         let vtime = ch.vtime;
         let lane = ch.lane_mut(u16::from(tee.raw()));
-        lane.finish = vtime.max(lane.finish) + pages * (QUANTUM_FP / weight);
-    }
-
-    /// Charges `lines` attributed MEE cache lines (64 bytes each) of
-    /// metadata traffic to `tee`'s lane on `channel` — and, under
-    /// [`TicketPolicy::Wfq`], to `ticket`'s clock inside that lane —
-    /// scaled by the configured [`WfqArbiter::set_mee_line_cost`]
-    /// multiplier and divided by the respective weights. A no-op when
-    /// the multiplier is zero (the default) or the ticket's sub-lane
-    /// has already drained.
-    ///
-    /// This is the attribution feedback path: the exec driver measures
-    /// each page's fill/seal MEE delta (`MeeSnap`) and surcharges it
-    /// here, so metadata-heavy tickets advance their clocks faster and
-    /// yield more channel slots to their lean siblings.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` is out of range.
-    pub fn surcharge_lines(&mut self, channel: usize, tee: TeeId, ticket: Ticket, lines: u64) {
-        if self.mee_line_cost == 0 || lines == 0 {
-            return;
-        }
-        let surcharge = lines * u64::from(self.mee_line_cost) * LINE_FP;
-        let tenant_weight = u64::from(self.weight_of(tee));
-        let ch = &mut self.channels[channel];
-        let vtime = ch.vtime;
-        let lane = ch.lane_mut(u16::from(tee.raw()));
-        lane.finish = vtime.max(lane.finish) + surcharge / tenant_weight;
-        let raw = ticket.raw();
-        if let Some(sub) = lane.tickets.iter_mut().find(|t| t.ticket == raw) {
-            // The sub-lane's finish is already >= any start tag it was
-            // granted at, so a plain debit suffices (no vtime clamp —
-            // the ticket is live, not re-entering from idle).
-            sub.finish += surcharge / u64::from(sub.weight);
-        }
+        lane.finish = vtime.max(lane.finish) + pages * QUANTUM_FP;
     }
 
     /// The virtual tag ordering `tee`'s batch-level (Program) events
@@ -713,17 +567,13 @@ impl WfqArbiter {
     }
 
     /// Forgets `tee`'s lanes entirely (id recycling): queued pages are
-    /// dropped, the finish and ticket-clock tags reset, and any
-    /// runtime-set weight is removed, so the next TEE to reuse the id
-    /// starts fresh at the default weight. Callers with externally
-    /// configured weights (e.g. `iceclave_core`'s `FairnessConfig`)
-    /// reseed them after this call.
+    /// dropped and the finish and ticket-clock tags reset, so the next
+    /// TEE to reuse the id starts fresh.
     pub fn forget_tee(&mut self, tee: TeeId) {
         let raw = usize::from(tee.raw());
         for ch in &mut self.channels {
             ch.lanes[raw] = None;
         }
-        self.weights[raw] = None;
     }
 }
 
@@ -770,32 +620,6 @@ mod tests {
         let order = drain_grants(&mut arb, 0);
         let tenants: Vec<u64> = order.iter().map(|&(t, _)| t).collect();
         assert_eq!(tenants, vec![1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2]);
-    }
-
-    #[test]
-    fn weight_two_gets_twice_the_grants() {
-        let mut arb = WfqArbiter::new(1);
-        let (a, b) = (tee(1), tee(2));
-        arb.set_weight(a, 2);
-        for page in 0..8 {
-            arb.enqueue(0, a, Ticket::new(1), page, SimTime::ZERO);
-            arb.enqueue(0, b, Ticket::new(2), page, SimTime::ZERO);
-        }
-        let order = drain_grants(&mut arb, 0);
-        // In any prefix, A's grant count tracks 2x B's within a quantum.
-        let mut a_count = 0i64;
-        let mut b_count = 0i64;
-        for &(t, _) in &order[..9] {
-            if t == 1 {
-                a_count += 1;
-            } else {
-                b_count += 1;
-            }
-            assert!(
-                (a_count - 2 * b_count).abs() <= 2,
-                "weighted share drifted: A={a_count} B={b_count}"
-            );
-        }
     }
 
     #[test]
@@ -892,50 +716,6 @@ mod tests {
         let _ = WfqArbiter::new(0);
     }
 
-    #[test]
-    #[should_panic(expected = "weights must be in 1..=")]
-    fn zero_weight_panics() {
-        let mut arb = WfqArbiter::new(1);
-        arb.set_weight(tee(1), 0);
-    }
-
-    /// A weight large enough to truncate the per-grant quantum to zero
-    /// would let the tenant monopolize the channel; the bound rejects
-    /// it up front.
-    #[test]
-    #[should_panic(expected = "weights must be in 1..=")]
-    fn over_max_weight_panics() {
-        let mut arb = WfqArbiter::new(1);
-        arb.set_weight(tee(1), MAX_WEIGHT + 1);
-    }
-
-    /// At the largest accepted weight the finish tag still advances on
-    /// every grant, so a backlogged rival is never starved outright.
-    #[test]
-    fn max_weight_still_advances_virtual_time() {
-        let mut arb = WfqArbiter::new(1);
-        let (a, b) = (tee(1), tee(2));
-        arb.set_weight(a, MAX_WEIGHT);
-        for page in 0..(2 * MAX_WEIGHT + 8) {
-            arb.enqueue(0, a, Ticket::new(1), page, SimTime::ZERO);
-        }
-        arb.enqueue(0, b, Ticket::new(2), 0, SimTime::ZERO);
-        let mut victim_position = None;
-        for position in 0..(2 * MAX_WEIGHT + 8) {
-            let grant = arb.try_issue(0).expect("lanes backlogged");
-            arb.release(grant.ticket, grant.page);
-            if grant.ticket.raw() == 2 {
-                victim_position = Some(position);
-                break;
-            }
-        }
-        let position = victim_position.expect("victim was granted");
-        assert!(
-            position <= MAX_WEIGHT + 1,
-            "victim granted only after {position} grants"
-        );
-    }
-
     // ---- hierarchical (TicketPolicy::Wfq) tests ----
 
     fn hier(channels: usize) -> WfqArbiter {
@@ -961,31 +741,6 @@ mod tests {
         let tickets: Vec<u64> = order.iter().map(|&(t, _)| t).collect();
         assert_eq!(tickets[..8], [1, 2, 1, 2, 1, 2, 1, 2]);
         assert_eq!(tickets[8..], [1, 1, 1, 1], "survivor drains alone");
-    }
-
-    /// A ticket enqueued at weight 2 gets twice the grants of its
-    /// weight-1 sibling while both stay backlogged.
-    #[test]
-    fn ticket_weight_two_gets_twice_the_grants() {
-        let mut arb = hier(1);
-        let a = tee(1);
-        for page in 0..8 {
-            arb.enqueue_weighted(0, a, Ticket::new(1), page, SimTime::ZERO, 2);
-            arb.enqueue(0, a, Ticket::new(2), page, SimTime::ZERO);
-        }
-        let mut heavy = 0i64;
-        let mut light = 0i64;
-        for &(t, _) in &drain_grants(&mut arb, 0)[..9] {
-            if t == 1 {
-                heavy += 1;
-            } else {
-                light += 1;
-            }
-            assert!(
-                (heavy - 2 * light).abs() <= 2,
-                "ticket share drifted: heavy={heavy} light={light}"
-            );
-        }
     }
 
     /// With exactly one ticket per tenant, the hierarchical arbiter
@@ -1039,49 +794,6 @@ mod tests {
         }
         assert_eq!(flat_grants, hier_grants);
         assert_eq!(flat_grants.len(), 10);
-    }
-
-    /// Surcharged MEE lines defer the heavy ticket: after a 64-line
-    /// (one full page quantum) surcharge, the lean sibling gets the
-    /// next two grants back to back.
-    #[test]
-    fn surcharge_defers_metadata_heavy_ticket() {
-        let mut arb = hier(1);
-        arb.set_mee_line_cost(1);
-        let a = tee(1);
-        for page in 0..4 {
-            arb.enqueue(0, a, Ticket::new(1), page, SimTime::ZERO);
-            arb.enqueue(0, a, Ticket::new(2), page, SimTime::ZERO);
-        }
-        let g = arb.try_issue(0).unwrap();
-        assert_eq!(g.ticket.raw(), 1, "ticket 1 leads by id tie-break");
-        // Ticket 1's page generated a full page of metadata traffic:
-        // its clock advances one extra quantum.
-        arb.surcharge_lines(0, a, Ticket::new(1), 64);
-        arb.release(g.ticket, g.page);
-        let order = drain_grants(&mut arb, 0);
-        let tickets: Vec<u64> = order.iter().map(|&(t, _)| t).collect();
-        assert_eq!(
-            tickets[..3],
-            [2, 2, 1],
-            "surcharge is worth one extra grant to the sibling"
-        );
-    }
-
-    /// Surcharging with a zero multiplier (the default) never perturbs
-    /// the schedule.
-    #[test]
-    fn zero_line_cost_surcharge_is_a_noop() {
-        let mut arb = hier(1);
-        let a = tee(1);
-        for page in 0..2 {
-            arb.enqueue(0, a, Ticket::new(1), page, SimTime::ZERO);
-            arb.enqueue(0, a, Ticket::new(2), page, SimTime::ZERO);
-        }
-        arb.surcharge_lines(0, a, Ticket::new(1), 1_000_000);
-        let order = drain_grants(&mut arb, 0);
-        let tickets: Vec<u64> = order.iter().map(|&(t, _)| t).collect();
-        assert_eq!(tickets, vec![1, 2, 1, 2]);
     }
 
     /// Cancelling a ticket under the hierarchical policy purges its
@@ -1151,27 +863,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "ticket weights must be in 1..=")]
-    fn zero_ticket_weight_panics() {
-        let mut arb = hier(1);
-        arb.enqueue_weighted(0, tee(1), Ticket::new(1), 0, SimTime::ZERO, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "ticket weights must be in 1..=")]
-    fn over_max_ticket_weight_panics() {
-        let mut arb = hier(1);
-        arb.enqueue_weighted(
-            0,
-            tee(1),
-            Ticket::new(1),
-            0,
-            SimTime::ZERO,
-            MAX_TICKET_WEIGHT + 1,
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "while the arbiter is idle")]
     fn policy_flip_with_backlog_panics() {
         let mut arb = WfqArbiter::new(1);
@@ -1192,7 +883,7 @@ mod tests {
         let g = arb.try_issue(0).unwrap();
         assert_eq!(g.tstart, 0);
         let clock = arb.ticket_clock(0, a, g.ticket).unwrap();
-        assert_eq!(clock, QUANTUM_FP, "one quantum per grant at weight 1");
+        assert_eq!(clock, QUANTUM_FP, "one quantum per grant");
         // Release without re-issue must not advance the clock again.
         arb.release(g.ticket, g.page);
         assert_eq!(arb.ticket_clock(0, a, g.ticket).unwrap(), clock);

@@ -175,33 +175,6 @@ impl BenchReport {
         });
     }
 
-    /// Appends the four percentile metrics of `p` under
-    /// `{prefix}_p50_ns` … `{prefix}_max_ns`.
-    pub fn push_percentiles(
-        &mut self,
-        prefix: &str,
-        p: Percentiles,
-        direction: Direction,
-        tol: f64,
-        gate: bool,
-    ) {
-        for (suffix, value) in [
-            ("p50_ns", p.p50),
-            ("p90_ns", p.p90),
-            ("p99_ns", p.p99),
-            ("max_ns", p.max),
-        ] {
-            self.push_metric(
-                format!("{prefix}_{suffix}"),
-                "ns",
-                value,
-                direction,
-                tol,
-                gate,
-            );
-        }
-    }
-
     /// The config fingerprint: FxHash (hex) over the bench id and every
     /// config pair in order.
     pub fn fingerprint(&self) -> String {

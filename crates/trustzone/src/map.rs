@@ -134,11 +134,6 @@ impl MemoryMap {
             .map_or(Region::Normal, |r| r.region)
     }
 
-    /// The page attributes the MMU would present for an address.
-    pub fn attributes_of(&self, addr: PhysAddr) -> PageAttributes {
-        PageAttributes::for_region(self.region_of(addr))
-    }
-
     /// Checks an access, returning a fault when the Figure 6 permission
     /// matrix denies it.
     ///
@@ -162,11 +157,6 @@ impl MemoryMap {
                 region,
             })
         }
-    }
-
-    /// Number of programmed region registers.
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
     }
 }
 

@@ -8,9 +8,8 @@
 //!
 //! * `docs/ARCHITECTURE.md` (in-tree) — the crate map, the read and
 //!   write event pipelines, the MEE's two-level metadata hierarchy
-//!   (SRAM L1 → MAC-sealed DRAM L2 → tree walk), the
-//!   weighted-fair-queueing scheduler's invariants, and the ticket
-//!   lifecycle, in one place.
+//!   (SRAM L1 → MAC-sealed DRAM L2 → tree walk), the fair-queueing
+//!   scheduler's invariants, and the ticket lifecycle, in one place.
 //! * The drain-order contract of the completion queue lives in the
 //!   [`iceclave_exec::completion`] module documentation — the single
 //!   source of truth, quoted by
@@ -94,28 +93,27 @@
 //! `tests/exec_equivalence.rs` the interleaving/sequential
 //! equivalence proptest.
 //!
-//! # Architecture: weighted fair queueing across TEEs
+//! # Architecture: fair queueing across TEEs
 //!
 //! The flash channels are arbitrated across tenants by
 //! [`iceclave_ftl::WfqArbiter`] (§6.8, Figures 17/18): per-channel
 //! start-time fair queueing over page-sized quanta. Each channel
 //! keeps one lane per TEE; granting a page advances the lane's
-//! virtual finish tag by `quantum / weight`, and the next grant —
-//! decided only when the granted page's flash service completes, the
+//! virtual finish tag by one quantum, and the next grant — decided
+//! only when the granted page's flash service completes, the
 //! page-boundary preemption point — goes to the lane with the
 //! smallest start tag. A greedy tenant keeping eight 32-page tickets
 //! in flight therefore shares every contended channel page-by-page
 //! with a solo 4-page tenant instead of starving it
 //! (`tests/wfq_fairness.rs`: the victim's p99 improves ≥ 2x over the
-//! legacy FIFO scheduler, and an equal-weight duel never leaves 10%
-//! of an even split over any 10k-page window). With a single tenant
-//! the WFQ schedule is byte-identical to the FIFO executor.
-//! Configuration: [`iceclave_core::FairnessConfig`] (policy, weights,
-//! optional per-tenant channel budgets);
-//! `IceClave::set_tee_weight` adjusts weights at runtime; the
-//! `fairness` bench emits the `BENCH_fairness.json` baseline (victim
-//! p99 + Jain's index over the antagonist sweep). See
-//! `docs/ARCHITECTURE.md` for the full treatment.
+//! legacy FIFO scheduler, and a backlogged duel never leaves 10% of
+//! an even split over any 10k-page window). With a single tenant the
+//! WFQ schedule is byte-identical to the FIFO executor.
+//! Configuration: [`iceclave_core::FairnessConfig`] (the cross-tenant
+//! and per-ticket policies); the `fairness` bench emits the
+//! `BENCH_fairness.json` baseline (victim p99 + Jain's index over the
+//! antagonist sweep). See `docs/ARCHITECTURE.md` for the full
+//! treatment.
 
 pub use iceclave_cipher;
 pub use iceclave_core;

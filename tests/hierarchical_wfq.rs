@@ -1,11 +1,11 @@
 //! Acceptance and regression tests of the **hierarchical** WFQ
-//! arbiter: attribution-weighted per-ticket fair queueing inside each
-//! tenant's lane ([`TicketPolicy::Wfq`]), layered under the existing
-//! per-tenant start-time clocks.
+//! arbiter: per-ticket fair queueing inside each tenant's lane
+//! ([`TicketPolicy::Wfq`]), layered under the existing per-tenant
+//! start-time clocks.
 //!
 //! * **Ticket-level starvation freedom** (property test): inside one
 //!   tenant, a cycling 4-page victim ticket keeps its grant share
-//!   within 10% of its weighted share over any 10k-grant window, no
+//!   within 10% of an equal share over any 10k-grant window, no
 //!   matter how a deep sibling antagonist bursts.
 //! * **Byte-identity**: with one ticket per tenant — and separately
 //!   under the legacy [`TicketPolicy::Fifo`] — the hierarchical
@@ -47,15 +47,14 @@ fn payload(i: u64) -> Vec<u8> {
 proptest! {
     /// One tenant, one channel: a deep antagonist ticket (kept >= 64
     /// pages backlogged, replenished in arbitrary bursts) against a
-    /// victim cycling fresh 4-page tickets at `victim_weight`. Every
-    /// 10k-grant window keeps the victim within 10% (relative) of its
-    /// weighted share `w / (w + 1)` — the per-ticket mirror of the
-    /// tenant-level property in `tests/wfq_fairness.rs`.
+    /// victim cycling fresh 4-page tickets. Every 10k-grant window
+    /// keeps the victim within 10% (relative) of an equal share — the
+    /// per-ticket mirror of the tenant-level property in
+    /// `tests/wfq_fairness.rs`.
     #[test]
-    fn victim_ticket_share_stays_within_ten_percent_of_weighted_share(
+    fn victim_ticket_share_stays_within_ten_percent_of_equal_share(
         antagonist_bursts in prop::collection::vec(1usize..=256, 16),
         replenish_low in 16usize..=64,
-        victim_weight in 1u32..=4,
     ) {
         const TOTAL: usize = 30_000;
         const WINDOW: usize = 10_000;
@@ -65,8 +64,8 @@ proptest! {
         // Odd ticket ids = antagonist, even = victim. Exactly one
         // antagonist sub-lane is ever live (its backlog never drains),
         // and exactly one victim sub-lane (a fresh 4-page ticket the
-        // moment the previous one drained) — so the weighted share of
-        // the victim is victim_weight / (victim_weight + 1).
+        // moment the previous one drained) — so the victim's equal
+        // share is one half.
         let antagonist = Ticket::new(1);
         let mut ant_page = 0u32;
         let mut ant_burst = 0usize;
@@ -88,14 +87,7 @@ proptest! {
             if queued_v == 0 {
                 victim_gen += 1;
                 for _ in 0..4 {
-                    arb.enqueue_weighted(
-                        0,
-                        tee,
-                        Ticket::new(2 * victim_gen),
-                        victim_page,
-                        SimTime::ZERO,
-                        victim_weight,
-                    );
+                    arb.enqueue(0, tee, Ticket::new(2 * victim_gen), victim_page, SimTime::ZERO);
                     victim_page += 1;
                 }
                 queued_v = 4;
@@ -110,7 +102,7 @@ proptest! {
             grants.push(is_victim);
             arb.release(grant.ticket, grant.page);
         }
-        let expected = f64::from(victim_weight) / f64::from(victim_weight + 1);
+        let expected = 0.5;
         let mut victim_in_window = grants[..WINDOW].iter().filter(|&&g| g).count();
         let mut worst = victim_in_window as f64 / WINDOW as f64;
         let mut best = worst;
@@ -350,8 +342,8 @@ fn recycled_tee_id_streams_cleanly_under_wfq_tickets() {
 }
 
 /// The read-retry ladder keeps its WFQ grant and does **not**
-/// re-charge the ticket clock: on one channel, two equal-weight
-/// sibling tickets alternate grants strictly, and a scripted transient
+/// re-charge the ticket clock: on one channel, two sibling tickets
+/// alternate grants strictly, and a scripted transient
 /// fault mid-stream must not perturb that alternation — only delay it.
 /// (A retry that re-entered the arbiter, or double-charged the
 /// faulted ticket's clock, would hand its sibling extra turns and
@@ -367,7 +359,7 @@ fn transient_read_fault_keeps_grant_order_without_double_charging() {
         let (tee, t0) = ice.offload_code(1024, &lpns, t).unwrap();
         if fault {
             // Grants on the single channel alternate between the two
-            // equal-weight sibling tickets; ordinal 4 lands mid-stream,
+            // sibling tickets; ordinal 4 lands mid-stream,
             // with both sub-lanes still backlogged on either side.
             ice.install_fault_plan(FaultPlan {
                 read_fail_ops: vec![4],
@@ -395,8 +387,7 @@ fn transient_read_fault_keeps_grant_order_without_double_charging() {
         fault_retries, 1,
         "the scripted fault must bite exactly once"
     );
-    // Steady-state alternation in the clean run: equal weights, one
-    // channel. (The head grant issues before the second ticket is even
+    // Steady-state alternation in the clean run: one channel. (The head grant issues before the second ticket is even
     // queued and the tail drains whichever sibling holds the last
     // pages, so the strict window is the middle of the trace.)
     for i in 1..14 {

@@ -1,12 +1,12 @@
-//! Acceptance and regression tests of the weighted-fair-queueing
-//! channel arbiter (`iceclave_ftl::WfqArbiter` + the WFQ read path in
+//! Acceptance and regression tests of the fair-queueing channel
+//! arbiter (`iceclave_ftl::WfqArbiter` + the WFQ read path in
 //! `iceclave_core`).
 //!
-//! * **Starvation freedom** (property test): an equal-weight duel
-//!   keeps the victim's share of grants within 10% of an even split
-//!   over any 10k-page window, no matter how the antagonist bursts.
-//! * **Determinism**: same weights + same submissions ⇒ identical
-//!   completion sequences.
+//! * **Starvation freedom** (property test): a backlogged duel keeps
+//!   the victim's share of grants within 10% of an even split over any
+//!   10k-page window, no matter how the antagonist bursts.
+//! * **Determinism**: same submissions ⇒ identical completion
+//!   sequences.
 //! * **Single-tenant transparency**: with one tenant, the WFQ
 //!   scheduler's output is byte-identical to the legacy FIFO executor.
 //! * **Antagonist duel** (the Figures 17/18 scenario): against a
@@ -14,7 +14,7 @@
 //!   tenant's p99 latency improves at least 2x over FIFO, and
 //!   channel-time splits near-evenly once both tenants are backlogged.
 
-use iceclave_repro::iceclave_core::{IceClave, IceClaveError, SchedPolicy};
+use iceclave_repro::iceclave_core::{IceClave, SchedPolicy};
 use iceclave_repro::iceclave_experiments::fairness::{jain, p99, run_duel};
 use iceclave_repro::iceclave_experiments::{Mode, Overrides};
 use iceclave_repro::iceclave_ftl::WfqArbiter;
@@ -42,7 +42,7 @@ fn payload(i: u64) -> Vec<u8> {
 // ---- starvation freedom (property test over the arbiter) -----------
 
 proptest! {
-    /// Equal weights, both lanes kept backlogged, antagonist enqueueing
+    /// Both lanes kept backlogged, antagonist enqueueing
     /// in arbitrary bursts: every 10k-grant window stays within 10% of
     /// a 50/50 split (share in [0.45, 0.55]).
     #[test]
@@ -112,19 +112,16 @@ proptest! {
 
 // ---- determinism ---------------------------------------------------
 
-/// Same weights + same submissions ⇒ identical completion sequences,
-/// with two tenants at different weights and mixed read/write tickets
-/// in flight.
+/// Same submissions ⇒ identical completion sequences, with two
+/// tenants and mixed read/write tickets in flight.
 #[test]
-fn identical_weighted_runs_drain_identical_sequences() {
+fn identical_runs_drain_identical_sequences() {
     let run = || {
         let (mut ice, t0) = device(SchedPolicy::Wfq, 96);
         let a_lpns: Vec<Lpn> = (0..64).map(Lpn::new).collect();
         let b_lpns: Vec<Lpn> = (64..96).map(Lpn::new).collect();
         let (tee_a, _) = ice.offload_code(1024, &a_lpns, t0).unwrap();
         let (tee_b, _) = ice.offload_code(1024, &b_lpns, t0).unwrap();
-        ice.set_tee_weight(tee_a, 1).unwrap();
-        ice.set_tee_weight(tee_b, 3).unwrap();
         for chunk in a_lpns.chunks(32) {
             ice.submit_batch_async(tee_a, chunk, t0).unwrap();
         }
@@ -143,11 +140,7 @@ fn identical_weighted_runs_drain_identical_sequences() {
     };
     let first = run();
     assert_eq!(first.len(), 64 + 16 + 16);
-    assert_eq!(
-        first,
-        run(),
-        "identical weighted runs must drain identically"
-    );
+    assert_eq!(first, run(), "identical runs must drain identically");
 }
 
 // ---- single-tenant transparency ------------------------------------
@@ -211,42 +204,6 @@ fn single_tenant_wfq_is_byte_identical_to_fifo() {
     );
 }
 
-// ---- per-tenant channel budgets ------------------------------------
-
-/// The optional channel budget rejects submissions that would deepen a
-/// tenant's per-channel queue past the cap, without touching the TEE
-/// or the in-flight work.
-#[test]
-fn channel_budget_bounds_queue_depth() {
-    let overrides = Overrides {
-        channels: Some(CHANNELS),
-        ..Overrides::none()
-    };
-    let mut config = Mode::IceClave.ssd_config(&overrides);
-    config.fairness.channel_budget = Some(8);
-    let mut ice = IceClave::new(config);
-    let t0 = ice.populate(Lpn::new(0), 256, SimTime::ZERO).unwrap();
-    let lpns: Vec<Lpn> = (0..256).map(Lpn::new).collect();
-    let (tee, t0) = ice.offload_code(1024, &lpns, t0).unwrap();
-
-    // 64 pages over 8 channels = 8 per channel: exactly at budget.
-    let first = ice.submit_batch_async(tee, &lpns[..64], t0).unwrap();
-    // The next 64 would double every channel's queue: rejected.
-    let err = ice.submit_batch_async(tee, &lpns[64..128], t0).unwrap_err();
-    assert!(
-        matches!(err, IceClaveError::ChannelBudgetExceeded { tee: t, .. } if t == tee),
-        "expected budget rejection, got {err:?}"
-    );
-    // The TEE is still running and the in-flight ticket unaffected.
-    let done = ice.wait_batch(first).unwrap();
-    assert_eq!(done.completions.len(), 64);
-    // With the queues drained, the tenant may submit again.
-    let retry = ice
-        .submit_batch_async(tee, &lpns[64..128], done.finished)
-        .unwrap();
-    assert_eq!(ice.wait_batch(retry).unwrap().completions.len(), 64);
-}
-
 // ---- the antagonist duel (Figures 17/18 scenario) ------------------
 //
 // The closed-loop duel driver is shared with the `fairness` bench
@@ -269,7 +226,7 @@ fn solo_tenant_p99_improves_2x_against_antagonist() {
 }
 
 /// Once both tenants are backlogged (victim keeps four 4-page tickets
-/// in flight, enough to cover every channel), equal weights split the
+/// in flight, enough to cover every channel), fair queueing splits the
 /// drained pages — and with uniform 4 KiB pages, the channel time —
 /// near evenly (Jain's index at or above the 0.95 acceptance floor).
 #[test]
@@ -285,49 +242,5 @@ fn backlogged_equal_weights_split_channel_time_evenly() {
         jain(victim_pages, ant_pages) >= 0.95,
         "Jain index {:.3} below the acceptance floor",
         jain(victim_pages, ant_pages)
-    );
-}
-
-/// A weight-2 victim receives measurably more service than at weight
-/// 1 under the same antagonist load.
-#[test]
-fn weights_shift_the_split() {
-    // Weight the victim by pre-seeding the config (TEE ids are LIFO
-    // from 1: the antagonist offloads first and gets id 1, the victim
-    // id 2).
-    let run_weighted = |victim_weight: u32| {
-        let overrides = Overrides {
-            channels: Some(CHANNELS),
-            ..Overrides::none()
-        };
-        let mut config = Mode::IceClave.ssd_config(&overrides);
-        config.fairness.weights = vec![(2, victim_weight)];
-        let mut ice = IceClave::new(config);
-        let t0 = ice.populate(Lpn::new(0), 320, SimTime::ZERO).unwrap();
-        let ant_lpns: Vec<Lpn> = (0..256).map(Lpn::new).collect();
-        let victim_lpns: Vec<Lpn> = (256..320).map(Lpn::new).collect();
-        let (ant, _) = ice.offload_code(1024, &ant_lpns, t0).unwrap();
-        let (victim, t0) = ice.offload_code(1024, &victim_lpns, t0).unwrap();
-        assert_eq!(ice.tee_weight(victim), victim_weight);
-        // One deep antagonist ticket and one deep victim ticket, both
-        // spanning every channel; compare who finishes first.
-        let ta = ice.submit_batch_async(ant, &ant_lpns[..64], t0).unwrap();
-        let tv = ice.submit_batch_async(victim, &victim_lpns, t0).unwrap();
-        let events = ice.drain_completions();
-        let finish = |ticket| {
-            events
-                .iter()
-                .filter(|e| e.ticket == ticket)
-                .map(|e| e.ready_at())
-                .max()
-                .unwrap()
-        };
-        (finish(tv), finish(ta))
-    };
-    let (v_at_1, _) = run_weighted(1);
-    let (v_at_4, _) = run_weighted(4);
-    assert!(
-        v_at_4 < v_at_1,
-        "weight-4 victim ({v_at_4}) should finish its batch earlier than at weight 1 ({v_at_1})"
     );
 }
