@@ -76,7 +76,10 @@ fn run_schedule(ice: &mut IceClave, tees: [TeeId; 2], mut t: SimTime) -> (u64, S
         for (i, &tee) in tees.iter().enumerate() {
             let base = i as u64 * SPAN;
             let lpns: Vec<Lpn> = (base..base + SPAN).map(Lpn::new).collect();
-            match ice.submit_write_batch(tee, &lpns, t) {
+            match ice
+                .submit_write_batch_async(tee, &lpns, t)
+                .and_then(|tk| ice.wait_batch(tk))
+            {
                 Ok(done) => {
                     t = done.finished;
                     acked += 1;
@@ -84,7 +87,10 @@ fn run_schedule(ice: &mut IceClave, tees: [TeeId; 2], mut t: SimTime) -> (u64, S
                 Err(IceClaveError::PowerLost) => return (acked, t, true),
                 Err(e) => panic!("write batch failed: {e}"),
             }
-            match ice.submit_batch(tee, &lpns, t) {
+            match ice
+                .submit_batch_async(tee, &lpns, t)
+                .and_then(|tk| ice.wait_batch(tk))
+            {
                 Ok(done) => t = done.finished,
                 Err(IceClaveError::PowerLost) => return (acked, t, true),
                 Err(e) => panic!("read batch failed: {e}"),

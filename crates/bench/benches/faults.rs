@@ -91,7 +91,7 @@ fn run_rate(rate: f64) -> RatePoint {
         let wt = ice
             .submit_write_batch_async(tee, &lpns, t)
             .expect("write batch");
-        let writes = ice.wait_write_batch(wt).expect("write wave completes");
+        let writes = ice.wait_batch(wt).expect("write wave completes");
         t = writes.finished;
         for c in &writes.completions {
             if c.status.is_done() {
@@ -107,7 +107,7 @@ fn run_rate(rate: f64) -> RatePoint {
                 if c.status.is_done() {
                     done_pages += 1;
                     read_latencies_us
-                        .push(c.ready_at.as_micros_f64() - reads.issued.as_micros_f64());
+                        .push(c.ready_at().as_micros_f64() - reads.issued.as_micros_f64());
                 } else {
                     failed_pages += 1;
                 }

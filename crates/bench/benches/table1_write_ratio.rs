@@ -1,8 +1,8 @@
 //! Table 1 (write-intensity sweep), rebuilt on the batched data path:
-//! criterion benches that push a 64-page mixed batch through
-//! `IceClave::submit_batch` + `IceClave::submit_write_batch` at write
-//! ratios {0, 20, 50, 80, 100}% and report the simulated latency and
-//! throughput alongside, matching the fig12/fig13 structure.
+//! criterion benches that push a 64-page mixed batch through one read
+//! ticket and one write ticket (each submitted, then waited with
+//! `IceClave::wait_batch`) at write ratios {0, 20, 50, 80, 100}% and
+//! report the simulated latency and throughput alongside.
 //!
 //! The bench also sweeps a pure write batch across 2/4/8/16 channels
 //! and emits a `BENCH_writes.json` [`BenchReport`] (simulated pages/s
@@ -39,8 +39,9 @@ fn setup(channels: u32) -> (IceClave, iceclave_types::TeeId, SimTime) {
 }
 
 /// One mixed 64-page step at `ratio`% writes: the write fraction goes
-/// through `submit_write_batch`, the rest through `submit_batch`.
-/// Returns the simulated completion of the slower side.
+/// through a write ticket, the rest through a read ticket, each waited
+/// before the next is submitted. Returns the simulated completion of
+/// the slower side.
 fn mixed_step(
     ice: &mut IceClave,
     tee: iceclave_types::TeeId,
@@ -51,14 +52,16 @@ fn mixed_step(
     let mut finished = t;
     if !read_lpns.is_empty() {
         finished = finished.max(
-            ice.submit_batch(tee, read_lpns, t)
+            ice.submit_batch_async(tee, read_lpns, t)
+                .and_then(|tk| ice.wait_batch(tk))
                 .expect("granted batch")
                 .finished,
         );
     }
     if !write_lpns.is_empty() {
         finished = finished.max(
-            ice.submit_write_batch(tee, write_lpns, t)
+            ice.submit_write_batch_async(tee, write_lpns, t)
+                .and_then(|tk| ice.wait_batch(tk))
                 .expect("granted batch")
                 .finished,
         );
@@ -104,7 +107,10 @@ fn bench_write_channel_sweep(c: &mut Criterion) {
     let mut baseline: Vec<(u32, f64)> = Vec::new();
     for &channels in &CHANNELS {
         let (mut ice, tee, t) = setup(channels);
-        let done = ice.submit_write_batch(tee, &lpns, t).expect("granted");
+        let done = ice
+            .submit_write_batch_async(tee, &lpns, t)
+            .and_then(|tk| ice.wait_batch(tk))
+            .expect("granted");
         let sim_latency = done.latency();
         let pages_per_s = BATCH_PAGES as f64 / (sim_latency.as_nanos_f64() * 1e-9);
         println!(
@@ -114,11 +120,12 @@ fn bench_write_channel_sweep(c: &mut Criterion) {
         baseline.push((channels, pages_per_s));
 
         group.bench_with_input(
-            BenchmarkId::new("submit_write_batch_64p", channels),
+            BenchmarkId::new("write_batch_64p", channels),
             &channels,
             |b, _| {
                 b.iter(|| {
-                    ice.submit_write_batch(tee, &lpns, t)
+                    ice.submit_write_batch_async(tee, &lpns, t)
+                        .and_then(|tk| ice.wait_batch(tk))
                         .expect("granted batch")
                         .finished
                 })

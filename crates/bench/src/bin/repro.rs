@@ -16,33 +16,12 @@ use std::time::Instant;
 
 use iceclave_bench::{banner, bench_config};
 use iceclave_experiments::figures;
-use iceclave_workloads::WorkloadConfig;
-
-type Artifact = (&'static str, fn(&WorkloadConfig) -> figures::FigureReport);
-
-const ARTIFACTS: &[Artifact] = &[
-    ("table1", figures::table1),
-    ("fig5", figures::fig5),
-    ("fig8", figures::fig8),
-    ("table5", figures::table5),
-    ("table6", figures::table6),
-    ("fig11", figures::fig11),
-    ("fig12", figures::fig12),
-    ("fig13", figures::fig13),
-    ("fig14", figures::fig14),
-    ("fig15", figures::fig15),
-    ("fig16", figures::fig16),
-    ("fig17", figures::fig17),
-    ("fig18", figures::fig18),
-    ("energy", figures::energy_table),
-    ("ablation_counter_cache", figures::ablation_counter_cache),
-];
 
 fn main() {
     let requested: Vec<String> = std::env::args().skip(1).collect();
     let cfg = bench_config();
     let mut ran = 0;
-    for (name, generate) in ARTIFACTS {
+    for (name, generate) in figures::ALL {
         if !requested.is_empty() && !requested.iter().any(|r| r == name) {
             continue;
         }
@@ -63,7 +42,7 @@ fn main() {
         eprintln!(
             "unknown artifact(s) {:?}; available: {:?}",
             requested,
-            ARTIFACTS.iter().map(|(n, _)| *n).collect::<Vec<_>>()
+            figures::ALL.iter().map(|(n, _)| *n).collect::<Vec<_>>()
         );
         std::process::exit(2);
     }

@@ -36,12 +36,11 @@ use iceclave_ftl::FlashError;
 use iceclave_ftl::{FtlError, JournalRecord, Requestor, SchedPolicy, WfqArbiter};
 use iceclave_isc::SsdPlatform;
 use iceclave_mee::{MeeEngine, MetaTraffic, PageClass, PageSeal, SealSpan};
-use iceclave_sim::Pipeline;
+use iceclave_sim::Resource;
 use iceclave_types::{
-    BatchCompletion, CompletionEvent, FaultStats, LatencyBreakdown, Lpn, PageCompletion, PageError,
-    PageErrorCause, PageStatus, PageWrite, Ppn, SimDuration, SimTime, TeeId, Ticket,
-    TicketAttribution, TicketKind, WriteBatchCompletion, WriteBatchRequest, WritePageCompletion,
-    WritePageRequest, PAGE_SIZE,
+    BatchCompletion, CompletionEvent, FaultStats, LatencyBreakdown, Lpn, PageError, PageErrorCause,
+    PageStatus, PageWrite, Ppn, SimDuration, SimTime, TeeId, Ticket, TicketAttribution, TicketKind,
+    WriteBatchRequest, WritePageRequest, PAGE_SIZE,
 };
 
 use crate::config::IceClaveConfig;
@@ -76,8 +75,8 @@ pub enum Stage {
     Encrypt,
     /// Write path: the whole batch's single secure-world program phase
     /// (`Ftl::write_batch`), fired once the last ciphertext exists.
-    /// Kept as one event so the one-entry-per-batch amortization of
-    /// the blocking path is preserved.
+    /// Kept as one event so the batch pays one secure-world entry, not
+    /// one per page.
     Program,
 }
 
@@ -167,7 +166,7 @@ pub(crate) struct StageCtx<'a> {
     pub platform: &'a mut SsdPlatform,
     pub mee: &'a mut MeeEngine,
     pub cipher: &'a mut CipherEngine,
-    pub cipher_lanes: &'a mut [Pipeline],
+    pub cipher_lanes: &'a mut [Resource],
     pub page_ivs: &'a mut IvTable,
     pub config: &'a IceClaveConfig,
     pub stats: &'a mut RuntimeStats,
@@ -301,9 +300,9 @@ impl StageCtx<'_> {
 
     /// Retires `page` of `ticket` as a *soft* per-page failure at `at`:
     /// the completion carries [`PageStatus::Failed`] with the structured
-    /// `reason`, but no ticket-level error is recorded — the blocking
-    /// waiters still return `Ok` and the batch degrades gracefully to a
-    /// partial completion.
+    /// `reason`, but no ticket-level error is recorded —
+    /// [`IceClave::wait_batch`] still returns `Ok` and the batch
+    /// degrades gracefully to a partial completion.
     fn fail_page_soft(
         &mut self,
         exec: &mut Executor<Stage>,
@@ -598,7 +597,7 @@ impl StageMachine for StageCtx<'_> {
                         let cipher_done = if self.config.cipher_enabled {
                             let service = self.cipher.page_latency(PAGE_SIZE);
                             let lane = job.pages[idx].lane;
-                            self.cipher_lanes[lane].process(span.end, service).end
+                            self.cipher_lanes[lane].acquire(span.end, service).end
                         } else {
                             span.end
                         };
@@ -642,8 +641,8 @@ impl StageMachine for StageCtx<'_> {
                     }
                     // Ladder exhausted: the page degrades to a soft
                     // per-page failure — the rest of the ticket still
-                    // completes and the blocking waiters return `Ok`
-                    // with this page marked `Failed`.
+                    // completes and `wait_batch` returns `Ok` with this
+                    // page marked `Failed`.
                     Err(FlashError::ReadUncorrectable { .. }) => {
                         job.pages[idx].attempts += 1;
                         self.stats.uncorrectable_pages += 1;
@@ -723,7 +722,7 @@ impl StageMachine for StageCtx<'_> {
             Stage::Encrypt => {
                 let service = self.cipher.page_latency(PAGE_SIZE);
                 let page = &mut job.pages[idx];
-                let span = self.cipher_lanes[page.lane].process(ev.at, service);
+                let span = self.cipher_lanes[page.lane].acquire(ev.at, service);
                 page.breakdown.cipher_done = span.end;
                 job.encrypted[idx] = span.end;
                 job.pending_encrypts -= 1;
@@ -804,15 +803,33 @@ impl IceClave {
         self.submit_batch_async_as(tee, lpns, PageClass::ReadOnly, now)
     }
 
-    /// The non-blocking protected read path: translates and ID-bit
-    /// checks the whole batch **at submission** (atomic — a denied page
-    /// aborts the batch before any flash traffic and throws the TEE
-    /// out, §4.5), assigns the input-ring slots, and schedules one
-    /// flash-read stage event per page. The batch then advances at
-    /// stage granularity — flash read, per-channel decrypt lane, MEE
-    /// fill — interleaved with every other in-flight ticket, and each
-    /// page retires into the completion queue
-    /// ([`IceClave::poll_completions`]).
+    /// The batched protected read path: translates, permission-checks,
+    /// reads, deciphers and MEE-fills a whole page set as one
+    /// channel-parallel ticket, filling the pages as `class` (read-only
+    /// for streaming input, §4.4). The call returns the ticket without
+    /// waiting for it.
+    ///
+    /// Pipeline shape (workflow steps 3–6 of Figure 9, batched):
+    ///
+    /// 1. every page is translated through the protected mapping table
+    ///    (ID-bit check included) **at submission**, and its
+    ///    input-ring slot assigned — a denied page aborts the batch
+    ///    *before any flash traffic* and throws the TEE out (§4.5:
+    ///    access violations are fatal to the enclave);
+    /// 2. each channel serves the batch's pages FIFO in request order,
+    ///    so the channel buses fill concurrently;
+    /// 3. each channel's stream-decipher engine drains its pages in
+    ///    flash-completion order, overlapping decryption with the
+    ///    other channels' transfers;
+    /// 4. the MEE fill datapath writes each deciphered page into the
+    ///    TEE's input ring (counter initialization overlapped the same
+    ///    way).
+    ///
+    /// Each stage runs as an executor event, interleaved with every
+    /// other in-flight ticket, and each page retires into the
+    /// completion queue ([`IceClave::poll_completions`]) with its
+    /// deciphered content when functional data was stored;
+    /// [`IceClave::wait_batch`] runs one ticket to completion instead.
     ///
     /// Tickets in flight together have no ordering guarantees between
     /// each other: a submitter that needs to read pages a still-open
@@ -987,18 +1004,45 @@ impl IceClave {
         self.submit_write_batch_async_as(tee, writes, now)
     }
 
-    /// The non-blocking protected write path: ownership-checks the
-    /// whole batch **at submission** (atomic — a foreign page aborts
-    /// before any DRAM or flash traffic and throws the TEE out, §4.5)
-    /// and starts the MEE seal drain of the source pages; each page's
-    /// encrypt stage is scheduled at its seal read-out, and the batch's
-    /// single secure-world program phase fires once the last ciphertext
-    /// exists — by which point the channel admit horizons reflect
-    /// everything the executor interleaved meanwhile. Each page retires
-    /// into the completion queue at its durable time.
+    /// The batched protected write path — the program-side mirror of
+    /// [`IceClave::submit_batch_async_as`]: ownership-checks, seals,
+    /// encrypts, allocates and programs a whole page set as one
+    /// channel-parallel ticket. The call returns the ticket without
+    /// waiting for it.
     ///
-    /// The batch is taken by value so each page's functional payload
-    /// ([`PageWrite::data`]) moves into the in-flight job unchanged —
+    /// Pipeline shape (workflow steps 3–6 of Figure 9, reversed):
+    ///
+    /// 1. the FTL ownership-checks every page **at submission** — a
+    ///    foreign page aborts the batch *before any DRAM, allocation
+    ///    or flash traffic* and throws the TEE out (§4.5);
+    /// 2. the MEE drains the source pages out of the TEE's working
+    ///    half ([`MeeEngine::seal_pages`]): the DRAM read-out gates the
+    ///    downstream stages, while the counter-epoch increments and
+    ///    outbound MAC generation run concurrently with the channel
+    ///    programs and gate durability alone;
+    /// 3. the stream-cipher engines encrypt each outbound page from its
+    ///    seal read-out (all data crossing the flash boundary is
+    ///    ciphertext, §5), pipelining across pages;
+    /// 4. once the last ciphertext exists — by which point the channel
+    ///    admit horizons reflect everything the executor interleaved
+    ///    meanwhile — the batch enters the secure world **once**,
+    ///    steers each page's fresh allocation to the earliest-available
+    ///    channel (a GC pass stalls only its own channel and routes
+    ///    later pages around it) and issues the programs round-robin
+    ///    across the channels, each admitted only once its ciphertext
+    ///    exists, coalescing dirty translation-page write-backs to one
+    ///    persist per batch.
+    ///
+    /// A page is durable when its program and its seal metadata have
+    /// both drained (and, on a journaled device, the batch's journal
+    /// sync has ended); it retires into the completion queue at that
+    /// time, its `ready_at()`. The batch finishes when every page is
+    /// durable and the secure world has been exited.
+    ///
+    /// Writes carrying [`PageWrite::data`] persist that plaintext
+    /// (stream-ciphered) at the page's new physical location, so a
+    /// later read ticket returns the exact bytes. The batch is taken by
+    /// value so each payload moves into the in-flight job unchanged —
     /// no copy is made between submission and the flash store.
     ///
     /// # Errors
@@ -1178,10 +1222,10 @@ impl IceClave {
     }
 
     /// Forgets ticket errors whose tickets were already retired by an
-    /// *earlier* drain — a polling consumer gets one full drain cycle
-    /// after seeing a `Failed` event to call
-    /// [`IceClave::take_ticket_error`], and the error map stays bounded
-    /// across long runs.
+    /// *earlier* drain. Only [`IceClave::wait_batch`] consumes a
+    /// ticket's error; a ticket drained through the polling API never
+    /// reaches it, so without this sweep its error would stay on the
+    /// list for the rest of the run.
     fn sweep_stale_errors(&mut self) {
         let exec = &self.exec;
         self.failed
@@ -1197,11 +1241,6 @@ impl IceClave {
     /// simulated time.
     pub fn exec_clock(&self) -> SimTime {
         self.exec.clock()
-    }
-
-    /// The error that failed `ticket` mid-flight, if any (consumed).
-    pub fn take_ticket_error(&mut self, ticket: Ticket) -> Option<IceClaveError> {
-        self.failed.remove(ticket.raw())
     }
 
     /// Fails every in-flight ticket of `tee` at `now` (TEE teardown):
@@ -1257,21 +1296,20 @@ impl IceClave {
         }
     }
 
-    /// The shared drain half of the blocking wrappers: runs the heap
-    /// until `ticket` closes (events of other in-flight tickets that
-    /// are due earlier run on the way; their completions stay queued
-    /// for [`IceClave::poll_completions`]), then hands back the
-    /// ticket's `(issued, finished, events-by-page-index)`.
+    /// Runs the heap until `ticket` — read or write — closes, then
+    /// returns its completion: every page's event in page order, and
+    /// `finished` at the ticket's close (for a write, once every page
+    /// is durable and the secure world has been exited). Events of
+    /// other in-flight tickets that are due earlier run on the way;
+    /// their completions stay queued for
+    /// [`IceClave::poll_completions`].
     ///
     /// # Errors
     ///
-    /// [`IceClaveError::UnknownTicket`] if the ticket was never issued
-    /// here or its completions were already drained elsewhere; the
-    /// ticket's own mid-flight error if any page failed.
-    fn drain_ticket(
-        &mut self,
-        ticket: Ticket,
-    ) -> Result<(SimTime, SimTime, Vec<CompletionEvent>), IceClaveError> {
+    /// [`IceClaveError::UnknownTicket`] for a ticket that was never
+    /// issued here or already (even partially) drained through the
+    /// polling API, or the ticket's own mid-flight error.
+    pub fn wait_batch(&mut self, ticket: Ticket) -> Result<BatchCompletion, IceClaveError> {
         self.ensure_powered()?;
         let Some(issued) = self.exec.issued_at(ticket) else {
             return Err(self
@@ -1293,66 +1331,12 @@ impl IceClave {
             return Err(IceClaveError::PowerLost);
         }
         let finished = self.exec.finished_at(ticket).unwrap_or(issued);
-        let mut events = self.exec.take_ticket_completions(ticket);
+        let mut completions = self.exec.take_ticket_completions(ticket);
         if let Some(error) = self.failed.remove(ticket.raw()) {
             return Err(error);
         }
-        events.sort_by_key(|e| e.index);
-        Ok((issued, finished, events))
-    }
-
-    /// Drains one read ticket to completion and assembles the blocking
-    /// [`BatchCompletion`] — the wrapper half of
-    /// [`IceClave::submit_batch`].
-    ///
-    /// # Errors
-    ///
-    /// [`IceClaveError::UnknownTicket`] for a ticket that was never
-    /// issued here or already (even partially) drained through the
-    /// polling API, or the ticket's own mid-flight error.
-    pub fn wait_batch(&mut self, ticket: Ticket) -> Result<BatchCompletion, IceClaveError> {
-        debug_assert_ne!(self.exec.kind_of(ticket), Some(TicketKind::Write));
-        let (issued, finished, events) = self.drain_ticket(ticket)?;
-        let completions: Vec<PageCompletion> = events
-            .into_iter()
-            .map(|e| PageCompletion {
-                lpn: e.lpn,
-                ready_at: e.breakdown.ready,
-                data: e.data,
-                status: e.status,
-            })
-            .collect();
+        completions.sort_by_key(|e| e.index);
         Ok(BatchCompletion {
-            issued,
-            finished,
-            completions,
-        })
-    }
-
-    /// Drains one write ticket to completion and assembles the blocking
-    /// [`WriteBatchCompletion`] — the wrapper half of
-    /// [`IceClave::submit_write_batch`].
-    ///
-    /// # Errors
-    ///
-    /// [`IceClaveError::UnknownTicket`] for a ticket that was never
-    /// issued here or already (even partially) drained through the
-    /// polling API, or the ticket's own mid-flight error.
-    pub fn wait_write_batch(
-        &mut self,
-        ticket: Ticket,
-    ) -> Result<WriteBatchCompletion, IceClaveError> {
-        debug_assert_ne!(self.exec.kind_of(ticket), Some(TicketKind::Read));
-        let (issued, finished, events) = self.drain_ticket(ticket)?;
-        let completions: Vec<WritePageCompletion> = events
-            .into_iter()
-            .map(|e| WritePageCompletion {
-                lpn: e.lpn,
-                durable_at: e.breakdown.ready,
-                status: e.status,
-            })
-            .collect();
-        Ok(WriteBatchCompletion {
             issued,
             finished,
             completions,

@@ -38,7 +38,8 @@
 //! let (tee, t) = ice.offload_code(64 * 1024, &lpns, t)?;
 //!
 //! // The TEE streams its input through the cipher engine...
-//! let t = ice.read_flash_page(tee, Lpn::new(0), t)?;
+//! let ticket = ice.submit_batch_async(tee, &lpns, t)?;
+//! let t = ice.wait_batch(ticket)?.finished;
 //! // ...computes in protected DRAM...
 //! let t = ice.mem_write(tee, 8 * 64, t)?;
 //! let t = ice.mem_read(tee, 8 * 64, t)?;

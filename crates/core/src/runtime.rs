@@ -10,11 +10,11 @@ use iceclave_exec::PowerLossPlan;
 use iceclave_ftl::{FaultPlan, FtlError, JournalRecord, Requestor};
 use iceclave_isc::SsdPlatform;
 use iceclave_mee::{MacFaultPlan, MeeEngine, PageClass};
-use iceclave_sim::Pipeline;
+use iceclave_sim::Resource;
 use iceclave_trustzone::{AccessType, MemoryMap, ProtectionFault, Region, World};
 use iceclave_types::{
-    BatchCompletion, ByteSize, CacheLine, Lpn, PageWrite, Ppn, RecoveryStats, SimTime, TeeId,
-    TicketAttribution, WriteBatchCompletion, LINES_PER_PAGE, PAGE_SIZE,
+    ByteSize, CacheLine, Lpn, Ppn, RecoveryStats, SimTime, TeeId, TicketAttribution,
+    LINES_PER_PAGE, PAGE_SIZE,
 };
 
 use crate::config::IceClaveConfig;
@@ -78,9 +78,9 @@ pub enum IceClaveError {
         /// The out-of-bounds line offset.
         line_offset: u64,
     },
-    /// The ticket is not (or no longer) usable with `wait_batch`/
-    /// `wait_write_batch` — it was never issued by this runtime, or
-    /// some or all of its completions were already drained through
+    /// The ticket is not (or no longer) usable with `wait_batch` — it
+    /// was never issued by this runtime, or some or all of its
+    /// completions were already drained through
     /// `poll_completions`/`drain_completions` (mixing the two drain
     /// styles on one ticket is not supported).
     UnknownTicket(iceclave_types::Ticket),
@@ -220,7 +220,7 @@ pub struct IceClave {
     /// channel ciphers its own stream — decryption on reads,
     /// encryption on writes): one page per engine at a time,
     /// overlapping with the other channels' transfers.
-    pub(crate) cipher_lanes: Vec<Pipeline>,
+    pub(crate) cipher_lanes: Vec<Resource>,
     /// Per-LPN IVs of functionally encrypted page content (the model's
     /// stand-in for the IV metadata the controller keeps in the
     /// out-of-band area). Keyed by LPN so GC relocation cannot orphan
@@ -235,9 +235,7 @@ pub struct IceClave {
     free_ids: Vec<TeeId>,
     free_regions: Vec<u64>,
     pub(crate) stats: RuntimeStats,
-    /// The event-driven batch executor behind the asynchronous
-    /// submission API (and, via the thin blocking wrappers, behind
-    /// `submit_batch`/`submit_write_batch` too).
+    /// The event-driven batch executor behind the submission API.
     pub(crate) exec: iceclave_exec::Executor<crate::exec_driver::Stage>,
     /// Per-ticket in-flight pipeline state, slab-indexed by ticket id.
     pub(crate) jobs: crate::slab::JobTable,
@@ -280,7 +278,7 @@ impl IceClave {
             mee: MeeEngine::new(config.mee),
             cipher: CipherEngine::new([0x1C; 10], config.cipher_clock, 0xACE1_CAFE),
             cipher_lanes: (0..config.platform.flash.geometry.channels)
-                .map(|i| Pipeline::new(format!("cipher-engine{i}")))
+                .map(|i| Resource::new(format!("cipher-engine{i}")))
                 .collect(),
             page_ivs: crate::slab::IvTable::new(),
             memory_map,
@@ -436,7 +434,7 @@ impl IceClave {
             self.page_ivs.insert(lpn, PageIv::compose(base, ppa));
         }
         self.cipher_lanes = (0..self.config.platform.flash.geometry.channels)
-            .map(|i| Pipeline::new(format!("cipher-engine{i}")))
+            .map(|i| Resource::new(format!("cipher-engine{i}")))
             .collect();
         self.tees = Default::default();
         self.free_ids = Self::build_free_ids();
@@ -572,137 +570,6 @@ impl IceClave {
             now,
         )?;
         Ok((translation.ppn, translation.ready_at))
-    }
-
-    /// Streams one granted flash page into the TEE's input buffer:
-    /// translation + flash read + Trivium decryption + MEE-encrypted
-    /// DRAM fill (workflow steps 3–6 of Figure 9). The page is filled
-    /// read-only (streaming input, §4.4).
-    ///
-    /// This is a one-element [`IceClave::submit_batch`]; programs that
-    /// know their page set ahead of time should batch instead and let
-    /// the device overlap the channels.
-    ///
-    /// # Errors
-    ///
-    /// Access-control or FTL errors; the TEE must be running. An
-    /// access-control denial throws the TEE out (see
-    /// [`IceClave::submit_batch`]).
-    pub fn read_flash_page(
-        &mut self,
-        tee: TeeId,
-        lpn: Lpn,
-        now: SimTime,
-    ) -> Result<SimTime, IceClaveError> {
-        Ok(self.submit_batch(tee, &[lpn], now)?.finished)
-    }
-
-    /// The batched protected data path: translates, permission-checks,
-    /// reads, deciphers and MEE-fills a whole page set as one
-    /// channel-parallel request, filling the pages read-only
-    /// (streaming input, §4.4).
-    ///
-    /// Pipeline shape (workflow steps 3–6 of Figure 9, batched):
-    ///
-    /// 1. every page is translated through the protected mapping table
-    ///    (ID-bit check included) up front — a denied page aborts the
-    ///    batch *before any flash traffic* and throws the TEE out
-    ///    (§4.5: access violations are fatal to the enclave);
-    /// 2. each channel serves the batch's pages FIFO in request order,
-    ///    so the channel buses fill concurrently;
-    /// 3. each channel's stream-decipher engine drains its pages in
-    ///    flash-completion order, overlapping decryption with the
-    ///    other channels' transfers;
-    /// 4. the MEE fill datapath writes each deciphered page into the
-    ///    TEE's input ring (counter initialization overlapped the same
-    ///    way).
-    ///
-    /// This submits one ticket ([`IceClave::submit_batch_async`]) and
-    /// drains it ([`IceClave::wait_batch`]). Returns per-page
-    /// completion times (and deciphered content for pages with
-    /// functional data) in request order.
-    ///
-    /// # Errors
-    ///
-    /// The TEE must be running. On [`FtlError::AccessDenied`] the TEE
-    /// is thrown out ([`AbortReason::AccessViolation`]) and the error
-    /// is returned; other FTL errors pass through with the TEE intact.
-    pub fn submit_batch(
-        &mut self,
-        tee: TeeId,
-        lpns: &[Lpn],
-        now: SimTime,
-    ) -> Result<BatchCompletion, IceClaveError> {
-        let ticket = self.submit_batch_async(tee, lpns, now)?;
-        self.wait_batch(ticket)
-    }
-
-    /// Submits a multi-page program as one batch, timing-only (no
-    /// functional payloads). See [`IceClave::submit_write_batch_as`].
-    ///
-    /// # Errors
-    ///
-    /// As [`IceClave::submit_write_batch_as`].
-    pub fn submit_write_batch(
-        &mut self,
-        tee: TeeId,
-        lpns: &[Lpn],
-        now: SimTime,
-    ) -> Result<WriteBatchCompletion, IceClaveError> {
-        let writes: Vec<PageWrite> = lpns.iter().copied().map(PageWrite::new).collect();
-        self.submit_write_batch_as(tee, writes, now)
-    }
-
-    /// The batched protected write path — the program-side mirror of
-    /// [`IceClave::submit_batch`]: ownership-checks, allocates,
-    /// seals and programs a whole page set as one channel-parallel
-    /// request.
-    ///
-    /// Pipeline shape (workflow steps 3–6 of Figure 9, reversed):
-    ///
-    /// 1. the MEE drains the source pages out of the TEE's working
-    ///    half ([`MeeEngine::seal_pages`]): the DRAM read-out gates the
-    ///    downstream stages, while the counter-epoch increments and
-    ///    outbound MAC generation run concurrently with the channel
-    ///    programs and gate durability alone;
-    /// 2. the stream-cipher engines encrypt the outbound pages (all
-    ///    data crossing the flash boundary is ciphertext, §5),
-    ///    pipelining across pages;
-    /// 3. the FTL ownership-checks every page up front — a foreign
-    ///    page aborts the batch *before any allocation or flash
-    ///    traffic* and throws the TEE out (§4.5) — then enters the
-    ///    secure world **once**, steers each page's fresh allocation
-    ///    to the earliest-available channel (a GC pass stalls only its
-    ///    own channel and routes later pages around it) and issues the
-    ///    programs round-robin across the channels, each admitted only
-    ///    once its ciphertext exists, coalescing dirty translation-page
-    ///    write-backs to one persist per batch.
-    ///
-    /// A page is durable when its program and its seal metadata have
-    /// both drained; the batch finishes when every page is durable and
-    /// the secure world has been exited. Returns per-page durable
-    /// times in request order.
-    ///
-    /// Writes carrying [`PageWrite::data`] persist that plaintext
-    /// (stream-ciphered) at the page's new physical location, so a
-    /// later [`IceClave::submit_batch`] reads back the exact bytes.
-    ///
-    /// # Errors
-    ///
-    /// The TEE must be running. On [`FtlError::AccessDenied`] the TEE
-    /// is thrown out ([`AbortReason::AccessViolation`]) and the error
-    /// is returned; other FTL errors pass through with the TEE intact.
-    pub fn submit_write_batch_as(
-        &mut self,
-        tee: TeeId,
-        writes: Vec<PageWrite>,
-        now: SimTime,
-    ) -> Result<WriteBatchCompletion, IceClaveError> {
-        // Thin wrapper over the event-driven executor: submit one
-        // ticket, drain it. With no other tickets in flight this runs
-        // the same stages the call-graph used to run inline.
-        let ticket = self.submit_write_batch_async_as(tee, writes, now)?;
-        self.wait_write_batch(ticket)
     }
 
     /// Host-side data staging with functional content: encrypts
@@ -1020,6 +887,7 @@ impl IceClave {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use iceclave_types::PageWrite;
 
     fn setup_with_data(pages: u64) -> (IceClave, SimTime) {
         let mut ice = IceClave::new(IceClaveConfig::tiny());
@@ -1036,7 +904,11 @@ mod tests {
         let (mut ice, t) = setup_with_data(8);
         let (tee, t) = ice.offload_code(64 << 10, &lpns(0..8), t).unwrap();
         assert_eq!(ice.status(tee), Some(TeeStatus::Running));
-        let t = ice.read_flash_page(tee, Lpn::new(0), t).unwrap();
+        let t = ice
+            .submit_batch_async(tee, &[Lpn::new(0)], t)
+            .and_then(|tk| ice.wait_batch(tk))
+            .unwrap()
+            .finished;
         let t = ice.mem_write(tee, 10_000, t).unwrap();
         let t = ice.mem_read(tee, 10_000, t).unwrap();
         let t = ice.get_result(tee, 4096, t).unwrap();
@@ -1077,11 +949,14 @@ mod tests {
             Err(IceClaveError::Ftl(FtlError::AccessDenied { .. }))
         ));
         assert!(matches!(
-            ice.read_flash_page(mallory, Lpn::new(1), t),
+            ice.submit_batch_async(mallory, &[Lpn::new(1)], t),
             Err(IceClaveError::Ftl(FtlError::AccessDenied { .. }))
         ));
         // Alice still works.
-        assert!(ice.read_flash_page(alice, Lpn::new(0), t).is_ok());
+        assert!(ice
+            .submit_batch_async(alice, &[Lpn::new(0)], t)
+            .and_then(|tk| ice.wait_batch(tk))
+            .is_ok());
     }
 
     #[test]
@@ -1162,7 +1037,11 @@ mod tests {
         let (tee, t) = ice.offload_code(1024, &lpns(0..4), t).unwrap();
         let mut t2 = t;
         for i in 0..4u64 {
-            t2 = ice.read_flash_page(tee, Lpn::new(i), t2).unwrap();
+            t2 = ice
+                .submit_batch_async(tee, &[Lpn::new(i)], t2)
+                .and_then(|tk| ice.wait_batch(tk))
+                .unwrap()
+                .finished;
         }
         assert_eq!(ice.stats().pages_loaded, 4);
         assert!(ice.mee().stats().fill_writes >= 4 * 64);
@@ -1176,13 +1055,17 @@ mod tests {
         let writes: Vec<PageWrite> = (0..4u64)
             .map(|i| PageWrite::with_data(Lpn::new(i), vec![i as u8 ^ 0x5A; 4096]))
             .collect();
-        let done = ice.submit_write_batch_as(tee, writes, t).unwrap();
+        let done = ice
+            .submit_write_batch_async_as(tee, writes, t)
+            .and_then(|tk| ice.wait_batch(tk))
+            .unwrap();
         assert_eq!(done.len(), 4);
         assert!(done.finished > t);
         assert_eq!(ice.stats().pages_stored, 4);
         // Read back through the protected read path: byte-identical.
         let read = ice
-            .submit_batch(tee, &[Lpn::new(2)], done.finished)
+            .submit_batch_async(tee, &[Lpn::new(2)], done.finished)
+            .and_then(|tk| ice.wait_batch(tk))
             .unwrap();
         assert_eq!(
             read.completions[0].data.as_deref(),
@@ -1197,7 +1080,7 @@ mod tests {
         let (tee, t) = ice.offload_code(1024, &lpns(0..4), t).unwrap();
         let programs_before = ice.platform().ftl.flash().stats().programs;
         let err = ice
-            .submit_write_batch(tee, &[Lpn::new(0), Lpn::new(5)], t)
+            .submit_write_batch_async(tee, &[Lpn::new(0), Lpn::new(5)], t)
             .unwrap_err();
         assert!(matches!(
             err,
@@ -1211,7 +1094,7 @@ mod tests {
         assert_eq!(ice.platform().ftl.flash().stats().programs, programs_before);
         assert_eq!(ice.stats().pages_stored, 0);
         assert!(matches!(
-            ice.submit_write_batch(tee, &[Lpn::new(0)], t),
+            ice.submit_write_batch_async(tee, &[Lpn::new(0)], t),
             Err(IceClaveError::NotRunning(_))
         ));
     }
@@ -1220,7 +1103,10 @@ mod tests {
     fn empty_write_batch_is_free() {
         let (mut ice, t) = setup_with_data(2);
         let (tee, t) = ice.offload_code(1024, &lpns(0..2), t).unwrap();
-        let done = ice.submit_write_batch(tee, &[], t).unwrap();
+        let done = ice
+            .submit_write_batch_async(tee, &[], t)
+            .and_then(|tk| ice.wait_batch(tk))
+            .unwrap();
         assert!(done.is_empty());
         assert_eq!(done.finished, t);
     }

@@ -223,8 +223,8 @@ impl CompletionQueue {
     }
 
     /// Removes and returns every queued completion of `ticket`, sorted
-    /// by *(ready, page index)* — used by the blocking wrappers to
-    /// drain exactly their own batch.
+    /// by *(ready, page index)* — how `IceClave::wait_batch` drains
+    /// exactly its own batch.
     pub fn take_ticket(&mut self, ticket: Ticket) -> Vec<CompletionEvent> {
         self.extract(|e| e.ticket == ticket)
     }

@@ -41,7 +41,6 @@ pub trait StageMachine {
 
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct TicketState {
-    pub(crate) kind: TicketKind,
     pub(crate) pages: u32,
     pub(crate) remaining: u32,
     pub(crate) drained: u32,
@@ -197,12 +196,12 @@ impl<S> Executor<S> {
     /// Opens a ticket for a `pages`-page batch submitted at `now`.
     /// A zero-page ticket is born closed with `finished == now`.
     pub fn open_ticket(&mut self, kind: TicketKind, pages: u32, now: SimTime) -> Ticket {
+        let _ = kind;
         let ticket = Ticket::new(self.next_ticket);
         self.next_ticket += 1;
         self.tickets.push_next(
             ticket.raw(),
             TicketState {
-                kind,
                 pages,
                 remaining: pages,
                 drained: 0,
@@ -346,11 +345,6 @@ impl<S> Executor<S> {
         self.tickets.get(ticket.raw()).map(|s| s.issued)
     }
 
-    /// The direction of `ticket`, if it is not yet drained.
-    pub fn kind_of(&self, ticket: Ticket) -> Option<TicketKind> {
-        self.tickets.get(ticket.raw()).map(|s| s.kind)
-    }
-
     /// Number of `ticket`'s completions already drained through
     /// [`Executor::poll`]/[`Executor::drain_all`], if the ticket is not
     /// yet retired.
@@ -400,7 +394,7 @@ impl<S> Executor<S> {
     }
 
     /// Processes stage events (in global time order) until `ticket`
-    /// closes — the drain half of the blocking wrappers. Events of
+    /// closes — the engine of `IceClave::wait_batch`. Events of
     /// other in-flight tickets that are due earlier run on the way.
     /// Stops dead (the ticket never closes) if an armed power plan
     /// trips.

@@ -3,10 +3,11 @@
 //! The simulator expresses every contended hardware unit — per-channel
 //! flash buses and dies, per-lane cipher engines, the DRAM behind the
 //! MEE, the secure monitor — as a *resource timeline*
-//! ([`iceclave_sim::Resource`]). The blocking batch calls acquire those
-//! timelines in **call order**: one TEE's whole batch books every stage
-//! before the next call sees the device, so two TEEs' batches serialize
-//! at call granularity even though the stages themselves overlap.
+//! ([`iceclave_sim::Resource`]). Acquired straight from a batch call,
+//! those timelines fill in **call order**: one TEE's whole batch books
+//! every stage before the next call sees the device, so two TEEs'
+//! batches serialize at call granularity even though the stages
+//! themselves overlap.
 //!
 //! This crate supplies the missing arbiter. An [`Executor`] holds a
 //! deterministic event heap of *stage events*; each event acquires
@@ -21,8 +22,8 @@
 //! the FTL, MEE, or TEEs. `iceclave_core` implements the
 //! [`StageMachine`] trait over its components and exposes the
 //! user-facing API (`IceClave::submit_batch_async`,
-//! `submit_write_batch_async`, `poll_completions`); the blocking calls
-//! are thin wrappers that submit one ticket and drain it.
+//! `submit_write_batch_async`, `poll_completions`, and `wait_batch`,
+//! which runs one ticket to its close).
 //!
 //! # Determinism
 //!
@@ -49,8 +50,8 @@
 //! address translation snapshot at submission, and programs of
 //! different tickets land in stage-completion order. Submitters that
 //! need read-your-write (or write-after-write) ordering against an
-//! earlier ticket drain that ticket first — the blocking wrappers do
-//! exactly this, which is why they remain sequentially consistent.
+//! earlier ticket drain that ticket first — a caller that waits on each
+//! ticket before submitting the next is sequentially consistent.
 //!
 //! # Examples
 //!

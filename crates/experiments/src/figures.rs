@@ -34,6 +34,29 @@ impl std::fmt::Display for FigureReport {
     }
 }
 
+/// A reproduced artifact: its name and the function that builds it.
+pub type Artifact = (&'static str, fn(&WorkloadConfig) -> FigureReport);
+
+/// Every reproduced artifact, in paper order — the list the `repro`
+/// binary prints and the `paper` bench gates.
+pub const ALL: &[Artifact] = &[
+    ("table1", table1),
+    ("fig5", fig5),
+    ("fig8", fig8),
+    ("table5", table5),
+    ("table6", table6),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("fig15", fig15),
+    ("fig16", fig16),
+    ("fig17", fig17),
+    ("fig18", fig18),
+    ("energy", energy_table),
+    ("ablation_counter_cache", ablation_counter_cache),
+];
+
 fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
     let mut log_sum = 0.0;
     let mut n = 0u32;

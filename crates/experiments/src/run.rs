@@ -8,6 +8,8 @@
 //! exactly the time the cores sat waiting on I/O, the quantity the
 //! Figure 11 breakdown plots.
 
+use std::convert::Infallible;
+
 use iceclave_core::{IceClave, IceClaveError};
 use iceclave_cpu::{CoreModel, SgxModel};
 use iceclave_dram::{Dram, DramConfig};
@@ -147,9 +149,9 @@ pub(crate) struct SsdSession {
     /// queue indefinitely (multi-tenant fairness, Figures 17/18).
     inflight_loads: [SimTime; 4],
     /// Durability horizon of the latest transactional commit batch:
-    /// updated pages persist through `submit_write_batch` (group
-    /// commit, overlapped with the next batch's compute via the shared
-    /// flash timelines); the run is only finished once it has drained.
+    /// updated pages persist through a write ticket (group commit,
+    /// overlapped with the next batch's compute via the shared flash
+    /// timelines); the run is only finished once it has drained.
     pending_commit: SimTime,
     load_stall: SimDuration,
     mem_time: SimDuration,
@@ -158,7 +160,7 @@ pub(crate) struct SsdSession {
 
 /// Memory-level parallelism of the executing core: accesses are issued
 /// in groups of this size, overlapping across DRAM banks.
-const MLP: usize = 4;
+const MLP: u64 = 4;
 
 impl SsdSession {
     pub(crate) fn new(
@@ -305,65 +307,42 @@ impl SsdSession {
         let compute_start = self.clock.max(load_done);
         self.load_stall += compute_start.saturating_since(self.clock);
 
-        let mut t = compute_start;
-        let mut group = [0u64; MLP];
-        let mut pending = 0usize;
-        for _ in 0..batch.input_lines {
-            group[pending] = self.next_input_offset();
-            pending += 1;
-            if pending == MLP {
-                t = mem_read_group(ice, self.tee, &group[..pending], t)?;
-                pending = 0;
-            }
-        }
-        if pending > 0 {
-            t = mem_read_group(ice, self.tee, &group[..pending], t)?;
-            pending = 0;
-        }
+        let tee = self.tee;
+        let t = issue_grouped(
+            batch.input_lines,
+            compute_start,
+            || self.next_input_offset(),
+            |off, at| ice.mem_read(tee, off, at),
+        )?;
         // Staged-table lookups: partitioned probing within cache-sized
         // windows (the refetch pages were prefetched with the loads).
-        for _ in 0..batch.staged_reads {
-            group[pending] = self.random_staged();
-            pending += 1;
-            if pending == MLP {
-                t = mem_read_group(ice, self.tee, &group[..pending], t)?;
-                pending = 0;
-            }
-        }
-        if pending > 0 {
-            t = mem_read_group(ice, self.tee, &group[..pending], t)?;
-            pending = 0;
-        }
-        for _ in 0..batch.working_reads {
-            group[pending] = self.random_working();
-            pending += 1;
-            if pending == MLP {
-                t = mem_read_group(ice, self.tee, &group[..pending], t)?;
-                pending = 0;
-            }
-        }
-        if pending > 0 {
-            t = mem_read_group(ice, self.tee, &group[..pending], t)?;
-            pending = 0;
-        }
-        for _ in 0..batch.working_writes {
-            // Transactional writes update records inside the fetched
-            // pages (the input ring); analytic writes go to the small
-            // working structures.
-            group[pending] = if batch.random_access {
-                self.rng.gen_below(self.input_line_span)
-            } else {
-                self.random_working()
-            };
-            pending += 1;
-            if pending == MLP {
-                t = mem_write_group(ice, self.tee, &group[..pending], t)?;
-                pending = 0;
-            }
-        }
-        if pending > 0 {
-            t = mem_write_group(ice, self.tee, &group[..pending], t)?;
-        }
+        let t = issue_grouped(
+            batch.staged_reads,
+            t,
+            || self.random_staged(),
+            |off, at| ice.mem_read(tee, off, at),
+        )?;
+        let t = issue_grouped(
+            batch.working_reads,
+            t,
+            || self.random_working(),
+            |off, at| ice.mem_read(tee, off, at),
+        )?;
+        // Transactional writes update records inside the fetched pages
+        // (the input ring); analytic writes go to the small working
+        // structures.
+        let t = issue_grouped(
+            batch.working_writes,
+            t,
+            || {
+                if batch.random_access {
+                    self.rng.gen_below(self.input_line_span)
+                } else {
+                    self.random_working()
+                }
+            },
+            |off, at| ice.mem_write(tee, off, at),
+        )?;
         self.mem_time += t.saturating_since(compute_start);
         let done = ice.compute(self.tee, &batch.ops, t)?;
         self.ops_time += done.saturating_since(t);
@@ -376,7 +355,7 @@ impl SsdSession {
         if batch.random_access && batch.working_writes > 0 && !lpns.is_empty() {
             let dirty = (batch.working_writes as usize).min(lpns.len());
             let ticket = ice.submit_write_batch_async(self.tee, &lpns[..dirty], done)?;
-            let commit = ice.wait_write_batch(ticket)?;
+            let commit = ice.wait_batch(ticket)?;
             self.pending_commit = self.pending_commit.max(commit.finished);
         }
         self.prev_compute_start = compute_start;
@@ -390,30 +369,22 @@ impl SsdSession {
     }
 }
 
-/// Issues up to [`MLP`] reads concurrently; completion is the latest.
-fn mem_read_group(
-    ice: &mut IceClave,
-    tee: TeeId,
-    offsets: &[u64],
-    t: SimTime,
-) -> Result<SimTime, IceClaveError> {
-    let mut end = t;
-    for &off in offsets {
-        end = end.max(ice.mem_read(tee, off, t)?);
-    }
-    Ok(end)
-}
-
-/// Issues up to [`MLP`] writes concurrently.
-fn mem_write_group(
-    ice: &mut IceClave,
-    tee: TeeId,
-    offsets: &[u64],
-    t: SimTime,
-) -> Result<SimTime, IceClaveError> {
-    let mut end = t;
-    for &off in offsets {
-        end = end.max(ice.mem_write(tee, off, t)?);
+/// Issues `count` memory accesses in groups of [`MLP`]: the accesses
+/// of a group all start when the slowest access of the previous group
+/// ends (the first group at `start`). Returns when the last access
+/// ends, or `start` when `count` is zero.
+fn issue_grouped<E>(
+    count: u64,
+    start: SimTime,
+    mut offset: impl FnMut() -> u64,
+    mut access: impl FnMut(u64, SimTime) -> Result<SimTime, E>,
+) -> Result<SimTime, E> {
+    let (mut group_start, mut end) = (start, start);
+    for issued in 1..=count {
+        end = end.max(access(offset(), group_start)?);
+        if issued % MLP == 0 {
+            group_start = end;
+        }
     }
     Ok(end)
 }
@@ -613,6 +584,9 @@ fn run_host(
         SimDuration::from_ps(((bytes as u128 * 1_000_000_000_000u128) / bw as u128) as u64)
     };
 
+    let staged_span =
+        ((staged.cache_lines() as f64 * wl_config.scale_factor()) as u64).clamp(64, 16_384);
+
     let stream_anchor = run_start;
     for batch in batches {
         // Same issue discipline as the SSD side: scans prefetch, random
@@ -671,67 +645,37 @@ fn run_host(
             // Enclave boundary crossing per batch (ecall + ocall).
             t += sgx.transition_time(&core, 2);
         }
-        let mut issued = 0usize;
-        let mut group_start = t;
-        let mut group_end = t;
-        for _ in 0..batch.input_lines {
-            let off = input_cursor % input_line_span;
-            input_cursor += 1;
-            group_end = group_end.max(mee.read_line(&mut dram, CacheLine::new(off), group_start));
-            issued += 1;
-            if issued == MLP {
-                group_start = group_end;
-                issued = 0;
-            }
-        }
-        t = group_end;
+        let Ok(end) = issue_grouped(
+            batch.input_lines,
+            t,
+            || {
+                let off = input_cursor % input_line_span;
+                input_cursor += 1;
+                off
+            },
+            |off, at| Ok::<_, Infallible>(mee.read_line(&mut dram, CacheLine::new(off), at)),
+        );
         // Staged lookups (refetch pages prefetched with the loads;
         // partitioned probing within cache-sized windows).
-        if batch.staged_reads > 0 {
-            let staged_span = ((workload.staged_bytes().cache_lines() as f64
-                * wl_config.scale_factor()) as u64)
-                .clamp(64, 16_384);
-            let mut issued = 0usize;
-            let mut group_start = t;
-            let mut group_end = t;
-            for _ in 0..batch.staged_reads {
-                let off = working_line_base + rng.gen_below(staged_span);
-                group_end =
-                    group_end.max(mee.read_line(&mut dram, CacheLine::new(off), group_start));
-                issued += 1;
-                if issued == MLP {
-                    group_start = group_end;
-                    issued = 0;
-                }
-            }
-            t = group_end;
-        }
-        let mut issued = 0usize;
-        let mut group_start = t;
-        let mut group_end = t;
-        for _ in 0..batch.working_reads {
-            let off = working_line_base + rng.gen_below(working_line_span);
-            group_end = group_end.max(mee.read_line(&mut dram, CacheLine::new(off), group_start));
-            issued += 1;
-            if issued == MLP {
-                group_start = group_end;
-                issued = 0;
-            }
-        }
-        t = group_end;
-        let mut issued = 0usize;
-        let mut group_start = t;
-        let mut group_end = t;
-        for _ in 0..batch.working_writes {
-            let off = working_line_base + rng.gen_below(working_line_span);
-            group_end = group_end.max(mee.write_line(&mut dram, CacheLine::new(off), group_start));
-            issued += 1;
-            if issued == MLP {
-                group_start = group_end;
-                issued = 0;
-            }
-        }
-        t = group_end;
+        let Ok(end) = issue_grouped(
+            batch.staged_reads,
+            end,
+            || working_line_base + rng.gen_below(staged_span),
+            |off, at| Ok::<_, Infallible>(mee.read_line(&mut dram, CacheLine::new(off), at)),
+        );
+        let Ok(end) = issue_grouped(
+            batch.working_reads,
+            end,
+            || working_line_base + rng.gen_below(working_line_span),
+            |off, at| Ok::<_, Infallible>(mee.read_line(&mut dram, CacheLine::new(off), at)),
+        );
+        let Ok(end) = issue_grouped(
+            batch.working_writes,
+            end,
+            || working_line_base + rng.gen_below(working_line_span),
+            |off, at| Ok::<_, Infallible>(mee.write_line(&mut dram, CacheLine::new(off), at)),
+        );
+        t = end;
         if let Some(sgx) = &sgx {
             // EPC paging once the streamed enclave data exceeds the EPC.
             let before = sgx.paging_time(&core, touched);

@@ -38,14 +38,12 @@
 
 pub mod clock;
 pub mod event;
-pub mod pipeline;
 pub mod resource;
 pub mod rng;
 pub mod stats;
 
 pub use clock::EventClock;
 pub use event::{HeapKeyedEventQueue, KeyedEventQueue};
-pub use pipeline::Pipeline;
 pub use resource::{Resource, ResourcePool, ServiceSpan};
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, RunningStats};

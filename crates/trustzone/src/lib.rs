@@ -44,7 +44,6 @@
 pub mod attributes;
 pub mod map;
 pub mod monitor;
-pub mod riscv;
 
 pub use attributes::{AccessType, PageAttributes, Region, World};
 pub use map::{MemoryMap, ProtectionFault, RegionError};

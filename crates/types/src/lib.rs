@@ -44,10 +44,7 @@ pub use attrib::TicketAttribution;
 pub use fault::{FaultStats, PageError, PageErrorCause, RecoveryStats};
 pub use freq::Hertz;
 pub use hash::{FastMap, FastSet, FxHasher};
-pub use request::{
-    BatchCompletion, PageCompletion, PageWrite, WriteBatchCompletion, WriteBatchRequest,
-    WritePageCompletion, WritePageRequest,
-};
+pub use request::{BatchCompletion, PageWrite, WriteBatchRequest, WritePageRequest};
 pub use size::ByteSize;
 pub use tee::{TeeId, TeeIdError};
 pub use ticket::{CompletionEvent, LatencyBreakdown, PageStatus, Ticket, TicketKind};

@@ -3,53 +3,30 @@
 //! IceClave's evaluation (Figures 12–13) rests on flash *channel
 //! parallelism*: an in-storage program asks for many pages at once and
 //! the device overlaps their cell reads, bus transfers, decryption and
-//! MEE fills. A read batch is submitted as a slice of logical pages and
-//! comes back as a [`BatchCompletion`] with per-page ready times (and
-//! plaintext, when functional content exists); a write batch travels
-//! as a [`WriteBatchRequest`] and comes back as a
-//! [`WriteBatchCompletion`] with per-page durable times.
+//! MEE fills. A read batch is submitted as a slice of logical pages, a
+//! write batch as [`PageWrite`]s (the FTL sees it as a
+//! [`WriteBatchRequest`]); waiting on either ticket returns a
+//! [`BatchCompletion`] holding each page's [`CompletionEvent`], whose
+//! `ready_at()` is the read page's fill or the written page's durable
+//! time.
 
 use crate::addr::Lpn;
-use crate::ticket::PageStatus;
+use crate::ticket::CompletionEvent;
 use crate::time::{SimDuration, SimTime};
 
-/// The completion record of one page of a batch.
-#[derive(Clone, Eq, PartialEq, Debug)]
-pub struct PageCompletion {
-    /// The logical page that was read.
-    pub lpn: Lpn,
-    /// When the page's verified plaintext sits in the TEE's input
-    /// buffer (flash read + decryption + MEE fill all done).
-    pub ready_at: SimTime,
-    /// The deciphered page content, when functional data was stored at
-    /// the physical page (timing-only simulations carry `None`; failed
-    /// pages always carry `None`).
-    pub data: Option<Vec<u8>>,
-    /// Whether the page completed or degraded to a per-page failure.
-    pub status: PageStatus,
-}
-
-/// The completion of a whole batch.
+/// The completion of a whole read or write batch.
 #[derive(Clone, Eq, PartialEq, Debug)]
 pub struct BatchCompletion {
     /// When the batch was submitted.
     pub issued: SimTime,
-    /// When the last page of the batch completed.
+    /// When the last page of the batch completed (for writes: every
+    /// page was durable and the secure world was exited).
     pub finished: SimTime,
-    /// Per-page completions, in request order.
-    pub completions: Vec<PageCompletion>,
+    /// Per-page completion events, in page order.
+    pub completions: Vec<CompletionEvent>,
 }
 
 impl BatchCompletion {
-    /// An empty completion for an empty batch.
-    pub fn empty(now: SimTime) -> Self {
-        BatchCompletion {
-            issued: now,
-            finished: now,
-            completions: Vec::new(),
-        }
-    }
-
     /// Number of completed pages.
     pub fn len(&self) -> usize {
         self.completions.len()
@@ -142,68 +119,9 @@ impl PageWrite {
     }
 }
 
-/// The completion record of one page of a write batch.
-#[derive(Copy, Clone, Eq, PartialEq, Debug)]
-pub struct WritePageCompletion {
-    /// The logical page that was written.
-    pub lpn: Lpn,
-    /// When the page is durable: flash program finished and the MEE's
-    /// counter-increment + MAC generation (overlapped with the channel
-    /// programs) has drained.
-    pub durable_at: SimTime,
-    /// Whether the page is durable or degraded to a per-page failure.
-    pub status: PageStatus,
-}
-
-/// The completion of a whole write batch.
-#[derive(Clone, Eq, PartialEq, Debug)]
-pub struct WriteBatchCompletion {
-    /// When the batch was submitted.
-    pub issued: SimTime,
-    /// When every page was durable and the secure world was exited.
-    pub finished: SimTime,
-    /// Per-page completions, in request order.
-    pub completions: Vec<WritePageCompletion>,
-}
-
-impl WriteBatchCompletion {
-    /// An empty completion for an empty batch.
-    pub fn empty(now: SimTime) -> Self {
-        WriteBatchCompletion {
-            issued: now,
-            finished: now,
-            completions: Vec::new(),
-        }
-    }
-
-    /// Number of completed pages.
-    pub fn len(&self) -> usize {
-        self.completions.len()
-    }
-
-    /// True when no pages were requested.
-    pub fn is_empty(&self) -> bool {
-        self.completions.is_empty()
-    }
-
-    /// End-to-end simulated latency of the batch.
-    pub fn latency(&self) -> SimDuration {
-        self.finished.saturating_since(self.issued)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_completion_has_zero_latency() {
-        let t = SimTime::ZERO + SimDuration::from_micros(5);
-        let done = BatchCompletion::empty(t);
-        assert!(done.is_empty());
-        assert_eq!(done.len(), 0);
-        assert_eq!(done.latency(), SimDuration::ZERO);
-    }
 
     #[test]
     fn latency_spans_issue_to_finish() {
@@ -212,13 +130,10 @@ mod tests {
         let done = BatchCompletion {
             issued,
             finished,
-            completions: vec![PageCompletion {
-                lpn: Lpn::new(1),
-                ready_at: finished,
-                data: None,
-                status: PageStatus::Done,
-            }],
+            completions: Vec::new(),
         };
+        assert!(done.is_empty());
+        assert_eq!(done.len(), 0);
         assert_eq!(done.latency(), SimDuration::from_micros(80));
     }
 
@@ -239,30 +154,5 @@ mod tests {
         assert_eq!(PageWrite::new(Lpn::new(1)).data, None);
         let w = PageWrite::with_data(Lpn::new(2), vec![7; 8]);
         assert_eq!(w.data.as_deref(), Some(&[7u8; 8][..]));
-    }
-
-    #[test]
-    fn empty_write_completion_has_zero_latency() {
-        let t = SimTime::ZERO + SimDuration::from_micros(3);
-        let done = WriteBatchCompletion::empty(t);
-        assert!(done.is_empty());
-        assert_eq!(done.len(), 0);
-        assert_eq!(done.latency(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn write_latency_spans_issue_to_finish() {
-        let issued = SimTime::ZERO;
-        let finished = issued + SimDuration::from_micros(40);
-        let done = WriteBatchCompletion {
-            issued,
-            finished,
-            completions: vec![WritePageCompletion {
-                lpn: Lpn::new(9),
-                durable_at: finished,
-                status: PageStatus::Done,
-            }],
-        };
-        assert_eq!(done.latency(), SimDuration::from_micros(40));
     }
 }

@@ -31,7 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let attacker_pages: Vec<Lpn> = (8..16).map(Lpn::new).collect();
         let (_victim, t) = ice.offload_code(4096, &victim_pages, t)?;
         let (attacker, t) = ice.offload_code(4096, &attacker_pages, t)?;
-        let err = ice.read_flash_page(attacker, Lpn::new(0), t).unwrap_err();
+        let err = ice
+            .submit_batch_async(attacker, &[Lpn::new(0)], t)
+            .unwrap_err();
         assert!(matches!(
             err,
             IceClaveError::Ftl(FtlError::AccessDenied { .. })

@@ -26,7 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. The in-storage program streams its input through the Trivium
     //    engine into MEE-protected DRAM and computes.
     for i in 0..pages {
-        t = ice.read_flash_page(tee, Lpn::new(i), t)?;
+        let ticket = ice.submit_batch_async(tee, &[Lpn::new(i)], t)?;
+        t = ice.wait_batch(ticket)?.finished;
     }
     let mut ops = OpCounts::new();
     ops.add(OpClass::ScanTuple, pages * 64);

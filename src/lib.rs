@@ -68,19 +68,23 @@
 //!  poll_completions(now)   drains ready events in the documented
 //!                          drain order (see the
 //!                          iceclave_exec::completion module docs)
-//!  wait_batch(ticket)      blocking wrappers = submit + drain one
-//!                          ticket (submit_batch/submit_write_batch
-//!                          are exactly this)
+//!  wait_batch(ticket)      runs one ticket, read or write, to its
+//!                          close and returns its events in page
+//!                          order
 //! ```
 //!
-//! **Ticket lifecycle.** `submit_*_async` runs the atomic access
+//! **Ticket lifecycle.** Four calls submit — `submit_batch_async`,
+//! `submit_write_batch_async` and their `_as` forms, which take a fill
+//! class or payloads — and one waits. A submit runs the atomic access
 //! check and returns a [`iceclave_types::Ticket`]; the batch then
 //! advances only as the executor processes events —
 //! `poll_completions(now)` advances the event clock to `now` and
 //! drains every [`iceclave_types::CompletionEvent`] (per-page status
 //! plus [`iceclave_types::LatencyBreakdown`]) that became ready;
-//! `wait_batch`/`wait_write_batch` run the heap until one ticket
-//! closes. Completions drain in the documented stable order (single
+//! `wait_batch` runs the heap until one ticket closes and returns the
+//! same events as a [`iceclave_types::BatchCompletion`]. A page's
+//! `ready_at()` is its fill time on a read and its durable time on a
+//! write. Completions drain in the documented stable order (single
 //! source of truth: the [`iceclave_exec::completion`] module docs) —
 //! regression-tested, so identical runs produce identical completion
 //! sequences. Tickets in flight together have **no ordering
@@ -89,7 +93,7 @@
 //! drain a ticket before submitting work that depends on it.
 //! `tests/exec_interleaving.rs` holds the executor acceptance
 //! criteria (two concurrent 32-page batches on 16 channels beat
-//! back-to-back blocking while staying byte-identical) and
+//! the same two waited back to back while staying byte-identical) and
 //! `tests/exec_equivalence.rs` the interleaving/sequential
 //! equivalence proptest.
 //!

@@ -1,9 +1,10 @@
 //! Batch/sequential equivalence of the protected data path.
 //!
-//! `IceClave::submit_batch` must be a *pure scheduling* change: the
+//! One read ticket over a page set (`IceClave::submit_batch_async`,
+//! then `IceClave::wait_batch`) must be a *pure scheduling* change: the
 //! bytes delivered, the access-control outcomes and the runtime
-//! counters are identical to issuing the same pages one at a time —
-//! only the simulated time differs (and only downward).
+//! counters are identical to issuing the same pages one ticket at a
+//! time — only the simulated time differs (and only downward).
 
 use iceclave_repro::iceclave_core::{
     AbortReason, IceClave, IceClaveConfig, IceClaveError, TeeStatus,
@@ -33,17 +34,22 @@ fn batch_matches_sequential_bytes_and_stats() {
 
     // One batch of N pages...
     let (mut batched, tee_b, t_b) = setup(IceClaveConfig::tiny());
-    let batch = batched.submit_batch(tee_b, &lpns, t_b).unwrap();
+    let batch = batched
+        .submit_batch_async(tee_b, &lpns, t_b)
+        .and_then(|tk| batched.wait_batch(tk))
+        .unwrap();
     assert_eq!(batch.len(), PAGES as usize);
 
-    // ...versus N sequential one-page reads (read_flash_page is the
-    // one-element wrapper over the same path; the single-element
-    // batches expose the bytes for comparison).
+    // ...versus N sequential one-page tickets, each waited before the
+    // next is submitted.
     let (mut sequential, tee_s, t_s) = setup(IceClaveConfig::tiny());
     let mut seq_completions = Vec::new();
     let mut t = t_s;
     for &lpn in &lpns {
-        let one = sequential.submit_batch(tee_s, &[lpn], t).unwrap();
+        let one = sequential
+            .submit_batch_async(tee_s, &[lpn], t)
+            .and_then(|tk| sequential.wait_batch(tk))
+            .unwrap();
         t = one.finished;
         seq_completions.extend(one.completions);
     }
@@ -75,16 +81,6 @@ fn batch_matches_sequential_bytes_and_stats() {
 }
 
 #[test]
-fn read_flash_page_is_a_one_element_batch() {
-    let (mut a, tee_a, t_a) = setup(IceClaveConfig::tiny());
-    let (mut b, tee_b, t_b) = setup(IceClaveConfig::tiny());
-    assert_eq!(t_a, t_b);
-    let wrapper_done = a.read_flash_page(tee_a, Lpn::new(3), t_a).unwrap();
-    let batch_done = b.submit_batch(tee_b, &[Lpn::new(3)], t_b).unwrap().finished;
-    assert_eq!(wrapper_done, batch_done);
-}
-
-#[test]
 fn batch_with_foreign_page_throws_the_tee_out() {
     // The TEE owns pages 0..PAGES; page `PAGES` exists but belongs to
     // nobody — a batch touching it must abort the whole TEE before any
@@ -97,7 +93,7 @@ fn batch_with_foreign_page_throws_the_tee_out() {
     let mut probe = lpns.clone();
     probe.push(Lpn::new(PAGES)); // out of the granted region
     let flash_reads_before = ice.platform().ftl.flash().stats().reads;
-    let err = ice.submit_batch(tee, &probe, t).unwrap_err();
+    let err = ice.submit_batch_async(tee, &probe, t).unwrap_err();
     assert!(matches!(
         err,
         IceClaveError::Ftl(FtlError::AccessDenied { lpn, .. }) if lpn == Lpn::new(PAGES)
@@ -112,7 +108,7 @@ fn batch_with_foreign_page_throws_the_tee_out() {
     assert_eq!(ice.platform().ftl.flash().stats().reads, flash_reads_before);
     // A dead TEE cannot submit again.
     assert!(matches!(
-        ice.submit_batch(tee, &lpns, t),
+        ice.submit_batch_async(tee, &lpns, t),
         Err(IceClaveError::NotRunning(_))
     ));
 }
@@ -130,7 +126,10 @@ fn channel_sweep_strictly_reduces_batch_latency() {
         let mut ice = IceClave::new(config);
         let t = ice.populate(Lpn::new(0), pages, SimTime::ZERO).unwrap();
         let (tee, t) = ice.offload_code(64 << 10, &lpns, t).unwrap();
-        let done = ice.submit_batch(tee, &lpns, t).unwrap();
+        let done = ice
+            .submit_batch_async(tee, &lpns, t)
+            .and_then(|tk| ice.wait_batch(tk))
+            .unwrap();
         latencies.push((channels, done.latency()));
     }
     for pair in latencies.windows(2) {

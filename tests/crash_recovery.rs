@@ -6,7 +6,7 @@
 //!
 //! * An **empty power-loss plan is invisible**: arming the injector
 //!   with no cut changes no event of a run, bit for bit.
-//! * **Acked ⇒ durable**: any write batch whose blocking submit
+//! * **Acked ⇒ durable**: any write ticket whose `wait_batch`
 //!   returned `Ok` is readable byte-exact after a crash at *any*
 //!   later event and a reboot through `IceClave::recover`.
 //! * **Unacked writes are atomic**: a batch interrupted by the cut is
@@ -109,8 +109,8 @@ struct RunOutcome {
     crashed: bool,
 }
 
-/// Runs `ops` through the blocking wrappers until completion or the
-/// first [`IceClaveError::PowerLost`]. Reads double as an oracle
+/// Runs `ops` (each ticket submitted, then waited) until completion or
+/// the first [`IceClaveError::PowerLost`]. Reads double as an oracle
 /// check: pre-crash reads must observe exactly the committed bytes.
 fn run_schedule(ice: &mut IceClave, tees: [TeeId; 2], ops: &[Op], mut t: SimTime) -> RunOutcome {
     let mut committed: HashMap<u64, Vec<u8>> = (0..PAGES).map(|l| (l, payload(l, 0))).collect();
@@ -127,7 +127,10 @@ fn run_schedule(ice: &mut IceClave, tees: [TeeId; 2], ops: &[Op], mut t: SimTime
                 .iter()
                 .map(|&l| PageWrite::with_data(Lpn::new(l), payload(l, ver)))
                 .collect();
-            match ice.submit_write_batch_as(tees[op.tenant], writes, t) {
+            match ice
+                .submit_write_batch_async_as(tees[op.tenant], writes, t)
+                .and_then(|tk| ice.wait_batch(tk))
+            {
                 Ok(done) => {
                     assert!(done.completions.iter().all(|c| c.status.is_done()));
                     t = done.finished;
@@ -150,7 +153,10 @@ fn run_schedule(ice: &mut IceClave, tees: [TeeId; 2], ops: &[Op], mut t: SimTime
             }
         } else {
             let batch: Vec<Lpn> = lpns.iter().map(|&l| Lpn::new(l)).collect();
-            match ice.submit_batch(tees[op.tenant], &batch, t) {
+            match ice
+                .submit_batch_async(tees[op.tenant], &batch, t)
+                .and_then(|tk| ice.wait_batch(tk))
+            {
                 Ok(done) => {
                     for c in &done.completions {
                         assert_eq!(
@@ -248,7 +254,7 @@ proptest! {
         let t = run.t + stats.recovery_time;
         let all: Vec<Lpn> = (0..PAGES).map(Lpn::new).collect();
         let (tee, t) = ice.offload_code(1024, &all, t).unwrap();
-        let done = ice.submit_batch(tee, &all, t).unwrap();
+        let done = ice.submit_batch_async(tee, &all, t).and_then(|tk| ice.wait_batch(tk)).unwrap();
         prop_assert_eq!(done.len(), PAGES as usize);
         let mut new_seen = 0usize;
         let mut old_seen = 0usize;
@@ -295,7 +301,10 @@ proptest! {
         let writes: Vec<PageWrite> = (0..4)
             .map(|l| PageWrite::with_data(Lpn::new(l), payload(l, 1)))
             .collect();
-        let done = ice.submit_write_batch_as(tee, writes, t).unwrap();
+        let done = ice
+            .submit_write_batch_async_as(tee, writes, t)
+            .and_then(|tk| ice.wait_batch(tk))
+            .unwrap();
         let t = done.finished;
         let (r2, p2) = {
             let j = ice.platform().ftl.journal().unwrap();
@@ -337,7 +346,10 @@ proptest! {
         let t = t + stats.recovery_time;
         let survivors: Vec<Lpn> = (4..8).map(Lpn::new).collect();
         let (tee, t) = ice.offload_code(1024, &survivors, t).unwrap();
-        let done = ice.submit_batch(tee, &survivors, t).unwrap();
+        let done = ice
+            .submit_batch_async(tee, &survivors, t)
+            .and_then(|tk| ice.wait_batch(tk))
+            .unwrap();
         for c in &done.completions {
             prop_assert!(c.status.is_done());
             prop_assert_eq!(c.data.as_deref(), Some(&payload(c.lpn.raw(), 0)[..]));
@@ -348,7 +360,10 @@ proptest! {
             let ver = u64::from(stats.records_replayed == r2);
             let rewritten: Vec<Lpn> = (0..4).map(Lpn::new).collect();
             let (tee, t) = ice.offload_code(1024, &rewritten, t).unwrap();
-            let done = ice.submit_batch(tee, &rewritten, t).unwrap();
+            let done = ice
+                .submit_batch_async(tee, &rewritten, t)
+                .and_then(|tk| ice.wait_batch(tk))
+                .unwrap();
             for c in &done.completions {
                 prop_assert_eq!(c.data.as_deref(), Some(&payload(c.lpn.raw(), ver)[..]));
             }
@@ -365,7 +380,10 @@ fn crash_mid_write_bricks_the_device_until_recover() {
     let writes: Vec<PageWrite> = (0..4)
         .map(|l| PageWrite::with_data(Lpn::new(l), payload(l, 1)))
         .collect();
-    let err = ice.submit_write_batch_as(tee, writes, t).unwrap_err();
+    let err = ice
+        .submit_write_batch_async_as(tee, writes, t)
+        .and_then(|tk| ice.wait_batch(tk))
+        .unwrap_err();
     assert!(matches!(err, IceClaveError::PowerLost));
     assert!(ice.power_lost());
 
@@ -376,7 +394,8 @@ fn crash_mid_write_bricks_the_device_until_recover() {
         Err(IceClaveError::PowerLost)
     ));
     assert!(matches!(
-        ice.submit_batch(tee, &[Lpn::new(0)], t),
+        ice.submit_batch_async(tee, &[Lpn::new(0)], t)
+            .and_then(|tk| ice.wait_batch(tk)),
         Err(IceClaveError::PowerLost)
     ));
     assert!(matches!(ice.shutdown(t), Err(IceClaveError::PowerLost)));
@@ -396,7 +415,10 @@ fn crash_mid_write_bricks_the_device_until_recover() {
     let t = t + stats.recovery_time;
     let all: Vec<Lpn> = (0..8).map(Lpn::new).collect();
     let (tee, t) = ice.offload_code(1024, &all, t).unwrap();
-    let done = ice.submit_batch(tee, &all, t).unwrap();
+    let done = ice
+        .submit_batch_async(tee, &all, t)
+        .and_then(|tk| ice.wait_batch(tk))
+        .unwrap();
     for c in &done.completions {
         assert_eq!(c.data.as_deref(), Some(&payload(c.lpn.raw(), 0)[..]));
     }
@@ -408,7 +430,10 @@ fn clean_shutdown_boots_on_the_fast_path() {
     let writes: Vec<PageWrite> = (0..4)
         .map(|l| PageWrite::with_data(Lpn::new(l), payload(l, 1)))
         .collect();
-    let done = ice.submit_write_batch_as(tee, writes, t).unwrap();
+    let done = ice
+        .submit_write_batch_async_as(tee, writes, t)
+        .and_then(|tk| ice.wait_batch(tk))
+        .unwrap();
     let epoch = ice.counter_epoch();
     assert!(epoch >= 1);
 
@@ -426,7 +451,10 @@ fn clean_shutdown_boots_on_the_fast_path() {
     let t = t + stats.recovery_time;
     let all: Vec<Lpn> = (0..8).map(Lpn::new).collect();
     let (tee, t) = ice.offload_code(1024, &all, t).unwrap();
-    let done = ice.submit_batch(tee, &all, t).unwrap();
+    let done = ice
+        .submit_batch_async(tee, &all, t)
+        .and_then(|tk| ice.wait_batch(tk))
+        .unwrap();
     for c in &done.completions {
         let ver = u64::from(c.lpn.raw() < 4);
         assert_eq!(c.data.as_deref(), Some(&payload(c.lpn.raw(), ver)[..]));
@@ -451,7 +479,10 @@ fn counter_rollback_is_rejected_at_recovery() {
     let writes: Vec<PageWrite> = (0..4)
         .map(|l| PageWrite::with_data(Lpn::new(l), payload(l, 1)))
         .collect();
-    let done = ice.submit_write_batch_as(tee, writes, t).unwrap();
+    let done = ice
+        .submit_write_batch_async_as(tee, writes, t)
+        .and_then(|tk| ice.wait_batch(tk))
+        .unwrap();
     assert!(ice.counter_epoch() >= 1);
 
     // A rollback attack: a stale epoch seal forged onto the journal
@@ -476,7 +507,10 @@ fn retired_blocks_survive_recovery_and_never_reallocate() {
     let writes: Vec<PageWrite> = (0..8)
         .map(|l| PageWrite::with_data(Lpn::new(l), payload(l, 1)))
         .collect();
-    let done = ice.submit_write_batch_as(tee, writes, t).unwrap();
+    let done = ice
+        .submit_write_batch_async_as(tee, writes, t)
+        .and_then(|tk| ice.wait_batch(tk))
+        .unwrap();
     assert!(done.completions.iter().all(|c| c.status.is_done()));
     let t = done.finished;
     let retired = ice.platform().ftl.grown_bad_blocks();
@@ -503,7 +537,10 @@ fn retired_blocks_survive_recovery_and_never_reallocate() {
         let writes: Vec<PageWrite> = (0..8)
             .map(|l| PageWrite::with_data(Lpn::new(l), payload(l, round)))
             .collect();
-        let done = ice.submit_write_batch_as(tee, writes, t).unwrap();
+        let done = ice
+            .submit_write_batch_async_as(tee, writes, t)
+            .and_then(|tk| ice.wait_batch(tk))
+            .unwrap();
         assert!(done.completions.iter().all(|c| c.status.is_done()));
         t = done.finished;
     }
@@ -514,7 +551,10 @@ fn retired_blocks_survive_recovery_and_never_reallocate() {
     );
     assert_eq!(ice.platform().ftl.grown_bad_blocks(), vec![flat]);
     // The churned data still reads back byte-exact.
-    let done = ice.submit_batch(tee, &all, t).unwrap();
+    let done = ice
+        .submit_batch_async(tee, &all, t)
+        .and_then(|tk| ice.wait_batch(tk))
+        .unwrap();
     for c in &done.completions {
         assert_eq!(c.data.as_deref(), Some(&payload(c.lpn.raw(), 7)[..]));
     }
@@ -530,7 +570,10 @@ fn seeded_power_plans_are_deterministic() {
             let writes: Vec<PageWrite> = (0..8)
                 .map(|l| PageWrite::with_data(Lpn::new(l), payload(l, round)))
                 .collect();
-            match ice.submit_write_batch_as(tee, writes, t) {
+            match ice
+                .submit_write_batch_async_as(tee, writes, t)
+                .and_then(|tk| ice.wait_batch(tk))
+            {
                 Ok(done) => t = done.finished,
                 Err(IceClaveError::PowerLost) => {
                     crashed = true;

@@ -54,7 +54,11 @@ fn full_tee_lifecycle_with_many_tees() {
             live.push((tee, lpns));
         }
         for (tee, lpns) in &live {
-            t = ice.read_flash_page(*tee, lpns[0], t).unwrap();
+            t = ice
+                .submit_batch_async(*tee, &lpns[..1], t)
+                .and_then(|tk| ice.wait_batch(tk))
+                .unwrap()
+                .finished;
             t = ice.mem_write(*tee, 1000, t).unwrap();
             t = ice.mem_read(*tee, 1000, t).unwrap();
         }
@@ -86,7 +90,7 @@ fn terminated_tee_pages_are_not_accessible_by_next_owner_of_id() {
     let (b, t3) = ice.offload_code(1024, &b_pages, t).unwrap();
     t = t3;
     assert_eq!(a.raw(), b.raw(), "id should be recycled (LIFO)");
-    let err = ice.read_flash_page(b, Lpn::new(0), t).unwrap_err();
+    let err = ice.submit_batch_async(b, &[Lpn::new(0)], t).unwrap_err();
     assert!(
         matches!(err, IceClaveError::Ftl(FtlError::AccessDenied { .. })),
         "recycled id must not inherit old grants: {err}"

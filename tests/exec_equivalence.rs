@@ -3,7 +3,8 @@
 //! Any interleaving of concurrent read/write batches from two TEEs
 //! through the executor must yield byte-identical page contents and an
 //! identical `valid_pages` count to running the same batches
-//! sequentially through the blocking API. Concurrent tickets target
+//! sequentially, each ticket waited before the next is submitted.
+//! Concurrent tickets target
 //! disjoint pages (the executor's documented in-flight contract: no
 //! ordering guarantees between tickets in flight, so well-formed
 //! clients never race dependent pages) — but reads do observe content
@@ -145,7 +146,8 @@ proptest! {
             for (tee, reads, _) in &plan {
                 if !reads.is_empty() {
                     let done = block_ice
-                        .submit_batch(block_tees[*tee], reads, t_block)
+                        .submit_batch_async(block_tees[*tee], reads, t_block)
+                        .and_then(|tk| block_ice.wait_batch(tk))
                         .unwrap();
                     for page in &done.completions {
                         prop_assert_eq!(
@@ -166,7 +168,8 @@ proptest! {
                         .map(|&l| PageWrite::with_data(l, written(round, l.raw())))
                         .collect();
                     let done = block_ice
-                        .submit_write_batch_as(block_tees[*tee], pw, t_block)
+                        .submit_write_batch_async_as(block_tees[*tee], pw, t_block)
+                        .and_then(|tk| block_ice.wait_batch(tk))
                         .unwrap();
                     t_block = t_block.max(done.finished);
                 }
@@ -193,10 +196,12 @@ proptest! {
             let base = tee as u64 * TEE_PAGES;
             let lpns: Vec<Lpn> = (base..base + TEE_PAGES).map(Lpn::new).collect();
             let from_exec = exec_ice
-                .submit_batch(exec_tees[tee], &lpns, t_exec)
+                .submit_batch_async(exec_tees[tee], &lpns, t_exec)
+                .and_then(|tk| exec_ice.wait_batch(tk))
                 .unwrap();
             let from_block = block_ice
-                .submit_batch(block_tees[tee], &lpns, t_block)
+                .submit_batch_async(block_tees[tee], &lpns, t_block)
+                .and_then(|tk| block_ice.wait_batch(tk))
                 .unwrap();
             for (e, b) in from_exec.completions.iter().zip(&from_block.completions) {
                 prop_assert_eq!(e.lpn, b.lpn);

@@ -4,16 +4,18 @@
 //!
 //! * Two concurrently submitted 32-page batches on a 16-channel device
 //!   must complete in measurably less total simulated time than the
-//!   same two batches run back-to-back through the blocking API, while
-//!   the delivered bytes stay identical.
+//!   same two batches run back-to-back (each waited before the next is
+//!   submitted), while the delivered bytes stay identical.
 //! * Completion sequences are deterministic, and same-tick completions
 //!   drain in the documented *(ticket id, page index)* order.
+//! * `wait_batch` returns exactly the events a drain would deliver for
+//!   its ticket, read or write.
 
 use iceclave_repro::iceclave_core::{AbortReason, IceClave, IceClaveError, TeeStatus};
 use iceclave_repro::iceclave_experiments::{Mode, Overrides};
 use iceclave_repro::iceclave_ftl::FtlError;
 use iceclave_repro::iceclave_types::{
-    CompletionEvent, Lpn, PageStatus, PageWrite, SimTime, TeeId, TicketKind,
+    CompletionEvent, Lpn, PageStatus, PageWrite, SimTime, TeeId, Ticket, TicketKind,
 };
 
 const BATCH: u64 = 32;
@@ -44,11 +46,18 @@ fn setup(channels: u32) -> (IceClave, TeeId, TeeId, Vec<Lpn>, Vec<Lpn>, SimTime)
 
 #[test]
 fn concurrent_batches_beat_back_to_back_blocking() {
-    // Back-to-back through the blocking API: B only enters the device
-    // once A's last page sits in its input ring.
+    // Back-to-back, each ticket waited before the next is submitted:
+    // B only enters the device once A's last page sits in its input
+    // ring.
     let (mut blocking, tee_a, tee_b, a_lpns, b_lpns, t0) = setup(16);
-    let a = blocking.submit_batch(tee_a, &a_lpns, t0).unwrap();
-    let b = blocking.submit_batch(tee_b, &b_lpns, a.finished).unwrap();
+    let a = blocking
+        .submit_batch_async(tee_a, &a_lpns, t0)
+        .and_then(|tk| blocking.wait_batch(tk))
+        .unwrap();
+    let b = blocking
+        .submit_batch_async(tee_b, &b_lpns, a.finished)
+        .and_then(|tk| blocking.wait_batch(tk))
+        .unwrap();
     let blocking_total = b.finished.saturating_since(t0);
 
     // Concurrently through the executor: both tickets in flight at t0,
@@ -281,24 +290,63 @@ fn wait_after_partial_poll_is_an_explicit_error() {
     ));
 }
 
-/// The blocking calls are thin wrappers: submit-async + wait equals
-/// the blocking call on an identical device, bit for bit.
-#[test]
-fn blocking_wrapper_equals_manual_submit_and_wait() {
-    let (mut via_wrapper, tee_a, _t, a_lpns, _b, t0) = setup(8);
-    let (mut via_async, tee_a2, _t2, a_lpns2, _b2, _) = setup(8);
-    let blocking = via_wrapper.submit_batch(tee_a, &a_lpns, t0).unwrap();
-    let ticket = via_async.submit_batch_async(tee_a2, &a_lpns2, t0).unwrap();
-    let waited = via_async.wait_batch(ticket).unwrap();
-    assert_eq!(blocking, waited);
+/// Drains the whole completion queue and keeps `ticket`'s events, in
+/// page order.
+fn drained_events(ice: &mut IceClave, ticket: Ticket) -> Vec<CompletionEvent> {
+    let mut events: Vec<CompletionEvent> = ice
+        .drain_completions()
+        .into_iter()
+        .filter(|e| e.ticket == ticket)
+        .collect();
+    events.sort_by_key(|e| e.index);
+    events
+}
 
-    let writes: Vec<PageWrite> = a_lpns.iter().map(|&l| PageWrite::new(l)).collect();
-    let blocking_w = via_wrapper
-        .submit_write_batch_as(tee_a, writes.clone(), blocking.finished)
+/// Waiting on a ticket hands back the very events the completion queue
+/// would have drained for it, read or write, in page order — and the
+/// batch finishes no earlier than any of its pages.
+#[test]
+fn wait_batch_returns_the_drained_events_of_its_ticket() {
+    let (mut waiting, tee_w, _tb, lpns_w, _bl, t0) = setup(8);
+    let (mut draining, tee_d, _tb2, lpns_d, _bl2, t1) = setup(8);
+    assert_eq!(t0, t1, "identical setups share a clock");
+
+    let read = waiting
+        .submit_batch_async(tee_w, &lpns_w, t0)
+        .and_then(|tk| waiting.wait_batch(tk))
         .unwrap();
-    let ticket_w = via_async
-        .submit_write_batch_async_as(tee_a2, writes, waited.finished)
+    let ticket = draining.submit_batch_async(tee_d, &lpns_d, t1).unwrap();
+    let read_events = drained_events(&mut draining, ticket);
+
+    let t2 = read.finished;
+    let write = waiting
+        .submit_write_batch_async(tee_w, &lpns_w, t2)
+        .and_then(|tk| waiting.wait_batch(tk))
         .unwrap();
-    let waited_w = via_async.wait_write_batch(ticket_w).unwrap();
-    assert_eq!(blocking_w, waited_w);
+    let ticket = draining
+        .submit_write_batch_async(tee_d, &lpns_d, t2)
+        .unwrap();
+    let write_events = drained_events(&mut draining, ticket);
+
+    for (kind, done, events) in [
+        (TicketKind::Read, &read, &read_events),
+        (TicketKind::Write, &write, &write_events),
+    ] {
+        assert_eq!(events.len(), BATCH as usize, "{kind:?}");
+        assert!(events.iter().all(|e| e.kind == kind && e.status.is_done()));
+        assert_eq!(&done.completions, events, "{kind:?}");
+        for event in events {
+            assert!(
+                done.finished >= event.ready_at(),
+                "{kind:?} page {} ready at {} after the batch finished at {}",
+                event.index,
+                event.ready_at(),
+                done.finished
+            );
+        }
+    }
+    // Functional reads carry their plaintext through either path.
+    for event in &read_events {
+        assert_eq!(event.data.as_deref(), Some(&payload(event.lpn.raw())[..]));
+    }
 }

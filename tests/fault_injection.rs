@@ -147,7 +147,7 @@ fn batch_with_one_program_failure_completes_with_a_remap() {
         ..FaultPlan::none()
     });
     let ticket = ice.submit_write_batch_async(tee, &lpns, t).unwrap();
-    let done = ice.wait_write_batch(ticket).unwrap();
+    let done = ice.wait_batch(ticket).unwrap();
     assert_eq!(done.len(), BATCH as usize);
     // The FTL re-steered the failed page; all 64 are durable.
     assert!(done.completions.iter().all(|c| c.status.is_done()));
@@ -182,7 +182,7 @@ fn fault_recovery_is_deterministic() {
             ..FaultPlan::none()
         });
         let wt = ice.submit_write_batch_async(tee, &lpns, t).unwrap();
-        let writes = ice.wait_write_batch(wt).unwrap();
+        let writes = ice.wait_batch(wt).unwrap();
         let rt = ice.submit_batch_async(tee, &lpns, writes.finished).unwrap();
         let reads = ice.wait_batch(rt).unwrap();
         let stats = ice.stats();

@@ -136,9 +136,10 @@ proptest! {
 
     /// Interleaved protected write/read batches keep mapping
     /// consistency across garbage collection: after any interleaving
-    /// of `submit_write_batch` and `submit_batch` over a working set
-    /// that overwrites the tiny device far beyond its capacity (so GC
-    /// fires mid-run, usually mid-batch), every page still translates,
+    /// of write and read tickets (each waited before the next is
+    /// submitted) over a working set that overwrites the tiny device
+    /// far beyond its capacity (so GC fires mid-run, usually
+    /// mid-batch), every page still translates,
     /// `valid_pages` equals the working-set size, and read-back is
     /// byte-identical to the last write.
     #[test]
@@ -167,7 +168,11 @@ proptest! {
                     PageWrite::with_data(Lpn::new(l), payload)
                 })
                 .collect();
-            t = ice.submit_write_batch_as(tee, writes, t).unwrap().finished;
+            t = ice
+                .submit_write_batch_async_as(tee, writes, t)
+                .and_then(|tk| ice.wait_batch(tk))
+                .unwrap()
+                .finished;
             churn += 1;
             prop_assert!(churn < 200, "GC never fired on the tiny device");
         }
@@ -183,10 +188,17 @@ proptest! {
                         PageWrite::with_data(Lpn::new(l), payload)
                     })
                     .collect();
-                t = ice.submit_write_batch_as(tee, writes, t).unwrap().finished;
+                t = ice
+                    .submit_write_batch_async_as(tee, writes, t)
+                    .and_then(|tk| ice.wait_batch(tk))
+                    .unwrap()
+                    .finished;
             } else {
                 let reads: Vec<Lpn> = batch_lpns.iter().map(|&l| Lpn::new(l)).collect();
-                let done = ice.submit_batch(tee, &reads, t).unwrap();
+                let done = ice
+                    .submit_batch_async(tee, &reads, t)
+                    .and_then(|tk| ice.wait_batch(tk))
+                    .unwrap();
                 t = done.finished;
                 for c in &done.completions {
                     let expected = model.get(&c.lpn.raw()).expect("populated page");
@@ -204,7 +216,10 @@ proptest! {
         // and a byte-identical full read-back.
         prop_assert!(ice.platform().ftl.stats().gc_runs > 0);
         prop_assert_eq!(ice.platform().ftl.valid_pages(), WORKING_SET);
-        let done = ice.submit_batch(tee, &lpns, t).unwrap();
+        let done = ice
+            .submit_batch_async(tee, &lpns, t)
+            .and_then(|tk| ice.wait_batch(tk))
+            .unwrap();
         for c in &done.completions {
             let expected = model.get(&c.lpn.raw()).expect("populated page");
             prop_assert_eq!(c.data.as_ref(), Some(expected));

@@ -49,7 +49,7 @@ fn privilege_escalation_blocked_by_id_bits() {
     // A data-path probe is fatal: the denial throws the TEE out
     // (§4.5), so Mallory gets exactly one attempt...
     assert!(matches!(
-        ice.read_flash_page(m, Lpn::new(0), t),
+        ice.submit_batch_async(m, &[Lpn::new(0)], t),
         Err(IceClaveError::Ftl(FtlError::AccessDenied { .. }))
     ));
     assert_eq!(
@@ -58,7 +58,7 @@ fn privilege_escalation_blocked_by_id_bits() {
     );
     // ...and every further request from the dead TEE is refused.
     assert!(matches!(
-        ice.read_flash_page(m, Lpn::new(1), t),
+        ice.submit_batch_async(m, &[Lpn::new(1)], t),
         Err(IceClaveError::NotRunning(_))
     ));
 }
@@ -174,7 +174,7 @@ fn out_of_region_access_aborts_the_tee() {
     );
     // Every further request from the dead TEE is refused.
     assert!(matches!(
-        ice.read_flash_page(tee, Lpn::new(0), t),
+        ice.submit_batch_async(tee, &[Lpn::new(0)], t),
         Err(IceClaveError::NotRunning(_))
     ));
     assert!(matches!(

@@ -1,11 +1,12 @@
 //! Batch/sequential equivalence and scaling of the protected write
 //! path.
 //!
-//! `IceClave::submit_write_batch` must be a *scheduling* change: the
-//! post-state (mapping consistency, valid-page count, read-back
-//! plaintext) and the access-control outcomes are identical to issuing
-//! the same programs one page at a time — only the simulated time
-//! differs (and only downward).
+//! One write ticket over a page set
+//! (`IceClave::submit_write_batch_async_as`, then `IceClave::wait_batch`)
+//! must be a *scheduling* change: the post-state (mapping consistency,
+//! valid-page count, read-back plaintext) and the access-control
+//! outcomes are identical to issuing the same programs one page at a
+//! time — only the simulated time differs (and only downward).
 
 use iceclave_repro::iceclave_core::{
     AbortReason, IceClave, IceClaveConfig, IceClaveError, TeeStatus,
@@ -42,7 +43,8 @@ fn write_batch_matches_sequential_post_state_and_bytes() {
     // One batch of N page writes...
     let (mut batched, tee_b, t_b) = setup(IceClaveConfig::tiny());
     let batch = batched
-        .submit_write_batch_as(tee_b, writes.clone(), t_b)
+        .submit_write_batch_async_as(tee_b, writes.clone(), t_b)
+        .and_then(|tk| batched.wait_batch(tk))
         .unwrap();
     assert_eq!(batch.len(), PAGES as usize);
 
@@ -51,7 +53,8 @@ fn write_batch_matches_sequential_post_state_and_bytes() {
     let mut t = t_s;
     for write in &writes {
         let one = sequential
-            .submit_write_batch_as(tee_s, vec![write.clone()], t)
+            .submit_write_batch_async_as(tee_s, vec![write.clone()], t)
+            .and_then(|tk| sequential.wait_batch(tk))
             .unwrap();
         t = one.finished;
     }
@@ -66,8 +69,14 @@ fn write_batch_matches_sequential_post_state_and_bytes() {
     assert_eq!(batched.stats(), sequential.stats());
     assert_eq!(batched.stats().pages_stored, PAGES);
     let lpns: Vec<Lpn> = (0..PAGES).map(Lpn::new).collect();
-    let read_b = batched.submit_batch(tee_b, &lpns, batch.finished).unwrap();
-    let read_s = sequential.submit_batch(tee_s, &lpns, t).unwrap();
+    let read_b = batched
+        .submit_batch_async(tee_b, &lpns, batch.finished)
+        .and_then(|tk| batched.wait_batch(tk))
+        .unwrap();
+    let read_s = sequential
+        .submit_batch_async(tee_s, &lpns, t)
+        .and_then(|tk| sequential.wait_batch(tk))
+        .unwrap();
     for (i, (b, s)) in read_b
         .completions
         .iter()
@@ -102,7 +111,7 @@ fn write_batch_with_foreign_page_throws_the_tee_out() {
     let programs_before = ice.platform().ftl.flash().stats().programs;
     let mut probe = lpns.clone();
     probe.push(Lpn::new(PAGES)); // out of the granted region
-    let err = ice.submit_write_batch(tee, &probe, t).unwrap_err();
+    let err = ice.submit_write_batch_async(tee, &probe, t).unwrap_err();
     assert!(matches!(
         err,
         IceClaveError::Ftl(FtlError::AccessDenied { lpn, .. }) if lpn == Lpn::new(PAGES)
@@ -117,7 +126,7 @@ fn write_batch_with_foreign_page_throws_the_tee_out() {
     assert_eq!(ice.stats().pages_stored, 0);
     // A dead TEE cannot submit again.
     assert!(matches!(
-        ice.submit_write_batch(tee, &lpns, t),
+        ice.submit_write_batch_async(tee, &lpns, t),
         Err(IceClaveError::NotRunning(_))
     ));
 }
@@ -177,7 +186,10 @@ fn write_channel_sweep_strictly_reduces_batch_latency() {
         let mut ice = IceClave::new(config);
         let t = ice.populate(Lpn::new(0), pages, SimTime::ZERO).unwrap();
         let (tee, t) = ice.offload_code(64 << 10, &lpns, t).unwrap();
-        let done = ice.submit_write_batch(tee, &lpns, t).unwrap();
+        let done = ice
+            .submit_write_batch_async(tee, &lpns, t)
+            .and_then(|tk| ice.wait_batch(tk))
+            .unwrap();
         latencies.push((channels, done.latency()));
     }
     for pair in latencies.windows(2) {
