@@ -2,10 +2,10 @@
 //!
 //! The `repro` binary regenerates every table and figure of the paper
 //! by calling into [`iceclave_experiments::figures`] (`repro
-//! <artifact>` prints one); the `benches/` targets are the component
-//! microbenchmarks and the gated `BENCH_*.json` reports, the `paper`
-//! bench among them. This crate only holds the scale configuration
-//! they share.
+//! <artifact>` prints one); `repro --json <path>` also writes the gated
+//! paper-fidelity report (`BENCH_paper.json`). The `benches/` targets
+//! are the component microbenchmarks and the other gated `BENCH_*.json`
+//! reports. This crate only holds the scale configuration they share.
 
 #![warn(missing_docs)]
 

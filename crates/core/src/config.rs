@@ -31,6 +31,23 @@ pub struct FairnessConfig {
     pub ticket_policy: TicketPolicy,
 }
 
+/// What carries a page between a flash channel and DRAM: the lane
+/// every read crosses after the channel bus, and every write before
+/// its program.
+#[derive(Copy, Clone, Eq, PartialEq, Debug)]
+pub enum Link {
+    /// One Trivium stream-cipher engine per channel (§5): pages cross
+    /// the flash boundary as ciphertext. IceClave's link.
+    Cipher,
+    /// A plaintext internal bus with no engine on it: the insecure ISC
+    /// baseline.
+    Plain,
+    /// One PCIe link that every channel shares, at the platform's
+    /// `pcie_bandwidth`: the host baselines, whose "DRAM" is host
+    /// memory.
+    Pcie,
+}
+
 /// Everything the IceClave runtime needs to know: platform, security
 /// engines, and the measured lifecycle costs of Table 5.
 #[derive(Clone, Debug)]
@@ -42,10 +59,9 @@ pub struct IceClaveConfig {
     pub mee: MeeConfig,
     /// Stream-cipher engine clock (shared with the controller, §5).
     pub cipher_clock: Hertz,
-    /// Whether flash-to-DRAM transfers run through the stream cipher.
-    /// Disabled for the insecure ISC baseline, which shares this
-    /// runtime's timing path minus the security machinery.
-    pub cipher_enabled: bool,
+    /// The lane between the flash channels and DRAM. Only
+    /// [`Link::Cipher`] encrypts page content.
+    pub link: Link,
     /// TEE creation cost (Table 5: 95 us, measured on the Cosmos+
     /// FPGA).
     pub tee_create: SimDuration,
@@ -71,7 +87,7 @@ impl IceClaveConfig {
             platform: IscConfig::table3(),
             mee: MeeConfig::hybrid(),
             cipher_clock: Hertz::from_mhz(800),
-            cipher_enabled: true,
+            link: Link::Cipher,
             tee_create: SimDuration::from_micros(95),
             tee_delete: SimDuration::from_micros(58),
             tee_region: ByteSize::from_mib(16),

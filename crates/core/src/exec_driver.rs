@@ -12,16 +12,22 @@
 //!  submit: translate + ID-bit       submit: ownership check (atomic,
 //!    check (atomic, §4.5), assign     §4.5), assign seal slots,
 //!    fill slots, schedule one         MEE seal drain, schedule one
-//!    FlashRead per page at its        Encrypt per page at its seal
-//!    translation-ready time           read-out time
-//!  FlashRead: die + channel bus,    Encrypt: cipher-lane timeline
-//!    then the per-channel decrypt   Program: ONE event per batch —
-//!    lane (inline: the lane only      the single secure-world entry
-//!    sees its own channel's bus       of `Ftl::write_batch`, fired
-//!    order)                           when the last ciphertext exists
-//!  Fill:      MEE fill + DRAM         → one completion per page at
-//!    → completion (plaintext)         its durable time
+//!    FlashRead per page at its        Lane per page at its seal
+//!    translation-ready time           read-out time (none on a
+//!  FlashRead: die + channel bus,      plain link)
+//!    then the link's lane: the      Lane: the link's lane timeline
+//!    channel's decrypt lane         Program: ONE event per batch —
+//!    (inline), the shared PCIe        the single secure-world entry
+//!    lane (a Lane event at the        of `Ftl::write_batch`, fired
+//!    flash completion) or none        when the last page crossed
+//!  Fill:      MEE fill + DRAM         the lane
+//!    → completion (plaintext)       → one completion per page at
+//!                                     its durable time
 //! ```
+//!
+//! The lane is the config's [`Link`]: a Trivium engine per channel
+//! (IceClave), nothing (ISC), or one PCIe link every channel shares
+//! (the host baselines, whose DRAM is host memory).
 //!
 //! Because every stage acquires its resource at the simulated time the
 //! event fires, pages of different tickets interleave on the shared
@@ -43,7 +49,7 @@ use iceclave_types::{
     WriteBatchRequest, WritePageRequest, PAGE_SIZE,
 };
 
-use crate::config::IceClaveConfig;
+use crate::config::{IceClaveConfig, Link};
 use crate::runtime::{AbortReason, IceClave, IceClaveError, RuntimeStats};
 use crate::slab::{ErrorSlab, IvTable, JobTable};
 
@@ -63,18 +69,23 @@ pub const READ_RETRY_STEP_US: u64 = 60;
 /// payload).
 #[derive(Copy, Clone, Eq, PartialEq, Debug)]
 pub enum Stage {
-    /// Read path: die cell read + channel bus transfer, then the
-    /// per-channel stream-decipher lane (advanced inline — the lane is
-    /// fed only by its channel bus, so flash-completion order is its
-    /// arrival order and no separate event is needed).
+    /// Read path: die cell read + channel bus transfer. On a
+    /// [`Link::Cipher`] link it also advances the channel's
+    /// stream-decipher lane inline — the lane is fed only by its
+    /// channel bus, so flash-completion order is its arrival order and
+    /// no separate event is needed.
     FlashRead,
     /// Read path: MEE fill into the TEE's input ring (retires the
     /// page).
     Fill,
-    /// Write path: per-lane stream-encrypt of the outbound page.
-    Encrypt,
+    /// One page crossing a lane of the config's [`Link`]: every
+    /// outbound page of a write batch (stream-encrypt, or the PCIe
+    /// transfer from host memory), and a host read's inbound PCIe
+    /// transfer. The shared PCIe lane needs its own event so pages of
+    /// every channel book it in arrival order.
+    Lane,
     /// Write path: the whole batch's single secure-world program phase
-    /// (`Ftl::write_batch`), fired once the last ciphertext exists.
+    /// (`Ftl::write_batch`), fired once the last page crossed its lane.
     /// Kept as one event so the batch pays one secure-world entry, not
     /// one per page.
     Program,
@@ -87,9 +98,9 @@ struct PageState {
     /// Reads: the translated physical page. Writes: placeholder until
     /// the program phase allocates.
     ppn: Ppn,
-    /// Cipher-lane index (reads: the page's channel; writes:
-    /// round-robin over the lanes, as the target channel is unknown
-    /// until allocation).
+    /// Reads: the page's channel, which is also its cipher lane.
+    /// Writes: round-robin over the link's lanes, as the target
+    /// channel is unknown until allocation.
     lane: usize,
     /// Read fill slot in the TEE's input ring.
     slot: u64,
@@ -123,9 +134,9 @@ pub struct Job {
     /// Write path: per-page seal spans (read-out gates encryption,
     /// metadata completion gates durability).
     sealed: Vec<SealSpan>,
-    /// Write path: per-page encryption completion times.
+    /// Write path: per-page lane completion times.
     encrypted: Vec<SimTime>,
-    /// Write path: encrypt stages still outstanding before the program
+    /// Write path: lane stages still outstanding before the program
     /// phase may fire.
     pending_encrypts: usize,
     /// Integrity-metadata traffic charged to this ticket: MEE counter
@@ -166,7 +177,7 @@ pub(crate) struct StageCtx<'a> {
     pub platform: &'a mut SsdPlatform,
     pub mee: &'a mut MeeEngine,
     pub cipher: &'a mut CipherEngine,
-    pub cipher_lanes: &'a mut [Resource],
+    pub lanes: &'a mut [Resource],
     pub page_ivs: &'a mut IvTable,
     pub config: &'a IceClaveConfig,
     pub stats: &'a mut RuntimeStats,
@@ -265,7 +276,7 @@ fn decipher_content(
     platform: &SsdPlatform,
     cipher: &mut CipherEngine,
     page_ivs: &IvTable,
-    cipher_enabled: bool,
+    link: Link,
     lpn: Lpn,
     ppn: Ppn,
 ) -> Option<Vec<u8>> {
@@ -273,7 +284,7 @@ fn decipher_content(
     // place and then owned by the job until the Fill stage hands it to
     // the completion event.
     let mut stored = platform.ftl.flash().read_data(ppn)?.to_vec();
-    if cipher_enabled {
+    if link == Link::Cipher {
         if let Some(iv) = page_ivs.get(lpn.raw()) {
             let iv = *iv;
             cipher.decrypt_page_in_place(&iv, &mut stored);
@@ -419,7 +430,7 @@ impl StageCtx<'_> {
                 // The payload buffer was moved in at submission and is
                 // ciphered in place — the write path's last copy is
                 // the flash store itself.
-                if self.config.cipher_enabled {
+                if self.config.link == Link::Cipher {
                     let iv = self
                         .cipher
                         .encrypt_page_in_place(page.lpn.raw() as u32, &mut plaintext);
@@ -585,26 +596,33 @@ impl StageMachine for StageCtx<'_> {
                     self.platform.ftl.flash().stats().corrected_bursts - bursts_before;
                 match read {
                     Ok(span) => {
-                        // The decrypt lane is advanced inline rather
-                        // than via its own event: a lane serves only
-                        // its channel, the channel bus serializes the
-                        // flash spans feeding it, and successive
-                        // `acquire` calls on one resource end at
-                        // strictly increasing times — so processing
-                        // here, in flash-completion order, is
-                        // timing-identical to popping a Decrypt event
-                        // at `span.end`, one event round-trip cheaper.
-                        let cipher_done = if self.config.cipher_enabled {
-                            let service = self.cipher.page_latency(PAGE_SIZE);
-                            let lane = job.pages[idx].lane;
-                            self.cipher_lanes[lane].acquire(span.end, service).end
-                        } else {
-                            span.end
-                        };
                         let page = &mut job.pages[idx];
                         page.breakdown.flash_done = span.end;
-                        page.breakdown.cipher_done = cipher_done;
-                        exec.schedule(cipher_done, ev.ticket, ev.page, Stage::Fill);
+                        let (at, next) = match self.config.link {
+                            // The decrypt lane is advanced inline
+                            // rather than via its own event: a lane
+                            // serves only its channel, the channel bus
+                            // serializes the flash spans feeding it,
+                            // and successive `acquire` calls on one
+                            // resource end at strictly increasing
+                            // times — so processing here, in
+                            // flash-completion order, is
+                            // timing-identical to popping a Lane event
+                            // at `span.end`, one event round-trip
+                            // cheaper.
+                            Link::Cipher => {
+                                let service = self.cipher.page_latency(PAGE_SIZE);
+                                let done = self.lanes[page.lane].acquire(span.end, service).end;
+                                (done, Stage::Fill)
+                            }
+                            Link::Plain => (span.end, Stage::Fill),
+                            // Every channel feeds the one PCIe lane, so
+                            // it is booked from its own event: issue
+                            // order here is not its arrival order.
+                            Link::Pcie => (span.end, Stage::Lane),
+                        };
+                        page.breakdown.cipher_done = at;
+                        exec.schedule(at, ev.ticket, ev.page, next);
                         // WFQ preemption point: this page's flash
                         // service ends at span.end — only now does the
                         // arbiter decide which tenant's page gets the
@@ -719,15 +737,27 @@ impl StageMachine for StageCtx<'_> {
                     }
                 }
             }
-            Stage::Encrypt => {
-                let service = self.cipher.page_latency(PAGE_SIZE);
+            Stage::Lane => {
+                // A plain link schedules no Lane event.
+                let service = if self.config.link == Link::Pcie {
+                    self.platform.pcie_transfer_time(PAGE_SIZE)
+                } else {
+                    self.cipher.page_latency(PAGE_SIZE)
+                };
                 let page = &mut job.pages[idx];
-                let span = self.cipher_lanes[page.lane].acquire(ev.at, service);
+                // A read's `lane` is its channel: it only gets here on
+                // a PCIe link, whose one lane serves every channel.
+                let lane = page.lane % self.lanes.len();
+                let span = self.lanes[lane].acquire(ev.at, service);
                 page.breakdown.cipher_done = span.end;
+                if job.kind == TicketKind::Read {
+                    exec.schedule(span.end, ev.ticket, ev.page, Stage::Fill);
+                    return;
+                }
                 job.encrypted[idx] = span.end;
                 job.pending_encrypts -= 1;
                 if job.pending_encrypts == 0 {
-                    // Last ciphertext exists: fire the batch's single
+                    // Last page crossed the lane: fire the batch's single
                     // program phase. Under WFQ the event carries the
                     // tenant's virtual tag, so same-tick program
                     // phases of different tenants dequeue in
@@ -753,7 +783,7 @@ impl IceClave {
             platform: &mut self.platform,
             mee: &mut self.mee,
             cipher: &mut self.cipher,
-            cipher_lanes: &mut self.cipher_lanes,
+            lanes: &mut self.lanes,
             page_ivs: &mut self.page_ivs,
             config: &self.config,
             stats: &mut self.stats,
@@ -818,9 +848,10 @@ impl IceClave {
     ///    access violations are fatal to the enclave);
     /// 2. each channel serves the batch's pages FIFO in request order,
     ///    so the channel buses fill concurrently;
-    /// 3. each channel's stream-decipher engine drains its pages in
-    ///    flash-completion order, overlapping decryption with the
-    ///    other channels' transfers;
+    /// 3. each page crosses a lane of the config's [`Link`] in
+    ///    flash-completion order: its channel's stream-decipher engine,
+    ///    overlapping decryption with the other channels' transfers, or
+    ///    the PCIe link all channels share; a plain link has no lane;
     /// 4. the MEE fill datapath writes each deciphered page into the
     ///    TEE's input ring (counter initialization overlapped the same
     ///    way).
@@ -883,7 +914,7 @@ impl IceClave {
                     &self.platform,
                     &mut self.cipher,
                     &self.page_ivs,
-                    self.config.cipher_enabled,
+                    self.config.link,
                     lpn,
                     translation.ppn,
                 )
@@ -1020,18 +1051,20 @@ impl IceClave {
     ///    downstream stages, while the counter-epoch increments and
     ///    outbound MAC generation run concurrently with the channel
     ///    programs and gate durability alone;
-    /// 3. the stream-cipher engines encrypt each outbound page from its
-    ///    seal read-out (all data crossing the flash boundary is
-    ///    ciphertext, §5), pipelining across pages;
-    /// 4. once the last ciphertext exists — by which point the channel
-    ///    admit horizons reflect everything the executor interleaved
-    ///    meanwhile — the batch enters the secure world **once**,
-    ///    steers each page's fresh allocation to the earliest-available
-    ///    channel (a GC pass stalls only its own channel and routes
-    ///    later pages around it) and issues the programs round-robin
-    ///    across the channels, each admitted only once its ciphertext
-    ///    exists, coalescing dirty translation-page write-backs to one
-    ///    persist per batch.
+    /// 3. each outbound page crosses a lane of the config's [`Link`]
+    ///    from its seal read-out, pipelining across pages: the
+    ///    stream-cipher engines encrypt it (all data crossing the flash
+    ///    boundary is ciphertext, §5), or the PCIe link carries it from
+    ///    host memory; a plain link has no lane;
+    /// 4. once the last page crossed its lane — by which point the
+    ///    channel admit horizons reflect everything the executor
+    ///    interleaved meanwhile — the batch enters the secure world
+    ///    **once**, steers each page's fresh allocation to the
+    ///    earliest-available channel (a GC pass stalls only its own
+    ///    channel and routes later pages around it) and issues the
+    ///    programs round-robin across the channels, each admitted only
+    ///    once its page is ready, coalescing dirty translation-page
+    ///    write-backs to one persist per batch.
     ///
     /// A page is durable when its program and its seal metadata have
     /// both drained (and, on a journaled device, the batch's journal
@@ -1100,9 +1133,9 @@ impl IceClave {
         self.stats.ticket_meta.add(&seal_attrib);
 
         // The target channel is unknown until the FTL allocates, so
-        // outbound pages go to the cipher lanes round-robin. Payloads
+        // outbound pages go to the link's lanes round-robin. Payloads
         // move out of the request into the job.
-        let lanes = self.cipher_lanes.len().max(1);
+        let lanes = self.lanes.len().max(1);
         let pages: Vec<PageState> = writes
             .into_iter()
             .enumerate()
@@ -1126,16 +1159,16 @@ impl IceClave {
 
         let count = pages.len();
         let ticket = self.exec.open_ticket(TicketKind::Write, count as u32, now);
-        let (encrypted, pending_encrypts) = if self.config.cipher_enabled {
+        let (encrypted, pending_encrypts) = if self.config.link != Link::Plain {
             for (index, span) in sealed.iter().enumerate() {
                 self.exec
-                    .schedule(span.data_out, ticket, index as u32, Stage::Encrypt);
+                    .schedule(span.data_out, ticket, index as u32, Stage::Lane);
             }
             (vec![now; count], count)
         } else {
-            // No cipher stage: the program phase fires when the last
-            // seal read-out completes (virtual-time tagged under WFQ,
-            // as in the Encrypt-gated path).
+            // No lane: the program phase fires when the last seal
+            // read-out completes (virtual-time tagged under WFQ, as in
+            // the Lane-gated path).
             let encrypted: Vec<SimTime> = sealed.iter().map(|s| s.data_out).collect();
             let at = encrypted.iter().copied().fold(now, SimTime::max);
             let vtime = match self.config.fairness.policy {

@@ -59,7 +59,7 @@ pub mod runtime;
 mod slab;
 pub mod trace;
 
-pub use config::{FairnessConfig, IceClaveConfig};
+pub use config::{FairnessConfig, IceClaveConfig, Link};
 pub use exec_driver::{Stage, READ_RETRY_LIMIT, READ_RETRY_STEP_US};
 pub use iceclave_exec::{PowerLossInjector, PowerLossPlan};
 pub use iceclave_ftl::{JournalRecord, SchedPolicy, TicketPolicy};

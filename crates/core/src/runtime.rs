@@ -17,7 +17,7 @@ use iceclave_types::{
     LINES_PER_PAGE, PAGE_SIZE,
 };
 
-use crate::config::IceClaveConfig;
+use crate::config::{IceClaveConfig, Link};
 
 /// One TEE slot per value of the 4-bit mapping-entry ID field (§4.3),
 /// the reserved unowned id 0 included.
@@ -215,12 +215,12 @@ pub struct IceClave {
     pub(crate) platform: SsdPlatform,
     pub(crate) mee: MeeEngine,
     pub(crate) cipher: CipherEngine,
-    /// Per-channel stream-cipher engines (§5 puts the cipher units
-    /// between the flash controllers and the internal bus, so each
-    /// channel ciphers its own stream — decryption on reads,
-    /// encryption on writes): one page per engine at a time,
-    /// overlapping with the other channels' transfers.
-    pub(crate) cipher_lanes: Vec<Resource>,
+    /// The lanes of the config's [`Link`], one page per lane at a
+    /// time: a stream-cipher engine per channel (§5 puts the cipher
+    /// units between the flash controllers and the internal bus, so
+    /// each channel ciphers its own stream), one PCIe link all
+    /// channels share, or none.
+    pub(crate) lanes: Vec<Resource>,
     /// Per-LPN IVs of functionally encrypted page content (the model's
     /// stand-in for the IV metadata the controller keeps in the
     /// out-of-band area). Keyed by LPN so GC relocation cannot orphan
@@ -272,14 +272,13 @@ impl IceClave {
         let free_ids = Self::build_free_ids();
         let free_regions = Self::build_free_regions(&config);
         let arbiter = Self::build_arbiter(&config);
+        let lanes = Self::build_lanes(&config);
 
         IceClave {
             platform,
             mee: MeeEngine::new(config.mee),
             cipher: CipherEngine::new([0x1C; 10], config.cipher_clock, 0xACE1_CAFE),
-            cipher_lanes: (0..config.platform.flash.geometry.channels)
-                .map(|i| Resource::new(format!("cipher-engine{i}")))
-                .collect(),
+            lanes,
             page_ivs: crate::slab::IvTable::new(),
             memory_map,
             config,
@@ -433,9 +432,7 @@ impl IceClave {
         for &(lpn, base, ppa) in &recovery.ivs {
             self.page_ivs.insert(lpn, PageIv::compose(base, ppa));
         }
-        self.cipher_lanes = (0..self.config.platform.flash.geometry.channels)
-            .map(|i| Resource::new(format!("cipher-engine{i}")))
-            .collect();
+        self.lanes = Self::build_lanes(&self.config);
         self.tees = Default::default();
         self.free_ids = Self::build_free_ids();
         self.free_regions = Self::build_free_regions(&self.config);
@@ -591,7 +588,7 @@ impl IceClave {
             self.platform
                 .ftl
                 .translate(Requestor::Host, lpn, &mut self.platform.monitor, now)?;
-        if self.config.cipher_enabled {
+        if self.config.link == Link::Cipher {
             let (ciphertext, iv) = self.cipher.encrypt_page(lpn.raw() as u32, plaintext);
             self.platform
                 .ftl
@@ -796,6 +793,16 @@ impl IceClave {
             .rev()
             .map(|slot| region_base_page + slot * region_pages)
             .collect()
+    }
+
+    fn build_lanes(config: &IceClaveConfig) -> Vec<Resource> {
+        match config.link {
+            Link::Cipher => (0..config.platform.flash.geometry.channels)
+                .map(|i| Resource::new(format!("cipher-engine{i}")))
+                .collect(),
+            Link::Plain => Vec::new(),
+            Link::Pcie => vec![Resource::new("pcie")],
+        }
     }
 
     fn build_arbiter(config: &IceClaveConfig) -> iceclave_ftl::WfqArbiter {

@@ -6,8 +6,9 @@
 //! randomly re-accessed page is DRAM-resident depends on the *modeled*
 //! sizes, so the capacity model scales structure sizes up before
 //! comparing them with the (real) DRAM capacity — this is what makes
-//! Figure 16's 4 GiB→2 GiB sweep and the host-vs-SSD page-cache
-//! asymmetry behave like the paper's.
+//! Figure 16's 4 GiB→2 GiB sweep behave like the paper's. The host
+//! modes read with direct I/O, so only the staged-table residency uses
+//! the host's 16 GiB.
 
 use iceclave_types::ByteSize;
 

@@ -2,9 +2,12 @@
 //! IceClave evaluation (§6).
 //!
 //! The executor ([`run()`](run::run)) replays a workload's instrumented batches
-//! against one of the execution modes of §6.1:
+//! against one of the execution modes of §6.1. Every mode runs the same
+//! loop on the same device pipeline; the mode picks the configuration
+//! ([`Mode::ssd_config`]):
 //!
-//! * [`Mode::Host`] — data streams over PCIe to the host CPU.
+//! * [`Mode::Host`] — data streams over one shared PCIe link into host
+//!   DRAM and the host CPU computes; commits go back over the link.
 //! * [`Mode::HostSgx`] — the same, computed inside an SGX-style enclave
 //!   (split-counter MEE on every host DRAM access, enclave transition
 //!   and EPC paging costs).

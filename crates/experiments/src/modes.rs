@@ -2,8 +2,9 @@
 
 use std::fmt;
 
-use iceclave_core::IceClaveConfig;
+use iceclave_core::{IceClaveConfig, Link};
 use iceclave_cpu::CoreModel;
+use iceclave_dram::DramConfig;
 use iceclave_ftl::FtlConfig;
 use iceclave_mee::{CounterMode, MeeConfig};
 use iceclave_types::{ByteSize, SimDuration};
@@ -50,13 +51,17 @@ impl Mode {
         matches!(self, Mode::Host | Mode::HostSgx)
     }
 
-    /// The runtime configuration for SSD-side modes.
+    /// The runtime configuration of the mode.
     ///
-    /// # Panics
-    ///
-    /// Panics if called on a host mode.
+    /// The host modes are the same device pipeline configured as the
+    /// §6.1 host: its flash pages cross one PCIe link that every
+    /// channel shares ([`Link::Pcie`]) into 16 GiB of dual-channel host
+    /// DRAM, and one i7-7700K core computes. Host+SGX adds the split-
+    /// counter MEE on every host DRAM access and runs the core at
+    /// `ipc / 2.03`, the 103% extra enclave compute time §6.2 measures.
+    /// Only the device-side overrides (`channels`,
+    /// `flash_read_latency`) apply to them.
     pub fn ssd_config(&self, overrides: &Overrides) -> IceClaveConfig {
-        assert!(!self.is_host(), "host modes have no SSD runtime config");
         let mut config = IceClaveConfig::table3();
         // Experiments give each TEE a larger dynamic allocation (§4.5
         // allows growth beyond the 16 MiB preallocation) so the input
@@ -67,9 +72,31 @@ impl Mode {
         // behaviour Figure 8 measures for both schemes.
         config.tee_region = ByteSize::from_mib(256);
         match self {
+            Mode::Host | Mode::HostSgx => {
+                config.link = Link::Pcie;
+                // The same DDR3-1600 timing at twice the channels,
+                // standing in for the server's dual-channel DDR4.
+                config.platform.dram = DramConfig {
+                    channels: 2,
+                    capacity: HOST_DRAM,
+                    ..DramConfig::table3()
+                };
+                let core = CoreModel::i7_7700k();
+                config.platform.cores = 1;
+                if *self == Mode::HostSgx {
+                    config.platform.core_model =
+                        CoreModel::new(core.name(), core.freq(), core.kind(), core.ipc() / 2.03);
+                    config.mee = MeeConfig::split_only();
+                } else {
+                    config.platform.core_model = core;
+                    config.mee = MeeConfig::unprotected();
+                }
+                // Half of it is the input ring: 256 MiB of host memory.
+                config.tee_region = ByteSize::from_mib(512);
+            }
             Mode::Isc => {
                 config.mee = MeeConfig::unprotected();
-                config.cipher_enabled = false;
+                config.link = Link::Plain;
             }
             Mode::IceClave => {}
             Mode::IceClaveMapSecure => {
@@ -84,9 +111,8 @@ impl Mode {
                     ..MeeConfig::split_only()
                 };
             }
-            Mode::Host | Mode::HostSgx => unreachable!(),
         }
-        overrides.apply(&mut config);
+        overrides.apply(&mut config, self.is_host());
         config
     }
 }
@@ -104,9 +130,10 @@ pub struct Overrides {
     pub channels: Option<u32>,
     /// Flash page-read latency (Figure 14 sweeps 10..110 us).
     pub flash_read_latency: Option<SimDuration>,
-    /// SSD core model (Figure 15).
+    /// SSD core model (Figure 15; not applied to the host modes).
     pub core: Option<CoreModel>,
-    /// SSD DRAM capacity (Figure 16 sweeps 4 vs 2 GiB).
+    /// SSD DRAM capacity (Figure 16 sweeps 4 vs 2 GiB; not applied to
+    /// the host modes).
     pub dram_capacity: Option<ByteSize>,
 }
 
@@ -116,12 +143,16 @@ impl Overrides {
         Overrides::default()
     }
 
-    fn apply(&self, config: &mut IceClaveConfig) {
+    /// Applies the overrides; a host keeps its own core and DRAM.
+    fn apply(&self, config: &mut IceClaveConfig, host: bool) {
         if let Some(channels) = self.channels {
             config.platform.flash.geometry = config.platform.flash.geometry.with_channels(channels);
         }
         if let Some(latency) = self.flash_read_latency {
             config.platform.flash.timing = config.platform.flash.timing.with_read_latency(latency);
+        }
+        if host {
+            return;
         }
         if let Some(core) = &self.core {
             config.platform.core_model = core.clone();
@@ -140,14 +171,14 @@ mod tests {
     fn isc_mode_disables_security() {
         let c = Mode::Isc.ssd_config(&Overrides::none());
         assert_eq!(c.mee.mode, CounterMode::Unprotected);
-        assert!(!c.cipher_enabled);
+        assert_eq!(c.link, Link::Plain);
     }
 
     #[test]
     fn iceclave_mode_is_fully_armed() {
         let c = Mode::IceClave.ssd_config(&Overrides::none());
         assert_eq!(c.mee.mode, CounterMode::Hybrid);
-        assert!(c.cipher_enabled);
+        assert_eq!(c.link, Link::Cipher);
         assert!(!c.platform.ftl.mapping_in_secure_world);
     }
 
@@ -175,8 +206,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "host modes")]
-    fn host_mode_has_no_ssd_config() {
-        let _ = Mode::Host.ssd_config(&Overrides::none());
+    fn host_modes_run_on_the_host() {
+        let o = Overrides {
+            channels: Some(16),
+            flash_read_latency: None,
+            core: Some(CoreModel::a53_1_6ghz()),
+            dram_capacity: Some(ByteSize::from_gib(2)),
+        };
+        let i7 = CoreModel::i7_7700k();
+        for (mode, mee, ipc) in [
+            (Mode::Host, CounterMode::Unprotected, i7.ipc()),
+            (Mode::HostSgx, CounterMode::SplitOnly, i7.ipc() / 2.03),
+        ] {
+            let c = mode.ssd_config(&o);
+            assert_eq!(c.link, Link::Pcie, "{mode}");
+            assert_eq!(c.platform.dram.channels, 2, "{mode}");
+            assert_eq!(c.platform.dram.capacity, HOST_DRAM, "{mode}");
+            assert_eq!(c.platform.cores, 1, "{mode}");
+            assert_eq!(c.platform.core_model.name(), i7.name(), "{mode}");
+            assert_eq!(c.platform.core_model.ipc(), ipc, "{mode}");
+            assert_eq!(c.mee.mode, mee, "{mode}");
+            // The device side follows the sweep; the host's own core
+            // and DRAM do not.
+            assert_eq!(c.platform.flash.geometry.channels, 16, "{mode}");
+        }
     }
 }

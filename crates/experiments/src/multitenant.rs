@@ -19,7 +19,7 @@ use iceclave_workloads::{Batch, WorkloadConfig, WorkloadKind, WorkloadOutput};
 
 use crate::capacity::CapacityModel;
 use crate::modes::{Mode, Overrides};
-use crate::run::SsdSession;
+use crate::run::Session;
 
 /// Per-tenant outcome of a colocated run.
 #[derive(Clone, Debug)]
@@ -57,11 +57,9 @@ pub fn run_colocated(kinds: &[WorkloadKind], wl_config: &WorkloadConfig) -> Vec<
         kind: WorkloadKind,
         batches: Vec<Batch>,
         next_batch: usize,
-        session: Option<SsdSession>,
-        tee: Option<iceclave_types::TeeId>,
+        session: Option<Session>,
         output: WorkloadOutput,
         base_lpn: u64,
-        started: SimTime,
     }
     let mut tenants: Vec<Tenant> = Vec::new();
     let mut base = 0u64;
@@ -79,10 +77,8 @@ pub fn run_colocated(kinds: &[WorkloadKind], wl_config: &WorkloadConfig) -> Vec<
             batches,
             next_batch: 0,
             session: None,
-            tee: None,
             output,
             base_lpn: base,
-            started: SimTime::ZERO,
         });
         base += pages;
     }
@@ -93,27 +89,22 @@ pub fn run_colocated(kinds: &[WorkloadKind], wl_config: &WorkloadConfig) -> Vec<
     // in the solo runs it is compared against.
     for tenant in &mut tenants {
         let workload = tenant.kind.build(wl_config);
-        let pages = workload.dataset_pages();
-        let lpns: Vec<Lpn> = (0..pages).map(|i| Lpn::new(tenant.base_lpn + i)).collect();
-        let (tee, after) = ice
-            .offload_code(256 << 10, &lpns, run_start)
-            .expect("id space fits tenants");
         let rng = SimRng::new(wl_config.seed).derive(&format!(
             "tenant/{}/{}",
             tenant.base_lpn,
             tenant.kind.label()
         ));
-        tenant.session = Some(SsdSession::new(
-            &ice,
-            tee,
+        let session = Session::offload(
+            &mut ice,
+            Mode::IceClave,
             tenant.base_lpn,
             &*workload,
             wl_config.scale_factor(),
-            after,
+            run_start,
             rng,
-        ));
-        tenant.tee = Some(tee);
-        tenant.started = run_start;
+        )
+        .expect("id space fits tenants");
+        tenant.session = Some(session);
     }
 
     // Fair-progress scheduler: always step the tenant whose clock is
@@ -141,14 +132,14 @@ pub fn run_colocated(kinds: &[WorkloadKind], wl_config: &WorkloadConfig) -> Vec<
         .into_iter()
         .map(|t| {
             let session = t.session.expect("session built");
-            let tee = t.tee.expect("tee created");
+            let tee = session.tee;
             let done = ice
                 .get_result(tee, 64 << 10, session.drained_clock())
                 .and_then(|after| ice.terminate_tee(tee, after))
                 .expect("teardown");
             TenantResult {
                 kind: t.kind,
-                total: done.saturating_since(t.started),
+                total: done.saturating_since(run_start),
                 output: t.output,
             }
         })

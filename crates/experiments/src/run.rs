@@ -1,30 +1,28 @@
 //! The workload executor: replays instrumented batches against an
 //! execution mode and measures the paper's metrics.
 //!
-//! The pipeline model is classic double buffering: the flash (or PCIe)
-//! load of batch *i* is issued when the compute of batch *i-1* starts,
-//! and the compute of batch *i* starts at
-//! `max(compute_end(i-1), load_done(i))` — load stall is therefore
-//! exactly the time the cores sat waiting on I/O, the quantity the
-//! Figure 11 breakdown plots.
+//! Every mode runs the same loop on the same device pipeline
+//! ([`IceClave`]); the mode only picks its configuration
+//! ([`Mode::ssd_config`]). The host modes are that device configured as
+//! the host: their flash pages cross one PCIe link that every channel
+//! shares into host DRAM, one host core computes, and their
+//! transactional commits cross the link back and are programmed.
+//!
+//! The pipeline model is classic double buffering: the flash load of
+//! batch *i* is issued when the compute of batch *i-1* starts, and the
+//! compute of batch *i* starts at `max(compute_end(i-1),
+//! load_done(i))` — load stall is therefore exactly the time the cores
+//! sat waiting on I/O, the quantity the Figure 11 breakdown plots.
 
-use std::convert::Infallible;
-
-use iceclave_core::{IceClave, IceClaveError};
-use iceclave_cpu::{CoreModel, SgxModel};
-use iceclave_dram::{Dram, DramConfig};
-use iceclave_ftl::Requestor;
-use iceclave_isc::SsdPlatform;
-use iceclave_mee::{CounterMode, MeeConfig, MeeEngine, PageClass};
-use iceclave_sim::{Resource, ResourcePool, SimRng};
-use iceclave_types::{
-    ByteSize, CacheLine, FaultStats, Lpn, RecoveryStats, SimDuration, SimTime, TeeId,
-    TicketAttribution, LINES_PER_PAGE, PAGE_SIZE,
-};
+use iceclave_core::{IceClave, IceClaveConfig, IceClaveError, Link};
+use iceclave_cpu::SgxModel;
+use iceclave_mee::PageClass;
+use iceclave_sim::SimRng;
+use iceclave_types::{ByteSize, Lpn, SimDuration, SimTime, TeeId, LINES_PER_PAGE, PAGE_SIZE};
 use iceclave_workloads::{Batch, Workload, WorkloadConfig, WorkloadKind, WorkloadOutput};
 
 use crate::capacity::CapacityModel;
-use crate::modes::{Mode, Overrides, HOST_DRAM};
+use crate::modes::{Mode, Overrides};
 
 /// Everything measured from one workload execution.
 #[derive(Clone, Debug)]
@@ -65,20 +63,8 @@ pub struct RunResult {
     pub ver_traffic: f64,
     /// World switches taken.
     pub world_switches: u64,
-    /// Fault-and-recovery accounting (all zero when no fault plan was
-    /// installed; see `iceclave_flash::faults`).
-    pub faults: FaultStats,
-    /// Integrity-metadata traffic attributed to executor tickets (the
-    /// sum of per-ticket MEE deltas; zero for host-mode runs and for
-    /// workloads that never use the batched async path).
-    pub ticket_meta: TicketAttribution,
     /// Energy breakdown of the run (derived from activity counters).
     pub energy: crate::energy::EnergyBreakdown,
-    /// Crash-recovery accounting, when the run rebooted the device
-    /// through `IceClave::recover` (`None` for the standard
-    /// experiments, which never lose power; see
-    /// `tests/crash_recovery.rs` and the `crash_recovery` bench).
-    pub recovery: Option<RecoveryStats>,
     /// The workload's computed answer (identical across modes).
     pub output: WorkloadOutput,
 }
@@ -102,28 +88,14 @@ pub fn run(
     wl_config: &WorkloadConfig,
     overrides: &Overrides,
 ) -> RunResult {
-    let workload = kind.build(wl_config);
-    let mut batches = Vec::new();
-    let output = workload.run(&mut |b| batches.push(b));
-    if mode.is_host() {
-        run_host(
-            mode, kind, wl_config, overrides, &*workload, &batches, output,
-        )
-    } else {
-        run_ssd(
-            mode, kind, wl_config, overrides, &*workload, &batches, output,
-        )
-        .expect("ssd run must not fail on trusted configuration")
-    }
+    run_with_config(mode.ssd_config(overrides), mode, kind, wl_config)
 }
 
-// ------------------------------------------------------------- SSD ----
-
-/// Per-tenant execution state on the SSD (shared by the single-tenant
-/// runner and the Figures 17/18 multi-tenant scheduler).
+/// Per-tenant execution state (shared by the single-tenant runner and
+/// the Figures 17/18 multi-tenant scheduler).
 #[derive(Debug)]
-pub(crate) struct SsdSession {
-    tee: TeeId,
+pub(crate) struct Session {
+    pub(crate) tee: TeeId,
     base_lpn: u64,
     dataset_pages: u64,
     staged: ByteSize,
@@ -136,6 +108,14 @@ pub(crate) struct SsdSession {
     staged_line_span: u64,
     input_cursor: u64,
     rng: SimRng,
+    /// Host modes read with direct I/O: no dataset page is cached in
+    /// host memory, so every random access goes to flash.
+    direct_io: bool,
+    /// Host+SGX: the enclave's boundary crossings and EPC paging. Its
+    /// 103% compute cost (§6.2) is in the config's core model.
+    sgx: Option<SgxModel>,
+    /// Enclave data streamed in so far (drives EPC paging).
+    touched: ByteSize,
     /// Virtual time of this tenant's compute stream.
     pub(crate) clock: SimTime,
     prev_compute_start: SimTime,
@@ -162,16 +142,23 @@ pub(crate) struct SsdSession {
 /// in groups of this size, overlapping across DRAM banks.
 const MLP: u64 = 4;
 
-impl SsdSession {
-    pub(crate) fn new(
-        ice: &IceClave,
-        tee: TeeId,
+impl Session {
+    /// Offloads `workload`'s program over its dataset, which starts at
+    /// `base_lpn` (`OffloadCode` at `at`), and starts the tenant's
+    /// clock once the TEE exists.
+    pub(crate) fn offload(
+        ice: &mut IceClave,
+        mode: Mode,
         base_lpn: u64,
         workload: &dyn Workload,
         scale_factor: f64,
-        start: SimTime,
+        at: SimTime,
         rng: SimRng,
-    ) -> Self {
+    ) -> Result<Self, IceClaveError> {
+        let lpns: Vec<Lpn> = (0..workload.dataset_pages())
+            .map(|i| Lpn::new(base_lpn + i))
+            .collect();
+        let (tee, start) = ice.offload_code(256 << 10, &lpns, at)?;
         let region_pages = ice.config().tee_region.as_bytes() / PAGE_SIZE;
         let input_pages = region_pages / 2;
         // Random working accesses spread over the *modeled* structure
@@ -184,7 +171,7 @@ impl SsdSession {
         // One radix partition of the staged table: 1 MiB windows.
         let staged_modeled = (workload.staged_bytes().cache_lines() as f64 * scale_factor) as u64;
         let staged_span = staged_modeled.clamp(64, 16_384);
-        SsdSession {
+        Ok(Session {
             tee,
             base_lpn,
             dataset_pages: workload.dataset_pages(),
@@ -195,6 +182,9 @@ impl SsdSession {
             staged_line_span: staged_span,
             input_cursor: 0,
             rng,
+            direct_io: mode.is_host(),
+            sgx: (mode == Mode::HostSgx).then(SgxModel::default),
+            touched: ByteSize::ZERO,
             clock: start,
             prev_compute_start: start,
             stream_anchor: start,
@@ -203,7 +193,7 @@ impl SsdSession {
             load_stall: SimDuration::ZERO,
             mem_time: SimDuration::ZERO,
             ops_time: SimDuration::ZERO,
-        }
+        })
     }
 
     fn next_input_offset(&mut self) -> u64 {
@@ -241,7 +231,11 @@ impl SsdSession {
             self.stream_anchor.max(self.inflight_loads[0])
         };
         let mut load_done = issue;
-        let page_hit = cap.page_cache_hit();
+        let page_hit = if self.direct_io {
+            0.0
+        } else {
+            cap.page_cache_hit()
+        };
         // Streaming input is filled read-only (major counters);
         // transactional pages are about to be updated in place, so they
         // are filled writable (§4.4's dynamic permissions).
@@ -308,9 +302,14 @@ impl SsdSession {
         self.load_stall += compute_start.saturating_since(self.clock);
 
         let tee = self.tee;
+        let mut t = compute_start;
+        if let Some(sgx) = &self.sgx {
+            // Enclave boundary crossing per batch (ecall + ocall).
+            t += sgx.transition_time(&ice.config().platform.core_model, 2);
+        }
         let t = issue_grouped(
             batch.input_lines,
-            compute_start,
+            t,
             || self.next_input_offset(),
             |off, at| ice.mem_read(tee, off, at),
         )?;
@@ -331,7 +330,7 @@ impl SsdSession {
         // Transactional writes update records inside the fetched pages
         // (the input ring); analytic writes go to the small working
         // structures.
-        let t = issue_grouped(
+        let mut t = issue_grouped(
             batch.working_writes,
             t,
             || {
@@ -343,6 +342,13 @@ impl SsdSession {
             },
             |off, at| ice.mem_write(tee, off, at),
         )?;
+        if let Some(sgx) = &self.sgx {
+            // EPC paging once the streamed enclave data exceeds the EPC.
+            let core = &ice.config().platform.core_model;
+            let before = sgx.paging_time(core, self.touched);
+            self.touched += ByteSize::from_bytes(batch.flash_pages() * PAGE_SIZE);
+            t += sgx.paging_time(core, self.touched).saturating_sub(before);
+        }
         self.mem_time += t.saturating_since(compute_start);
         let done = ice.compute(self.tee, &batch.ops, t)?;
         self.ops_time += done.saturating_since(t);
@@ -373,12 +379,12 @@ impl SsdSession {
 /// of a group all start when the slowest access of the previous group
 /// ends (the first group at `start`). Returns when the last access
 /// ends, or `start` when `count` is zero.
-fn issue_grouped<E>(
+fn issue_grouped(
     count: u64,
     start: SimTime,
     mut offset: impl FnMut() -> u64,
-    mut access: impl FnMut(u64, SimTime) -> Result<SimTime, E>,
-) -> Result<SimTime, E> {
+    mut access: impl FnMut(u64, SimTime) -> Result<SimTime, IceClaveError>,
+) -> Result<SimTime, IceClaveError> {
     let (mut group_start, mut end) = (start, start);
     for issued in 1..=count {
         end = end.max(access(offset(), group_start)?);
@@ -389,45 +395,35 @@ fn issue_grouped<E>(
     Ok(end)
 }
 
-/// Runs an SSD-side mode with an explicit runtime configuration
+/// Runs `kind` under `mode` on an explicit runtime configuration
 /// (ablation studies that tweak knobs outside [`Overrides`]).
+///
+/// A host-mode run is timed from the end of `OffloadCode` to the
+/// durability of its last commit: a host program has no TEE, so it
+/// pays no TEE creation, no `GetResult` and no `TerminateTEE`. A
+/// device-mode run pays all three (Table 5).
+///
+/// # Panics
+///
+/// As [`run()`].
 pub fn run_with_config(
-    config: iceclave_core::IceClaveConfig,
+    config: IceClaveConfig,
     mode: Mode,
     kind: WorkloadKind,
     wl_config: &WorkloadConfig,
 ) -> RunResult {
+    execute(config, mode, kind, wl_config).expect("run must not fail on trusted configuration")
+}
+
+fn execute(
+    config: IceClaveConfig,
+    mode: Mode,
+    kind: WorkloadKind,
+    wl_config: &WorkloadConfig,
+) -> Result<RunResult, IceClaveError> {
     let workload = kind.build(wl_config);
     let mut batches = Vec::new();
     let output = workload.run(&mut |b| batches.push(b));
-    run_ssd_with(config, mode, kind, wl_config, &*workload, &batches, output)
-        .expect("ssd run must not fail on trusted configuration")
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_ssd(
-    mode: Mode,
-    kind: WorkloadKind,
-    wl_config: &WorkloadConfig,
-    overrides: &Overrides,
-    workload: &dyn Workload,
-    batches: &[Batch],
-    output: WorkloadOutput,
-) -> Result<RunResult, IceClaveError> {
-    let config = mode.ssd_config(overrides);
-    run_ssd_with(config, mode, kind, wl_config, workload, batches, output)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_ssd_with(
-    config: iceclave_core::IceClaveConfig,
-    mode: Mode,
-    kind: WorkloadKind,
-    wl_config: &WorkloadConfig,
-    workload: &dyn Workload,
-    batches: &[Batch],
-    output: WorkloadOutput,
-) -> Result<RunResult, IceClaveError> {
     let cap = CapacityModel {
         modeled_dataset: wl_config.modeled_bytes,
         dram: config.platform.dram.capacity,
@@ -435,22 +431,31 @@ fn run_ssd_with(
         scale_factor: wl_config.scale_factor(),
     };
     let mut ice = IceClave::new(config);
-    let pages = workload.dataset_pages();
-    let t = ice.populate(Lpn::new(0), pages, SimTime::ZERO)?;
-    let run_start = t;
+    let t = ice.populate(Lpn::new(0), workload.dataset_pages(), SimTime::ZERO)?;
     let flash_base = (
         ice.platform().ftl.flash().stats().reads,
         ice.platform().ftl.flash().stats().programs,
     );
-    let lpns: Vec<Lpn> = (0..pages).map(Lpn::new).collect();
-    let (tee, t) = ice.offload_code(256 << 10, &lpns, t)?;
     let rng = SimRng::new(wl_config.seed).derive(&format!("exec/{}", kind.label()));
-    let mut session = SsdSession::new(&ice, tee, 0, workload, wl_config.scale_factor(), t, rng);
-    for batch in batches {
+    let mut session = Session::offload(
+        &mut ice,
+        mode,
+        0,
+        &*workload,
+        wl_config.scale_factor(),
+        t,
+        rng,
+    )?;
+    let run_start = if mode.is_host() { session.clock } else { t };
+    for batch in &batches {
         session.step(&mut ice, batch, &cap)?;
     }
-    let t = ice.get_result(tee, 64 << 10, session.drained_clock())?;
-    let t = ice.terminate_tee(tee, t)?;
+    let end = if mode.is_host() {
+        session.drained_clock()
+    } else {
+        let t = ice.get_result(session.tee, 64 << 10, session.drained_clock())?;
+        ice.terminate_tee(session.tee, t)?
+    };
 
     let mee_stats = ice.mee().stats().clone();
     let flash_stats = ice.platform().ftl.flash().stats();
@@ -459,25 +464,20 @@ fn run_ssd_with(
         flash_programs: flash_stats.programs - flash_base.1,
         dram_accesses: ice.platform().dram.stats().accesses(),
         core_busy: ice.platform().cores.busy_time(),
-        on_host: false,
-        cipher_pages: ice.stats().pages_loaded,
+        on_host: mode.is_host(),
+        // Only a cipher link runs pages through the stream cipher.
+        cipher_pages: if ice.config().link == Link::Cipher {
+            ice.stats().pages_loaded
+        } else {
+            0
+        },
         mee_ops: mee_stats.encryptions + mee_stats.verifications,
     };
     let energy = crate::energy::EnergyModel::default().evaluate(&activity);
-    let ftl_stats = ice.platform().ftl.stats();
-    let rt_stats = ice.stats();
-    let faults = FaultStats {
-        read_retries: rt_stats.read_retries,
-        uncorrectable_pages: rt_stats.uncorrectable_pages,
-        corrected_bursts: flash_stats.corrected_bursts,
-        program_remaps: ftl_stats.program_remaps,
-        blocks_retired: ftl_stats.blocks_retired,
-        mac_fallbacks: mee_stats.mac_fallbacks,
-    };
     Ok(RunResult {
         workload: kind,
         mode,
-        total: t.saturating_since(run_start),
+        total: end.saturating_since(run_start),
         load_stall: session.load_stall,
         ops_time: session.ops_time,
         mem_time: session.mem_time,
@@ -493,246 +493,8 @@ fn run_ssd_with(
         ver_traffic: mee_stats.verification_traffic_overhead(),
         world_switches: ice.platform().monitor.stats().switches,
         energy,
-        faults,
-        ticket_meta: rt_stats.ticket_meta,
-        recovery: None,
         output,
     })
-}
-
-// ------------------------------------------------------------ Host ----
-
-/// Host DRAM model: same DDR3-1600 timing at twice the channels
-/// (standing in for the server's dual-channel DDR4).
-fn host_dram_config() -> DramConfig {
-    DramConfig {
-        channels: 2,
-        capacity: HOST_DRAM,
-        ..DramConfig::table3()
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_host(
-    mode: Mode,
-    kind: WorkloadKind,
-    wl_config: &WorkloadConfig,
-    overrides: &Overrides,
-    workload: &dyn Workload,
-    batches: &[Batch],
-    output: WorkloadOutput,
-) -> RunResult {
-    // The SSD side: plain block reads (no in-storage compute).
-    let mut ssd_config = Mode::Isc.ssd_config(overrides);
-    // Host experiments never change the SSD core; only flash parameters
-    // matter for the device side.
-    ssd_config.platform.core_model = CoreModel::a72_1_6ghz();
-    let mut platform = SsdPlatform::new(ssd_config.platform.clone());
-    let pages = workload.dataset_pages();
-    let run_start = platform
-        .populate(Lpn::new(0), pages, SimTime::ZERO)
-        .expect("population fits the device");
-    let flash_base = (
-        platform.ftl.flash().stats().reads,
-        platform.ftl.flash().stats().programs,
-    );
-
-    let core = CoreModel::i7_7700k();
-    let mut cores = ResourcePool::new("host-core", 1);
-    let mut pcie = Resource::new("pcie");
-    let mut dram = Dram::new(host_dram_config());
-    let mee_config = if mode == Mode::HostSgx {
-        MeeConfig {
-            mode: CounterMode::SplitOnly,
-            ..MeeConfig::split_only()
-        }
-    } else {
-        MeeConfig::unprotected()
-    };
-    let mut mee = MeeEngine::new(mee_config);
-    let cap = CapacityModel {
-        modeled_dataset: wl_config.modeled_bytes,
-        dram: HOST_DRAM,
-        usable_fraction: 0.75,
-        scale_factor: wl_config.scale_factor(),
-    };
-    let sgx = (mode == Mode::HostSgx).then(SgxModel::default);
-
-    // Host memory layout: a 256 MiB input ring then the working region
-    // (spanning the modeled structure size, as on the SSD side).
-    let input_pages: u64 = 65_536;
-    let input_line_span = input_pages * LINES_PER_PAGE;
-    let working_line_base = input_line_span;
-    let working_line_span = workload
-        .working_set()
-        .cache_lines()
-        .clamp(64, input_line_span);
-    let mut input_cursor = 0u64;
-    let mut fill_cursor = 0u64;
-    let mut rng = SimRng::new(wl_config.seed).derive(&format!("host/{}", kind.label()));
-
-    let mut clock = run_start;
-    let mut prev_compute_start = run_start;
-    let mut load_stall = SimDuration::ZERO;
-    let mut mem_time = SimDuration::ZERO;
-    let mut ops_time = SimDuration::ZERO;
-    let mut touched = ByteSize::ZERO;
-    let staged = workload.staged_bytes();
-    let page_transfer = {
-        let bytes = u64::from(PAGE_SIZE as u32);
-        let bw = ssd_config.platform.pcie_bandwidth;
-        SimDuration::from_ps(((bytes as u128 * 1_000_000_000_000u128) / bw as u128) as u64)
-    };
-
-    let staged_span =
-        ((staged.cache_lines() as f64 * wl_config.scale_factor()) as u64).clamp(64, 16_384);
-
-    let stream_anchor = run_start;
-    for batch in batches {
-        // Same issue discipline as the SSD side: scans prefetch, random
-        // access cannot.
-        let issue = if batch.random_access {
-            prev_compute_start
-        } else {
-            stream_anchor
-        };
-        let mut load_done = issue;
-        // Host flash accesses are cold (direct-I/O transactional path;
-        // no device-content caching in host RAM) — the SSD's own DRAM
-        // is the only flash cache in the model, which is what Figure 16
-        // varies.
-        let page_hit = 0.0;
-        for run_ in &batch.flash_reads {
-            for lpn in run_.iter() {
-                if batch.random_access && rng.gen_bool(page_hit) {
-                    continue; // already in host memory
-                }
-                let flash_done = platform
-                    .ftl
-                    .read(Requestor::Host, lpn, &mut platform.monitor, issue)
-                    .expect("populated page");
-                let over_pcie = pcie.acquire(flash_done, page_transfer);
-                let slot = fill_cursor % input_pages;
-                fill_cursor += 1;
-                let filled = mee.fill_page(&mut dram, slot, PageClass::Writable, over_pcie.end);
-                load_done = load_done.max(filled);
-            }
-        }
-        // Prefetched coalesced re-fetches for staged misses, as on the
-        // SSD side (rare on the host: 16 GiB of RAM).
-        let staged_hit = cap.staged_hit(staged);
-        if batch.staged_reads > 0 && staged_hit < 1.0 {
-            let mut misses = 0u64;
-            for _ in 0..batch.staged_reads {
-                if !rng.gen_bool(staged_hit) {
-                    misses += 1;
-                }
-            }
-            for _ in 0..misses.div_ceil(128) {
-                let lpn = rng.gen_below(pages);
-                let flash_done = platform
-                    .ftl
-                    .read(Requestor::Host, Lpn::new(lpn), &mut platform.monitor, issue)
-                    .expect("populated page");
-                load_done = load_done.max(pcie.acquire(flash_done, page_transfer).end);
-            }
-        }
-        let compute_start = clock.max(load_done);
-        load_stall += compute_start.saturating_since(clock);
-
-        let mut t = compute_start;
-        if let Some(sgx) = &sgx {
-            // Enclave boundary crossing per batch (ecall + ocall).
-            t += sgx.transition_time(&core, 2);
-        }
-        let Ok(end) = issue_grouped(
-            batch.input_lines,
-            t,
-            || {
-                let off = input_cursor % input_line_span;
-                input_cursor += 1;
-                off
-            },
-            |off, at| Ok::<_, Infallible>(mee.read_line(&mut dram, CacheLine::new(off), at)),
-        );
-        // Staged lookups (refetch pages prefetched with the loads;
-        // partitioned probing within cache-sized windows).
-        let Ok(end) = issue_grouped(
-            batch.staged_reads,
-            end,
-            || working_line_base + rng.gen_below(staged_span),
-            |off, at| Ok::<_, Infallible>(mee.read_line(&mut dram, CacheLine::new(off), at)),
-        );
-        let Ok(end) = issue_grouped(
-            batch.working_reads,
-            end,
-            || working_line_base + rng.gen_below(working_line_span),
-            |off, at| Ok::<_, Infallible>(mee.read_line(&mut dram, CacheLine::new(off), at)),
-        );
-        let Ok(end) = issue_grouped(
-            batch.working_writes,
-            end,
-            || working_line_base + rng.gen_below(working_line_span),
-            |off, at| Ok::<_, Infallible>(mee.write_line(&mut dram, CacheLine::new(off), at)),
-        );
-        t = end;
-        if let Some(sgx) = &sgx {
-            // EPC paging once the streamed enclave data exceeds the EPC.
-            let before = sgx.paging_time(&core, touched);
-            touched += ByteSize::from_bytes(batch.flash_pages() * PAGE_SIZE);
-            let after = sgx.paging_time(&core, touched);
-            t += after.saturating_sub(before);
-        }
-        mem_time += t.saturating_since(compute_start);
-        // §6.2 measures 103% extra computing time inside the enclave
-        // (MEE on every miss, checked memory semantics); applied to the
-        // CPU component — the documented SGX calibration.
-        let mut service = core.time_for(&batch.ops);
-        if sgx.is_some() {
-            service = service.mul_f64(2.03);
-        }
-        let done = cores.acquire(t, service).end;
-        ops_time += done.saturating_since(t);
-        prev_compute_start = compute_start;
-        clock = done;
-    }
-
-    let mee_stats = mee.stats().clone();
-    let flash_stats = platform.ftl.flash().stats();
-    let activity = crate::energy::Activity {
-        flash_reads: flash_stats.reads - flash_base.0,
-        flash_programs: flash_stats.programs - flash_base.1,
-        dram_accesses: dram.stats().accesses(),
-        core_busy: cores.busy_time(),
-        on_host: true,
-        cipher_pages: 0,
-        mee_ops: mee_stats.encryptions + mee_stats.verifications,
-    };
-    let energy = crate::energy::EnergyModel::default().evaluate(&activity);
-    RunResult {
-        workload: kind,
-        mode,
-        total: clock.saturating_since(run_start),
-        load_stall,
-        ops_time,
-        mem_time,
-        sec_overhead: mee_stats.read_overhead + mee_stats.write_overhead,
-        cmt_miss_rate: platform.ftl.cmt().miss_rate(),
-        counter_cache_hit_rate: mee.cache_hit_rate(),
-        counter_hit_rate: mee_stats.meta_traffic.counter_hit_rate(),
-        mac_hit_rate: mee_stats.meta_traffic.mac_hit_rate(),
-        tree_hit_rate: mee_stats.meta_traffic.tree_hit_rate(),
-        l2_hit_rate: mee_stats.l2_hit_rate(),
-        mean_read_overhead: mee_stats.mean_read_overhead(),
-        enc_traffic: mee_stats.encryption_traffic_overhead(),
-        ver_traffic: mee_stats.verification_traffic_overhead(),
-        world_switches: platform.monitor.stats().switches,
-        energy,
-        faults: FaultStats::default(),
-        ticket_meta: TicketAttribution::default(),
-        recovery: None,
-        output,
-    }
 }
 
 #[cfg(test)]
@@ -794,6 +556,28 @@ mod tests {
         );
         assert!(sgx.total > host.total);
         assert_eq!(host.output, sgx.output);
+    }
+
+    #[test]
+    fn host_fetches_and_persists_what_isc_does() {
+        // Host reads every page with direct I/O and ships its commits
+        // back over PCIe to be programmed, so it spends at least ISC's
+        // flash energy on the transactions, and exactly ISC's on a scan
+        // that reads the same pages and writes none.
+        let cfg = test_config();
+        for kind in [WorkloadKind::TpcB, WorkloadKind::TpcC, WorkloadKind::TpchQ1] {
+            let host = run(Mode::Host, kind, &cfg, &Overrides::none());
+            let isc = run(Mode::Isc, kind, &cfg, &Overrides::none());
+            let (host_uj, isc_uj) = (host.energy.flash_uj, isc.energy.flash_uj);
+            if kind == WorkloadKind::TpchQ1 {
+                assert_eq!(host_uj, isc_uj, "{kind}");
+            } else {
+                assert!(
+                    host_uj >= isc_uj,
+                    "{kind}: Host {host_uj} uJ vs ISC {isc_uj} uJ"
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! MEE's counters taken around exactly the engine calls one ticket makes.
 //! The executor driver accumulates one per in-flight ticket and hands the
 //! final sum to the retirement observer when the ticket closes; the same
-//! deltas are summed into the run-level totals surfaced by `RunResult`.
+//! deltas are summed into the runtime's `RuntimeStats::ticket_meta`.
 
 /// Integrity-metadata traffic charged to a single ticket.
 ///

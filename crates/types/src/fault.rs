@@ -67,11 +67,11 @@ impl core::fmt::Display for PageError {
     }
 }
 
-/// Aggregate fault-and-recovery accounting for one run.
+/// Fault-and-recovery accounting for one ticket.
 ///
-/// Assembled from the flash, FTL, executor and MEE statistics blocks;
-/// lands in `RunResult` so fault sweeps (`benches/faults.rs`) can
-/// report recovery behaviour alongside throughput.
+/// The executor driver charges each ticket the retries, remaps and MAC
+/// fallbacks its own stages triggered, and hands the sum to the
+/// retirement observer when the ticket closes (the op-log records it).
 #[derive(Copy, Clone, Eq, PartialEq, Debug, Default)]
 pub struct FaultStats {
     /// Read attempts re-issued by the executor's retry ladder.
@@ -99,9 +99,8 @@ impl FaultStats {
 /// What one reboot-and-replay pass recovered (and gave up on).
 ///
 /// Produced by `IceClave::recover` after a power cut (or a clean
-/// shutdown) and carried into `RunResult` so crash sweeps
-/// (`benches/crash_recovery.rs`) can report replay cost alongside the
-/// durability outcome.
+/// shutdown), so crash sweeps (`benches/crash_recovery.rs`) can report
+/// replay cost alongside the durability outcome.
 #[derive(Copy, Clone, Eq, PartialEq, Debug, Default)]
 pub struct RecoveryStats {
     /// True when the journal's last record was a clean-shutdown seal:

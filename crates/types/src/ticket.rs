@@ -99,7 +99,8 @@ impl PageStatus {
 /// |              | check passed)                 | source DRAM page              |
 /// | `flash_done` | channel-bus transfer into the | program pulse finished on the |
 /// |              | controller                    | die                           |
-/// | `cipher_done`| decrypt lane drained          | encrypt lane drained          |
+/// | `cipher_done`| link lane drained (decrypt or | link lane drained (encrypt or |
+/// |              | PCIe; `flash_done` if none)   | PCIe)                         |
 /// | `ready`      | verified plaintext in the TEE | durable (program + seal       |
 /// |              | input ring (MEE fill done)    | metadata both drained)        |
 #[derive(Copy, Clone, Eq, PartialEq, Debug)]
@@ -110,7 +111,7 @@ pub struct LatencyBreakdown {
     pub prepared: SimTime,
     /// End of the flash stage (bus transfer / program pulse).
     pub flash_done: SimTime,
-    /// End of the stream-cipher stage.
+    /// End of the link's lane stage (stream cipher or PCIe).
     pub cipher_done: SimTime,
     /// When the page's completion fires.
     pub ready: SimTime,

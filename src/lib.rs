@@ -32,7 +32,7 @@
 //! discrete-event executor ([`iceclave_exec`]) so that batches from
 //! **multiple TEEs interleave at stage granularity** instead of call
 //! granularity: every contended unit (per-channel flash bus and dies,
-//! per-lane cipher engines, the MEE/DRAM datapath, the secure monitor)
+//! the link's lanes, the MEE/DRAM datapath, the secure monitor)
 //! is a resource timeline, and each *stage event* acquires exactly one
 //! stage for one page at the simulated time it becomes ready. While
 //! TEE A's pages occupy channels 0–3, TEE B's batch streams through
@@ -50,18 +50,22 @@
 //!  [event heap: (time, vtime, ticket, page) order] ◄── other
 //!      │                                   tickets' events interleave
 //!      ▼
-//!  FlashRead ──► Decrypt (lane) ──► Fill (MEE) ──► CompletionQueue
+//!  FlashRead ──► lane ──► Fill (MEE) ──► CompletionQueue
+//!        │         └── the config's Link: the channel's decrypt
+//!        │             lane (inline), the PCIe lane every channel
+//!        │             shares (a Lane event) or none
 //!        └── at the flash span's end the arbiter grants the
 //!            channel's next page (another tenant's, if its virtual
 //!            clock is behind)
 //!
 //!  submit_write_batch_async(tee, writes, now) ──────► Ticket
 //!      │ ownership check at submission (atomic), MEE seal drain
-//!      ▼ one Encrypt event per page at its seal read-out
-//!  Encrypt (lane) ──► Program (ONE event per batch: the single
-//!      │              secure-world entry of Ftl::write_batch, fired
-//!      │              when the last ciphertext exists; the arbiter
-//!      │              is charged per programmed page)
+//!      ▼ one Lane event per page at its seal read-out (none on a
+//!      │ plain link)
+//!  Lane (encrypt or PCIe) ──► Program (ONE event per batch: the
+//!      │              single secure-world entry of Ftl::write_batch,
+//!      │              fired when the last page crossed its lane; the
+//!      │              arbiter is charged per programmed page)
 //!      ▼
 //!  per-page durable completions ──► CompletionQueue
 //!
