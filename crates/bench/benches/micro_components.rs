@@ -6,11 +6,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use iceclave_cipher::{Aes128, CipherEngine, Trivium};
+use iceclave_cipher::{CipherEngine, Trivium};
 use iceclave_dram::{Dram, DramConfig, MemOp};
 use iceclave_flash::FlashConfig;
 use iceclave_ftl::{Ftl, FtlConfig, Requestor};
 use iceclave_mee::{MeeConfig, MeeEngine, MetaCache};
+use iceclave_testkit::Aes128;
 use iceclave_trustzone::WorldMonitor;
 use iceclave_types::{ByteSize, CacheLine, Hertz, Lpn, SimTime};
 

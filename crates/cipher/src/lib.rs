@@ -1,20 +1,14 @@
-//! Cryptographic primitives and the stream-cipher engine of IceClave.
+//! The stream-cipher engine of IceClave.
 //!
 //! IceClave secures the flash-to-DRAM data path with a hardware stream
 //! cipher based on **Trivium** (§5, Figure 10) whose 80-bit IV is the
-//! concatenation of a PRNG output and the physical page address, and it
-//! uses **AES-128** as the block cipher behind counter-mode memory
-//! encryption in the MEE (§4.4).
-//!
-//! This crate implements both ciphers for real:
+//! concatenation of a PRNG output and the physical page address.
 //!
 //! * [`Trivium`] — the eSTREAM portfolio cipher, in a word-sliced
 //!   implementation producing 64 keystream bits per step (matching the
-//!   64 bits/cycle hardware engine of §5), cross-checked against an
-//!   independent bit-at-a-time reference ([`trivium::TriviumRef`]).
-//! * [`Aes128`] — FIPS-197 AES-128 encryption with the S-box derived
-//!   from the GF(2⁸) inverse + affine transform (validated against the
-//!   FIPS-197 Appendix C.1 known-answer vector).
+//!   64 bits/cycle hardware engine of §5). The test-only
+//!   `iceclave_testkit` holds the bit-at-a-time reference it is
+//!   cross-checked against, and the AES-128 of the functional MEE.
 //! * [`PageIv`] — the 80-bit per-page IV of Figure 10 (48-bit PRNG base
 //!   ‖ 32-bit PPA) with the spatial/temporal uniqueness guarantees the
 //!   paper relies on.
@@ -42,13 +36,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod aes;
 pub mod area;
 pub mod engine;
 pub mod iv;
 pub mod trivium;
 
-pub use aes::Aes128;
 pub use area::{AreaReport, CipherAreaModel};
 pub use engine::CipherEngine;
 pub use iv::{IvGenerator, PageIv};

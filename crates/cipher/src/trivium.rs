@@ -5,12 +5,12 @@
 //! because every feedback tap is at least 66 positions deep, up to 64
 //! steps can be computed at once, which is exactly the property the
 //! paper's hardware engine exploits to emit 64 keystream bits per cycle
-//! (§5). [`Trivium`] is that word-sliced implementation;
-//! [`TriviumRef`] is an independent bit-at-a-time reference used to
-//! cross-validate it.
+//! (§5). [`Trivium`] is that word-sliced implementation; an
+//! independent bit-at-a-time reference in the test-only
+//! `iceclave_testkit` cross-validates it.
 //!
-//! Bit conventions (fixed by this crate and used consistently by both
-//! implementations): key bit 1 is the most-significant bit of `key[0]`,
+//! Bit conventions (fixed by this crate and followed by the
+//! reference): key bit 1 is the most-significant bit of `key[0]`,
 //! IV bit 1 is the most-significant bit of `iv[0]`, and the first
 //! generated keystream bit is the most-significant bit of the first
 //! keystream byte.
@@ -146,93 +146,9 @@ impl Trivium {
     }
 }
 
-/// Bit-at-a-time reference implementation of Trivium, kept deliberately
-/// naive and independent of [`Trivium`] so the two can cross-validate
-/// each other.
-#[derive(Clone, Debug)]
-pub struct TriviumRef {
-    /// `s[0]` is spec bit s1.
-    s: [u8; 288],
-}
-
-impl TriviumRef {
-    /// Initializes and warms up the reference cipher.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` or `iv` is not exactly 10 bytes.
-    pub fn new(key: &[u8], iv: &[u8]) -> Self {
-        assert_eq!(key.len(), 10);
-        assert_eq!(iv.len(), 10);
-        let mut s = [0u8; 288];
-        for i in 0..80 {
-            s[i] = (key[i / 8] >> (7 - (i % 8))) & 1;
-            s[93 + i] = (iv[i / 8] >> (7 - (i % 8))) & 1;
-        }
-        s[285] = 1;
-        s[286] = 1;
-        s[287] = 1;
-        let mut this = TriviumRef { s };
-        for _ in 0..WARMUP_STEPS {
-            let _ = this.step();
-        }
-        this
-    }
-
-    /// One step of the spec's pseudo-code; returns the keystream bit.
-    fn step(&mut self) -> u8 {
-        let s = &self.s;
-        let t1 = s[65] ^ s[92];
-        let t2 = s[161] ^ s[176];
-        let t3 = s[242] ^ s[287];
-        let z = t1 ^ t2 ^ t3;
-        let t1n = t1 ^ (s[90] & s[91]) ^ s[170];
-        let t2n = t2 ^ (s[174] & s[175]) ^ s[263];
-        let t3n = t3 ^ (s[285] & s[286]) ^ s[68];
-        // Shift each register by one (s_i -> s_{i+1}).
-        self.s.copy_within(0..92, 1);
-        self.s.copy_within(93..176, 94);
-        self.s.copy_within(177..287, 178);
-        self.s[0] = t3n;
-        self.s[93] = t1n;
-        self.s[177] = t2n;
-        z
-    }
-
-    /// Produces `n` keystream bytes (first bit = MSB of first byte).
-    pub fn keystream_bytes(&mut self, n: usize) -> Vec<u8> {
-        (0..n)
-            .map(|_| {
-                let mut byte = 0u8;
-                for _ in 0..8 {
-                    byte = (byte << 1) | self.step();
-                }
-                byte
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn word_sliced_matches_reference() {
-        let cases = [
-            ([0u8; 10], [0u8; 10]),
-            ([0xFF; 10], [0xFF; 10]),
-            (
-                [0x01, 0x23, 0x45, 0x67, 0x89, 0xAB, 0xCD, 0xEF, 0x12, 0x34],
-                [0xFE, 0xDC, 0xBA, 0x98, 0x76, 0x54, 0x32, 0x10, 0xAA, 0x55],
-            ),
-        ];
-        for (key, iv) in cases {
-            let fast = Trivium::new(&key, &iv).keystream_bytes(256);
-            let slow = TriviumRef::new(&key, &iv).keystream_bytes(256);
-            assert_eq!(fast, slow, "key={key:02x?}");
-        }
-    }
 
     #[test]
     fn different_ivs_give_different_streams() {

@@ -1,9 +1,10 @@
 //! IceClave runtime configuration.
 
 use iceclave_ftl::{SchedPolicy, TicketPolicy};
-use iceclave_isc::IscConfig;
 use iceclave_mee::MeeConfig;
 use iceclave_types::{ByteSize, Hertz, SimDuration};
+
+use crate::platform::PlatformConfig;
 
 /// Cross-tenant channel-scheduling configuration (§6.8, Figures
 /// 17/18).
@@ -53,7 +54,7 @@ pub enum Link {
 #[derive(Clone, Debug)]
 pub struct IceClaveConfig {
     /// The underlying SSD platform (Table 3).
-    pub platform: IscConfig,
+    pub platform: PlatformConfig,
     /// Memory-encryption engine configuration (§4.4; hybrid counters by
     /// default).
     pub mee: MeeConfig,
@@ -84,7 +85,7 @@ impl IceClaveConfig {
     /// The paper's configuration on the Table 3 platform.
     pub fn table3() -> Self {
         IceClaveConfig {
-            platform: IscConfig::table3(),
+            platform: PlatformConfig::table3(),
             mee: MeeConfig::hybrid(),
             cipher_clock: Hertz::from_mhz(800),
             link: Link::Cipher,
@@ -100,7 +101,7 @@ impl IceClaveConfig {
     /// Miniature configuration for unit tests.
     pub fn tiny() -> Self {
         IceClaveConfig {
-            platform: IscConfig::tiny(),
+            platform: PlatformConfig::tiny(),
             ..IceClaveConfig::table3()
         }
     }

@@ -40,7 +40,6 @@ use iceclave_cipher::CipherEngine;
 use iceclave_exec::{Executor, StageEvent, StageMachine};
 use iceclave_ftl::FlashError;
 use iceclave_ftl::{FtlError, JournalRecord, Requestor, SchedPolicy, WfqArbiter};
-use iceclave_isc::SsdPlatform;
 use iceclave_mee::{MeeEngine, MetaTraffic, PageClass, PageSeal, SealSpan};
 use iceclave_sim::Resource;
 use iceclave_types::{
@@ -50,6 +49,7 @@ use iceclave_types::{
 };
 
 use crate::config::{IceClaveConfig, Link};
+use crate::platform::SsdPlatform;
 use crate::runtime::{AbortReason, IceClave, IceClaveError, RuntimeStats};
 use crate::slab::{ErrorSlab, IvTable, JobTable};
 

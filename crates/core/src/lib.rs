@@ -23,6 +23,8 @@
 //!   `ThrowOutTEE`, with the Table 5 costs (95 us create, 58 us delete,
 //!   3.8 us world switch).
 //!
+//! Every mode of the evaluation runs on one [`SsdPlatform`] (Table 3).
+//!
 //! # Examples
 //!
 //! ```
@@ -55,6 +57,7 @@
 
 pub mod config;
 pub mod exec_driver;
+pub mod platform;
 pub mod runtime;
 mod slab;
 pub mod trace;
@@ -64,4 +67,33 @@ pub use exec_driver::{Stage, READ_RETRY_LIMIT, READ_RETRY_STEP_US};
 pub use iceclave_exec::{PowerLossInjector, PowerLossPlan};
 pub use iceclave_ftl::{JournalRecord, SchedPolicy, TicketPolicy};
 pub use iceclave_types::RecoveryStats;
+pub use platform::{PlatformConfig, SsdPlatform};
 pub use runtime::{AbortReason, IceClave, IceClaveError, RuntimeStats, TeeStatus};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use iceclave_cpu::{OpClass, OpCounts};
+    use iceclave_types::{SimDuration, SimTime};
+
+    #[test]
+    fn compute_occupies_cores() {
+        let mut platform = SsdPlatform::new(PlatformConfig::tiny());
+        let mut ops = OpCounts::new();
+        ops.add(OpClass::ScanTuple, 1_000_000);
+        let done = platform.compute(&ops, SimTime::ZERO);
+        assert!(done > SimTime::ZERO);
+        assert_eq!(platform.cores.operations(), 1);
+    }
+
+    #[test]
+    fn pcie_is_slower_than_internal_bandwidth() {
+        // Table 3's 8 channels: 4.8 GB/s internal vs 3.2 GB/s PCIe.
+        let platform = SsdPlatform::new(PlatformConfig::table3());
+        let pcie = platform.pcie_transfer_time(1 << 30);
+        let internal = platform.config().flash.internal_bandwidth();
+        let internal_time =
+            SimDuration::from_secs_f64((1u64 << 30) as f64 / internal.as_bytes() as f64);
+        assert!(pcie > internal_time);
+    }
+}

@@ -8,7 +8,6 @@ use iceclave_cipher::{CipherEngine, PageIv};
 use iceclave_cpu::OpCounts;
 use iceclave_exec::PowerLossPlan;
 use iceclave_ftl::{FaultPlan, FtlError, JournalRecord, Requestor};
-use iceclave_isc::SsdPlatform;
 use iceclave_mee::{MacFaultPlan, MeeEngine, PageClass};
 use iceclave_sim::Resource;
 use iceclave_trustzone::{AccessType, MemoryMap, ProtectionFault, Region, World};
@@ -18,6 +17,7 @@ use iceclave_types::{
 };
 
 use crate::config::{IceClaveConfig, Link};
+use crate::platform::SsdPlatform;
 
 /// One TEE slot per value of the 4-bit mapping-entry ID field (§4.3),
 /// the reserved unowned id 0 included.

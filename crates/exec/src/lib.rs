@@ -65,9 +65,7 @@
 pub mod completion;
 pub mod executor;
 pub mod power;
-pub mod reference;
 
 pub use completion::{CompletionQueue, RetireObserver, DRAIN_ORDER_CONTRACT};
 pub use executor::{Executor, StageEvent, StageMachine};
 pub use power::{PowerLossInjector, PowerLossPlan};
-pub use reference::{RefExecutor, RefStageMachine};

@@ -58,6 +58,7 @@ pub fn run_colocated(kinds: &[WorkloadKind], wl_config: &WorkloadConfig) -> Vec<
         batches: Vec<Batch>,
         next_batch: usize,
         session: Option<Session>,
+        done: Option<SimTime>,
         output: WorkloadOutput,
         base_lpn: u64,
     }
@@ -77,6 +78,7 @@ pub fn run_colocated(kinds: &[WorkloadKind], wl_config: &WorkloadConfig) -> Vec<
             batches,
             next_batch: 0,
             session: None,
+            done: None,
             output,
             base_lpn: base,
         });
@@ -108,40 +110,38 @@ pub fn run_colocated(kinds: &[WorkloadKind], wl_config: &WorkloadConfig) -> Vec<
     }
 
     // Fair-progress scheduler: always step the tenant whose clock is
-    // earliest.
+    // earliest. A tenant is torn down right after its last batch, at its
+    // own finish time, not behind work the others book later.
     loop {
         let next = tenants
             .iter()
             .enumerate()
-            .filter(|(_, t)| t.next_batch < t.batches.len())
+            .filter(|(_, t)| t.done.is_none())
             .min_by_key(|(_, t)| t.session.as_ref().expect("session built").clock)
             .map(|(i, _)| i);
         let Some(i) = next else { break };
         let tenant = &mut tenants[i];
-        let batch = &tenant.batches[tenant.next_batch];
-        tenant.next_batch += 1;
-        tenant
-            .session
-            .as_mut()
-            .expect("session built")
-            .step(&mut ice, batch, &cap)
-            .expect("tenant step");
-    }
-
-    tenants
-        .into_iter()
-        .map(|t| {
-            let session = t.session.expect("session built");
+        let session = tenant.session.as_mut().expect("session built");
+        if let Some(batch) = tenant.batches.get(tenant.next_batch) {
+            tenant.next_batch += 1;
+            session.step(&mut ice, batch, &cap).expect("tenant step");
+        }
+        if tenant.next_batch == tenant.batches.len() {
             let tee = session.tee;
             let done = ice
                 .get_result(tee, 64 << 10, session.drained_clock())
                 .and_then(|after| ice.terminate_tee(tee, after))
                 .expect("teardown");
-            TenantResult {
-                kind: t.kind,
-                total: done.saturating_since(run_start),
-                output: t.output,
-            }
+            tenant.done = Some(done);
+        }
+    }
+
+    tenants
+        .into_iter()
+        .map(|t| TenantResult {
+            kind: t.kind,
+            total: t.done.expect("torn down").saturating_since(run_start),
+            output: t.output,
         })
         .collect()
 }

@@ -821,29 +821,6 @@ impl Ftl {
         self.mapping.lookup(lpn).map(|entry| entry.ppn())
     }
 
-    /// Reads logical page `lpn`: translation (with permission check)
-    /// followed by the flash page read. Returns when the data has
-    /// reached the controller.
-    ///
-    /// # Errors
-    ///
-    /// Translation errors, or a flash error if the mapping is stale (an
-    /// internal invariant violation).
-    pub fn read(
-        &mut self,
-        requestor: Requestor,
-        lpn: Lpn,
-        monitor: &mut WorldMonitor,
-        now: SimTime,
-    ) -> Result<SimTime, FtlError> {
-        let translation = self.translate(requestor, lpn, monitor, now)?;
-        let span = self
-            .flash
-            .read_page(translation.ppn, translation.ready_at)?;
-        self.stats.reads += 1;
-        Ok(span.end)
-    }
-
     /// Writes logical page `lpn` out-of-place: allocates a fresh page,
     /// programs it, updates the mapping (dirtying the CMT) and
     /// invalidates the old page. Mapping updates happen in the secure
@@ -1607,29 +1584,7 @@ impl Ftl {
                 }
             };
             t = prog.end;
-            // Move functional content along with the page.
-            if let Some(data) = self.flash.read_data(old_ppn).map(<[u8]>::to_vec) {
-                self.flash.write_data(new_ppn, &data);
-            }
-            self.invalidate(old_ppn);
-            self.mark_valid(new_ppn, content);
-            match content {
-                PageContent::Data(lpn) => {
-                    self.mapping.update(lpn, new_ppn);
-                    let _ = self.cmt.update(lpn);
-                    self.journal_note(JournalRecord::MapUpdate {
-                        lpn: lpn.raw(),
-                        ppn: new_ppn.raw(),
-                    });
-                }
-                PageContent::Translation(tvpn) => {
-                    self.translation_ppns.insert(tvpn, new_ppn);
-                    self.journal_note(JournalRecord::TransPersist {
-                        tvpn,
-                        ppn: new_ppn.raw(),
-                    });
-                }
-            }
+            self.relocate(old_ppn, new_ppn, content);
             self.stats.gc_pages_moved += 1;
         }
         self.blocks.remove(&victim_idx);
@@ -1749,28 +1704,7 @@ impl Ftl {
                 Err(e) => return Err(e.into()),
             };
             t = prog.end;
-            if let Some(data) = self.flash.read_data(old_ppn).map(<[u8]>::to_vec) {
-                self.flash.write_data(new_ppn, &data);
-            }
-            self.invalidate(old_ppn);
-            self.mark_valid(new_ppn, content);
-            match content {
-                PageContent::Data(lpn) => {
-                    self.mapping.update(lpn, new_ppn);
-                    let _ = self.cmt.update(lpn);
-                    self.journal_note(JournalRecord::MapUpdate {
-                        lpn: lpn.raw(),
-                        ppn: new_ppn.raw(),
-                    });
-                }
-                PageContent::Translation(tvpn) => {
-                    self.translation_ppns.insert(tvpn, new_ppn);
-                    self.journal_note(JournalRecord::TransPersist {
-                        tvpn,
-                        ppn: new_ppn.raw(),
-                    });
-                }
-            }
+            self.relocate(old_ppn, new_ppn, content);
         }
         self.blocks.remove(&cold_idx);
         self.planes[plane_idx].full_blocks.push(hot);
@@ -1790,6 +1724,35 @@ impl Ftl {
                 Ok(t)
             }
             Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Moves a programmed page's bookkeeping from `old` to `new` after
+    /// a relocation program (GC or static wear leveling): the stored
+    /// bytes, the valid bits, and the mapping entry (updating the CMT)
+    /// or translation-page location, journaled.
+    fn relocate(&mut self, old: Ppn, new: Ppn, content: PageContent) {
+        if let Some(data) = self.flash.read_data(old).map(<[u8]>::to_vec) {
+            self.flash.write_data(new, &data);
+        }
+        self.invalidate(old);
+        self.mark_valid(new, content);
+        match content {
+            PageContent::Data(lpn) => {
+                self.mapping.update(lpn, new);
+                let _ = self.cmt.update(lpn);
+                self.journal_note(JournalRecord::MapUpdate {
+                    lpn: lpn.raw(),
+                    ppn: new.raw(),
+                });
+            }
+            PageContent::Translation(tvpn) => {
+                self.translation_ppns.insert(tvpn, new);
+                self.journal_note(JournalRecord::TransPersist {
+                    tvpn,
+                    ppn: new.raw(),
+                });
+            }
         }
     }
 
@@ -1917,6 +1880,22 @@ mod tests {
         TeeId::new(raw).unwrap()
     }
 
+    /// A page read as the device serves it: translation, then flash.
+    fn read_lpn(
+        ftl: &mut Ftl,
+        requestor: Requestor,
+        lpn: Lpn,
+        monitor: &mut WorldMonitor,
+        now: SimTime,
+    ) -> Result<SimTime, FtlError> {
+        let translation = ftl.translate(requestor, lpn, monitor, now)?;
+        let span = ftl
+            .flash_mut()
+            .read_page(translation.ppn, translation.ready_at)?;
+        ftl.record_logical_reads(1);
+        Ok(span.end)
+    }
+
     #[test]
     fn journal_reservation_spreads_across_planes_and_shrinks_free_count() {
         let (ftl, _m) = journaled_setup();
@@ -1966,7 +1945,7 @@ mod tests {
         assert_eq!(ftl.current_ppn(Lpn::new(7)), None);
         // The rebuilt device still serves reads and writes.
         let end = recovery.end_time;
-        ftl.read(Requestor::Host, Lpn::new(0), &mut m, end).unwrap();
+        read_lpn(&mut ftl, Requestor::Host, Lpn::new(0), &mut m, end).unwrap();
         ftl.write(Requestor::Host, Lpn::new(100), &mut m, end)
             .unwrap();
     }
@@ -1984,10 +1963,10 @@ mod tests {
         // old TEE id no longer grants access, the host still reads.
         let end = recovery.end_time;
         assert!(matches!(
-            ftl.read(Requestor::Tee(tee(3)), Lpn::new(1), &mut m, end),
+            ftl.translate(Requestor::Tee(tee(3)), Lpn::new(1), &mut m, end),
             Err(FtlError::AccessDenied { .. })
         ));
-        ftl.read(Requestor::Host, Lpn::new(1), &mut m, end).unwrap();
+        read_lpn(&mut ftl, Requestor::Host, Lpn::new(1), &mut m, end).unwrap();
     }
 
     #[test]
@@ -2021,7 +2000,7 @@ mod tests {
         let t = ftl
             .write(Requestor::Host, Lpn::new(5), &mut m, SimTime::ZERO)
             .unwrap();
-        let done = ftl.read(Requestor::Host, Lpn::new(5), &mut m, t).unwrap();
+        let done = read_lpn(&mut ftl, Requestor::Host, Lpn::new(5), &mut m, t).unwrap();
         assert!(done > t);
         assert_eq!(ftl.stats().writes, 1);
         assert_eq!(ftl.stats().reads, 1);
@@ -2031,7 +2010,7 @@ mod tests {
     fn unmapped_read_errors() {
         let (mut ftl, mut m) = setup();
         assert_eq!(
-            ftl.read(Requestor::Host, Lpn::new(1), &mut m, SimTime::ZERO),
+            ftl.translate(Requestor::Host, Lpn::new(1), &mut m, SimTime::ZERO),
             Err(FtlError::Unmapped(Lpn::new(1)))
         );
     }
@@ -2043,17 +2022,22 @@ mod tests {
             .unwrap();
         // Unowned: no TEE may read it.
         let err = ftl
-            .read(Requestor::Tee(tee(1)), Lpn::new(1), &mut m, SimTime::ZERO)
+            .translate(Requestor::Tee(tee(1)), Lpn::new(1), &mut m, SimTime::ZERO)
             .unwrap_err();
         assert!(matches!(err, FtlError::AccessDenied { .. }));
 
         ftl.set_id_bits(&[Lpn::new(1)], tee(1)).unwrap();
-        assert!(ftl
-            .read(Requestor::Tee(tee(1)), Lpn::new(1), &mut m, SimTime::ZERO)
-            .is_ok());
+        assert!(read_lpn(
+            &mut ftl,
+            Requestor::Tee(tee(1)),
+            Lpn::new(1),
+            &mut m,
+            SimTime::ZERO
+        )
+        .is_ok());
         // A different TEE is still rejected (brute-force probe, §4.3).
         assert!(matches!(
-            ftl.read(Requestor::Tee(tee(2)), Lpn::new(1), &mut m, SimTime::ZERO),
+            ftl.translate(Requestor::Tee(tee(2)), Lpn::new(1), &mut m, SimTime::ZERO),
             Err(FtlError::AccessDenied { .. })
         ));
         assert_eq!(ftl.stats().access_denied, 2);
@@ -2239,7 +2223,7 @@ mod tests {
         assert!(ftl.trim(Requestor::Host, Lpn::new(3)).unwrap());
         assert_eq!(ftl.valid_pages(), 0);
         assert_eq!(
-            ftl.read(Requestor::Host, Lpn::new(3), &mut m, SimTime::ZERO),
+            ftl.translate(Requestor::Host, Lpn::new(3), &mut m, SimTime::ZERO),
             Err(FtlError::Unmapped(Lpn::new(3)))
         );
         // Trimming again is a no-op.
@@ -2259,9 +2243,14 @@ mod tests {
         assert!(matches!(err, FtlError::AccessDenied { lpn, .. } if lpn == Lpn::new(7)));
         assert_eq!(ftl.stats().access_denied, 1);
         assert_eq!(ftl.valid_pages(), 1);
-        assert!(ftl
-            .read(Requestor::Tee(tee(1)), Lpn::new(7), &mut m, SimTime::ZERO)
-            .is_ok());
+        assert!(read_lpn(
+            &mut ftl,
+            Requestor::Tee(tee(1)),
+            Lpn::new(7),
+            &mut m,
+            SimTime::ZERO
+        )
+        .is_ok());
         // The owner may trim its own page.
         assert!(ftl.trim(Requestor::Tee(tee(1)), Lpn::new(7)).unwrap());
         assert_eq!(ftl.valid_pages(), 0);
@@ -2494,11 +2483,16 @@ mod tests {
             SimTime::ZERO,
         )
         .unwrap();
-        assert!(ftl
-            .read(Requestor::Tee(tee(4)), Lpn::new(10), &mut m, SimTime::ZERO)
-            .is_ok());
+        assert!(read_lpn(
+            &mut ftl,
+            Requestor::Tee(tee(4)),
+            Lpn::new(10),
+            &mut m,
+            SimTime::ZERO
+        )
+        .is_ok());
         assert!(matches!(
-            ftl.read(Requestor::Tee(tee(5)), Lpn::new(10), &mut m, SimTime::ZERO),
+            ftl.translate(Requestor::Tee(tee(5)), Lpn::new(10), &mut m, SimTime::ZERO),
             Err(FtlError::AccessDenied { .. })
         ));
     }
@@ -2716,7 +2710,7 @@ mod tests {
         assert_eq!(seen.len(), 64);
         let mut t = outcome.finished;
         for &lpn in &lpns {
-            t = ftl.read(Requestor::Host, lpn, &mut m, t).unwrap();
+            t = read_lpn(&mut ftl, Requestor::Host, lpn, &mut m, t).unwrap();
         }
     }
 

@@ -15,8 +15,8 @@
 //!   encoding with 4 ID bits.
 //! * [`cmt`] — the DFTL-style cached mapping table living in the
 //!   protected region; misses escalate to the secure world and flash.
-//! * [`ftl`] — the façade: translation, reads/writes with permission
-//!   checks, the channel-steered write batch, GC, wear leveling.
+//! * [`ftl`] — the façade: translation with the permission check,
+//!   writes, the channel-steered write batch, GC, wear leveling.
 //! * [`wfq`] — fair queueing *across* TEEs: per-channel
 //!   start-time fair queueing over page-sized quanta, with preemption
 //!   points at page boundaries (Figures 17/18 multi-tenancy).
@@ -34,10 +34,12 @@
 //! let lpn = Lpn::new(3);
 //! ftl.write(Requestor::Host, lpn, &mut monitor, SimTime::ZERO)?;
 //!
-//! // Grant page 3 to TEE 1, then read it back from the TEE.
+//! // Grant page 3 to TEE 1, then read it back from the TEE: translate
+//! // (with the ID-bit check), then read the flash page.
 //! let tee = TeeId::new(1)?;
 //! ftl.set_id_bits(&[lpn], tee)?;
-//! let done = ftl.read(Requestor::Tee(tee), lpn, &mut monitor, SimTime::ZERO)?;
+//! let tr = ftl.translate(Requestor::Tee(tee), lpn, &mut monitor, SimTime::ZERO)?;
+//! let done = ftl.flash_mut().read_page(tr.ppn, tr.ready_at)?.end;
 //! assert!(done > SimTime::ZERO);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

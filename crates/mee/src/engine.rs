@@ -614,7 +614,7 @@ impl MeeEngine {
         let class = self.effective_class(page);
 
         // Counter fetch (+ verification walk on a miss).
-        let (counter_ready, counter_hit) = self.fetch_counter(dram, page, class, now);
+        let (counter_ready, counter_hit) = self.fetch_counter(dram, page, class, false, now);
         // Data-MAC fetch: free when co-located with the data line.
         let mac_ready = if self.config.mac_colocated {
             counter_ready
@@ -664,7 +664,7 @@ impl MeeEngine {
         };
 
         // Counter read-modify-write.
-        let (counter_ready, counter_hit) = self.fetch_counter_for_update(dram, page, class, now);
+        let (counter_ready, counter_hit) = self.fetch_counter(dram, page, class, true, now);
         let line_in_page = (line.raw() % LINES_PER_PAGE) as usize;
         let overflowed = self.split_counters.entry(page).increment(line_in_page);
         let mut t = counter_ready;
@@ -889,9 +889,10 @@ impl MeeEngine {
         }
     }
 
-    /// Fetches (and on a miss, verifies) the counter block for a read,
-    /// consulting L1 → L2 → home-with-tree-walk in order. Returns the
-    /// ready time and whether the counter came from the hierarchy
+    /// Fetches (and on a miss, verifies) the counter block of `page`,
+    /// consulting L1 → L2 → home-with-tree-walk in order; a `dirty`
+    /// fetch (a counter update) leaves the block dirty in L1. Returns
+    /// the ready time and whether the counter came from the hierarchy
     /// (L1 or L2) rather than a verification walk.
     ///
     /// An L2 hit reports `true`: the sealed block's single MAC check is
@@ -904,32 +905,11 @@ impl MeeEngine {
         dram: &mut Dram,
         page: u64,
         class: PageClass,
+        dirty: bool,
         now: SimTime,
     ) -> (SimTime, bool) {
         let id = self.counter_id(page, class);
-        if self.l1_access(dram, id, false, now) {
-            return (now, true);
-        }
-        if let Some(ready) = self.l2_probe(dram, id, now) {
-            return (ready, true);
-        }
-        self.stats.extra_enc_reads += 1;
-        let counter_end = dram.access(meta_line(id), MemOp::Read, now).end;
-        let walk_end = self.verify_walk(dram, page, class, now);
-        (counter_end.max(walk_end), false)
-    }
-
-    /// Counter fetch for an update: identical hierarchy, but the block
-    /// ends dirty in L1. Returns the ready time and hit flag.
-    fn fetch_counter_for_update(
-        &mut self,
-        dram: &mut Dram,
-        page: u64,
-        class: PageClass,
-        now: SimTime,
-    ) -> (SimTime, bool) {
-        let id = self.counter_id(page, class);
-        if self.l1_access(dram, id, true, now) {
+        if self.l1_access(dram, id, dirty, now) {
             return (now, true);
         }
         if let Some(ready) = self.l2_probe(dram, id, now) {

@@ -10,22 +10,18 @@
 //! a 64-bit major plus 64 six-bit minors). Two Merkle trees protect the
 //! two counter spaces, with both roots pinned in processor registers.
 //!
-//! This crate implements the scheme at two levels:
-//!
-//! * [`MeeEngine`] — the **timing/traffic** model: every program-visible
-//!   cache-line access is decomposed into DRAM data traffic plus the
-//!   extra counter/MAC/tree traffic, filtered through a two-level
-//!   metadata hierarchy: a real set-associative on-chip counter cache
-//!   (128 KiB in Table 3's configuration) backed, when configured, by a
-//!   MAC-sealed second-level store ([`L2MetaStore`]) in a reserved
-//!   region of the SSD's DRAM — an L2 hit costs one DRAM fetch plus one
-//!   MAC check instead of a Merkle walk. This is what produces the
-//!   overhead numbers of Figures 8/11 and the extra-traffic percentages
-//!   of Table 6.
-//! * [`SecureMemory`] — the **functional** model: byte-accurate
-//!   encryption (AES-CTR pads), MAC computation and Merkle verification
-//!   over real data, used by the threat-model tests to demonstrate that
-//!   tampering, splicing and replay are detected.
+//! [`MeeEngine`] implements the scheme as a **timing/traffic** model:
+//! every program-visible cache-line access is decomposed into DRAM data
+//! traffic plus the extra counter/MAC/tree traffic, filtered through a
+//! two-level metadata hierarchy: a real set-associative on-chip counter
+//! cache (128 KiB in Table 3's configuration) backed, when configured,
+//! by a MAC-sealed second-level store ([`L2MetaStore`]) in a reserved
+//! region of the SSD's DRAM — an L2 hit costs one DRAM fetch plus one
+//! MAC check instead of a Merkle walk. This is what produces the
+//! overhead numbers of Figures 8/11 and the extra-traffic percentages
+//! of Table 6. The byte-accurate functional model the threat-model
+//! tests run (AES-CTR pads, MACs and Merkle verification over real
+//! data) lives in the test-only `iceclave_testkit`.
 //!
 //! # Examples
 //!
@@ -50,7 +46,6 @@ pub mod counters;
 pub mod engine;
 pub mod faults;
 pub mod l2;
-pub mod secure;
 pub mod tree;
 
 pub use cache::{CacheOutcome, MetaCache};
@@ -58,5 +53,4 @@ pub use counters::{MajorCounterBlock, PageClass, SplitCounterBlock, MINOR_LIMIT}
 pub use engine::{CounterMode, MeeConfig, MeeEngine, MeeStats, MetaTraffic, PageSeal, SealSpan};
 pub use faults::{MacFault, MacFaultInjector, MacFaultPlan};
 pub use l2::{L2Demotion, L2MetaStore, L2Promotion};
-pub use secure::{SecureMemory, VerifyError};
-pub use tree::{MerkleTree, TreeGeometry};
+pub use tree::TreeGeometry;

@@ -1,11 +1,9 @@
-//! Property-based tests for counters, cache, tree and metadata-hierarchy
+//! Property-based tests for counters, cache and metadata-hierarchy
 //! invariants.
 
-use iceclave_cipher::Aes128;
 use iceclave_dram::{Dram, DramConfig};
 use iceclave_mee::{
-    CounterMode, MeeConfig, MeeEngine, MerkleTree, MetaCache, PageClass, SplitCounterBlock,
-    MINOR_LIMIT,
+    CounterMode, MeeConfig, MeeEngine, MetaCache, PageClass, SplitCounterBlock, MINOR_LIMIT,
 };
 use iceclave_types::{ByteSize, CacheLine, SimTime, LINES_PER_PAGE};
 use proptest::prelude::*;
@@ -187,30 +185,5 @@ proptest! {
         prop_assert_eq!(a.encryptions, b.encryptions);
         // And the disabled-L2 engine never touched a second level.
         prop_assert_eq!(b.l2_hits + b.l2_misses + b.l2_demotions, 0);
-    }
-
-    /// Merkle verification accepts exactly the current leaf values and
-    /// rejects any stale one.
-    #[test]
-    fn tree_accepts_current_rejects_stale(updates in prop::collection::vec((0u64..64, prop::array::uniform8(0u8..)), 1..50)) {
-        let mut tree = MerkleTree::new(64, Aes128::new(&[9; 16]));
-        let mut current: std::collections::HashMap<u64, [u8; 8]> = Default::default();
-        let mut stale: Vec<(u64, [u8; 8])> = Vec::new();
-        for (leaf, mac) in updates {
-            if let Some(old) = current.insert(leaf, mac) {
-                if old != mac {
-                    stale.push((leaf, old));
-                }
-            }
-            tree.update_leaf(leaf, mac);
-        }
-        for (&leaf, &mac) in &current {
-            prop_assert!(tree.verify_leaf(leaf, mac));
-        }
-        for (leaf, old) in stale {
-            if current.get(&leaf) != Some(&old) {
-                prop_assert!(!tree.verify_leaf(leaf, old), "stale MAC accepted for {leaf}");
-            }
-        }
     }
 }

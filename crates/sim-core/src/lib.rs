@@ -43,7 +43,7 @@ pub mod rng;
 pub mod stats;
 
 pub use clock::EventClock;
-pub use event::{HeapKeyedEventQueue, KeyedEventQueue};
+pub use event::KeyedEventQueue;
 pub use resource::{Resource, ResourcePool, ServiceSpan};
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, RunningStats};

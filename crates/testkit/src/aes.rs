@@ -3,10 +3,11 @@
 //! The memory-encryption engine of §4.4 generates its one-time pads by
 //! encrypting counters with a block cipher "such as AES"; Table 3 models
 //! the hardware unit with a 60 ns latency. This module provides the
-//! functional cipher. The S-box is computed from its definition (the
-//! multiplicative inverse in GF(2⁸) followed by the affine transform)
-//! rather than pasted as a table, and the implementation is validated
-//! against the FIPS-197 Appendix C.1 known-answer vector.
+//! functional cipher of [`crate::SecureMemory`]. The S-box is computed
+//! from its definition (the multiplicative inverse in GF(2⁸) followed
+//! by the affine transform) rather than pasted as a table, and the
+//! implementation is validated against the FIPS-197 Appendix C.1
+//! known-answer vector.
 
 /// AES-128: 10 rounds, 16-byte blocks, 16-byte keys.
 ///
@@ -16,7 +17,7 @@
 /// # Examples
 ///
 /// ```
-/// use iceclave_cipher::Aes128;
+/// use iceclave_testkit::Aes128;
 ///
 /// // FIPS-197 Appendix C.1 known-answer test.
 /// let key = [

@@ -1,23 +1,22 @@
-//! The retained reference executor: the pre-flattening data
-//! structures, kept as the ordering oracle for the hot-path rewrite.
+//! The reference executor: the pre-flattening data structures, kept
+//! as the ordering oracle for the hot-path rewrite.
 //!
 //! [`RefExecutor`] is the executor exactly as it stood before the
 //! calendar-queue/slab flattening: a binary-heap keyed event queue
-//! ([`iceclave_sim::HeapKeyedEventQueue`]) and a `BTreeMap` ticket
-//! table. It is **not** wired into the runtime — its only job is to
-//! let the equivalence tests (`tests/exec_reference_equivalence.rs`
-//! and the executor unit tests) run arbitrary interleaved schedules
-//! through both implementations and assert identical completion
-//! sequences, bytes, and latency breakdowns. Keep its semantics
-//! frozen; behavioral changes belong in [`crate::Executor`].
+//! ([`HeapKeyedEventQueue`]) and a `BTreeMap` ticket table. The
+//! runtime never runs it. Its only job is to let the equivalence test
+//! (`tests/exec_reference_equivalence.rs`) run arbitrary interleaved
+//! schedules through both implementations and assert identical
+//! completion sequences, bytes, and latency breakdowns. Keep its
+//! semantics frozen; behavioral changes belong in
+//! [`iceclave_exec::Executor`].
 
 use std::collections::BTreeMap;
 
-use iceclave_sim::{EventClock, HeapKeyedEventQueue};
+use iceclave_exec::{CompletionQueue, StageEvent};
 use iceclave_types::{CompletionEvent, SimTime, Ticket, TicketKind};
 
-use crate::completion::CompletionQueue;
-use crate::executor::StageEvent;
+use crate::event::HeapKeyedEventQueue;
 
 #[derive(Copy, Clone, Debug)]
 struct TicketState {
@@ -28,9 +27,10 @@ struct TicketState {
 }
 
 /// The stage semantics driven by the reference executor — the same
-/// shape as [`crate::StageMachine`], phrased over [`RefExecutor`] so
-/// one toy machine type can implement both traits and the tests can
-/// drive the two executors with literally the same stage logic.
+/// shape as [`iceclave_exec::StageMachine`], phrased over
+/// [`RefExecutor`] so one toy machine type can implement both traits
+/// and the tests can drive the two executors with literally the same
+/// stage logic.
 pub trait RefStageMachine {
     /// The machine-defined stage payload carried by every event.
     type Stage;
@@ -49,7 +49,6 @@ type EventKey = (u64, u64, u64, u32);
 #[derive(Debug)]
 pub struct RefExecutor<S> {
     events: HeapKeyedEventQueue<EventKey, (Ticket, u32, S)>,
-    clock: EventClock,
     completions: CompletionQueue,
     next_ticket: u64,
     tickets: BTreeMap<u64, TicketState>,
@@ -60,7 +59,6 @@ impl<S> RefExecutor<S> {
     pub fn new() -> Self {
         RefExecutor {
             events: HeapKeyedEventQueue::new(),
-            clock: EventClock::new(),
             completions: CompletionQueue::new(),
             next_ticket: 1,
             tickets: BTreeMap::new(),
@@ -82,24 +80,6 @@ impl<S> RefExecutor<S> {
             },
         );
         ticket
-    }
-
-    /// Schedules a stage event with virtual time 0.
-    pub fn schedule(&mut self, at: SimTime, ticket: Ticket, page: u32, stage: S) {
-        self.schedule_weighted(at, 0, ticket, page, stage);
-    }
-
-    /// Schedules a stage event under the fair-queueing start tag
-    /// `vtime` (same key shape as the flattened executor).
-    pub fn schedule_weighted(
-        &mut self,
-        at: SimTime,
-        vtime: u64,
-        ticket: Ticket,
-        page: u32,
-        stage: S,
-    ) {
-        self.schedule_hierarchical(at, vtime, 0, ticket, page, stage);
     }
 
     /// Schedules a stage event under the two-level fair-queueing tags
@@ -154,18 +134,12 @@ impl<S> RefExecutor<S> {
         self.events.len()
     }
 
-    /// The event clock's high-water mark.
-    pub fn clock(&self) -> SimTime {
-        self.clock.now()
-    }
-
     /// Processes every stage event due at or before `now`.
     pub fn run_until<M>(&mut self, machine: &mut M, now: SimTime)
     where
         M: RefStageMachine<Stage = S>,
     {
         while let Some((at, _, (ticket, page, stage))) = self.events.pop_due(now) {
-            self.clock.advance_to(at);
             machine.advance(
                 StageEvent {
                     at,
@@ -183,18 +157,7 @@ impl<S> RefExecutor<S> {
     where
         M: RefStageMachine<Stage = S>,
     {
-        while let Some((at, _, (ticket, page, stage))) = self.events.pop() {
-            self.clock.advance_to(at);
-            machine.advance(
-                StageEvent {
-                    at,
-                    ticket,
-                    page,
-                    stage,
-                },
-                self,
-            );
-        }
+        self.run_until(machine, SimTime::from_ps(u64::MAX));
     }
 
     /// Drains every completion ready at or before `now` in the

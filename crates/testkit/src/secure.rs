@@ -1,6 +1,6 @@
 //! Functional (byte-accurate) protected memory.
 //!
-//! While [`crate::MeeEngine`] models *when* things happen,
+//! While [`iceclave_mee::MeeEngine`] models *when* things happen,
 //! [`SecureMemory`] models *what* happens: real counter-mode encryption
 //! with AES pads, real per-line MACs binding ciphertext + counter +
 //! address, and a real Bonsai Merkle Tree over the counter blocks. The
@@ -13,10 +13,10 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use iceclave_cipher::Aes128;
+use iceclave_mee::SplitCounterBlock;
 use iceclave_types::{CacheLine, LINES_PER_PAGE};
 
-use crate::counters::SplitCounterBlock;
+use crate::aes::Aes128;
 use crate::tree::{mac64, MerkleTree};
 
 /// Verification failure on a protected read.
@@ -62,7 +62,7 @@ pub struct LineSnapshot {
 /// # Examples
 ///
 /// ```
-/// use iceclave_mee::SecureMemory;
+/// use iceclave_testkit::SecureMemory;
 /// use iceclave_types::CacheLine;
 ///
 /// let mut mem = SecureMemory::new(64, [1u8; 16], [2u8; 16]);
@@ -72,7 +72,7 @@ pub struct LineSnapshot {
 /// // A physical attacker flips a ciphertext bit...
 /// mem.tamper_line(line, |bytes| bytes[0] ^= 1);
 /// assert!(mem.read_line(line).is_err()); // ...and is detected.
-/// # Ok::<(), iceclave_mee::VerifyError>(())
+/// # Ok::<(), iceclave_testkit::VerifyError>(())
 /// ```
 #[derive(Debug)]
 pub struct SecureMemory {
@@ -250,7 +250,6 @@ impl SecureMemory {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

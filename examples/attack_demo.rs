@@ -4,17 +4,17 @@
 //!
 //! Run with: `cargo run --example attack_demo`
 
-use iceclave_repro::iceclave_core::{IceClave, IceClaveConfig, IceClaveError};
+use iceclave_repro::iceclave_core::{IceClave, IceClaveConfig, IceClaveError, PlatformConfig};
+use iceclave_repro::iceclave_experiments::{Mode, Overrides};
 use iceclave_repro::iceclave_ftl::FtlError;
-use iceclave_repro::iceclave_isc::{IscConfig, IscRuntime};
-use iceclave_repro::iceclave_mee::{SecureMemory, VerifyError};
 use iceclave_repro::iceclave_types::{CacheLine, Lpn, SimTime};
+use iceclave_testkit::{IscRuntime, SecureMemory, VerifyError};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== Attack 1: privilege escalation against the FTL ===");
     {
         // Baseline ISC: the privilege table is plain data in SSD DRAM.
-        let mut isc = IscRuntime::new(IscConfig::table3());
+        let mut isc = IscRuntime::new(PlatformConfig::table3());
         let t = isc.platform.populate(Lpn::new(0), 16, SimTime::ZERO)?;
         let grant = 0..4;
         let task = isc.offload(vec![grant]);
@@ -45,34 +45,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n=== Attack 2: bus snooping on the flash data path ===");
     {
-        let mut isc = IscRuntime::new(IscConfig::table3());
-        let t = isc.platform.populate(Lpn::new(0), 1, SimTime::ZERO)?;
-        let tr = isc.platform.ftl.translate(
-            iceclave_repro::iceclave_ftl::Requestor::Host,
-            Lpn::new(0),
-            &mut isc.platform.monitor,
-            t,
-        )?;
-        isc.platform
-            .ftl
-            .flash_mut()
-            .write_data(tr.ppn, b"patient records");
-        let snooped = isc.snoop_flash_transfer(Lpn::new(0), t).unwrap();
-        println!(
-            "  ISC baseline: snooper reads {:?}",
-            String::from_utf8_lossy(&snooped)
-        );
-
-        // IceClave: the Trivium engine ciphers the transfer; the same
-        // page snooped on the bus is ciphertext.
-        let mut ice = IceClave::new(IceClaveConfig::table3());
+        // Stage the same page on the ISC and on the IceClave
+        // configuration, then read what landed in flash: the bytes a
+        // snooper on the flash link observes.
         let plain = b"patient records".to_vec();
-        let (ciphertext, _iv) = ice.cipher_mut().encrypt_page(0, &plain);
-        assert_ne!(ciphertext, plain);
-        println!(
-            "  IceClave: snooper sees ciphertext {:02x?}...",
-            &ciphertext[..8]
-        );
+        let lpn = Lpn::new(0);
+        for mode in [Mode::Isc, Mode::IceClave] {
+            let mut ice = IceClave::new(mode.ssd_config(&Overrides::none()));
+            let t = ice.populate(lpn, 1, SimTime::ZERO)?;
+            ice.host_store_data(lpn, &plain, t)?;
+            let ftl = &ice.platform().ftl;
+            let ppn = ftl.current_ppn(lpn).expect("staged page is mapped");
+            let snooped = ftl.flash().read_data(ppn).expect("staged page holds data");
+            if mode == Mode::Isc {
+                assert_eq!(snooped, &plain[..]);
+                println!(
+                    "  ISC baseline: snooper reads {:?}",
+                    String::from_utf8_lossy(snooped)
+                );
+            } else {
+                // IceClave: the Trivium engine ciphers the transfer.
+                assert_ne!(snooped, &plain[..]);
+                println!(
+                    "  IceClave: snooper sees ciphertext {:02x?}...",
+                    &snooped[..8]
+                );
+            }
+        }
     }
 
     println!("\n=== Attack 3: physical attacks on in-SSD DRAM ===");

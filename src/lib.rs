@@ -23,8 +23,12 @@
 //! * [`iceclave_workloads`] — the eleven evaluation workloads.
 //! * Substrates: [`iceclave_flash`], [`iceclave_ftl`], [`iceclave_dram`],
 //!   [`iceclave_mee`], [`iceclave_cipher`], [`iceclave_trustzone`],
-//!   [`iceclave_cpu`], [`iceclave_isc`], [`iceclave_sim`],
-//!   [`iceclave_exec`], [`iceclave_types`].
+//!   [`iceclave_cpu`], [`iceclave_sim`], [`iceclave_exec`],
+//!   [`iceclave_obs`], [`iceclave_types`].
+//!
+//! The test-only models — the ordering oracles, the functional MEE and
+//! the insecure-ISC attack model — live in `iceclave_testkit`, which
+//! only dev-dependencies name; this crate does not re-export it.
 //!
 //! # Architecture: the event-driven batch executor
 //!
@@ -131,7 +135,6 @@ pub use iceclave_exec;
 pub use iceclave_experiments;
 pub use iceclave_flash;
 pub use iceclave_ftl;
-pub use iceclave_isc;
 pub use iceclave_mee;
 pub use iceclave_obs;
 pub use iceclave_sim;

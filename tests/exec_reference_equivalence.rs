@@ -1,5 +1,5 @@
-//! Equivalence of the flattened executor and the retained reference
-//! implementation (`iceclave_exec::RefExecutor`).
+//! Equivalence of the flattened executor and the reference
+//! implementation (`iceclave_testkit::RefExecutor`).
 //!
 //! The hot-path rewrite (calendar event queue, windowed ticket slab,
 //! in-place completion drain) must be *invisible*: for any interleaved
@@ -13,13 +13,12 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use iceclave_repro::iceclave_exec::{
-    Executor, RefExecutor, RefStageMachine, StageEvent, StageMachine,
-};
+use iceclave_repro::iceclave_exec::{Executor, StageEvent, StageMachine};
 use iceclave_repro::iceclave_types::{
     CompletionEvent, LatencyBreakdown, Lpn, PageStatus, SimDuration, SimTime, TeeId, Ticket,
     TicketKind,
 };
+use iceclave_testkit::{RefExecutor, RefStageMachine};
 
 const CHANNELS: usize = 4;
 

@@ -3,16 +3,17 @@
 
 use proptest::prelude::*;
 
-use iceclave_repro::iceclave_cipher::trivium::{Trivium, TriviumRef};
+use iceclave_repro::iceclave_cipher::Trivium;
 use iceclave_repro::iceclave_core::{IceClave, IceClaveConfig};
 use iceclave_repro::iceclave_flash::{FlashArray, FlashConfig, FlashGeometry};
 use iceclave_repro::iceclave_ftl::{Ftl, FtlConfig, MappingEntry, Requestor};
-use iceclave_repro::iceclave_mee::{MetaCache, SecureMemory};
+use iceclave_repro::iceclave_mee::MetaCache;
 use iceclave_repro::iceclave_sim::Resource;
 use iceclave_repro::iceclave_trustzone::WorldMonitor;
 use iceclave_repro::iceclave_types::{
     ByteSize, CacheLine, Lpn, PageWrite, Ppn, SimDuration, SimTime, TeeId,
 };
+use iceclave_testkit::{SecureMemory, TriviumRef};
 
 use std::collections::HashMap;
 

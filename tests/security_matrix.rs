@@ -4,20 +4,20 @@
 
 use iceclave_repro::iceclave_cipher::{CipherEngine, Trivium};
 use iceclave_repro::iceclave_core::{
-    AbortReason, IceClave, IceClaveConfig, IceClaveError, TeeStatus,
+    AbortReason, IceClave, IceClaveConfig, IceClaveError, PlatformConfig, TeeStatus,
 };
+use iceclave_repro::iceclave_experiments::{Mode, Overrides};
 use iceclave_repro::iceclave_ftl::FtlError;
-use iceclave_repro::iceclave_isc::{IscConfig, IscRuntime};
-use iceclave_repro::iceclave_mee::{SecureMemory, VerifyError};
 use iceclave_repro::iceclave_trustzone::{AccessType, Region, World};
 use iceclave_repro::iceclave_types::{CacheLine, Hertz, Lpn, SimTime};
+use iceclave_testkit::{IscRuntime, SecureMemory, VerifyError};
 
 /// §2.3 attack 1: privilege escalation to reach other users' flash
 /// data.
 #[test]
 fn privilege_escalation_blocked_by_id_bits() {
     // Baseline: succeeds.
-    let mut isc = IscRuntime::new(IscConfig::tiny());
+    let mut isc = IscRuntime::new(PlatformConfig::tiny());
     let t = isc
         .platform
         .populate(Lpn::new(0), 8, SimTime::ZERO)
@@ -113,6 +113,37 @@ fn bus_snooping_sees_only_ciphertext() {
     let mut attempt = wire_bytes.clone();
     wrong.apply_keystream(&mut attempt);
     assert_ne!(attempt, secret);
+}
+
+/// §2.3 attack 3 on the configurations the evaluation runs: the bytes
+/// a snooper finds in flash are ciphertext behind IceClave's cipher
+/// link and the plaintext itself behind ISC's plain link.
+#[test]
+fn flash_holds_ciphertext_under_iceclave_and_plaintext_under_isc() {
+    let secret = b"4111-1111-1111-1111 credit card".to_vec();
+    let lpn = Lpn::new(0);
+    let stage = |mode: Mode| {
+        let mut ice = IceClave::new(mode.ssd_config(&Overrides::none()));
+        let t = ice.populate(lpn, 1, SimTime::ZERO).unwrap();
+        ice.host_store_data(lpn, &secret, t).unwrap();
+        let ftl = &ice.platform().ftl;
+        let ppn = ftl.current_ppn(lpn).unwrap();
+        let stored = ftl.flash().read_data(ppn).unwrap().to_vec();
+        (ice, stored, t)
+    };
+
+    let (_isc, stored, _) = stage(Mode::Isc);
+    assert_eq!(stored, secret, "ISC stores the plaintext");
+
+    let (mut ice, stored, t) = stage(Mode::IceClave);
+    assert_ne!(stored, secret, "IceClave stores ciphertext");
+    // The owning TEE still reads the plaintext back.
+    let (tee, t) = ice.offload_code(1024, &[lpn], t).unwrap();
+    let read = ice
+        .submit_batch_async(tee, &[lpn], t)
+        .and_then(|ticket| ice.wait_batch(ticket))
+        .unwrap();
+    assert_eq!(read.completions[0].data.as_deref(), Some(&secret[..]));
 }
 
 /// Physical DRAM attacks: tamper, splice, replay, counter rollback.

@@ -246,9 +246,10 @@ fn tee_cannot_trim_foreign_pages() {
     let err = ftl.trim(Requestor::Tee(mallory), Lpn::new(0)).unwrap_err();
     assert!(matches!(err, FtlError::AccessDenied { lpn, .. } if lpn == Lpn::new(0)));
     // Alice's page survived and is still hers.
-    assert!(ftl
-        .read(Requestor::Tee(alice), Lpn::new(0), &mut m, t)
-        .is_ok());
+    let tr = ftl
+        .translate(Requestor::Tee(alice), Lpn::new(0), &mut m, t)
+        .unwrap();
+    assert!(ftl.flash_mut().read_page(tr.ppn, tr.ready_at).is_ok());
     // The owner (and the host) may still trim.
     assert!(ftl.trim(Requestor::Tee(alice), Lpn::new(0)).unwrap());
     assert!(ftl.trim(Requestor::Host, Lpn::new(1)).unwrap());
