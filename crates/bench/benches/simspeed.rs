@@ -17,15 +17,26 @@
 //! future PR cannot silently regress the hot path. A second datapoint
 //! measures the same scenario with capture *on*, quantifying the
 //! observer's overhead.
+//!
+//! Two gated numbers do not depend on the machine at all:
+//! `peak_heap_mib`, the heap high-water mark of setup plus the first
+//! scenario (counted by `iceclave_testkit::CountingAlloc`, installed as
+//! this binary's global allocator), and `events_per_page`, executor
+//! events per simulated page over that scenario (counted by an empty
+//! `PowerLossPlan`, which never trips).
 
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use iceclave_core::IceClave;
+use iceclave_core::{IceClave, PowerLossPlan};
 use iceclave_experiments::{Mode, Overrides};
 use iceclave_obs::{BenchReport, Direction};
+use iceclave_testkit::CountingAlloc;
 use iceclave_types::{Lpn, PageWrite, SimTime, TeeId, PAGE_SIZE};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc::new();
 
 const TEES: u64 = 2;
 const READ_BATCHES: u64 = 4;
@@ -67,6 +78,8 @@ fn setup() -> (IceClave, Vec<(TeeId, Vec<Lpn>)>, SimTime) {
         let (tee, _) = ice.offload_code(64 << 10, &lpns, t).expect("offload");
         tees.push((tee, lpns));
     }
+    // Counts executor events from here on; an empty plan never trips.
+    ice.install_power_loss_plan(PowerLossPlan::none());
     (ice, tees, t)
 }
 
@@ -117,10 +130,17 @@ fn measure(ice: &mut IceClave, tees: &[(TeeId, Vec<Lpn>)], t: &mut SimTime) -> f
 }
 
 fn bench_simspeed(c: &mut Criterion) {
+    ALLOC.reset_peak();
+    let heap_base = ALLOC.live_bytes();
     let (mut ice, tees, t0) = setup();
     let (completions, sim_end) = scenario(&mut ice, &tees, t0);
     assert_eq!(completions, PAGES_PER_ITER, "scenario retired every page");
     let sim_elapsed_ns = sim_end.saturating_since(t0).as_nanos_f64();
+    let peak_heap_mib = (ALLOC.peak_bytes() - heap_base) as f64 / (1u64 << 20) as f64;
+    let events = ice
+        .events_processed()
+        .expect("setup installed a power-loss plan");
+    let events_per_page = events as f64 / PAGES_PER_ITER as f64;
 
     // Wall-clock measurement for the JSON report: warm up, then time a
     // fixed block of iterations with a plain monotonic clock (the
@@ -141,7 +161,8 @@ fn bench_simspeed(c: &mut Criterion) {
     println!(
         "simspeed 2tee interleaving: {PAGES_PER_ITER} simulated pages/iter, \
          {pages_per_s:.0} pages per wall-clock second capture-off, \
-         {pages_per_s_traced:.0} capture-on ({:.1}% overhead)",
+         {pages_per_s_traced:.0} capture-on ({:.1}% overhead); \
+         {events_per_page:.3} events/page, {peak_heap_mib:.3} MiB peak heap",
         (1.0 - pages_per_s_traced / pages_per_s) * 100.0
     );
 
@@ -184,6 +205,22 @@ fn bench_simspeed(c: &mut Criterion) {
         Direction::Higher,
         0.5,
         false,
+    );
+    report.push_metric(
+        "peak_heap_mib",
+        "MiB",
+        peak_heap_mib,
+        Direction::Lower,
+        0.05,
+        true,
+    );
+    report.push_metric(
+        "events_per_page",
+        "events/page",
+        events_per_page,
+        Direction::Lower,
+        0.0,
+        true,
     );
     match report.write_default("BENCH_SIMSPEED_JSON", "BENCH_simspeed.json") {
         Ok(path) => println!("wrote simulator-speed report to {path}"),

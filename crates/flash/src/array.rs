@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use iceclave_sim::{Histogram, Resource, ServiceSpan};
-use iceclave_types::{FastMap, Ppn, SimTime};
+use iceclave_types::{ChunkTable, FastMap, Ppn, SimTime};
 
 use crate::faults::{FaultInjector, ReadFault};
 use crate::{BlockAddr, FlashConfig};
@@ -92,6 +92,14 @@ pub struct FlashStats {
     pub erase_faults: u64,
 }
 
+/// Blocks per [`ChunkTable`] chunk of the block state (512 B). The FTL
+/// steers each batch across channels and planes, so even a fresh
+/// device's first writes touch blocks all over the flat block index;
+/// small chunks keep each touched block cheap. On the four perfbench
+/// workloads, chunks of 16 to 128 blocks measured within noise of each
+/// other; 256-block chunks raised `colocated`'s peak RSS by 0.4 MiB.
+const BLOCK_CHUNK: usize = 64;
+
 #[derive(Copy, Clone, Debug, Default)]
 struct BlockState {
     /// Next page index expected to be programmed (pages below are
@@ -103,6 +111,11 @@ struct BlockState {
 
 /// The flash device: geometry, NAND state, per-die and per-channel
 /// timing, and a sparse functional data store.
+///
+/// Per-block NAND state (program frontier, erase count) lives in a
+/// [`ChunkTable`] over the flat block index: an erased block reads as
+/// frontier 0, erase count 0, and memory follows the blocks programmed
+/// or erased, not the device's `total_blocks()`.
 ///
 /// # Examples
 ///
@@ -120,7 +133,7 @@ struct BlockState {
 #[derive(Debug)]
 pub struct FlashArray {
     config: FlashConfig,
-    blocks: Vec<BlockState>,
+    blocks: ChunkTable<BlockState, BLOCK_CHUNK>,
     dies: Vec<Resource>,
     channels: Vec<Resource>,
     /// Functional page content, keyed by raw PPN. Sparse on purpose:
@@ -139,7 +152,6 @@ impl FlashArray {
     /// Creates an erased flash array.
     pub fn new(config: FlashConfig) -> Self {
         let g = &config.geometry;
-        let blocks = vec![BlockState::default(); g.total_blocks() as usize];
         let dies = (0..g.total_dies())
             .map(|i| Resource::new(format!("die{i}")))
             .collect();
@@ -148,7 +160,7 @@ impl FlashArray {
             .collect();
         FlashArray {
             config,
-            blocks,
+            blocks: ChunkTable::new(BlockState::default()),
             dies,
             channels,
             data: FastMap::default(),
@@ -205,8 +217,8 @@ impl FlashArray {
         inject: bool,
     ) -> Result<ServiceSpan, FlashError> {
         let addr = self.checked_addr(ppn)?;
-        let block_idx = self.config.geometry.block_index(addr.block_addr()) as usize;
-        if addr.page >= self.blocks[block_idx].frontier {
+        let block_idx = self.config.geometry.block_index(addr.block_addr());
+        if addr.page >= self.blocks.get(block_idx).frontier {
             return Err(FlashError::ReadUnwritten(ppn));
         }
         let fault = match (inject, self.injector.as_mut()) {
@@ -254,8 +266,8 @@ impl FlashArray {
     /// or an injected [`FlashError::ProgramFailed`].
     pub fn program_page(&mut self, ppn: Ppn, arrival: SimTime) -> Result<ServiceSpan, FlashError> {
         let addr = self.checked_addr(ppn)?;
-        let block_idx = self.config.geometry.block_index(addr.block_addr()) as usize;
-        let frontier = self.blocks[block_idx].frontier;
+        let block_idx = self.config.geometry.block_index(addr.block_addr());
+        let frontier = self.blocks.get(block_idx).frontier;
         if addr.page != frontier {
             return Err(FlashError::ProgramOutOfOrder {
                 ppn,
@@ -280,7 +292,7 @@ impl FlashArray {
             self.stats.program_faults += 1;
             return Err(FlashError::ProgramFailed(ppn));
         }
-        self.blocks[block_idx].frontier = frontier + 1;
+        self.blocks.get_mut(block_idx).frontier = frontier + 1;
         self.stats.programs += 1;
         self.stats.bytes_written += u64::from(self.config.geometry.page_size);
         Ok(ServiceSpan {
@@ -303,7 +315,7 @@ impl FlashArray {
         arrival: SimTime,
     ) -> Result<ServiceSpan, FlashError> {
         let g = self.config.geometry;
-        let block_idx = g.block_index(block) as usize;
+        let block_idx = g.block_index(block);
         let die_idx = g.die_index(block.channel, block.chip, block.die) as usize;
         let failed = self
             .injector
@@ -318,7 +330,7 @@ impl FlashArray {
         for page in 0..u64::from(g.pages_per_block) {
             self.data.remove(&(first_ppn + page));
         }
-        let state = &mut self.blocks[block_idx];
+        let state = self.blocks.get_mut(block_idx);
         state.frontier = 0;
         state.erase_count += 1;
         self.stats.erases += 1;
@@ -342,18 +354,22 @@ impl FlashArray {
     /// erased.
     pub fn is_written(&self, ppn: Ppn) -> bool {
         let addr = self.config.geometry.unpack(ppn);
-        let block_idx = self.config.geometry.block_index(addr.block_addr()) as usize;
-        addr.page < self.blocks[block_idx].frontier
+        let block_idx = self.config.geometry.block_index(addr.block_addr());
+        addr.page < self.blocks.get(block_idx).frontier
     }
 
     /// Next page index to be programmed in `block`.
     pub fn frontier(&self, block: BlockAddr) -> u32 {
-        self.blocks[self.config.geometry.block_index(block) as usize].frontier
+        self.blocks
+            .get(self.config.geometry.block_index(block))
+            .frontier
     }
 
     /// Lifetime erase count of `block`.
     pub fn erase_count(&self, block: BlockAddr) -> u32 {
-        self.blocks[self.config.geometry.block_index(block) as usize].erase_count
+        self.blocks
+            .get(self.config.geometry.block_index(block))
+            .erase_count
     }
 
     /// Aggregate statistics.

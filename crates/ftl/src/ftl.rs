@@ -1,7 +1,6 @@
 //! The FTL façade: translation, permission-checked I/O, garbage
 //! collection and wear leveling.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -1252,7 +1251,7 @@ impl Ftl {
         let mut next = 0usize;
         while next < ready.len() {
             let wave_end = (next + channels).min(ready.len());
-            let mut shadow: HashMap<u64, u32> = HashMap::new();
+            let mut shadow: FastMap<u64, u32> = FastMap::default();
             let mut gc_checked = vec![false; self.planes.len()];
             let mut plane_pending = vec![0u32; self.planes.len()];
             let mut dry_attempts = vec![0u32; channels];
@@ -1396,7 +1395,7 @@ impl Ftl {
     fn allocate_in_channel(
         &mut self,
         channel: usize,
-        shadow: &mut HashMap<u64, u32>,
+        shadow: &mut FastMap<u64, u32>,
         gc_checked: &mut [bool],
         plane_pending: &mut [u32],
         now: SimTime,
@@ -1419,7 +1418,7 @@ impl Ftl {
         }
 
         let pages_per_block = g.pages_per_block;
-        let shadowed_frontier = |ftl: &Ftl, shadow: &HashMap<u64, u32>, addr: BlockAddr| -> u32 {
+        let shadowed_frontier = |ftl: &Ftl, shadow: &FastMap<u64, u32>, addr: BlockAddr| -> u32 {
             ftl.flash.frontier(addr) + shadow.get(&g.block_index(addr)).copied().unwrap_or(0)
         };
         let need_new_block = match self.planes[plane_idx].open_block {

@@ -105,7 +105,7 @@ impl MetaCache {
         );
         let set_count = (blocks / ways).max(1);
         MetaCache {
-            sets: vec![Vec::with_capacity(ways); set_count],
+            sets: (0..set_count).map(|_| Vec::with_capacity(ways)).collect(),
             ways,
             tick: 0,
             hits: 0,

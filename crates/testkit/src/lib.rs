@@ -15,6 +15,8 @@
 //!   DRAM that a privilege-escalation attack rewrites. The evaluation's
 //!   ISC numbers come from `iceclave_core` on the plain-link
 //!   configuration, not from this model.
+//! * [`CountingAlloc`]: a global allocator that counts live and peak
+//!   heap bytes, for memory-footprint tests and benches.
 //!
 //! ```
 //! use iceclave_core::PlatformConfig;
@@ -39,6 +41,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod aes;
+pub mod alloc;
 pub mod event;
 pub mod reference;
 pub mod secure;
@@ -46,6 +49,7 @@ pub mod tree;
 pub mod trivium;
 
 pub use aes::Aes128;
+pub use alloc::CountingAlloc;
 pub use event::HeapKeyedEventQueue;
 pub use reference::{RefExecutor, RefStageMachine};
 pub use secure::{SecureMemory, VerifyError};

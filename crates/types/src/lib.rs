@@ -4,11 +4,13 @@
 //! workspace: simulated time ([`SimTime`], [`SimDuration`]), storage
 //! addresses ([`Lpn`], [`Ppn`], [`PhysAddr`], [`CacheLine`]), byte sizes
 //! ([`ByteSize`]), clock frequencies ([`Hertz`]) and TEE identifiers
-//! ([`TeeId`]).
+//! ([`TeeId`]), plus two containers for simulator-internal state:
+//! [`FastMap`] for keys the allocator strides across the device and
+//! [`ChunkTable`] for sparsely written index ranges.
 //!
-//! All types are plain newtypes with value semantics. Keeping them in a
-//! leaf crate lets substrates (flash, DRAM, FTL, MEE, ...) interoperate
-//! without depending on each other.
+//! The vocabulary types are plain newtypes with value semantics.
+//! Keeping them in a leaf crate lets substrates (flash, DRAM, FTL, MEE,
+//! ...) interoperate without depending on each other.
 //!
 //! # Examples
 //!
@@ -35,6 +37,7 @@ pub mod freq;
 pub mod hash;
 pub mod request;
 pub mod size;
+pub mod table;
 pub mod tee;
 pub mod ticket;
 pub mod time;
@@ -46,6 +49,7 @@ pub use freq::Hertz;
 pub use hash::{FastMap, FastSet, FxHasher};
 pub use request::{BatchCompletion, PageWrite, WriteBatchRequest, WritePageRequest};
 pub use size::ByteSize;
+pub use table::ChunkTable;
 pub use tee::{TeeId, TeeIdError};
 pub use ticket::{CompletionEvent, LatencyBreakdown, PageStatus, Ticket, TicketKind};
 pub use time::{SimDuration, SimTime};
