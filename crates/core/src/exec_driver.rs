@@ -444,10 +444,11 @@ impl StageCtx<'_> {
                         iv_ppa: iv.ppa(),
                     });
                 }
-                self.platform
-                    .ftl
-                    .flash_mut()
-                    .write_data(out.ppn, &plaintext);
+                // Garbage collection later in the batch may have moved
+                // the page (a block retired mid-batch drains first):
+                // the payload goes wherever the page lives now.
+                let ppn = self.platform.ftl.current_ppn(page.lpn).unwrap_or(out.ppn);
+                self.platform.ftl.flash_mut().write_data(ppn, &plaintext);
             }
         }
         // Acked ⇒ durable: before any page of this batch may push a
@@ -881,7 +882,7 @@ impl IceClave {
         self.ensure_powered()?;
         self.ensure_running(tee)?;
         if lpns.is_empty() {
-            return Ok(self.exec.open_ticket(TicketKind::Read, 0, now));
+            return Ok(self.exec.open_ticket(0, now));
         }
         let translations = match self.platform.ftl.translate_batch(
             Requestor::Tee(tee),
@@ -948,9 +949,7 @@ impl IceClave {
         // Logical-read accounting happens at submission; the flash
         // stages run later, page by page.
         self.platform.ftl.record_logical_reads(lpns.len() as u64);
-        let ticket = self
-            .exec
-            .open_ticket(TicketKind::Read, lpns.len() as u32, now);
+        let ticket = self.exec.open_ticket(lpns.len() as u32, now);
         let channels = geometry.channels as usize;
         match self.config.fairness.policy {
             SchedPolicy::Fifo => {
@@ -1061,10 +1060,10 @@ impl IceClave {
     ///    interleaved meanwhile — the batch enters the secure world
     ///    **once**, steers each page's fresh allocation to the
     ///    earliest-available channel (a GC pass stalls only its own
-    ///    channel and routes later pages around it) and issues the
-    ///    programs round-robin across the channels, each admitted only
-    ///    once its page is ready, coalescing dirty translation-page
-    ///    write-backs to one persist per batch.
+    ///    channel and routes later pages around it) and programs the
+    ///    pages in request order, each admitted only once its page is
+    ///    ready, coalescing dirty translation-page write-backs to one
+    ///    persist per batch.
     ///
     /// A page is durable when its program and its seal metadata have
     /// both drained (and, on a journaled device, the batch's journal
@@ -1090,7 +1089,7 @@ impl IceClave {
         self.ensure_powered()?;
         self.ensure_running(tee)?;
         if writes.is_empty() {
-            return Ok(self.exec.open_ticket(TicketKind::Write, 0, now));
+            return Ok(self.exec.open_ticket(0, now));
         }
         if let Err(e) = self
             .platform
@@ -1158,7 +1157,7 @@ impl IceClave {
             .collect();
 
         let count = pages.len();
-        let ticket = self.exec.open_ticket(TicketKind::Write, count as u32, now);
+        let ticket = self.exec.open_ticket(count as u32, now);
         let (encrypted, pending_encrypts) = if self.config.link != Link::Plain {
             for (index, span) in sealed.iter().enumerate() {
                 self.exec

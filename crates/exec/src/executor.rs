@@ -4,7 +4,7 @@
 use std::collections::VecDeque;
 
 use iceclave_sim::{EventClock, KeyedEventQueue};
-use iceclave_types::{CompletionEvent, FaultStats, SimTime, Ticket, TicketAttribution, TicketKind};
+use iceclave_types::{CompletionEvent, FaultStats, SimTime, Ticket, TicketAttribution};
 
 use crate::completion::{CompletionQueue, RetireObserver};
 use crate::power::{PowerLossInjector, PowerLossPlan};
@@ -195,8 +195,7 @@ impl<S> Executor<S> {
 
     /// Opens a ticket for a `pages`-page batch submitted at `now`.
     /// A zero-page ticket is born closed with `finished == now`.
-    pub fn open_ticket(&mut self, kind: TicketKind, pages: u32, now: SimTime) -> Ticket {
-        let _ = kind;
+    pub fn open_ticket(&mut self, pages: u32, now: SimTime) -> Ticket {
         let ticket = Ticket::new(self.next_ticket);
         self.next_ticket += 1;
         self.tickets.push_next(
@@ -508,7 +507,7 @@ impl<S> Default for Executor<S> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use iceclave_types::{LatencyBreakdown, Lpn, PageStatus, SimDuration, TeeId};
+    use iceclave_types::{LatencyBreakdown, Lpn, PageStatus, SimDuration, TeeId, TicketKind};
 
     /// A toy machine: every page takes `hops` stage events, each 10 ns
     /// apart, then retires.
@@ -551,7 +550,7 @@ mod tests {
     }
 
     fn submit(exec: &mut Executor<u32>, pages: u32, now: SimTime) -> Ticket {
-        let ticket = exec.open_ticket(TicketKind::Read, pages, now);
+        let ticket = exec.open_ticket(pages, now);
         for page in 0..pages {
             exec.schedule(now, ticket, page, 0);
         }
@@ -566,8 +565,8 @@ mod tests {
             trace: Vec::new(),
         };
         // Submit in reverse page order within one tick.
-        let t1 = exec.open_ticket(TicketKind::Read, 2, at(0));
-        let t2 = exec.open_ticket(TicketKind::Read, 1, at(0));
+        let t1 = exec.open_ticket(2, at(0));
+        let t2 = exec.open_ticket(1, at(0));
         exec.schedule(at(0), t2, 0, 0);
         exec.schedule(at(0), t1, 1, 0);
         exec.schedule(at(0), t1, 0, 0);
@@ -587,8 +586,8 @@ mod tests {
         };
         // Ticket 2 carries a smaller virtual-time tag than ticket 1:
         // the arbiter's order overrides the ticket-id tie-break.
-        let t1 = exec.open_ticket(TicketKind::Read, 1, at(0));
-        let t2 = exec.open_ticket(TicketKind::Read, 1, at(0));
+        let t1 = exec.open_ticket(1, at(0));
+        let t2 = exec.open_ticket(1, at(0));
         exec.schedule_weighted(at(0), 20, t1, 0, 0);
         exec.schedule_weighted(at(0), 10, t2, 0, 0);
         exec.run_to_idle(&mut toy);
@@ -604,9 +603,9 @@ mod tests {
         };
         // Equal tenant-level tags: the ticket-level tag decides, and
         // only then the ticket id.
-        let t1 = exec.open_ticket(TicketKind::Read, 1, at(0));
-        let t2 = exec.open_ticket(TicketKind::Read, 1, at(0));
-        let t3 = exec.open_ticket(TicketKind::Read, 1, at(0));
+        let t1 = exec.open_ticket(1, at(0));
+        let t2 = exec.open_ticket(1, at(0));
+        let t3 = exec.open_ticket(1, at(0));
         exec.schedule_hierarchical(at(0), 5, 30, t1, 0, 0);
         exec.schedule_hierarchical(at(0), 5, 10, t3, 0, 0);
         exec.schedule_hierarchical(at(0), 5, 10, t2, 0, 0);
@@ -653,7 +652,7 @@ mod tests {
     #[test]
     fn zero_page_ticket_is_born_closed() {
         let mut exec: Executor<u32> = Executor::new();
-        let t = exec.open_ticket(TicketKind::Write, 0, at(5));
+        let t = exec.open_ticket(0, at(5));
         assert!(exec.is_closed(t));
         assert_eq!(exec.finished_at(t), Some(at(5)));
         assert_eq!(exec.issued_at(t), Some(at(5)));

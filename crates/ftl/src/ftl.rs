@@ -72,6 +72,16 @@ pub enum Requestor {
     Tee(TeeId),
 }
 
+impl Requestor {
+    /// The TEE a page this requestor writes first belongs to.
+    fn tee(self) -> Option<TeeId> {
+        match self {
+            Requestor::Host => None,
+            Requestor::Tee(tee) => Some(tee),
+        }
+    }
+}
+
 /// A successful address translation.
 #[derive(Copy, Clone, Eq, PartialEq, Debug)]
 pub struct Translation {
@@ -89,7 +99,9 @@ pub struct Translation {
 pub struct BatchPageWrite {
     /// The logical page.
     pub lpn: Lpn,
-    /// The freshly allocated physical page it was programmed to.
+    /// The fresh physical page it was programmed to. Garbage
+    /// collection later in the same batch may already have moved it;
+    /// [`Ftl::current_ppn`] says where it lives.
     pub ppn: Ppn,
     /// The flash service span; `flash.end` is when the program pulse
     /// completed on the die.
@@ -325,10 +337,12 @@ pub struct Ftl {
     /// Sparse: the allocator strides PPNs across every die.
     contents: FastMap<u64, PageContent>,
     translation_ppns: DenseSlab<Ppn>,
-    plane_cursor: usize,
-    /// Per-channel plane cursors of the batched write path: steering
-    /// picks the channel, these spread its programs over the channel's
-    /// planes.
+    /// The channel of the next single-page placement ([`Ftl::write`],
+    /// a translation persist): channel-first round-robin, so
+    /// consecutive single writes stripe across every channel bus.
+    write_cursor: usize,
+    /// Per-channel plane cursors: whichever way a page picks its
+    /// channel, these spread the channel's programs over its planes.
     channel_cursors: Vec<usize>,
     /// Last request granule translated via a secure-world call (the
     /// Figure 5 ablation amortizes one call per granule).
@@ -367,7 +381,7 @@ impl Ftl {
             blocks: FastMap::default(),
             contents: FastMap::default(),
             translation_ppns: DenseSlab::new(),
-            plane_cursor: 0,
+            write_cursor: 0,
             channel_cursors: vec![0; flash_config.geometry.channels as usize],
             last_secure_granule: None,
             grown_bad: FastSet::default(),
@@ -538,7 +552,7 @@ impl Ftl {
         self.blocks = FastMap::default();
         self.contents = FastMap::default();
         self.translation_ppns = DenseSlab::new();
-        self.plane_cursor = 0;
+        self.write_cursor = 0;
         self.channel_cursors = vec![0; g.channels as usize];
         self.last_secure_granule = None;
         self.grown_bad = retired;
@@ -820,10 +834,10 @@ impl Ftl {
         self.mapping.lookup(lpn).map(|entry| entry.ppn())
     }
 
-    /// Writes logical page `lpn` out-of-place: allocates a fresh page,
-    /// programs it, updates the mapping (dirtying the CMT) and
-    /// invalidates the old page. Mapping updates happen in the secure
-    /// world (§4.2), so the monitor is billed for the switch.
+    /// Writes logical page `lpn` out-of-place: programs a fresh page,
+    /// updates the mapping (dirtying the CMT) and invalidates the old
+    /// page. Mapping updates happen in the secure world (§4.2), so the
+    /// monitor is billed for the switch.
     ///
     /// # Errors
     ///
@@ -836,32 +850,10 @@ impl Ftl {
         monitor: &mut WorldMonitor,
         now: SimTime,
     ) -> Result<SimTime, FtlError> {
-        if let (Requestor::Tee(tee), Some(entry)) = (requestor, self.mapping.lookup(lpn)) {
-            if entry.owner() != tee {
-                self.stats.access_denied += 1;
-                return Err(FtlError::AccessDenied { lpn, tee });
-            }
-        }
+        self.check_write_access(requestor, [lpn])?;
         let start = monitor.switch_to(World::Secure, now);
-        let (ppn, span) = self.program_fresh_page(start)?;
-        let old = self.mapping.update(lpn, ppn);
-        self.journal_note(JournalRecord::MapUpdate {
-            lpn: lpn.raw(),
-            ppn: ppn.raw(),
-        });
-        if let Requestor::Tee(tee) = requestor {
-            // A fresh page written by a TEE belongs to that TEE.
-            if old.is_none() {
-                let _ = self.mapping.set_owner(lpn, tee);
-            }
-        }
-        self.mark_valid(ppn, PageContent::Data(lpn));
-        if let Some(old_ppn) = old {
-            self.invalidate(old_ppn);
-        }
-        let look = self.cmt.update(lpn);
-        let mut t = span.end;
-        if let Some(tvpn) = look.evicted_dirty {
+        let (mut t, evicted) = self.write_single(PageContent::Data(lpn), requestor.tee(), start)?;
+        if let Some(tvpn) = evicted {
             t = self.persist_translation_page(tvpn, t)?;
         }
         self.stats.writes += 1;
@@ -878,14 +870,14 @@ impl Ftl {
     /// world **once** (against two switches per page on the
     /// [`Ftl::write`] path) and:
     ///
-    /// 1. every page is steered to the currently least-loaded channel
-    ///    (GC-aware allocation: a plane whose garbage collection fires
-    ///    mid-batch stalls only its own channel's later programs, and
-    ///    the steering naturally routes subsequent pages away from the
-    ///    stalled channel);
-    /// 2. programs are issued round-robin across the channels,
-    ///    overlapping on the channel-bus and die timelines
-    ///    ([`FlashArray::program_page`]);
+    /// 1. every page is steered, in request order, to the channel that
+    ///    would accept it earliest (GC-aware allocation: a plane whose
+    ///    garbage collection fires mid-batch stalls only its own
+    ///    channel's later programs, and the steering naturally routes
+    ///    subsequent pages away from the stalled channel);
+    /// 2. each page is programmed as soon as it is placed, in request
+    ///    order; programs on different channels overlap on the
+    ///    channel-bus and die timelines ([`FlashArray::program_page`]);
     /// 3. mapping updates dirty the CMT with *coalesced* write-back:
     ///    each dirty translation page evicted during the batch is
     ///    persisted once at the end instead of once per page.
@@ -915,23 +907,17 @@ impl Ftl {
         self.check_write_access(requestor, batch.requests.iter().map(|r| r.lpn))?;
 
         // Phase 2: one secure-world entry amortized over the batch.
-        // The steered helper performs the mapping/validity maintenance
-        // wave by wave (so mid-batch GC always sees a consistent
-        // device) and coalesces CMT dirty evictions.
         let start = monitor.switch_to(World::Secure, now);
-        let ready: Vec<SimTime> = batch.requests.iter().map(|r| r.ready).collect();
-        let targets: Vec<PageContent> = batch
-            .requests
-            .iter()
-            .map(|r| PageContent::Data(r.lpn))
-            .collect();
-        let fresh_owner = match requestor {
-            Requestor::Tee(tee) => Some(tee),
-            Requestor::Host => None,
-        };
         let mut evicted: Vec<u64> = Vec::new();
-        let programmed =
-            self.program_batch_steered(&targets, &ready, start, fresh_owner, &mut evicted)?;
+        let programmed = self.write_steered(
+            batch
+                .requests
+                .iter()
+                .map(|r| (PageContent::Data(r.lpn), r.ready)),
+            start,
+            requestor.tee(),
+            &mut evicted,
+        )?;
 
         // Phase 3: coalesced write-back — each dirty translation page
         // evicted during the batch persists once, at the end.
@@ -1020,21 +1006,23 @@ impl Ftl {
     /// Flushes dirty translation pages to flash (shutdown / teardown).
     ///
     /// The dirty set is persisted as one channel-steered program batch
-    /// through the per-channel queues, so shutdown latency shrinks as
-    /// the device grows channels instead of paying a serial
+    /// (see [`Ftl::write_batch`]), so shutdown latency shrinks as the
+    /// device grows channels instead of paying a serial
     /// allocate-program loop.
     pub fn flush_cmt(&mut self, now: SimTime) -> Result<SimTime, FtlError> {
         let dirty = self.cmt.flush();
         if dirty.is_empty() {
             return Ok(now);
         }
-        let ready = vec![now; dirty.len()];
-        let targets: Vec<PageContent> = dirty
-            .iter()
-            .map(|&tvpn| PageContent::Translation(tvpn))
-            .collect();
         let mut evicted = Vec::new();
-        let programmed = self.program_batch_steered(&targets, &ready, now, None, &mut evicted)?;
+        let programmed = self.write_steered(
+            dirty
+                .iter()
+                .map(|&tvpn| (PageContent::Translation(tvpn), now)),
+            now,
+            None,
+            &mut evicted,
+        )?;
         debug_assert!(
             evicted.is_empty(),
             "translation programs do not touch the CMT"
@@ -1105,357 +1093,193 @@ impl Ftl {
     }
 
     fn persist_translation_page(&mut self, tvpn: u64, now: SimTime) -> Result<SimTime, FtlError> {
-        let (ppn, span) = self.program_fresh_page(now)?;
-        if let Some(old) = self.translation_ppns.insert(tvpn, ppn) {
-            self.invalidate(old);
-        }
-        self.mark_valid(ppn, PageContent::Translation(tvpn));
-        self.journal_note(JournalRecord::TransPersist {
-            tvpn,
-            ppn: ppn.raw(),
-        });
-        Ok(span.end)
+        // A translation commit never touches the CMT, so evicts nothing.
+        Ok(self
+            .write_single(PageContent::Translation(tvpn), None, now)?
+            .0)
     }
 
-    /// Allocates a fresh page and programs it, retiring the target
-    /// block and re-steering whenever the program reports status FAIL
-    /// — the single-page mirror of the batch remap path. Terminates
-    /// because every failure permanently retires one block.
-    fn program_fresh_page(&mut self, now: SimTime) -> Result<(Ppn, ServiceSpan), FtlError> {
-        let mut t = now;
+    /// Programs `content` to a fresh page on the channel the
+    /// single-page cursor names, advancing the cursor, and commits it
+    /// ([`Ftl::commit_fresh`]). Returns when the program ended and the
+    /// dirty translation page the commit evicted, if any.
+    fn write_single(
+        &mut self,
+        content: PageContent,
+        owner: Option<TeeId>,
+        now: SimTime,
+    ) -> Result<(SimTime, Option<u64>), FtlError> {
+        let channel = self.write_cursor;
+        self.write_cursor = (channel + 1) % self.channel_cursors.len();
+        let (plane, gc_done) = self.next_plane(channel, now)?;
+        let (ppn, span) = self.program_in_plane(plane, gc_done)?;
+        Ok((span.end, self.commit_fresh(content, ppn, owner)))
+    }
+
+    /// Programs one fresh page per `(content, ready)` entry in a single
+    /// pass, in request order, and commits each
+    /// ([`Ftl::commit_fresh`]) right after its program, so a later
+    /// placement's garbage collection sees it valid. Returns
+    /// `(ppn, program span)` per entry, in input order; the dirty
+    /// translation pages the commits evicted are pushed
+    /// (deduplicated) into `evicted` for the caller's coalesced
+    /// write-back.
+    ///
+    /// Each page goes to the channel with the smallest
+    /// `horizon + placed * transfer`: the channel's admit horizon (its
+    /// bus backlog at batch entry, raised by any GC stall during the
+    /// batch) plus the bus time of the pages already placed on it,
+    /// ties to the lowest channel. On an idle device this degenerates
+    /// to balanced round-robin; a mid-batch GC pass raises only its own
+    /// channel's horizon, so later pages route around the stalled
+    /// channel. A channel with no space left is skipped, so the batch
+    /// only fails when the whole device is full.
+    fn write_steered(
+        &mut self,
+        pages: impl IntoIterator<Item = (PageContent, SimTime)>,
+        start: SimTime,
+        owner: Option<TeeId>,
+        evicted: &mut Vec<u64>,
+    ) -> Result<Vec<(Ppn, ServiceSpan)>, FtlError> {
+        let channels = self.channel_cursors.len();
+        let planes_per_channel = self.planes.len() / channels;
+        let transfer = self.flash.config().page_transfer_time();
+        let mut horizon: Vec<SimTime> = (0..channels)
+            .map(|c| start.max(self.flash.channel_next_free(c as u32)))
+            .collect();
+        let mut placed = vec![0u64; channels];
+        // Full planes met in a row per channel: once every plane of a
+        // channel was full, the channel has no space left.
+        let mut full = vec![0usize; channels];
+        let pages = pages.into_iter();
+        let mut programmed = Vec::with_capacity(pages.size_hint().0);
+        for (content, ready) in pages {
+            let (ppn, span) = loop {
+                let ch = (0..channels)
+                    .filter(|&c| full[c] < planes_per_channel)
+                    .min_by_key(|&c| (horizon[c] + transfer * placed[c], c))
+                    .ok_or(FtlError::CapacityExhausted)?;
+                let attempt = self
+                    .next_plane(ch, horizon[ch])
+                    .and_then(|(plane, gc_done)| {
+                        horizon[ch] = horizon[ch].max(gc_done);
+                        self.program_in_plane(plane, horizon[ch].max(ready))
+                    });
+                match attempt {
+                    Ok(done) => {
+                        placed[ch] += 1;
+                        full[ch] = 0;
+                        break done;
+                    }
+                    // The channel's cursor moved on, so a retry on this
+                    // channel probes its next plane.
+                    Err(FtlError::CapacityExhausted) => full[ch] += 1,
+                    Err(e) => return Err(e),
+                }
+            };
+            if let Some(tvpn) = self.commit_fresh(content, ppn, owner) {
+                if !evicted.contains(&tvpn) {
+                    evicted.push(tvpn);
+                }
+            }
+            programmed.push((ppn, span));
+        }
+        Ok(programmed)
+    }
+
+    /// Takes `channel`'s next plane, advancing the channel's plane
+    /// cursor, and garbage-collects it first when it is low on free
+    /// blocks. Returns the plane and when its collection ended (`now`
+    /// when none ran).
+    fn next_plane(&mut self, channel: usize, now: SimTime) -> Result<(usize, SimTime), FtlError> {
+        let planes_per_channel = self.planes.len() / self.channel_cursors.len();
+        let cursor = self.channel_cursors[channel];
+        self.channel_cursors[channel] = (cursor + 1) % planes_per_channel;
+        let plane = channel * planes_per_channel + cursor;
+        if self.free_block_count(plane) < self.config.gc_free_block_threshold {
+            return Ok((plane, self.collect_plane(plane, now)?));
+        }
+        Ok((plane, now))
+    }
+
+    /// Programs one fresh page of `plane` at `at`: into the plane's
+    /// open block, or its least-worn free block once the open block is
+    /// full. A status-FAIL program retires its block and retries in the
+    /// plane's next block; this terminates because every failure
+    /// retires one block for good.
+    fn program_in_plane(
+        &mut self,
+        plane: usize,
+        at: SimTime,
+    ) -> Result<(Ppn, ServiceSpan), FtlError> {
+        let g = self.flash.config().geometry;
         loop {
-            let (ppn, gc_done) = self.allocate(t)?;
-            match self.flash.program_page(ppn, gc_done) {
+            let open = self.planes[plane]
+                .open_block
+                .map(|b| self.plane_block_addr(plane, b));
+            let addr = match open {
+                Some(addr) if self.flash.frontier(addr) < g.pages_per_block => addr,
+                _ => {
+                    if let Some(prev) = self.planes[plane].open_block.take() {
+                        self.planes[plane].full_blocks.push(prev);
+                    }
+                    let next = self
+                        .take_free_block(plane)
+                        .ok_or(FtlError::CapacityExhausted)?;
+                    self.planes[plane].open_block = Some(next);
+                    self.plane_block_addr(plane, next)
+                }
+            };
+            let ppn = g.pack(addr.page(self.flash.frontier(addr)));
+            match self.flash.program_page(ppn, at) {
                 Ok(span) => return Ok((ppn, span)),
                 Err(FlashError::ProgramFailed(_)) => {
                     self.stats.program_remaps += 1;
-                    let g = self.flash.config().geometry;
-                    self.retire_block(g.unpack(ppn).block_addr(), true);
-                    t = gc_done;
+                    self.retire_block(addr, true);
                 }
                 Err(e) => return Err(e.into()),
             }
         }
     }
 
-    /// Allocates the next free physical page, running GC if the target
-    /// plane is low on free blocks. Returns the page and the time any
-    /// foreground GC completed.
-    ///
-    /// The write cursor advances channel-first so consecutive logical
-    /// writes stripe across every channel bus (maximum read
-    /// parallelism for later scans), then across chips/dies/planes
-    /// within the channels.
-    fn allocate(&mut self, now: SimTime) -> Result<(Ppn, SimTime), FtlError> {
-        let g = self.flash.config().geometry;
-        let plane_count = self.planes.len();
-        let channels = g.channels as usize;
-        let planes_per_channel = plane_count / channels;
-        let cursor = self.plane_cursor;
-        self.plane_cursor = (self.plane_cursor + 1) % plane_count;
-        let plane_idx =
-            (cursor % channels) * planes_per_channel + (cursor / channels) % planes_per_channel;
-
-        let mut t = now;
-        if self.free_block_count(plane_idx) < self.config.gc_free_block_threshold
-            && !self.planes[plane_idx].full_blocks.is_empty()
-        {
-            t = self.collect_plane(plane_idx, t)?;
-        }
-
-        let pages_per_block = g.pages_per_block;
-        // Open block with room?
-        let need_new_block = match self.planes[plane_idx].open_block {
-            Some(b) => {
-                let addr = self.plane_block_addr(plane_idx, b);
-                self.flash.frontier(addr) >= pages_per_block
-            }
-            None => true,
-        };
-        if need_new_block {
-            if let Some(prev) = self.planes[plane_idx].open_block.take() {
-                self.planes[plane_idx].full_blocks.push(prev);
-            }
-            let next = self
-                .take_free_block(plane_idx)
-                .ok_or(FtlError::CapacityExhausted)?;
-            self.planes[plane_idx].open_block = Some(next);
-        }
-        let block = self.planes[plane_idx]
-            .open_block
-            .expect("open block was just ensured");
-        let addr = self.plane_block_addr(plane_idx, block);
-        let page = self.flash.frontier(addr);
-        Ok((g.pack(addr.page(page)), t))
-    }
-
-    /// Allocates and programs `ready.len()` fresh pages as one
-    /// channel-parallel batch, steering each page — *dynamically, in
-    /// request order* — to the channel estimated to accept it
-    /// earliest. Returns `(ppn, program span)` per index, in input
-    /// order.
-    ///
-    /// The steering score is `channel_ready + queued * transfer`: the
-    /// channel's admit horizon (bus backlog at batch entry, plus any
-    /// GC stall accrued *during* the batch) plus the bus time of the
-    /// pages already steered to it. On an idle device this degenerates
-    /// to balanced round-robin; a mid-batch GC pass raises only its
-    /// own channel's horizon, so later pages route around the stalled
-    /// channel until the backlog economics even out. A channel whose
-    /// planes run dry is retried across its remaining planes and then
-    /// deprioritized, so the batch only fails when the whole device is
-    /// out of space.
-    ///
-    /// Programs are issued round-robin across channels; allocation uses
-    /// a shadow frontier so several pages of one block stay in NAND
-    /// program order within the batch.
-    ///
-    /// The mapping/validity maintenance for each page (driven by its
-    /// `targets` entry — data page or translation page) happens at the
-    /// end of its wave, **before** any later wave may garbage-collect:
-    /// a GC pass therefore always sees freshly programmed pages as
-    /// valid and relocates them correctly instead of erasing them as
-    /// garbage. `fresh_owner` grants first-write pages to the writing
-    /// TEE; dirty translation pages evicted by the data-page CMT
-    /// updates are pushed (deduplicated) into `evicted` for the
-    /// caller's coalesced write-back.
-    fn program_batch_steered(
+    /// Points `content` at `ppn`, the page it was just programmed to:
+    /// the mapping entry (dirtying the CMT) or the translation page's
+    /// location, the valid bits and the journal record; the page it
+    /// replaces is invalidated. A first-written data page goes to
+    /// `owner`. Returns the dirty translation page the CMT update
+    /// evicted, if any.
+    fn commit_fresh(
         &mut self,
-        targets: &[PageContent],
-        ready: &[SimTime],
-        start: SimTime,
-        fresh_owner: Option<TeeId>,
-        evicted: &mut Vec<u64>,
-    ) -> Result<Vec<(Ppn, ServiceSpan)>, FtlError> {
-        let g = self.flash.config().geometry;
-        let channels = g.channels as usize;
-        let planes_per_channel = (self.planes.len() / channels).max(1) as u32;
-        let transfer = self.flash.config().page_transfer_time();
-        let mut assigned = vec![0u64; channels];
-        let mut channel_ready: Vec<SimTime> = (0..channels)
-            .map(|c| start.max(self.flash.channel_next_free(c as u32)))
-            .collect();
-        let mut results: Vec<Option<(Ppn, ServiceSpan)>> = vec![None; ready.len()];
-
-        // The batch proceeds in waves of `channels` pages. Steering
-        // usually spreads a wave one page per channel, but it puts two
-        // pages of a wave on one channel whenever another channel's
-        // horizon lags by more than one transfer, which is why the
-        // issue order below sorts by (k-th page on its channel,
-        // channel) and not by wave position. The shadow frontier
-        // drains at the end of every wave, so garbage collection stays
-        // available to any plane that runs low at any wave boundary
-        // (the once-per-plane GC gate is per wave, not per batch) and
-        // the batch reclaims space exactly as aggressively as a
-        // sequential write loop would.
-        let mut next = 0usize;
-        while next < ready.len() {
-            let wave_end = (next + channels).min(ready.len());
-            let mut shadow: FastMap<u64, u32> = FastMap::default();
-            let mut gc_checked = vec![false; self.planes.len()];
-            let mut plane_pending = vec![0u32; self.planes.len()];
-            let mut dry_attempts = vec![0u32; channels];
-            let mut wave_rank = vec![0u32; channels];
-            let mut placements: Vec<(Ppn, SimTime)> = Vec::with_capacity(wave_end - next);
-            // (k-th page on its channel, channel, wave index) per page.
-            let mut order: Vec<(u32, usize, usize)> = Vec::with_capacity(wave_end - next);
-            for (idx, &page_ready) in ready.iter().enumerate().take(wave_end).skip(next) {
-                let (ppn, arrival) = loop {
-                    let ch = (0..channels)
-                        .filter(|&c| dry_attempts[c] <= planes_per_channel)
-                        .min_by_key(|&c| (channel_ready[c] + transfer * assigned[c], c))
-                        .ok_or(FtlError::CapacityExhausted)?;
-                    match self.allocate_in_channel(
-                        ch,
-                        &mut shadow,
-                        &mut gc_checked,
-                        &mut plane_pending,
-                        channel_ready[ch],
-                    ) {
-                        Ok((ppn, gc_done)) => {
-                            // A GC pass stalls only its own channel's
-                            // later programs (and steers pages away
-                            // from it).
-                            channel_ready[ch] = channel_ready[ch].max(gc_done);
-                            assigned[ch] += 1;
-                            order.push((wave_rank[ch], ch, idx - next));
-                            wave_rank[ch] += 1;
-                            break (ppn, channel_ready[ch].max(page_ready));
-                        }
-                        Err(FtlError::CapacityExhausted) => {
-                            // This plane ran dry; its cursor advanced,
-                            // so a retry probes the channel's next
-                            // plane. Only when every channel has
-                            // probed all its planes is the device
-                            // really full.
-                            dry_attempts[ch] += 1;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                };
-                placements.push((ppn, arrival));
-            }
-            // Issue the wave's programs round-robin across channels:
-            // every channel's first page in channel order, then every
-            // channel's second, FIFO within a channel. Each bus and die
-            // keeps its own timeline and each page its own arrival, so
-            // the cross-channel order never changes timing, but it
-            // decides which page a fault plan's k-th program draw hits.
-            // Programs issue one at a time so a status-FAIL program
-            // degrades to a per-page remap instead of failing the
-            // batch. A failure retires the target block; wave items
-            // steered to the same (now retired) block skip the device
-            // entirely — their allocated page numbers assumed the
-            // failed program advanced the frontier, so programming them
-            // would break NAND order.
-            order.sort_unstable();
-            let mut resteer: Vec<usize> = Vec::new();
-            for &(_, _, index) in &order {
-                let (ppn, arrival) = placements[index];
-                if self.is_grown_bad(ppn) {
-                    resteer.push(index);
-                    continue;
+        content: PageContent,
+        ppn: Ppn,
+        owner: Option<TeeId>,
+    ) -> Option<u64> {
+        let (old, evicted) = match content {
+            PageContent::Data(lpn) => {
+                let old = self.mapping.update(lpn, ppn);
+                if let (Some(tee), None) = (owner, old) {
+                    // A fresh page written by a TEE belongs to that TEE.
+                    let _ = self.mapping.set_owner(lpn, tee);
                 }
-                match self.flash.program_page(ppn, arrival) {
-                    Ok(span) => results[next + index] = Some((ppn, span)),
-                    Err(FlashError::ProgramFailed(_)) => {
-                        let g = self.flash.config().geometry;
-                        self.retire_block(g.unpack(ppn).block_addr(), true);
-                        resteer.push(index);
-                    }
-                    Err(e) => return Err(e.into()),
-                }
+                self.journal_note(JournalRecord::MapUpdate {
+                    lpn: lpn.raw(),
+                    ppn: ppn.raw(),
+                });
+                (old, self.cmt.update(lpn).evicted_dirty)
             }
-            // Re-steer pass: failed (and failure-shadowed) pages land
-            // in freshly allocated blocks once the wave's surviving
-            // programs have drained and the frontier state is real
-            // again.
-            for idx in resteer {
-                let (_, arrival) = placements[idx];
-                self.stats.program_remaps += 1;
-                let (ppn, span) = self.program_fresh_page(arrival)?;
-                results[next + idx] = Some((ppn, span));
+            PageContent::Translation(tvpn) => {
+                self.journal_note(JournalRecord::TransPersist {
+                    tvpn,
+                    ppn: ppn.raw(),
+                });
+                (self.translation_ppns.insert(tvpn, ppn), None)
             }
-            // Wave maintenance: mapping + validity must be current
-            // before the next wave's allocations may trigger GC.
-            for idx in next..wave_end {
-                let (ppn, _) = results[idx].expect("wave page was scheduled");
-                match targets[idx] {
-                    PageContent::Data(lpn) => {
-                        let old = self.mapping.update(lpn, ppn);
-                        self.journal_note(JournalRecord::MapUpdate {
-                            lpn: lpn.raw(),
-                            ppn: ppn.raw(),
-                        });
-                        if let (Some(tee), None) = (fresh_owner, old) {
-                            // A fresh page written by a TEE belongs to
-                            // that TEE.
-                            let _ = self.mapping.set_owner(lpn, tee);
-                        }
-                        self.mark_valid(ppn, PageContent::Data(lpn));
-                        if let Some(old_ppn) = old {
-                            self.invalidate(old_ppn);
-                        }
-                        if let Some(tvpn) = self.cmt.update(lpn).evicted_dirty {
-                            if !evicted.contains(&tvpn) {
-                                evicted.push(tvpn);
-                            }
-                        }
-                    }
-                    PageContent::Translation(tvpn) => {
-                        if let Some(old) = self.translation_ppns.insert(tvpn, ppn) {
-                            self.invalidate(old);
-                        }
-                        self.mark_valid(ppn, PageContent::Translation(tvpn));
-                        self.journal_note(JournalRecord::TransPersist {
-                            tvpn,
-                            ppn: ppn.raw(),
-                        });
-                    }
-                }
-            }
-            next = wave_end;
-        }
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("every request was scheduled exactly once"))
-            .collect())
-    }
-
-    /// Allocates the next free page of `channel`, advancing the
-    /// channel's plane cursor. `shadow` counts pages allocated but not
-    /// yet programmed per block (keeping batch allocations in NAND
-    /// frontier order); `plane_pending` mirrors it per plane so GC
-    /// never relocates into a block with outstanding allocations.
-    ///
-    /// GC triggers at most once per plane per batch — checked on the
-    /// plane's first allocation, before it holds any shadow pages — and
-    /// again as a last resort when the plane runs dry, provided no
-    /// shadow pages are pending in it.
-    fn allocate_in_channel(
-        &mut self,
-        channel: usize,
-        shadow: &mut FastMap<u64, u32>,
-        gc_checked: &mut [bool],
-        plane_pending: &mut [u32],
-        now: SimTime,
-    ) -> Result<(Ppn, SimTime), FtlError> {
-        let g = self.flash.config().geometry;
-        let channels = g.channels as usize;
-        let planes_per_channel = self.planes.len() / channels;
-        let cursor = self.channel_cursors[channel];
-        self.channel_cursors[channel] = (cursor + 1) % planes_per_channel;
-        let plane_idx = channel * planes_per_channel + cursor % planes_per_channel;
-
-        let mut t = now;
-        if !gc_checked[plane_idx] {
-            gc_checked[plane_idx] = true;
-            if self.free_block_count(plane_idx) < self.config.gc_free_block_threshold
-                && !self.planes[plane_idx].full_blocks.is_empty()
-            {
-                t = self.collect_plane(plane_idx, t)?;
-            }
-        }
-
-        let pages_per_block = g.pages_per_block;
-        let shadowed_frontier = |ftl: &Ftl, shadow: &FastMap<u64, u32>, addr: BlockAddr| -> u32 {
-            ftl.flash.frontier(addr) + shadow.get(&g.block_index(addr)).copied().unwrap_or(0)
         };
-        let need_new_block = match self.planes[plane_idx].open_block {
-            Some(b) => {
-                let addr = self.plane_block_addr(plane_idx, b);
-                shadowed_frontier(self, shadow, addr) >= pages_per_block
-            }
-            None => true,
-        };
-        if need_new_block {
-            if let Some(prev) = self.planes[plane_idx].open_block.take() {
-                self.planes[plane_idx].full_blocks.push(prev);
-            }
-            let next = match self.take_free_block(plane_idx) {
-                Some(b) => b,
-                // Last resort: the plane ran out mid-batch. GC is only
-                // safe while no batch pages are pending in the plane
-                // (relocation programs would break their NAND order).
-                None if plane_pending[plane_idx] == 0
-                    && !self.planes[plane_idx].full_blocks.is_empty() =>
-                {
-                    t = self.collect_plane(plane_idx, t)?;
-                    self.take_free_block(plane_idx)
-                        .ok_or(FtlError::CapacityExhausted)?
-                }
-                None => return Err(FtlError::CapacityExhausted),
-            };
-            self.planes[plane_idx].open_block = Some(next);
+        self.mark_valid(ppn, content);
+        if let Some(old) = old {
+            self.invalidate(old);
         }
-        let block = self.planes[plane_idx]
-            .open_block
-            .expect("open block was just ensured");
-        let addr = self.plane_block_addr(plane_idx, block);
-        let page = shadowed_frontier(self, shadow, addr);
-        *shadow.entry(g.block_index(addr)).or_insert(0) += 1;
-        plane_pending[plane_idx] += 1;
-        Ok((g.pack(addr.page(page)), t))
+        evicted
     }
 
     /// Pops the least-worn free block of a plane, falling back to a
@@ -1547,41 +1371,9 @@ impl Ftl {
                 None => continue,
             };
             // Relocate: read, program to a free block in the same plane
-            // (never triggering nested GC). A status-FAIL relocation
-            // program retires its destination block and re-steers, just
-            // like the foreground write path.
+            // (never triggering nested GC).
             let read = self.flash.read_page_reliable(old_ppn, t)?;
-            let (new_ppn, prog) = loop {
-                let dest_block = match self.planes[plane_idx].open_block {
-                    Some(b)
-                        if self.flash.frontier(self.plane_block_addr(plane_idx, b))
-                            < g.pages_per_block =>
-                    {
-                        b
-                    }
-                    _ => {
-                        if let Some(prev) = self.planes[plane_idx].open_block.take() {
-                            self.planes[plane_idx].full_blocks.push(prev);
-                        }
-                        let next = self
-                            .take_free_block(plane_idx)
-                            .ok_or(FtlError::CapacityExhausted)?;
-                        self.planes[plane_idx].open_block = Some(next);
-                        next
-                    }
-                };
-                let dest_addr = self.plane_block_addr(plane_idx, dest_block);
-                let dest_page = self.flash.frontier(dest_addr);
-                let new_ppn = g.pack(dest_addr.page(dest_page));
-                match self.flash.program_page(new_ppn, read.end) {
-                    Ok(prog) => break (new_ppn, prog),
-                    Err(FlashError::ProgramFailed(_)) => {
-                        self.stats.program_remaps += 1;
-                        self.retire_block(dest_addr, true);
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            };
+            let (new_ppn, prog) = self.program_in_plane(plane_idx, read.end)?;
             t = prog.end;
             self.relocate(old_ppn, new_ppn, content);
             self.stats.gc_pages_moved += 1;
@@ -1734,25 +1526,8 @@ impl Ftl {
         if let Some(data) = self.flash.read_data(old).map(<[u8]>::to_vec) {
             self.flash.write_data(new, &data);
         }
-        self.invalidate(old);
-        self.mark_valid(new, content);
-        match content {
-            PageContent::Data(lpn) => {
-                self.mapping.update(lpn, new);
-                let _ = self.cmt.update(lpn);
-                self.journal_note(JournalRecord::MapUpdate {
-                    lpn: lpn.raw(),
-                    ppn: new.raw(),
-                });
-            }
-            PageContent::Translation(tvpn) => {
-                self.translation_ppns.insert(tvpn, new);
-                self.journal_note(JournalRecord::TransPersist {
-                    tvpn,
-                    ppn: new.raw(),
-                });
-            }
-        }
+        // `old` is where `content` lives, so the commit invalidates it.
+        let _ = self.commit_fresh(content, new, None);
     }
 
     /// Retires `addr` into the grown-bad-block table and detaches it
@@ -1790,13 +1565,6 @@ impl Ftl {
         if let Some(pos) = plane.free_blocks.iter().position(|&b| b == addr.block) {
             plane.free_blocks.swap_remove(pos);
         }
-    }
-
-    /// Whether the block holding `ppn` has been retired.
-    fn is_grown_bad(&self, ppn: Ppn) -> bool {
-        let g = self.flash.config().geometry;
-        self.grown_bad
-            .contains(&g.block_index(g.unpack(ppn).block_addr()))
     }
 
     /// Inverse of [`Ftl::plane_block_addr`]: the flat plane index of a
@@ -2563,9 +2331,8 @@ mod tests {
     #[test]
     fn write_batch_survives_near_full_device() {
         // Regression: on a nearly-full device a plane can run dry in
-        // the middle of a batch while it still holds pending shadow
-        // allocations. The steering must retry other planes/channels
-        // (and last-resort GC where safe) instead of reporting
+        // the middle of a batch. The steering must retry the channel's
+        // other planes and the other channels instead of reporting
         // CapacityExhausted where sequential writes would succeed.
         let config = FtlConfig {
             gc_free_block_threshold: 2,
@@ -2714,7 +2481,7 @@ mod tests {
     }
 
     #[test]
-    fn wave_programs_issue_round_robin_by_channel() {
+    fn batch_programs_issue_in_request_order() {
         let mut flash_config = FlashConfig::tiny();
         flash_config.geometry = flash_config.geometry.with_channels(3);
         let mut ftl = Ftl::new(flash_config, FtlConfig::default());
@@ -2730,7 +2497,7 @@ mod tests {
         let ppn = ftl.current_ppn(Lpn::new(0)).unwrap();
         assert_eq!(g.unpack(ppn).channel, 0);
         // Keep channel 0's bus busy until just past the next batch's
-        // secure-world entry, so its wave steers to channels [1, 2, 0].
+        // secure-world entry, so the batch steers to channels [1, 2, 0].
         let batch_at = SimTime::ZERO + SimDuration::from_millis(10);
         ftl.flash_mut()
             .read_page(ppn, batch_at - SimDuration::from_micros(50))
@@ -2744,17 +2511,14 @@ mod tests {
                 batch_at,
             )
             .unwrap();
-        // Round-robin issue hands program ordinal 1 to channel 0's
-        // page, not to the wave's first page.
+        // Programs issue in request order, so program ordinal 1 hits
+        // the batch's first page; it retries in its own plane.
         assert_eq!(ftl.stats().program_remaps, 1);
-        let channels: Vec<u32> = out.pages[..2]
-            .iter()
-            .map(|p| g.unpack(p.ppn).channel)
-            .collect();
-        assert_eq!(channels, vec![1, 2]);
         let retired = ftl.grown_bad_blocks();
         assert_eq!(retired.len(), 1);
-        assert_eq!(g.block_from_index(retired[0]).channel, 0);
+        assert_eq!(g.block_from_index(retired[0]).channel, 1);
+        let channels: Vec<u32> = out.pages.iter().map(|p| g.unpack(p.ppn).channel).collect();
+        assert_eq!(channels, vec![1, 2, 0]);
     }
 
     #[test]

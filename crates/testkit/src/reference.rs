@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use iceclave_exec::{CompletionQueue, StageEvent};
-use iceclave_types::{CompletionEvent, SimTime, Ticket, TicketKind};
+use iceclave_types::{CompletionEvent, SimTime, Ticket};
 
 use crate::event::HeapKeyedEventQueue;
 
@@ -66,8 +66,7 @@ impl<S> RefExecutor<S> {
     }
 
     /// Opens a ticket for a `pages`-page batch submitted at `now`.
-    pub fn open_ticket(&mut self, kind: TicketKind, pages: u32, now: SimTime) -> Ticket {
-        let _ = kind;
+    pub fn open_ticket(&mut self, pages: u32, now: SimTime) -> Ticket {
         let ticket = Ticket::new(self.next_ticket);
         self.next_ticket += 1;
         self.tickets.insert(

@@ -251,8 +251,8 @@ proptest! {
             let kind = if batch.write { TicketKind::Write } else { TicketKind::Read };
             let tee = TeeId::new(batch.tee).unwrap();
 
-            let ta = exec.open_ticket(kind, batch.pages, now);
-            let tb = reference.open_ticket(kind, batch.pages, now);
+            let ta = exec.open_ticket(batch.pages, now);
+            let tb = reference.open_ticket(batch.pages, now);
             prop_assert_eq!(ta, tb, "ticket allocators diverged");
             tickets.push((ta, tb));
 

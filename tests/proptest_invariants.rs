@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use iceclave_repro::iceclave_cipher::Trivium;
 use iceclave_repro::iceclave_core::{IceClave, IceClaveConfig};
 use iceclave_repro::iceclave_flash::{FlashArray, FlashConfig, FlashGeometry};
-use iceclave_repro::iceclave_ftl::{Ftl, FtlConfig, MappingEntry, Requestor};
+use iceclave_repro::iceclave_ftl::{FaultPlan, Ftl, FtlConfig, MappingEntry, Requestor};
 use iceclave_repro::iceclave_mee::MetaCache;
 use iceclave_repro::iceclave_sim::Resource;
 use iceclave_repro::iceclave_trustzone::WorldMonitor;
@@ -142,14 +142,31 @@ proptest! {
     /// far beyond its capacity (so GC fires mid-run, usually
     /// mid-batch), every page still translates,
     /// `valid_pages` equals the working-set size, and read-back is
-    /// byte-identical to the last write.
+    /// byte-identical to the last write. Up to three scripted program
+    /// failures land anywhere in the run, so a failed page retries in
+    /// its plane's next block mid-batch, often while GC runs; each one
+    /// the run reaches costs exactly one remap.
     #[test]
     fn write_read_batches_stay_consistent_under_gc(
-        ops in prop::collection::vec((0u8..2, prop::collection::vec(0u64..24, 1..24)), 4..28)
+        ops in prop::collection::vec((0u8..2, prop::collection::vec(0u64..24, 1..24)), 4..28),
+        fail_ops in prop::collection::vec(0u64..500, 0..4)
     ) {
         const WORKING_SET: u64 = 24;
         let mut ice = IceClave::new(IceClaveConfig::tiny());
         let mut t = ice.populate(Lpn::new(0), WORKING_SET, SimTime::ZERO).unwrap();
+        let mut fail_ops = fail_ops;
+        fail_ops.sort_unstable();
+        fail_ops.dedup();
+        // Program ordinals count from the install on.
+        let programs_attempted = |ice: &IceClave| {
+            let stats = ice.platform().ftl.flash().stats();
+            stats.programs + stats.program_faults
+        };
+        let programs_before = programs_attempted(&ice);
+        ice.install_fault_plan(FaultPlan {
+            program_fail_ops: fail_ops.clone(),
+            ..FaultPlan::none()
+        });
         let lpns: Vec<Lpn> = (0..WORKING_SET).map(Lpn::new).collect();
         let (tee, t2) = ice.offload_code(1024, &lpns, t).unwrap();
         t = t2;
@@ -225,6 +242,9 @@ proptest! {
             let expected = model.get(&c.lpn.raw()).expect("populated page");
             prop_assert_eq!(c.data.as_ref(), Some(expected));
         }
+        let attempted = programs_attempted(&ice) - programs_before;
+        let reached = fail_ops.iter().filter(|&&op| op < attempted).count() as u64;
+        prop_assert_eq!(ice.platform().ftl.stats().program_remaps, reached);
     }
 
     /// NAND contract fuzz: programs must be sequential; the array
