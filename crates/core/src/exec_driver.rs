@@ -1367,7 +1367,8 @@ impl IceClave {
         if let Some(error) = self.failed.remove(ticket.raw()) {
             return Err(error);
         }
-        completions.sort_by_key(|e| e.index);
+        // Page indexes are unique within a ticket.
+        completions.sort_unstable_by_key(|e| e.index);
         Ok(BatchCompletion {
             issued,
             finished,

@@ -401,7 +401,19 @@ impl Dram {
         let mut done = arrival;
         let (mut hits, mut closed, mut conflicts) = (0u64, 0u64, 0u64);
         let mut total = SimDuration::ZERO;
-        for i in 0..count {
+        // Consecutive lines cycle through every bank before the column
+        // advances. In a run that stays inside one row, every line after
+        // the first bank round is a row hit on a bank the round left
+        // busy past `arrival`, and its bus slot comes after its bank's
+        // previous burst plus one burst of each other bank of the
+        // channel. That slot is never before its data is ready, so those
+        // lines burst back to back. Only the first round runs line by
+        // line; the rest is summed per bank and per channel below.
+        let banks = self.banks.len() as u64;
+        let row_shift = s.ch_shift + s.bank_shift + s.rank_shift + s.row_shift;
+        let one_row = count > 0 && line.raw() >> row_shift == (line.raw() + count - 1) >> row_shift;
+        let exact = if one_row { count.min(banks) } else { count };
+        for i in 0..exact {
             let x = line.raw() + i;
             let channel = (x & s.ch_mask) as usize;
             let y = x >> s.ch_shift;
@@ -442,6 +454,33 @@ impl Dram {
             bus_ops[channel] += 1;
             total += burst_end.saturating_since(arrival);
             done = done.max(burst_end);
+        }
+        if exact < count {
+            // Line `exact + j` and every `banks`-th line after it hit
+            // the same bank: `k` chained row-hit commands there.
+            let rest = count - exact;
+            let mut channel_lines = [0u64; MAX_LOCAL_CH];
+            for j in 0..rest.min(banks) {
+                let k = rest / banks + u64::from(j < rest % banks);
+                let (channel, bank_idx, _) = self.map(CacheLine::new(line.raw() + exact + j));
+                let busy = &mut self.banks[bank_idx].busy;
+                let occupied = timing.occ_hit * k;
+                busy.commit_run(busy.next_free() + occupied, occupied, k);
+                channel_lines[channel as usize] += k;
+            }
+            hits += rest;
+            // A channel's `n` bursts end one burst apart after its bus
+            // frees up.
+            for (c, &n) in channel_lines[..nch].iter().enumerate() {
+                if n == 0 {
+                    continue;
+                }
+                total +=
+                    bus_free[c].saturating_since(arrival) * n + timing.burst * (n * (n + 1) / 2);
+                bus_free[c] += timing.burst * n;
+                bus_ops[c] += n;
+                done = done.max(bus_free[c]);
+            }
         }
         for (c, bus) in self.buses.iter_mut().enumerate() {
             if bus_ops[c] > 0 {
@@ -631,33 +670,72 @@ mod tests {
 
     #[test]
     fn run_equals_access_loop() {
-        // The specialized streaming loop must be indistinguishable from
+        // The specialized streaming loop (an exact first bank round,
+        // then closed-form row hits) must be indistinguishable from
         // per-line `access` calls: same completion times, same stats,
-        // same bank state afterwards (probed by the final run).
-        let mut fast = dram();
-        let mut slow = dram();
-        let mut t_fast = SimTime::ZERO;
-        let mut t_slow = SimTime::ZERO;
+        // same bank and bus state afterwards (probed by later runs).
+        // Table 3 has 16 banks and a 2048-line row span; the second
+        // config spreads them over two channels.
+        let two_channels = DramConfig {
+            channels: 2,
+            banks_per_rank: 4,
+            ..DramConfig::table3()
+        };
         let runs = [
             (0u64, 64u64, MemOp::Write),
             (64, 64, MemOp::Read),
+            // Shorter than one bank round.
             (17, 5, MemOp::Write),
             (64, 64, MemOp::Write),
             (4096, 64, MemOp::Read),
             (0, 64, MemOp::Read),
+            // Starts mid-row and mid-round, ends on a partial round.
+            (1000, 45, MemOp::Read),
+            // Crosses a row boundary.
+            (2030, 64, MemOp::Read),
+            // Writes, then a read of another row on the same banks:
+            // write-recovery conflicts in the first round.
+            (6144, 64, MemOp::Write),
+            (8192, 64, MemOp::Read),
+            // Exactly one round, then a long run of many rounds.
+            (32, 16, MemOp::Write),
+            (512, 300, MemOp::Read),
         ];
-        for (base, count, op) in runs {
-            t_fast = fast.access_run(CacheLine::new(base), count, op, t_fast);
-            let arrival = t_slow;
-            for i in 0..count {
-                t_slow = slow
-                    .access(CacheLine::new(base + i), op, arrival)
-                    .end
-                    .max(t_slow);
+        for config in [DramConfig::table3(), two_channels] {
+            let mut fast = Dram::new(config);
+            let mut slow = Dram::new(config);
+            let mut done = SimTime::ZERO;
+            for (n, &(base, count, op)) in runs.iter().enumerate() {
+                // Every other run arrives while the previous one still
+                // holds the banks and bus.
+                let arrival = if n % 2 == 0 {
+                    done
+                } else {
+                    done - SimDuration::from_nanos(100)
+                };
+                let t_fast = fast.access_run(CacheLine::new(base), count, op, arrival);
+                let mut t_slow = arrival;
+                for i in 0..count {
+                    t_slow = slow
+                        .access(CacheLine::new(base + i), op, arrival)
+                        .end
+                        .max(t_slow);
+                }
+                assert_eq!(t_fast, t_slow, "run {n} on {config:?}");
+                // Probe the bank the run touched last with a conflict
+                // from the run's arrival: it queues behind the bank's
+                // last command and precharges the row the run left open.
+                let row_span = u64::from(config.total_banks()) * config.lines_per_row();
+                let probe = CacheLine::new(base + count - 1 + row_span);
+                assert_eq!(
+                    fast.access(probe, MemOp::Read, arrival),
+                    slow.access(probe, MemOp::Read, arrival),
+                    "probe after run {n} on {config:?}"
+                );
+                assert_eq!(fast.stats(), slow.stats(), "run {n} on {config:?}");
+                done = t_fast;
             }
-            assert_eq!(t_fast, t_slow);
         }
-        assert_eq!(fast.stats(), slow.stats());
     }
 
     #[test]

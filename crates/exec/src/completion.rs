@@ -229,8 +229,11 @@ impl CompletionQueue {
         self.extract(|e| e.ticket == ticket)
     }
 
+    /// The key is unique per event (a ticket's page indexes are), so
+    /// an unstable sort gives the same order without a stable sort's
+    /// scratch buffer.
     fn sort(events: &mut [CompletionEvent]) {
-        events.sort_by_key(|e| (e.ready_at(), e.ticket, e.index));
+        events.sort_unstable_by_key(|e| (e.ready_at(), e.ticket, e.index));
     }
 }
 

@@ -196,6 +196,17 @@ impl FlashGeometry {
         }
     }
 
+    /// The flat block index (see [`FlashGeometry::block_index`]) and
+    /// in-block page of `ppn`. PPNs are block-major, so this is one
+    /// division and one remainder instead of a full
+    /// [`FlashGeometry::unpack`].
+    #[inline]
+    pub fn block_page(&self, ppn: Ppn) -> (u64, u32) {
+        debug_assert!(ppn.raw() < self.total_pages(), "{ppn} out of range");
+        let (block, page) = Self::split(ppn.raw(), self.pages_per_block);
+        (block, page as u32)
+    }
+
     /// True if `addr` addresses a page inside this geometry.
     pub fn contains(&self, addr: FlashAddr) -> bool {
         addr.channel < self.channels
@@ -300,6 +311,21 @@ mod tests {
             let addr = g.unpack(ppn);
             assert!(g.contains(addr));
             assert_eq!(g.pack(addr), ppn, "addr {addr}");
+        }
+    }
+
+    #[test]
+    fn block_page_matches_unpack() {
+        let odd = FlashGeometry {
+            pages_per_block: 12,
+            ..FlashGeometry::tiny()
+        };
+        for g in [FlashGeometry::tiny(), odd] {
+            for raw in 0..g.total_pages() {
+                let addr = g.unpack(Ppn::new(raw));
+                let want = (g.block_index(addr.block_addr()), addr.page);
+                assert_eq!(g.block_page(Ppn::new(raw)), want, "ppn {raw}");
+            }
         }
     }
 

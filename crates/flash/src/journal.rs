@@ -418,9 +418,11 @@ impl MetadataJournal {
         None
     }
 
-    /// Reads the whole written journal region in order and parses it
-    /// into records, stopping at the first torn record (checksum
-    /// mismatch or sequence break). Reads go through
+    /// Reads the whole written journal region in order and hands each
+    /// record to `apply` as its page is parsed, stopping at the first
+    /// torn record (checksum mismatch or sequence break). Nothing is
+    /// collected, so a replay costs no heap in proportion to the
+    /// journal. Reads go through
     /// [`FlashArray::read_page_reliable`] — replay pays real channel
     /// and die time but is not subject to injected read faults (the
     /// controller's slow soft-decision boot read).
@@ -436,9 +438,10 @@ impl MetadataJournal {
         &mut self,
         flash: &mut FlashArray,
         now: SimTime,
-    ) -> Result<(Vec<JournalRecord>, ReplaySummary), FlashError> {
+        mut apply: impl FnMut(JournalRecord),
+    ) -> Result<ReplaySummary, FlashError> {
         let g = flash.config().geometry;
-        let mut records = Vec::new();
+        let mut last = None;
         let mut summary = ReplaySummary {
             end_time: now,
             ..ReplaySummary::default()
@@ -456,8 +459,10 @@ impl MetadataJournal {
                 let image = flash.read_data(ppn).map(<[u8]>::to_vec).unwrap_or_default();
                 let (page_records, torn, page_stop) = parse_page(&image, &mut next_seq);
                 if stop == ParseStop::End {
-                    records.extend(page_records);
+                    summary.records_replayed += page_records.len() as u64;
                     summary.torn_records += torn;
+                    last = page_records.last().copied().or(last);
+                    page_records.into_iter().for_each(&mut apply);
                 } else {
                     // Already torn: every further record image is part
                     // of the discarded suffix.
@@ -473,9 +478,8 @@ impl MetadataJournal {
                 break 'blocks;
             }
         }
-        summary.records_replayed = records.len() as u64;
-        summary.clean_shutdown = stop == ParseStop::End
-            && matches!(records.last(), Some(JournalRecord::CleanShutdown { .. }));
+        summary.clean_shutdown =
+            stop == ParseStop::End && matches!(last, Some(JournalRecord::CleanShutdown { .. }));
         summary.end_time = t;
         // Resume appending after the surviving records: the torn
         // suffix's sequence numbers are reused, which is safe because
@@ -487,7 +491,7 @@ impl MetadataJournal {
             .iter()
             .position(|&b| flash.frontier(b) < g.pages_per_block)
             .unwrap_or(self.blocks.len());
-        Ok((records, summary))
+        Ok(summary)
     }
 }
 
@@ -567,6 +571,17 @@ mod tests {
         (flash, journal)
     }
 
+    /// Replays `journal`, collecting the records it applies.
+    fn replay_all(
+        journal: &mut MetadataJournal,
+        flash: &mut FlashArray,
+        now: SimTime,
+    ) -> (Vec<JournalRecord>, ReplaySummary) {
+        let mut records = Vec::new();
+        let summary = journal.replay(flash, now, |r| records.push(r)).unwrap();
+        (records, summary)
+    }
+
     #[test]
     fn append_sync_replay_round_trips() {
         let (mut flash, mut journal) = setup(2);
@@ -591,7 +606,7 @@ mod tests {
         assert_eq!(journal.records_synced(), records.len() as u64);
 
         let mut reborn = MetadataJournal::new(journal.blocks().to_vec(), &flash);
-        let (replayed, summary) = reborn.replay(&mut flash, t).unwrap();
+        let (replayed, summary) = replay_all(&mut reborn, &mut flash, t);
         assert_eq!(replayed, records);
         assert_eq!(summary.records_replayed, records.len() as u64);
         assert_eq!(summary.torn_records, 0);
@@ -621,7 +636,7 @@ mod tests {
         journal.sync(&mut flash, SimTime::ZERO).unwrap();
         assert_eq!(journal.pages_written(), 2);
         let mut reborn = MetadataJournal::new(journal.blocks().to_vec(), &flash);
-        let (replayed, summary) = reborn.replay(&mut flash, SimTime::ZERO).unwrap();
+        let (replayed, summary) = replay_all(&mut reborn, &mut flash, SimTime::ZERO);
         assert_eq!(replayed.len(), 200);
         assert_eq!(summary.pages_read, 2);
         assert!(!summary.clean_shutdown);
@@ -644,7 +659,7 @@ mod tests {
         flash.write_data(ppn, &image);
 
         let mut reborn = MetadataJournal::new(journal.blocks().to_vec(), &flash);
-        let (replayed, summary) = reborn.replay(&mut flash, SimTime::ZERO).unwrap();
+        let (replayed, summary) = replay_all(&mut reborn, &mut flash, SimTime::ZERO);
         assert_eq!(replayed.len(), 9, "only the corrupted record is lost");
         assert_eq!(summary.torn_records, 1);
         assert!(!summary.clean_shutdown);
@@ -668,7 +683,7 @@ mod tests {
         flash.write_data(ppn, &image);
 
         let mut reborn = MetadataJournal::new(journal.blocks().to_vec(), &flash);
-        let (replayed, summary) = reborn.replay(&mut flash, SimTime::ZERO).unwrap();
+        let (replayed, summary) = replay_all(&mut reborn, &mut flash, SimTime::ZERO);
         assert_eq!(replayed.len(), 3);
         assert_eq!(summary.torn_records, 7);
     }
@@ -680,13 +695,13 @@ mod tests {
         journal.sync(&mut flash, SimTime::ZERO).unwrap();
 
         let mut reborn = MetadataJournal::new(journal.blocks().to_vec(), &flash);
-        let (_, _) = reborn.replay(&mut flash, SimTime::ZERO).unwrap();
+        let (_, _) = replay_all(&mut reborn, &mut flash, SimTime::ZERO);
         reborn.append(JournalRecord::EpochSeal { epoch: 2 });
         reborn.sync(&mut flash, SimTime::ZERO).unwrap();
 
         // A third incarnation sees both records contiguously.
         let mut third = MetadataJournal::new(journal.blocks().to_vec(), &flash);
-        let (replayed, summary) = third.replay(&mut flash, SimTime::ZERO).unwrap();
+        let (replayed, summary) = replay_all(&mut third, &mut flash, SimTime::ZERO);
         assert_eq!(
             replayed,
             vec![

@@ -142,6 +142,13 @@ impl CachedMappingTable {
         self.resident.contains_key(&Self::translation_page_of(lpn))
     }
 
+    /// Whether translation page `tvpn` is resident and dirty (no stats
+    /// effect).
+    #[cfg(test)]
+    pub(crate) fn is_dirty(&self, tvpn: u64) -> bool {
+        self.resident.get(&tvpn) == Some(&true)
+    }
+
     /// Lookup hits so far.
     pub fn hits(&self) -> u64 {
         self.hits

@@ -5,8 +5,8 @@ use std::error::Error;
 use std::fmt;
 
 use iceclave_flash::{
-    BlockAddr, FaultInjector, FaultPlan, FlashArray, FlashConfig, FlashError, JournalRecord,
-    MetadataJournal, ReplaySummary,
+    BlockAddr, FaultInjector, FaultPlan, FlashArray, FlashConfig, FlashError, FlashGeometry,
+    JournalRecord, MetadataJournal, ReplaySummary,
 };
 use iceclave_sim::ServiceSpan;
 use iceclave_trustzone::{World, WorldMonitor};
@@ -236,6 +236,35 @@ enum PageContent {
     Translation(u64),
 }
 
+impl PageContent {
+    /// The tag bit of a translation page in [`PageContent::encode`]'s
+    /// word.
+    const TRANSLATION: u64 = 1 << 63;
+
+    /// Packs the content into one word: the LPN, or the translation
+    /// page number with the top bit set. Neither can reach
+    /// [`BlockInfo::DEAD`].
+    fn encode(self) -> u64 {
+        let word = match self {
+            PageContent::Data(lpn) => {
+                debug_assert!(lpn.raw() < Self::TRANSLATION);
+                lpn.raw()
+            }
+            PageContent::Translation(tvpn) => tvpn | Self::TRANSLATION,
+        };
+        debug_assert_ne!(word, BlockInfo::DEAD);
+        word
+    }
+
+    fn decode(word: u64) -> Self {
+        if word & Self::TRANSLATION == 0 {
+            PageContent::Data(Lpn::new(word))
+        } else {
+            PageContent::Translation(word & !Self::TRANSLATION)
+        }
+    }
+}
+
 /// Grow-on-demand vector map for keys used densely from zero: the
 /// translation-page numbers (`lpn / ENTRIES_PER_TRANSLATION_PAGE`, and
 /// LPNs are staged from zero), where direct indexing replaces hashing
@@ -267,38 +296,49 @@ impl<T> DenseSlab<T> {
     }
 }
 
-#[derive(Clone, Debug)]
+/// A programmed block's record: what each of its valid pages holds.
+#[derive(Clone, Debug, Default)]
 struct BlockInfo {
-    valid: Vec<u64>,
+    /// One word per page up to the highest page recorded: the page's
+    /// encoded [`PageContent`] while it is valid, [`BlockInfo::DEAD`]
+    /// once invalidated (or never committed). Pages are programmed in
+    /// order, so this grows with the block's program frontier.
+    pages: Vec<u64>,
+    /// Pages not [`BlockInfo::DEAD`].
     valid_count: u32,
 }
 
 impl BlockInfo {
-    fn new(pages_per_block: u32) -> Self {
-        BlockInfo {
-            valid: vec![0; (pages_per_block as usize).div_ceil(64)],
-            valid_count: 0,
-        }
-    }
+    /// The word of a page that holds nothing live.
+    const DEAD: u64 = u64::MAX;
 
-    fn set(&mut self, page: u32) {
-        let (w, b) = ((page / 64) as usize, page % 64);
-        if self.valid[w] & (1 << b) == 0 {
-            self.valid[w] |= 1 << b;
+    fn set(&mut self, page: u32, content: PageContent) {
+        let page = page as usize;
+        if page >= self.pages.len() {
+            self.pages.resize(page + 1, Self::DEAD);
+        }
+        if self.pages[page] == Self::DEAD {
             self.valid_count += 1;
         }
+        self.pages[page] = content.encode();
     }
 
     fn clear(&mut self, page: u32) {
-        let (w, b) = ((page / 64) as usize, page % 64);
-        if self.valid[w] & (1 << b) != 0 {
-            self.valid[w] &= !(1 << b);
-            self.valid_count -= 1;
+        if let Some(word) = self.pages.get_mut(page as usize) {
+            if *word != Self::DEAD {
+                *word = Self::DEAD;
+                self.valid_count -= 1;
+            }
         }
     }
 
-    fn iter_valid(&self, pages_per_block: u32) -> impl Iterator<Item = u32> + '_ {
-        (0..pages_per_block).filter(|&p| self.valid[(p / 64) as usize] & (1 << (p % 64)) != 0)
+    /// The valid pages and what each holds, in page order.
+    fn valid(&self) -> impl Iterator<Item = (u32, PageContent)> + '_ {
+        self.pages
+            .iter()
+            .enumerate()
+            .filter(|&(_, &word)| word != Self::DEAD)
+            .map(|(page, &word)| (page as u32, PageContent::decode(word)))
     }
 }
 
@@ -329,16 +369,14 @@ pub struct Ftl {
     mapping: MappingTable,
     cmt: CachedMappingTable,
     planes: Vec<PlaneState>,
-    /// Valid-page bitmaps of blocks holding live pages, keyed by flat
-    /// block index. Sparse: flat indexes are plane-major and the
-    /// allocator steers the first batch across every plane.
+    /// The records of blocks holding programmed pages (what each valid
+    /// page holds), keyed by flat block index. Sparse: flat indexes are
+    /// plane-major and the allocator steers the first batch across
+    /// every plane.
     blocks: FastMap<u64, BlockInfo>,
-    /// What each programmed physical page holds, keyed by raw PPN.
-    /// Sparse: the allocator strides PPNs across every die.
-    contents: FastMap<u64, PageContent>,
     translation_ppns: DenseSlab<Ppn>,
     /// The channel of the next single-page placement ([`Ftl::write`],
-    /// a translation persist): channel-first round-robin, so
+    /// a translation write-back): channel-first round-robin, so
     /// consecutive single writes stripe across every channel bus.
     write_cursor: usize,
     /// Per-channel plane cursors: whichever way a page picks its
@@ -379,7 +417,6 @@ impl Ftl {
             cmt: CachedMappingTable::new(config.cmt_capacity),
             planes,
             blocks: FastMap::default(),
-            contents: FastMap::default(),
             translation_ppns: DenseSlab::new(),
             write_cursor: 0,
             channel_cursors: vec![0; flash_config.geometry.channels as usize],
@@ -494,70 +531,64 @@ impl Ftl {
     /// invariant violation).
     pub fn recover(&mut self, now: SimTime) -> Result<FtlRecovery, FtlError> {
         let g = self.flash.config().geometry;
-        // Phase 1: replay the journal through the real read path.
-        let (records, summary) = match self.journal.as_mut() {
-            Some(j) => j.replay(&mut self.flash, now).map_err(FtlError::Flash)?,
-            None => (
-                Vec::new(),
-                ReplaySummary {
-                    end_time: now,
-                    ..ReplaySummary::default()
-                },
-            ),
-        };
-
-        // Phase 2: fold the record stream into final tables
-        // (last-wins per key, in journal order).
-        let mut map: FastMap<u64, u64> = FastMap::default();
-        let mut trans: FastMap<u64, u64> = FastMap::default();
-        let mut retired: FastSet<u64> = FastSet::default();
-        let mut ivs: FastMap<u64, (u64, u32)> = FastMap::default();
-        let mut max_epoch = 0u64;
-        let mut epoch_regressed = false;
-        for record in &records {
-            match *record {
-                JournalRecord::MapUpdate { lpn, ppn } => {
-                    map.insert(lpn, ppn);
-                }
-                JournalRecord::MapRemove { lpn } => {
-                    map.remove(&lpn);
-                }
-                JournalRecord::TransPersist { tvpn, ppn } => {
-                    trans.insert(tvpn, ppn);
-                }
-                JournalRecord::Retire { block } => {
-                    retired.insert(block);
-                }
-                JournalRecord::IvSeal {
-                    lpn,
-                    iv_base,
-                    iv_ppa,
-                } => {
-                    ivs.insert(lpn, (iv_base, iv_ppa));
-                }
-                JournalRecord::EpochSeal { epoch } | JournalRecord::CleanShutdown { epoch } => {
-                    if epoch < max_epoch {
-                        epoch_regressed = true;
-                    }
-                    max_epoch = max_epoch.max(epoch);
-                }
-            }
-        }
-
-        // Phase 3: discard every volatile table. (Cumulative lifetime
-        // stats survive — they model controller wear counters, which
-        // real devices keep in their own durable store.)
+        // Phase 1: discard every volatile table before anything is
+        // rebuilt, so the pre-crash tables never share the heap with
+        // the replay. (Cumulative lifetime stats survive — they model
+        // controller wear counters, which real devices keep in their
+        // own durable store.)
         self.mapping = MappingTable::new();
         self.cmt = CachedMappingTable::new(self.config.cmt_capacity);
         self.blocks = FastMap::default();
-        self.contents = FastMap::default();
         self.translation_ppns = DenseSlab::new();
         self.write_cursor = 0;
         self.channel_cursors = vec![0; g.channels as usize];
         self.last_secure_granule = None;
-        self.grown_bad = retired;
+        self.grown_bad = FastSet::default();
 
-        // Phase 4: re-derive plane allocation state from the physical
+        // Phase 2: replay the journal through the real read path,
+        // folding each record straight into the fresh tables
+        // (last-wins per key, in journal order).
+        let mut ivs: FastMap<u64, (u64, u32)> = FastMap::default();
+        let mut max_epoch = 0u64;
+        let mut epoch_regressed = false;
+        let mut apply = |record| match record {
+            JournalRecord::MapUpdate { lpn, ppn } => {
+                self.mapping.update(Lpn::new(lpn), Ppn::new(ppn));
+            }
+            JournalRecord::MapRemove { lpn } => {
+                self.mapping.remove(Lpn::new(lpn));
+            }
+            JournalRecord::TransPersist { tvpn, ppn } => {
+                self.translation_ppns.insert(tvpn, Ppn::new(ppn));
+            }
+            JournalRecord::Retire { block } => {
+                self.grown_bad.insert(block);
+            }
+            JournalRecord::IvSeal {
+                lpn,
+                iv_base,
+                iv_ppa,
+            } => {
+                ivs.insert(lpn, (iv_base, iv_ppa));
+            }
+            JournalRecord::EpochSeal { epoch } | JournalRecord::CleanShutdown { epoch } => {
+                if epoch < max_epoch {
+                    epoch_regressed = true;
+                }
+                max_epoch = max_epoch.max(epoch);
+            }
+        };
+        let summary = match self.journal.as_mut() {
+            Some(j) => j
+                .replay(&mut self.flash, now, &mut apply)
+                .map_err(FtlError::Flash)?,
+            None => ReplaySummary {
+                end_time: now,
+                ..ReplaySummary::default()
+            },
+        };
+
+        // Phase 3: re-derive plane allocation state from the physical
         // program frontiers. Every block is classified explicitly, so
         // the fresh-cursor machinery is bypassed (`next_fresh` at the
         // end of the range, `retired_fresh` zero).
@@ -591,35 +622,44 @@ impl Ftl {
             }
         }
 
-        // Phase 5: commit the journal-proved tables. Validity bitmaps
-        // follow from the final mappings — everything else in a
-        // programmed block is dead and GC will reclaim it.
-        let mut mapped_pages = 0u64;
-        for (&lpn, &ppn) in &map {
-            let ppn = Ppn::new(ppn);
+        // Phase 4: validity follows from the final tables — everything
+        // else in a programmed block is dead and GC will reclaim it. A
+        // journal record can only name a programmed page (the record
+        // is appended after the program and synced after that), but
+        // never trust a torn world: drop anything the frontier
+        // disproves.
+        let flash = &self.flash;
+        let programmed = |ppn: Ppn| {
             let addr = g.unpack(ppn);
-            // A journal record can only name a programmed page (the
-            // record is appended after the program and synced after
-            // that) — but never trust a torn world: drop anything the
-            // frontier disproves.
-            if addr.page >= self.flash.frontier(addr.block_addr()) {
-                debug_assert!(false, "journal mapped an unprogrammed page {ppn:?}");
-                continue;
+            let ok = addr.page < flash.frontier(addr.block_addr());
+            debug_assert!(ok, "journal named an unprogrammed page {ppn:?}");
+            ok
+        };
+        let mut unprogrammed = Vec::new();
+        for (lpn, ppn) in self.mapping.iter() {
+            if programmed(ppn) {
+                mark_valid(&mut self.blocks, g, ppn, PageContent::Data(lpn));
+            } else {
+                unprogrammed.push(lpn);
             }
-            self.mapping.update(Lpn::new(lpn), ppn);
-            self.mark_valid(ppn, PageContent::Data(Lpn::new(lpn)));
-            mapped_pages += 1;
         }
-        for (&tvpn, &ppn) in &trans {
-            let ppn = Ppn::new(ppn);
-            let addr = g.unpack(ppn);
-            if addr.page >= self.flash.frontier(addr.block_addr()) {
-                debug_assert!(false, "journal persisted an unprogrammed page {ppn:?}");
-                continue;
+        for (tvpn, slot) in self.translation_ppns.slots.iter_mut().enumerate() {
+            match *slot {
+                Some(ppn) if programmed(ppn) => {
+                    mark_valid(
+                        &mut self.blocks,
+                        g,
+                        ppn,
+                        PageContent::Translation(tvpn as u64),
+                    );
+                }
+                _ => *slot = None,
             }
-            self.translation_ppns.insert(tvpn, ppn);
-            self.mark_valid(ppn, PageContent::Translation(tvpn));
         }
+        for lpn in unprogrammed {
+            self.mapping.remove(lpn);
+        }
+        let mapped_pages = self.mapping.len() as u64;
 
         let mut iv_list: Vec<(u64, u64, u32)> = ivs
             .into_iter()
@@ -852,10 +892,9 @@ impl Ftl {
     ) -> Result<SimTime, FtlError> {
         self.check_write_access(requestor, [lpn])?;
         let start = monitor.switch_to(World::Secure, now);
-        let (mut t, evicted) = self.write_single(PageContent::Data(lpn), requestor.tee(), start)?;
-        if let Some(tvpn) = evicted {
-            t = self.persist_translation_page(tvpn, t)?;
-        }
+        let mut evicted = Vec::new();
+        let t = self.write_single(lpn, requestor.tee(), start, &mut evicted)?;
+        let t = self.write_back(evicted, t)?;
         self.stats.writes += 1;
         Ok(monitor.switch_to(World::Normal, t))
     }
@@ -931,9 +970,7 @@ impl Ftl {
                 flash: span,
             });
         }
-        for tvpn in evicted {
-            t = self.persist_translation_page(tvpn, t)?;
-        }
+        let t = self.write_back(evicted, t)?;
         self.stats.writes += batch.len() as u64;
         let finished = monitor.switch_to(World::Normal, t);
         Ok(WriteBatchOutcome { pages, finished })
@@ -976,31 +1013,37 @@ impl Ftl {
     /// its ID bits grant (§4.3 — TRIM is as destructive as a write, so
     /// it takes the same ownership check).
     ///
-    /// Returns whether a mapping existed.
+    /// Updating the mapping entry dirties its translation page in the
+    /// CMT; a dirty page that update evicts is written back from `now`.
+    /// Returns `None` when `lpn` was not mapped, else when the
+    /// write-back ended (`now` when nothing was evicted).
     ///
     /// # Errors
     ///
     /// [`FtlError::AccessDenied`] when a TEE trims a page it does not
-    /// own.
-    pub fn trim(&mut self, requestor: Requestor, lpn: Lpn) -> Result<bool, FtlError> {
+    /// own, or [`FtlError::CapacityExhausted`] from the write-back.
+    pub fn trim(
+        &mut self,
+        requestor: Requestor,
+        lpn: Lpn,
+        now: SimTime,
+    ) -> Result<Option<SimTime>, FtlError> {
         if let (Requestor::Tee(tee), Some(entry)) = (requestor, self.mapping.lookup(lpn)) {
             if entry.owner() != tee {
                 self.stats.access_denied += 1;
                 return Err(FtlError::AccessDenied { lpn, tee });
             }
         }
-        Ok(match self.mapping.remove(lpn) {
-            Some(ppn) => {
-                self.invalidate(ppn);
-                let _ = self.cmt.update(lpn);
-                // The removal record becomes durable at the next sync
-                // point — until then a crash may resurrect the trimmed
-                // page, which matches TRIM's advisory semantics.
-                self.journal_note(JournalRecord::MapRemove { lpn: lpn.raw() });
-                true
-            }
-            None => false,
-        })
+        let Some(ppn) = self.mapping.remove(lpn) else {
+            return Ok(None);
+        };
+        self.invalidate(ppn);
+        // The removal record becomes durable at the next sync point —
+        // until then a crash may resurrect the trimmed page, which
+        // matches TRIM's advisory semantics.
+        self.journal_note(JournalRecord::MapRemove { lpn: lpn.raw() });
+        let evicted = self.cmt.update(lpn).evicted_dirty;
+        self.write_back(evicted, now).map(Some)
     }
 
     /// Flushes dirty translation pages to flash (shutdown / teardown).
@@ -1014,6 +1057,8 @@ impl Ftl {
         if dirty.is_empty() {
             return Ok(now);
         }
+        // Translation programs leave the CMT alone, but the relocations
+        // of a GC pass they trigger may evict dirty pages.
         let mut evicted = Vec::new();
         let programmed = self.write_steered(
             dirty
@@ -1023,14 +1068,11 @@ impl Ftl {
             None,
             &mut evicted,
         )?;
-        debug_assert!(
-            evicted.is_empty(),
-            "translation programs do not touch the CMT"
-        );
         let end = programmed
             .iter()
             .map(|&(_, span)| span.end)
             .fold(now, SimTime::max);
+        let end = self.write_back(evicted, end)?;
         // A CMT flush is a durability point: every persisted
         // translation page's record goes to flash with it.
         self.journal_sync(end)
@@ -1069,21 +1111,17 @@ impl Ftl {
         }
     }
 
-    /// The flash cost of a CMT miss: read the stored translation page
-    /// (if one was ever persisted) and account a dirty eviction.
+    /// The flash cost of a CMT miss: write back the dirty translation
+    /// page it evicted, then read the stored translation page (if one
+    /// was ever persisted).
     fn translation_miss_penalty(
         &mut self,
-        _lpn: Lpn,
+        lpn: Lpn,
         evicted_dirty: Option<u64>,
         now: SimTime,
     ) -> SimDuration {
-        let mut t = now;
-        if let Some(tvpn) = evicted_dirty {
-            if let Ok(done) = self.persist_translation_page(tvpn, t) {
-                t = done;
-            }
-        }
-        let tvpn = CachedMappingTable::translation_page_of(_lpn);
+        let mut t = self.write_back(evicted_dirty, now).unwrap_or(now);
+        let tvpn = CachedMappingTable::translation_page_of(lpn);
         if let Some(ppn) = self.translation_ppns.get(tvpn).copied() {
             if let Ok(span) = self.flash.read_page_reliable(ppn, t) {
                 t = span.end;
@@ -1092,28 +1130,67 @@ impl Ftl {
         t.saturating_since(now)
     }
 
-    fn persist_translation_page(&mut self, tvpn: u64, now: SimTime) -> Result<SimTime, FtlError> {
-        // A translation commit never touches the CMT, so evicts nothing.
-        Ok(self
-            .write_single(PageContent::Translation(tvpn), None, now)?
-            .0)
+    /// Writes back the dirty translation pages `evicted`, in order,
+    /// from `now`; returns when the last program ended. A write-back
+    /// never garbage-collects: the relocations of a GC pass update the
+    /// CMT and could evict yet more dirty pages. Each page goes to the
+    /// single-page cursor's next channel and that channel's next plane
+    /// with space; the GC low-water mark keeps blocks in reserve for
+    /// exactly this.
+    fn write_back(
+        &mut self,
+        evicted: impl IntoIterator<Item = u64>,
+        now: SimTime,
+    ) -> Result<SimTime, FtlError> {
+        let mut t = now;
+        for tvpn in evicted {
+            let (ppn, span) = self.program_next_plane(t)?;
+            let more = self.commit_fresh(PageContent::Translation(tvpn), ppn, None);
+            debug_assert_eq!(more, None, "translation commits leave the CMT alone");
+            t = span.end;
+        }
+        Ok(t)
     }
 
-    /// Programs `content` to a fresh page on the channel the
-    /// single-page cursor names, advancing the cursor, and commits it
-    /// ([`Ftl::commit_fresh`]). Returns when the program ended and the
-    /// dirty translation page the commit evicted, if any.
+    /// Programs a fresh page at `at` on the single-page cursor's next
+    /// channel and plane, without garbage collection, passing over
+    /// planes with no space left.
+    fn program_next_plane(&mut self, at: SimTime) -> Result<(Ppn, ServiceSpan), FtlError> {
+        // Channel-first round-robin with per-channel plane cursors
+        // visits every plane once in this many steps.
+        for _ in 0..self.planes.len() {
+            let channel = self.write_cursor;
+            self.write_cursor = (channel + 1) % self.channel_cursors.len();
+            let plane = self.advance_plane_cursor(channel);
+            match self.program_in_plane(plane, at) {
+                Err(FtlError::CapacityExhausted) => continue,
+                programmed => return programmed,
+            }
+        }
+        Err(FtlError::CapacityExhausted)
+    }
+
+    /// Programs `lpn` to a fresh page on the channel the single-page
+    /// cursor names, advancing the cursor, and commits it
+    /// ([`Ftl::commit_fresh`]). Returns when the program ended; the
+    /// dirty translation pages that the commit and any GC pass evicted
+    /// are queued on `evicted` for the caller's write-back.
     fn write_single(
         &mut self,
-        content: PageContent,
+        lpn: Lpn,
         owner: Option<TeeId>,
         now: SimTime,
-    ) -> Result<(SimTime, Option<u64>), FtlError> {
+        evicted: &mut Vec<u64>,
+    ) -> Result<SimTime, FtlError> {
         let channel = self.write_cursor;
         self.write_cursor = (channel + 1) % self.channel_cursors.len();
-        let (plane, gc_done) = self.next_plane(channel, now)?;
+        let (plane, gc_done) = self.next_plane(channel, now, evicted)?;
         let (ppn, span) = self.program_in_plane(plane, gc_done)?;
-        Ok((span.end, self.commit_fresh(content, ppn, owner)))
+        queue_write_back(
+            evicted,
+            self.commit_fresh(PageContent::Data(lpn), ppn, owner),
+        );
+        Ok(span.end)
     }
 
     /// Programs one fresh page per `(content, ready)` entry in a single
@@ -1121,16 +1198,17 @@ impl Ftl {
     /// ([`Ftl::commit_fresh`]) right after its program, so a later
     /// placement's garbage collection sees it valid. Returns
     /// `(ppn, program span)` per entry, in input order; the dirty
-    /// translation pages the commits evicted are pushed
-    /// (deduplicated) into `evicted` for the caller's coalesced
+    /// translation pages that the commits and GC passes evicted are
+    /// queued (deduplicated) on `evicted` for the caller's coalesced
     /// write-back.
     ///
-    /// Each page goes to the channel with the smallest
+    /// Each page goes to the channel with the smallest score
     /// `horizon + placed * transfer`: the channel's admit horizon (its
     /// bus backlog at batch entry, raised by any GC stall during the
     /// batch) plus the bus time of the pages already placed on it,
-    /// ties to the lowest channel. On an idle device this degenerates
-    /// to balanced round-robin; a mid-batch GC pass raises only its own
+    /// ties to the lowest channel. Each score is updated in place when
+    /// either part changes. On an idle device this degenerates to
+    /// balanced round-robin; a mid-batch GC pass raises only its own
     /// channel's horizon, so later pages route around the stalled
     /// channel. A channel with no space left is skipped, so the batch
     /// only fails when the whole device is full.
@@ -1148,6 +1226,7 @@ impl Ftl {
             .map(|c| start.max(self.flash.channel_next_free(c as u32)))
             .collect();
         let mut placed = vec![0u64; channels];
+        let mut score = horizon.clone();
         // Full planes met in a row per channel: once every plane of a
         // channel was full, the channel has no space left.
         let mut full = vec![0usize; channels];
@@ -1157,17 +1236,21 @@ impl Ftl {
             let (ppn, span) = loop {
                 let ch = (0..channels)
                     .filter(|&c| full[c] < planes_per_channel)
-                    .min_by_key(|&c| (horizon[c] + transfer * placed[c], c))
+                    .min_by_key(|&c| score[c])
                     .ok_or(FtlError::CapacityExhausted)?;
-                let attempt = self
-                    .next_plane(ch, horizon[ch])
-                    .and_then(|(plane, gc_done)| {
-                        horizon[ch] = horizon[ch].max(gc_done);
-                        self.program_in_plane(plane, horizon[ch].max(ready))
-                    });
+                let attempt =
+                    self.next_plane(ch, horizon[ch], evicted)
+                        .and_then(|(plane, gc_done)| {
+                            if gc_done > horizon[ch] {
+                                horizon[ch] = gc_done;
+                                score[ch] = gc_done + transfer * placed[ch];
+                            }
+                            self.program_in_plane(plane, horizon[ch].max(ready))
+                        });
                 match attempt {
                     Ok(done) => {
                         placed[ch] += 1;
+                        score[ch] += transfer;
                         full[ch] = 0;
                         break done;
                     }
@@ -1177,29 +1260,37 @@ impl Ftl {
                     Err(e) => return Err(e),
                 }
             };
-            if let Some(tvpn) = self.commit_fresh(content, ppn, owner) {
-                if !evicted.contains(&tvpn) {
-                    evicted.push(tvpn);
-                }
-            }
+            queue_write_back(evicted, self.commit_fresh(content, ppn, owner));
             programmed.push((ppn, span));
         }
         Ok(programmed)
     }
 
+    /// Takes `channel`'s next plane ([`Ftl::advance_plane_cursor`])
+    /// and garbage-collects it first when it is low on free blocks
+    /// (queuing the dirty translation pages the collection
+    /// evicts on `evicted`). Returns the plane and when its collection
+    /// ended (`now` when none ran).
+    fn next_plane(
+        &mut self,
+        channel: usize,
+        now: SimTime,
+        evicted: &mut Vec<u64>,
+    ) -> Result<(usize, SimTime), FtlError> {
+        let plane = self.advance_plane_cursor(channel);
+        if self.free_block_count(plane) < self.config.gc_free_block_threshold {
+            return Ok((plane, self.collect_plane(plane, now, evicted)?));
+        }
+        Ok((plane, now))
+    }
+
     /// Takes `channel`'s next plane, advancing the channel's plane
-    /// cursor, and garbage-collects it first when it is low on free
-    /// blocks. Returns the plane and when its collection ended (`now`
-    /// when none ran).
-    fn next_plane(&mut self, channel: usize, now: SimTime) -> Result<(usize, SimTime), FtlError> {
+    /// cursor.
+    fn advance_plane_cursor(&mut self, channel: usize) -> usize {
         let planes_per_channel = self.planes.len() / self.channel_cursors.len();
         let cursor = self.channel_cursors[channel];
         self.channel_cursors[channel] = (cursor + 1) % planes_per_channel;
-        let plane = channel * planes_per_channel + cursor;
-        if self.free_block_count(plane) < self.config.gc_free_block_threshold {
-            return Ok((plane, self.collect_plane(plane, now)?));
-        }
-        Ok((plane, now))
+        channel * planes_per_channel + cursor
     }
 
     /// Programs one fresh page of `plane` at `at`: into the plane's
@@ -1275,7 +1366,7 @@ impl Ftl {
                 (self.translation_ppns.insert(tvpn, ppn), None)
             }
         };
-        self.mark_valid(ppn, content);
+        mark_valid(&mut self.blocks, self.flash.config().geometry, ppn, content);
         if let Some(old) = old {
             self.invalidate(old);
         }
@@ -1323,8 +1414,15 @@ impl Ftl {
     }
 
     /// Greedy garbage collection of one plane: pick the full block with
-    /// the fewest valid pages, relocate them, erase it.
-    fn collect_plane(&mut self, plane_idx: usize, now: SimTime) -> Result<SimTime, FtlError> {
+    /// the fewest valid pages, relocate them, erase it. The dirty
+    /// translation pages the relocations evict from the CMT are queued
+    /// on `evicted` for the caller that triggered the collection.
+    fn collect_plane(
+        &mut self,
+        plane_idx: usize,
+        now: SimTime,
+        evicted: &mut Vec<u64>,
+    ) -> Result<SimTime, FtlError> {
         let g = self.flash.config().geometry;
         let victim_pos = {
             let plane = &self.planes[plane_idx];
@@ -1359,23 +1457,14 @@ impl Ftl {
         self.stats.gc_runs += 1;
 
         let mut t = now;
-        let valid_pages: Vec<u32> = self
-            .blocks
-            .get(&victim_idx)
-            .map(|info| info.iter_valid(g.pages_per_block).collect())
-            .unwrap_or_default();
-        for page in valid_pages {
+        for (page, content) in self.live_pages(victim_idx) {
             let old_ppn = g.pack(victim_addr.page(page));
-            let content = match self.contents.get(&old_ppn.raw()) {
-                Some(c) => *c,
-                None => continue,
-            };
             // Relocate: read, program to a free block in the same plane
             // (never triggering nested GC).
             let read = self.flash.read_page_reliable(old_ppn, t)?;
             let (new_ppn, prog) = self.program_in_plane(plane_idx, read.end)?;
             t = prog.end;
-            self.relocate(old_ppn, new_ppn, content);
+            queue_write_back(evicted, self.relocate(old_ppn, new_ppn, content));
             self.stats.gc_pages_moved += 1;
         }
         self.blocks.remove(&victim_idx);
@@ -1403,7 +1492,7 @@ impl Ftl {
                 Err(e) => return Err(e.into()),
             }
         }
-        t = self.maybe_static_wear_level(plane_idx, t)?;
+        t = self.maybe_static_wear_level(plane_idx, t, evicted)?;
         Ok(t)
     }
 
@@ -1414,6 +1503,7 @@ impl Ftl {
         &mut self,
         plane_idx: usize,
         now: SimTime,
+        evicted: &mut Vec<u64>,
     ) -> Result<SimTime, FtlError> {
         let g = self.flash.config().geometry;
         let plane = &self.planes[plane_idx];
@@ -1461,17 +1551,8 @@ impl Ftl {
         let hot_addr = self.plane_block_addr(plane_idx, hot);
         let cold_idx = g.block_index(cold_addr);
         let mut t = now;
-        let valid_pages: Vec<u32> = self
-            .blocks
-            .get(&cold_idx)
-            .map(|info| info.iter_valid(g.pages_per_block).collect())
-            .unwrap_or_default();
-        for page in valid_pages {
+        for (page, content) in self.live_pages(cold_idx) {
             let old_ppn = g.pack(cold_addr.page(page));
-            let content = match self.contents.get(&old_ppn.raw()) {
-                Some(c) => *c,
-                None => continue,
-            };
             let read = self.flash.read_page_reliable(old_ppn, t)?;
             let dest_page = self.flash.frontier(hot_addr);
             if dest_page >= g.pages_per_block {
@@ -1495,7 +1576,7 @@ impl Ftl {
                 Err(e) => return Err(e.into()),
             };
             t = prog.end;
-            self.relocate(old_ppn, new_ppn, content);
+            queue_write_back(evicted, self.relocate(old_ppn, new_ppn, content));
         }
         self.blocks.remove(&cold_idx);
         self.planes[plane_idx].full_blocks.push(hot);
@@ -1518,16 +1599,26 @@ impl Ftl {
         }
     }
 
+    /// The valid pages of block `idx` and what each holds, in page
+    /// order: the relocation list of a GC or wear-leveling pass.
+    fn live_pages(&self, idx: u64) -> Vec<(u32, PageContent)> {
+        self.blocks
+            .get(&idx)
+            .map(|info| info.valid().collect())
+            .unwrap_or_default()
+    }
+
     /// Moves a programmed page's bookkeeping from `old` to `new` after
     /// a relocation program (GC or static wear leveling): the stored
-    /// bytes, the valid bits, and the mapping entry (updating the CMT)
-    /// or translation-page location, journaled.
-    fn relocate(&mut self, old: Ppn, new: Ppn, content: PageContent) {
+    /// bytes, the block records, and the mapping entry (updating the
+    /// CMT) or translation-page location, journaled. Returns the dirty
+    /// translation page the CMT update evicted, if any.
+    fn relocate(&mut self, old: Ppn, new: Ppn, content: PageContent) -> Option<u64> {
         if let Some(data) = self.flash.read_data(old).map(<[u8]>::to_vec) {
             self.flash.write_data(new, &data);
         }
         // `old` is where `content` lives, so the commit invalidates it.
-        let _ = self.commit_fresh(content, new, None);
+        self.commit_fresh(content, new, None)
     }
 
     /// Retires `addr` into the grown-bad-block table and detaches it
@@ -1596,27 +1687,34 @@ impl Ftl {
         }
     }
 
-    fn mark_valid(&mut self, ppn: Ppn, content: PageContent) {
-        let g = self.flash.config().geometry;
-        let addr = g.unpack(ppn);
-        let idx = g.block_index(addr.block_addr());
-        let pages_per_block = g.pages_per_block;
-        let info = self
-            .blocks
-            .entry(idx)
-            .or_insert_with(|| BlockInfo::new(pages_per_block));
-        info.set(addr.page);
-        self.contents.insert(ppn.raw(), content);
-    }
-
     fn invalidate(&mut self, ppn: Ppn) {
-        let g = self.flash.config().geometry;
-        let addr = g.unpack(ppn);
-        let idx = g.block_index(addr.block_addr());
-        if let Some(info) = self.blocks.get_mut(&idx) {
-            info.clear(addr.page);
+        let (block, page) = self.flash.config().geometry.block_page(ppn);
+        if let Some(info) = self.blocks.get_mut(&block) {
+            info.clear(page);
         }
-        self.contents.remove(&ppn.raw());
+    }
+}
+
+/// Records `content` as valid at `ppn` in its block's record. (A free
+/// function so recovery can fill `blocks` while it walks the mapping
+/// table.)
+fn mark_valid(
+    blocks: &mut FastMap<u64, BlockInfo>,
+    g: FlashGeometry,
+    ppn: Ppn,
+    content: PageContent,
+) {
+    let (block, page) = g.block_page(ppn);
+    blocks.entry(block).or_default().set(page, content);
+}
+
+/// Queues a dirty translation page for write-back unless it is already
+/// queued.
+fn queue_write_back(evicted: &mut Vec<u64>, tvpn: Option<u64>) {
+    if let Some(tvpn) = tvpn {
+        if !evicted.contains(&tvpn) {
+            evicted.push(tvpn);
+        }
     }
 }
 
@@ -1754,7 +1852,7 @@ mod tests {
         let t = ftl
             .write(Requestor::Host, Lpn::new(9), &mut m, SimTime::ZERO)
             .unwrap();
-        ftl.trim(Requestor::Host, Lpn::new(9)).unwrap();
+        ftl.trim(Requestor::Host, Lpn::new(9), t).unwrap();
         let t = ftl.journal_sync(t).unwrap();
         let recovery = ftl.recover(t).unwrap();
         assert_eq!(recovery.mapped_pages, 0);
@@ -1987,14 +2085,20 @@ mod tests {
         ftl.write(Requestor::Host, Lpn::new(3), &mut m, SimTime::ZERO)
             .unwrap();
         assert_eq!(ftl.valid_pages(), 1);
-        assert!(ftl.trim(Requestor::Host, Lpn::new(3)).unwrap());
+        assert!(ftl
+            .trim(Requestor::Host, Lpn::new(3), SimTime::ZERO)
+            .unwrap()
+            .is_some());
         assert_eq!(ftl.valid_pages(), 0);
         assert_eq!(
             ftl.translate(Requestor::Host, Lpn::new(3), &mut m, SimTime::ZERO),
             Err(FtlError::Unmapped(Lpn::new(3)))
         );
         // Trimming again is a no-op.
-        assert!(!ftl.trim(Requestor::Host, Lpn::new(3)).unwrap());
+        assert_eq!(
+            ftl.trim(Requestor::Host, Lpn::new(3), SimTime::ZERO),
+            Ok(None)
+        );
     }
 
     #[test]
@@ -2006,7 +2110,9 @@ mod tests {
             .unwrap();
         ftl.set_id_bits(&[Lpn::new(7)], tee(1)).unwrap();
         // A foreign TEE is rejected and the page survives.
-        let err = ftl.trim(Requestor::Tee(tee(2)), Lpn::new(7)).unwrap_err();
+        let err = ftl
+            .trim(Requestor::Tee(tee(2)), Lpn::new(7), SimTime::ZERO)
+            .unwrap_err();
         assert!(matches!(err, FtlError::AccessDenied { lpn, .. } if lpn == Lpn::new(7)));
         assert_eq!(ftl.stats().access_denied, 1);
         assert_eq!(ftl.valid_pages(), 1);
@@ -2019,10 +2125,16 @@ mod tests {
         )
         .is_ok());
         // The owner may trim its own page.
-        assert!(ftl.trim(Requestor::Tee(tee(1)), Lpn::new(7)).unwrap());
+        assert!(ftl
+            .trim(Requestor::Tee(tee(1)), Lpn::new(7), SimTime::ZERO)
+            .unwrap()
+            .is_some());
         assert_eq!(ftl.valid_pages(), 0);
         // A TEE trimming an unmapped page is a plain no-op.
-        assert!(!ftl.trim(Requestor::Tee(tee(1)), Lpn::new(99)).unwrap());
+        assert_eq!(
+            ftl.trim(Requestor::Tee(tee(1)), Lpn::new(99), SimTime::ZERO),
+            Ok(None)
+        );
     }
 
     /// Victim choice is fewest-valid-first, and of blocks tied on valid
@@ -2059,7 +2171,7 @@ mod tests {
                 .take(trims)
                 .collect();
             for lpn in lpns {
-                assert!(ftl.trim(Requestor::Host, lpn).unwrap());
+                assert!(ftl.trim(Requestor::Host, lpn, t).unwrap().is_some());
             }
         }
         let valid: Vec<u32> = full
@@ -2070,7 +2182,7 @@ mod tests {
             })
             .collect();
         assert_eq!(valid, [13, 11, 11, 15]);
-        ftl.collect_plane(0, t).unwrap();
+        ftl.collect_plane(0, t, &mut Vec::new()).unwrap();
         let plane = &ftl.planes[0];
         assert!(
             plane.free_blocks.contains(&full[1]),
@@ -2603,5 +2715,169 @@ mod tests {
         assert_eq!(a_bad, b_bad);
         assert!(!a_bad.is_empty(), "plan should have retired something");
         assert_eq!(a_t, b_t);
+    }
+
+    /// A 64-bit LCG step: the tests' deterministic random stream.
+    fn lcg_next(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state >> 33
+    }
+
+    /// Where each translation page was last persisted, by page number.
+    fn persisted(ftl: &Ftl, tvpns: u64) -> Vec<Option<Ppn>> {
+        (0..tvpns)
+            .map(|t| ftl.translation_ppns.get(t).copied())
+            .collect()
+    }
+
+    #[test]
+    fn every_dirty_eviction_is_written_back() {
+        // A two-page CMT over 200 LPNs spread across 38 translation
+        // pages: nearly every mapping update evicts a dirty page, and
+        // GC relocations and trims update mappings too.
+        let config = FtlConfig {
+            cmt_capacity: ByteSize::from_kib(8),
+            gc_free_block_threshold: 2,
+            ..FtlConfig::default()
+        };
+        let mut ftl = Ftl::new(FlashConfig::tiny(), config);
+        let mut m = WorldMonitor::with_table5_cost();
+        const TVPNS: u64 = 38;
+        let lpn_of =
+            |i: u64| Lpn::new((i % TVPNS) * crate::cmt::ENTRIES_PER_TRANSLATION_PAGE + i / TVPNS);
+        // Translation pages whose entries changed since their last
+        // write-back: each must stay dirty in the CMT until written.
+        let mut unwritten: FastSet<u64> = FastSet::default();
+        let mut t = SimTime::ZERO;
+        let mut rng = 11u64;
+        let mut trims = 0;
+        for step in 0..2400 {
+            let mapped_before: Vec<Option<Ppn>> =
+                (0..200).map(|i| ftl.current_ppn(lpn_of(i))).collect();
+            let persisted_before = persisted(&ftl, TVPNS);
+            let lpn = lpn_of(lcg_next(&mut rng) % 200);
+            match lcg_next(&mut rng) % 8 {
+                0 => {
+                    if let Some(done) = ftl.trim(Requestor::Host, lpn, t).unwrap() {
+                        t = done;
+                        trims += 1;
+                    }
+                }
+                1 => {
+                    if let Ok(tr) = ftl.translate(Requestor::Host, lpn, &mut m, t) {
+                        t = tr.ready_at;
+                    }
+                }
+                _ => t = ftl.write(Requestor::Host, lpn, &mut m, t).unwrap(),
+            }
+            for (i, before) in mapped_before.into_iter().enumerate() {
+                let lpn = lpn_of(i as u64);
+                if ftl.current_ppn(lpn) != before {
+                    unwritten.insert(CachedMappingTable::translation_page_of(lpn));
+                }
+            }
+            // A page written back during the step counts as clean: the
+            // step's own updates to it may come before the write-back.
+            for (tvpn, ppn) in persisted(&ftl, TVPNS).into_iter().enumerate() {
+                if ppn != persisted_before[tvpn] {
+                    unwritten.remove(&(tvpn as u64));
+                }
+            }
+            for &tvpn in &unwritten {
+                assert!(
+                    ftl.cmt.is_dirty(tvpn),
+                    "step {step}: translation page {tvpn} left the CMT dirty without a write-back"
+                );
+            }
+        }
+        assert!(ftl.stats().gc_pages_moved > 0, "GC must relocate pages");
+        assert!(trims > 0);
+    }
+
+    /// Every valid page's block record points back at it, and the valid
+    /// pages are exactly the mapped LPNs plus the live translation
+    /// pages.
+    fn assert_block_records_consistent(ftl: &Ftl, context: &str) {
+        let ppb = u64::from(ftl.flash().config().geometry.pages_per_block);
+        let mut valid = 0u64;
+        for (&block, info) in &ftl.blocks {
+            assert_eq!(info.valid().count() as u32, info.valid_count, "{context}");
+            for (page, content) in info.valid() {
+                let ppn = Ppn::new(block * ppb + u64::from(page));
+                let at = match content {
+                    PageContent::Data(lpn) => ftl.current_ppn(lpn),
+                    PageContent::Translation(tvpn) => ftl.translation_ppns.get(tvpn).copied(),
+                };
+                assert_eq!(at, Some(ppn), "{context}: {content:?} recorded at {ppn:?}");
+                valid += 1;
+            }
+        }
+        let translation_pages = ftl.translation_ppns.slots.iter().flatten().count();
+        assert_eq!(valid, ftl.valid_pages(), "{context}");
+        assert_eq!(
+            valid,
+            (ftl.mapping.len() + translation_pages) as u64,
+            "{context}: valid pages vs mapped LPNs plus translation pages"
+        );
+    }
+
+    #[test]
+    fn block_records_match_the_mapping() {
+        // A four-page CMT so translation pages are written back and
+        // relocated too; a low wear threshold so static wear leveling
+        // migrates blocks; scripted program and erase failures.
+        let config = FtlConfig {
+            cmt_capacity: ByteSize::from_kib(16),
+            gc_free_block_threshold: 2,
+            wear_delta_threshold: 2,
+            journal_blocks: 8,
+            ..FtlConfig::default()
+        };
+        let mut ftl = Ftl::new(FlashConfig::tiny(), config);
+        ftl.install_fault_plan(FaultPlan {
+            program_fail_ops: vec![90, 400, 650],
+            erase_fail_ops: vec![6],
+            ..FaultPlan::none()
+        });
+        let mut m = WorldMonitor::with_table5_cost();
+        let lpn_of =
+            |i: u64| Lpn::new((i % 12) * crate::cmt::ENTRIES_PER_TRANSLATION_PAGE + i / 12);
+        let mut t = SimTime::ZERO;
+        let mut rng = 5u64;
+        for round in 0..3 {
+            for step in 0..100 {
+                // Sixteen hot LPNs of the 120 take half the writes, so
+                // erase counts drift apart.
+                let r = lcg_next(&mut rng);
+                let i = if r.is_multiple_of(2) {
+                    r / 2 % 16
+                } else {
+                    r / 2 % 120
+                };
+                if lcg_next(&mut rng).is_multiple_of(7) {
+                    t = ftl
+                        .trim(Requestor::Host, lpn_of(i), t)
+                        .unwrap()
+                        .unwrap_or(t);
+                } else {
+                    t = ftl.write(Requestor::Host, lpn_of(i), &mut m, t).unwrap();
+                }
+                assert_block_records_consistent(&ftl, &format!("round {round} step {step}"));
+            }
+            t = ftl.journal_sync(t).unwrap();
+            let mapped: Vec<Option<Ppn>> = (0..120).map(|i| ftl.current_ppn(lpn_of(i))).collect();
+            t = ftl.recover(t).unwrap().end_time;
+            assert_block_records_consistent(&ftl, &format!("after recovery {round}"));
+            let recovered: Vec<Option<Ppn>> =
+                (0..120).map(|i| ftl.current_ppn(lpn_of(i))).collect();
+            assert_eq!(recovered, mapped, "a synced mapping survives recovery");
+        }
+        let stats = ftl.stats();
+        assert!(stats.gc_pages_moved > 0, "GC must relocate pages");
+        assert!(stats.wl_migrations > 0, "static wear leveling must run");
+        assert!(stats.program_remaps > 0, "a scripted program must fail");
+        assert!(stats.blocks_retired > 0);
     }
 }

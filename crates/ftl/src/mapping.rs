@@ -162,6 +162,14 @@ impl MappingTable {
         prev.map(|e| e.ppn())
     }
 
+    /// Every mapped logical page and its physical page, in LPN order.
+    pub fn iter(&self) -> impl Iterator<Item = (Lpn, Ppn)> + '_ {
+        self.entries
+            .iter()
+            .enumerate()
+            .filter_map(|(lpn, entry)| entry.map(|e| (Lpn::new(lpn as u64), e.ppn())))
+    }
+
     /// Number of mapped logical pages.
     pub fn len(&self) -> usize {
         self.mapped
@@ -238,6 +246,20 @@ mod tests {
         // Unowned pages are not TEE-accessible.
         t.update(Lpn::new(4), Ppn::new(11));
         assert!(!t.permits(Lpn::new(4), tee(2)));
+    }
+
+    #[test]
+    fn iter_lists_mapped_pages_in_lpn_order() {
+        let mut t = MappingTable::new();
+        t.update(Lpn::new(7), Ppn::new(70));
+        t.update(Lpn::new(2), Ppn::new(20));
+        t.update(Lpn::new(4), Ppn::new(40));
+        t.remove(Lpn::new(4));
+        let pairs: Vec<(Lpn, Ppn)> = t.iter().collect();
+        assert_eq!(
+            pairs,
+            [(Lpn::new(2), Ppn::new(20)), (Lpn::new(7), Ppn::new(70))]
+        );
     }
 
     #[test]

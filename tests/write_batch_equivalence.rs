@@ -243,7 +243,9 @@ fn tee_cannot_trim_foreign_pages() {
     let alice = TeeId::new(1).unwrap();
     let mallory = TeeId::new(2).unwrap();
     ftl.set_id_bits(&[Lpn::new(0)], alice).unwrap();
-    let err = ftl.trim(Requestor::Tee(mallory), Lpn::new(0)).unwrap_err();
+    let err = ftl
+        .trim(Requestor::Tee(mallory), Lpn::new(0), t)
+        .unwrap_err();
     assert!(matches!(err, FtlError::AccessDenied { lpn, .. } if lpn == Lpn::new(0)));
     // Alice's page survived and is still hers.
     let tr = ftl
@@ -251,7 +253,10 @@ fn tee_cannot_trim_foreign_pages() {
         .unwrap();
     assert!(ftl.flash_mut().read_page(tr.ppn, tr.ready_at).is_ok());
     // The owner (and the host) may still trim.
-    assert!(ftl.trim(Requestor::Tee(alice), Lpn::new(0)).unwrap());
-    assert!(ftl.trim(Requestor::Host, Lpn::new(1)).unwrap());
+    assert!(ftl
+        .trim(Requestor::Tee(alice), Lpn::new(0), t)
+        .unwrap()
+        .is_some());
+    assert!(ftl.trim(Requestor::Host, Lpn::new(1), t).unwrap().is_some());
     assert_eq!(ftl.valid_pages(), 0);
 }
