@@ -1,36 +1,9 @@
 //! IceClave runtime configuration.
 
-use iceclave_ftl::{SchedPolicy, TicketPolicy};
 use iceclave_mee::MeeConfig;
 use iceclave_types::{ByteSize, Hertz, SimDuration};
 
 use crate::platform::PlatformConfig;
-
-/// Cross-tenant channel-scheduling configuration (§6.8, Figures
-/// 17/18).
-///
-/// The runtime arbitrates the flash channels across TEEs with fair
-/// queueing ([`iceclave_ftl::WfqArbiter`]): per-channel start-time
-/// fair queueing over page-sized quanta, preemption points at page
-/// boundaries, an equal share for every backlogged tenant. This struct
-/// selects the policy at each of the two levels.
-#[derive(Clone, Debug, Default)]
-pub struct FairnessConfig {
-    /// The arbitration policy. [`SchedPolicy::Wfq`] (the default)
-    /// enforces fairness across tenants; [`SchedPolicy::Fifo`]
-    /// reproduces the legacy event-order scheduling bit for bit
-    /// (useful as the antagonist baseline in the fairness benches).
-    pub policy: SchedPolicy,
-    /// How pages are ordered *inside* one tenant's lane.
-    /// [`TicketPolicy::Fifo`] (the default) keeps the legacy flat
-    /// order — a tenant's tickets drain in *(ready, ticket, page)*
-    /// order, bit-identical to the pre-hierarchical arbiter.
-    /// [`TicketPolicy::Wfq`] runs a second SFQ level across the
-    /// tenant's tickets, so a deep ticket shares its tenant's channel
-    /// slots with a small sibling page by page. Only meaningful under
-    /// [`SchedPolicy::Wfq`].
-    pub ticket_policy: TicketPolicy,
-}
 
 /// What carries a page between a flash channel and DRAM: the lane
 /// every read crosses after the channel bus, and every write before
@@ -77,8 +50,6 @@ pub struct IceClaveConfig {
     /// Largest offloaded binary accepted (popular in-storage programs
     /// are 28–528 KiB, §4.5).
     pub max_code_size: ByteSize,
-    /// Cross-tenant channel arbitration (fair queueing by default).
-    pub fairness: FairnessConfig,
 }
 
 impl IceClaveConfig {
@@ -94,7 +65,6 @@ impl IceClaveConfig {
             tee_region: ByteSize::from_mib(16),
             secure_region: ByteSize::from_mib(64),
             max_code_size: ByteSize::from_mib(1),
-            fairness: FairnessConfig::default(),
         }
     }
 

@@ -39,7 +39,7 @@
 use iceclave_cipher::CipherEngine;
 use iceclave_exec::{Executor, StageEvent, StageMachine};
 use iceclave_ftl::FlashError;
-use iceclave_ftl::{FtlError, JournalRecord, Requestor, SchedPolicy, WfqArbiter};
+use iceclave_ftl::{FtlError, JournalRecord, Requestor, WfqArbiter};
 use iceclave_mee::{MeeEngine, MetaTraffic, PageClass, PageSeal, SealSpan};
 use iceclave_sim::Resource;
 use iceclave_types::{
@@ -113,15 +113,8 @@ struct PageState {
     /// ticket cancellation at TEE teardown to fail only the remainder).
     retired: bool,
     /// Read attempts already spent on this page (0 = the first
-    /// FlashRead event; >0 = a retry-ladder rung, which must not
-    /// re-advance the ticket's FIFO chain).
+    /// FlashRead event; >0 = a retry-ladder rung).
     attempts: u32,
-    /// Read path: the ticket's next page on the same channel. Within a
-    /// ticket each channel serves its pages FIFO in request order; the
-    /// chain schedules each page's flash stage only after its
-    /// predecessor issued, while other tickets still interleave in time
-    /// order.
-    next_same_channel: Option<u32>,
 }
 
 /// Per-ticket in-flight state.
@@ -246,10 +239,9 @@ impl MeeSnap {
 
 /// Grants `channel`'s next queued page (if the channel is free and any
 /// tenant lane is backlogged) and schedules its flash-read stage no
-/// earlier than `floor` — the page-boundary preemption point: under
-/// WFQ the next grant is decided only when the previous page's flash
-/// service ends, so a deep in-flight ticket yields the channel between
-/// pages.
+/// earlier than `floor` — the page-boundary preemption point: the next
+/// grant is decided only when the previous page's flash service ends,
+/// so a deep in-flight ticket yields the channel between pages.
 fn kick_channel(
     arbiter: &mut WfqArbiter,
     exec: &mut Executor<Stage>,
@@ -257,10 +249,9 @@ fn kick_channel(
     floor: SimTime,
 ) {
     if let Some(grant) = arbiter.try_issue(channel) {
-        exec.schedule_hierarchical(
+        exec.schedule_weighted(
             grant.ready.max(floor),
             grant.vstart,
-            grant.tstart,
             grant.ticket,
             grant.page,
             Stage::FlashRead,
@@ -491,12 +482,10 @@ impl StageCtx<'_> {
         // programs itself, so debit each written page against the
         // tenant's lane — a write-heavy tenant's subsequent reads pay
         // for the channel time its programs consumed.
-        if self.config.fairness.policy == SchedPolicy::Wfq {
-            let geometry = self.platform.ftl.flash().config().geometry;
-            for out in &outcome.pages {
-                let channel = geometry.unpack(out.ppn).channel as usize;
-                self.arbiter.charge(channel, job.tee, 1);
-            }
+        let geometry = self.platform.ftl.flash().config().geometry;
+        for out in &outcome.pages {
+            let channel = geometry.unpack(out.ppn).channel as usize;
+            self.arbiter.charge(channel, job.tee, 1);
         }
 
         // Durable = program done AND seal metadata (counter + MAC)
@@ -559,16 +548,6 @@ impl StageMachine for StageCtx<'_> {
                     // time; the event time only fixed the issue order.
                     (page.lpn, page.ppn, page.breakdown.prepared)
                 };
-                // Advance the ticket's per-channel FIFO chain first, so
-                // the successor issues even if this page fails. Retry
-                // rungs (`attempts > 0`) already advanced it on their
-                // first pass and must not double-schedule the successor.
-                if job.pages[idx].attempts == 0 {
-                    if let Some(next) = job.pages[idx].next_same_channel {
-                        let next_ready = job.pages[next as usize].breakdown.prepared;
-                        exec.schedule(next_ready.max(ev.at), ev.ticket, next, Stage::FlashRead);
-                    }
-                }
                 // Refresh the physical location: garbage collection
                 // triggered by a concurrent ticket may have relocated
                 // the page since submission (the delivered bytes were
@@ -759,15 +738,12 @@ impl StageMachine for StageCtx<'_> {
                 job.pending_encrypts -= 1;
                 if job.pending_encrypts == 0 {
                     // Last page crossed the lane: fire the batch's single
-                    // program phase. Under WFQ the event carries the
-                    // tenant's virtual tag, so same-tick program
-                    // phases of different tenants dequeue in
-                    // virtual-time order rather than submission order.
+                    // program phase. The event carries the tenant's
+                    // virtual tag, so same-tick program phases of
+                    // different tenants dequeue in virtual-time order
+                    // rather than submission order.
                     let at = job.encrypted.iter().copied().fold(ev.at, SimTime::max);
-                    let vtime = match self.config.fairness.policy {
-                        SchedPolicy::Fifo => 0,
-                        SchedPolicy::Wfq => self.arbiter.program_tag(job.tee),
-                    };
+                    let vtime = self.arbiter.program_tag(job.tee);
                     exec.schedule_weighted(at, vtime, ev.ticket, 0, Stage::Program);
                 }
             }
@@ -922,7 +898,7 @@ impl IceClave {
             })
             .collect();
         let state = self.tee_mut(tee).expect("running tee exists");
-        let mut pages: Vec<PageState> = translations
+        let pages: Vec<PageState> = translations
             .iter()
             .zip(lpns)
             .zip(snapshots)
@@ -941,7 +917,6 @@ impl IceClave {
                     payload: snapshot,
                     retired: false,
                     attempts: 0,
-                    next_same_channel: None,
                 }
             })
             .collect();
@@ -950,54 +925,24 @@ impl IceClave {
         // stages run later, page by page.
         self.platform.ftl.record_logical_reads(lpns.len() as u64);
         let ticket = self.exec.open_ticket(lpns.len() as u32, now);
-        let channels = geometry.channels as usize;
-        match self.config.fairness.policy {
-            SchedPolicy::Fifo => {
-                // Per-channel FIFO chains in request order: only each
-                // channel's head is scheduled now; successors issue as
-                // their predecessors do.
-                let mut head: Vec<Option<u32>> = vec![None; channels];
-                let mut prev_in_channel: Vec<Option<u32>> = vec![None; channels];
-                for index in 0..pages.len() {
-                    let channel = pages[index].lane;
-                    match prev_in_channel[channel] {
-                        Some(prev) => pages[prev as usize].next_same_channel = Some(index as u32),
-                        None => head[channel] = Some(index as u32),
-                    }
-                    prev_in_channel[channel] = Some(index as u32);
-                }
-                for &index in head.iter().flatten() {
-                    let ready = pages[index as usize].breakdown.prepared;
-                    self.exec.schedule(ready, ticket, index, Stage::FlashRead);
-                }
-            }
-            SchedPolicy::Wfq => {
-                // Every page enters its channel's per-tenant WFQ lane
-                // under its *chain-effective* ready time — a page may
-                // not overtake its own ticket's earlier pages on the
-                // same channel, the queue discipline the FIFO chains
-                // encode. The arbiter then grants one page per channel
-                // at a time in virtual-time order, so a lone tenant
-                // replays the FIFO schedule exactly while contending
-                // tenants split each channel equally.
-                let mut chain_ready: Vec<Option<SimTime>> = vec![None; channels];
-                let mut touched: Vec<bool> = vec![false; channels];
-                for (index, page) in pages.iter().enumerate() {
-                    let channel = page.lane;
-                    let ready = match chain_ready[channel] {
-                        Some(prev) => page.breakdown.prepared.max(prev),
-                        None => page.breakdown.prepared,
-                    };
-                    chain_ready[channel] = Some(ready);
-                    touched[channel] = true;
-                    self.arbiter
-                        .enqueue(channel, tee, ticket, index as u32, ready);
-                }
-                for (channel, &touched) in touched.iter().enumerate() {
-                    if touched {
-                        kick_channel(&mut self.arbiter, &mut self.exec, channel, now);
-                    }
-                }
+        // Every page enters its channel's per-tenant WFQ lane under its
+        // *chain-effective* ready time, so it never overtakes its own
+        // ticket's earlier pages on that channel; the arbiter grants one
+        // page per channel at a time in virtual-time order.
+        let mut chain_ready: Vec<Option<SimTime>> = vec![None; geometry.channels as usize];
+        for (index, page) in pages.iter().enumerate() {
+            let channel = page.lane;
+            let ready = match chain_ready[channel] {
+                Some(prev) => page.breakdown.prepared.max(prev),
+                None => page.breakdown.prepared,
+            };
+            chain_ready[channel] = Some(ready);
+            self.arbiter
+                .enqueue(channel, tee, ticket, index as u32, ready);
+        }
+        for (channel, ready) in chain_ready.iter().enumerate() {
+            if ready.is_some() {
+                kick_channel(&mut self.arbiter, &mut self.exec, channel, now);
             }
         }
         self.jobs.insert(
@@ -1151,7 +1096,6 @@ impl IceClave {
                     payload: write.data,
                     retired: false,
                     attempts: 0,
-                    next_same_channel: None,
                 }
             })
             .collect();
@@ -1166,14 +1110,11 @@ impl IceClave {
             (vec![now; count], count)
         } else {
             // No lane: the program phase fires when the last seal
-            // read-out completes (virtual-time tagged under WFQ, as in
-            // the Lane-gated path).
+            // read-out completes (virtual-time tagged, as in the
+            // Lane-gated path).
             let encrypted: Vec<SimTime> = sealed.iter().map(|s| s.data_out).collect();
             let at = encrypted.iter().copied().fold(now, SimTime::max);
-            let vtime = match self.config.fairness.policy {
-                SchedPolicy::Fifo => 0,
-                SchedPolicy::Wfq => self.arbiter.program_tag(tee),
-            };
+            let vtime = self.arbiter.program_tag(tee);
             self.exec
                 .schedule_weighted(at, vtime, ticket, 0, Stage::Program);
             (encrypted, 0)

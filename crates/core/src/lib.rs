@@ -62,10 +62,10 @@ pub mod runtime;
 mod slab;
 pub mod trace;
 
-pub use config::{FairnessConfig, IceClaveConfig, Link};
+pub use config::{IceClaveConfig, Link};
 pub use exec_driver::{Stage, READ_RETRY_LIMIT, READ_RETRY_STEP_US};
 pub use iceclave_exec::{PowerLossInjector, PowerLossPlan};
-pub use iceclave_ftl::{JournalRecord, SchedPolicy, TicketPolicy};
+pub use iceclave_ftl::JournalRecord;
 pub use iceclave_types::RecoveryStats;
 pub use platform::{PlatformConfig, SsdPlatform};
 pub use runtime::{AbortReason, IceClave, IceClaveError, RuntimeStats, TeeStatus};

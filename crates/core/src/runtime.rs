@@ -314,8 +314,8 @@ impl IceClave {
         &self.mee
     }
 
-    /// Read-only view of the WFQ channel arbiter (lane/ticket-clock
-    /// introspection for the fairness and lifecycle test suites).
+    /// Read-only view of the WFQ channel arbiter (queue introspection
+    /// for the fairness and lifecycle test suites).
     pub fn arbiter(&self) -> &iceclave_ftl::WfqArbiter {
         &self.arbiter
     }
@@ -806,10 +806,7 @@ impl IceClave {
     }
 
     fn build_arbiter(config: &IceClaveConfig) -> iceclave_ftl::WfqArbiter {
-        let mut arbiter =
-            iceclave_ftl::WfqArbiter::new(config.platform.flash.geometry.channels as usize);
-        arbiter.set_ticket_policy(config.fairness.ticket_policy);
-        arbiter
+        iceclave_ftl::WfqArbiter::new(config.platform.flash.geometry.channels as usize)
     }
 
     /// Every externally visible operation checks this first: a tripped

@@ -115,27 +115,23 @@ impl TicketTable {
     }
 }
 
-/// The same-tick event ordering key: *(tenant virtual time, ticket
-/// virtual time, ticket id, page index)* — the two-level WFQ tag pair
-/// followed by the legacy tie order.
-type EventKey = (u64, u64, u64, u32);
+/// The same-tick event ordering key: *(virtual time, ticket id, page
+/// index)* — the fair-queueing start tag, then the submission order.
+type EventKey = (u64, u64, u32);
 
 /// The deterministic batch executor: an event heap over stage events,
 /// a ticket table, and the [`CompletionQueue`].
 ///
 /// Determinism contract: events fire in ascending time; events due at
-/// the same simulated tick fire in *(virtual time, ticket virtual
-/// time, ticket id, page index)* order. The virtual-time component
-/// carries the fair-queueing arbiter's tenant-level start tags and the
-/// ticket-virtual-time component its ticket-level start tags
-/// ([`Executor::schedule_hierarchical`]) so that contended same-tick
-/// stages dequeue in fair-queueing order across tenants and then
-/// across one tenant's tickets; stages scheduled through
-/// [`Executor::schedule_weighted`] use ticket virtual time 0, and
-/// stages scheduled through [`Executor::schedule`] use virtual time 0
-/// for both levels, keeping the legacy *(ticket id, page index)* tie
-/// order. Two identical submission sequences therefore process every
-/// stage — and drain every completion — in exactly the same order.
+/// the same simulated tick fire in *(virtual time, ticket id, page
+/// index)* order. The virtual-time component carries the
+/// fair-queueing arbiter's start tags
+/// ([`Executor::schedule_weighted`]) so that contended same-tick
+/// stages dequeue in fair-queueing order across tenants; stages
+/// scheduled through [`Executor::schedule`] use virtual time 0, which
+/// leaves the *(ticket id, page index)* tie order. Two identical
+/// submission sequences therefore process every stage — and drain
+/// every completion — in exactly the same order.
 #[derive(Debug)]
 pub struct Executor<S> {
     events: KeyedEventQueue<EventKey, (Ticket, u32, S)>,
@@ -231,31 +227,8 @@ impl<S> Executor<S> {
         page: u32,
         stage: S,
     ) {
-        self.schedule_hierarchical(at, vtime, 0, ticket, page, stage);
-    }
-
-    /// Schedules a stage event for `(ticket, page)` at `at` under the
-    /// two-level fair-queueing tags `(vtime, tvtime)`: the arbiter's
-    /// tenant-level start tag orders same-tick events across tenants,
-    /// and the ticket-level start tag breaks the remaining ties across
-    /// one tenant's tickets before falling back to *(ticket id, page
-    /// index)*. Grants issued under `TicketPolicy::Fifo` carry
-    /// `tvtime == 0`, which collapses this to the flat
-    /// [`Executor::schedule_weighted`] order.
-    pub fn schedule_hierarchical(
-        &mut self,
-        at: SimTime,
-        vtime: u64,
-        tvtime: u64,
-        ticket: Ticket,
-        page: u32,
-        stage: S,
-    ) {
-        self.events.push(
-            at,
-            (vtime, tvtime, ticket.raw(), page),
-            (ticket, page, stage),
-        );
+        self.events
+            .push(at, (vtime, ticket.raw(), page), (ticket, page, stage));
     }
 
     /// Retires one page into the completion queue, folding its ready
@@ -592,28 +565,6 @@ mod tests {
         exec.schedule_weighted(at(0), 10, t2, 0, 0);
         exec.run_to_idle(&mut toy);
         assert_eq!(toy.trace, vec![(t2.raw(), 0, 0), (t1.raw(), 0, 0)]);
-    }
-
-    #[test]
-    fn same_tick_hierarchical_stages_run_in_tvtime_order() {
-        let mut exec = Executor::new();
-        let mut toy = Toy {
-            hops: 1,
-            trace: Vec::new(),
-        };
-        // Equal tenant-level tags: the ticket-level tag decides, and
-        // only then the ticket id.
-        let t1 = exec.open_ticket(1, at(0));
-        let t2 = exec.open_ticket(1, at(0));
-        let t3 = exec.open_ticket(1, at(0));
-        exec.schedule_hierarchical(at(0), 5, 30, t1, 0, 0);
-        exec.schedule_hierarchical(at(0), 5, 10, t3, 0, 0);
-        exec.schedule_hierarchical(at(0), 5, 10, t2, 0, 0);
-        exec.run_to_idle(&mut toy);
-        assert_eq!(
-            toy.trace,
-            vec![(t2.raw(), 0, 0), (t3.raw(), 0, 0), (t1.raw(), 0, 0)]
-        );
     }
 
     #[test]

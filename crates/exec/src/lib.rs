@@ -28,15 +28,12 @@
 //! # Determinism
 //!
 //! * Stage events fire in ascending simulated time; events due at the
-//!   same tick fire in *(virtual time, ticket virtual time, ticket id,
-//!   page index)* order ([`iceclave_sim::KeyedEventQueue`]). The
-//!   virtual-time component carries the channel arbiter's
-//!   tenant-level fair-queueing start tags and the
-//!   ticket-virtual-time component its per-ticket start tags under
-//!   the hierarchical policy ([`Executor::schedule_hierarchical`]);
-//!   [`Executor::schedule_weighted`] uses ticket virtual time 0, and
-//!   plain [`Executor::schedule`] zeroes both, which degenerates to
-//!   the legacy *(ticket id, page index)* tie order.
+//!   same tick fire in *(virtual time, ticket id, page index)* order
+//!   ([`iceclave_sim::KeyedEventQueue`]). The virtual-time component
+//!   carries the channel arbiter's fair-queueing start tags
+//!   ([`Executor::schedule_weighted`]); plain [`Executor::schedule`]
+//!   uses virtual time 0, which leaves the *(ticket id, page index)*
+//!   tie order.
 //! * Completions drain from the [`CompletionQueue`] in the order its
 //!   module documentation specifies (the single source of truth for
 //!   the drain-order contract, quoted by the regression tests).

@@ -1,23 +1,21 @@
 //! Closed-loop antagonist duel — the shared harness behind the WFQ
-//! fairness acceptance tests (`tests/wfq_fairness.rs`,
-//! `tests/hierarchical_wfq.rs`) and the `fairness` bench
-//! (`BENCH_fairness.json`).
+//! fairness acceptance tests (`tests/wfq_fairness.rs`) and the
+//! `fairness` bench (`BENCH_fairness.json`).
 //!
 //! One role (the *antagonist*) keeps a configurable number of 32-page
 //! read tickets in flight; the other (the *victim*) cycles small
 //! 4-page tickets — the latency-sensitive pattern the fair-queueing
 //! channel arbiter protects (Figures 17/18).
-//! The roles run either as two tenants (the classic cross-tenant duel,
-//! [`run_duel`]) or inside **one** tenant ([`run_intra_duel`]), where
-//! only the hierarchical per-ticket clocks ([`TicketPolicy::Wfq`]) can
-//! protect the victim. Both roles run closed-loop: every completed
-//! ticket is immediately resubmitted at the (quantized) completion
-//! time, so the duel is fully deterministic.
+//! The roles run either as two tenants, which the arbiter keeps apart,
+//! or inside **one** tenant ([`DuelConfig::shared_tenant`]), whose one
+//! lane per channel issues both roles' pages in *(ready, ticket, page)*
+//! order with no arbitration between them. Both roles run closed-loop:
+//! every completed ticket is immediately resubmitted at the
+//! (quantized) completion time, so the duel is fully deterministic.
 
 use std::collections::HashMap;
 
 use iceclave_core::IceClave;
-pub use iceclave_ftl::{SchedPolicy, TicketPolicy};
 use iceclave_types::{Lpn, SimDuration, SimTime};
 
 use crate::modes::{Mode, Overrides};
@@ -30,10 +28,6 @@ pub const VICTIM_TICKET_PAGES: u64 = 4;
 /// Full parameterization of one closed-loop duel.
 #[derive(Clone, Debug)]
 pub struct DuelConfig {
-    /// Cross-tenant arbitration policy.
-    pub policy: SchedPolicy,
-    /// Intra-lane (per-ticket) scheduling policy.
-    pub ticket_policy: TicketPolicy,
     /// Flash channels on the device.
     pub channels: u32,
     /// 32-page antagonist tickets kept in flight.
@@ -42,9 +36,9 @@ pub struct DuelConfig {
     pub victim_in_flight: usize,
     /// Victim tickets to complete before the duel ends.
     pub victim_tickets: usize,
-    /// When true, antagonist and victim share **one** TEE — the
-    /// intra-tenant interference scenario where only the ticket-level
-    /// clocks can help.
+    /// When true, antagonist and victim share **one** TEE: its lanes
+    /// issue both roles' pages in *(ready, ticket, page)* order, so
+    /// nothing shields the victim from the antagonist's backlog.
     pub shared_tenant: bool,
 }
 
@@ -60,83 +54,21 @@ pub struct DuelOutcome {
     pub antagonist_pages: u64,
 }
 
-/// Runs the classic cross-tenant duel under `policy` on a
-/// `channels`-channel device: the antagonist tenant keeps
-/// `antagonist_in_flight` 32-page tickets in flight, the victim tenant
-/// `victim_in_flight` 4-page tickets (1 = strictly solo), until the
-/// victim completes `victim_tickets` tickets.
+/// Runs one closed-loop duel as `cfg` describes: the antagonist keeps
+/// its 32-page tickets in flight and the victim its 4-page tickets
+/// until the victim has completed `cfg.victim_tickets` of them.
 ///
 /// # Panics
 ///
 /// Panics if the device cannot be populated or a submission fails —
 /// the duel uses only granted pages, so any error is a harness bug.
-pub fn run_duel(
-    policy: SchedPolicy,
-    channels: u32,
-    antagonist_in_flight: usize,
-    victim_in_flight: usize,
-    victim_tickets: usize,
-) -> DuelOutcome {
-    run_duel_with(&DuelConfig {
-        policy,
-        ticket_policy: TicketPolicy::Fifo,
-        channels,
-        antagonist_in_flight,
-        victim_in_flight,
-        victim_tickets,
-        shared_tenant: false,
-    })
-}
-
-/// Runs the **intra-tenant** duel: one TEE owns both roles, the
-/// antagonist keeping `antagonist_in_flight` deep tickets in flight
-/// against a single cycling 4-page victim ticket, under the given
-/// intra-lane `ticket_policy` ([`TicketPolicy::Fifo`] = today's flat
-/// lane, [`TicketPolicy::Wfq`] = hierarchical per-ticket clocks).
-/// Cross-tenant policy is always [`SchedPolicy::Wfq`] — there is only
-/// one tenant, so it contributes nothing; any victim protection comes
-/// from the ticket level.
-///
-/// # Panics
-///
-/// As [`run_duel`].
-pub fn run_intra_duel(
-    ticket_policy: TicketPolicy,
-    channels: u32,
-    antagonist_in_flight: usize,
-    victim_tickets: usize,
-) -> DuelOutcome {
-    run_duel_with(&DuelConfig {
-        policy: SchedPolicy::Wfq,
-        ticket_policy,
-        channels,
-        antagonist_in_flight,
-        victim_in_flight: 1,
-        victim_tickets,
-        shared_tenant: true,
-    })
-}
-
-/// Runs one closed-loop duel fully parameterized by `config`.
-///
-/// # Panics
-///
-/// As [`run_duel`].
-pub fn run_duel_with(cfg: &DuelConfig) -> DuelOutcome {
+pub fn run_duel(cfg: &DuelConfig) -> DuelOutcome {
     let overrides = Overrides {
         channels: Some(cfg.channels),
         ..Overrides::none()
     };
-    let mut config = Mode::IceClave.ssd_config(&overrides);
-    config.fairness.policy = cfg.policy;
-    config.fairness.ticket_policy = cfg.ticket_policy;
-    let (antagonist_in_flight, victim_in_flight, victim_tickets) = (
-        cfg.antagonist_in_flight,
-        cfg.victim_in_flight,
-        cfg.victim_tickets,
-    );
-    let mut ice = IceClave::new(config);
-    let ant_range = ANTAGONIST_TICKET_PAGES * antagonist_in_flight as u64;
+    let mut ice = IceClave::new(Mode::IceClave.ssd_config(&overrides));
+    let ant_range = ANTAGONIST_TICKET_PAGES * cfg.antagonist_in_flight as u64;
     let t0 = ice
         .populate(Lpn::new(0), ant_range + 64, SimTime::ZERO)
         .expect("device holds the duel");
@@ -188,21 +120,21 @@ pub fn run_duel_with(cfg: &DuelConfig) -> DuelOutcome {
             },
         );
     };
-    for _ in 0..antagonist_in_flight {
+    for _ in 0..cfg.antagonist_in_flight {
         submit(&mut ice, false, &mut ant_cursor, t0, &mut in_flight);
     }
-    for _ in 0..victim_in_flight {
+    for _ in 0..cfg.victim_in_flight {
         submit(&mut ice, true, &mut victim_cursor, t0, &mut in_flight);
     }
 
     let step = SimDuration::from_micros(5);
     let mut now = t0;
     let mut outcome = DuelOutcome {
-        victim_latencies: Vec::with_capacity(victim_tickets),
+        victim_latencies: Vec::with_capacity(cfg.victim_tickets),
         victim_pages: 0,
         antagonist_pages: 0,
     };
-    while outcome.victim_latencies.len() < victim_tickets {
+    while outcome.victim_latencies.len() < cfg.victim_tickets {
         now += step;
         for ev in ice.poll_completions(now) {
             let entry = in_flight.get_mut(&ev.ticket.raw()).expect("known ticket");
@@ -219,7 +151,7 @@ pub fn run_duel_with(cfg: &DuelConfig) -> DuelOutcome {
                     outcome
                         .victim_latencies
                         .push(closed.last_ready.saturating_since(closed.submitted));
-                    if outcome.victim_latencies.len() < victim_tickets {
+                    if outcome.victim_latencies.len() < cfg.victim_tickets {
                         submit(&mut ice, true, &mut victim_cursor, now, &mut in_flight);
                     }
                 } else {
@@ -270,27 +202,33 @@ mod tests {
         assert_eq!(p99(&sample), ns(99));
     }
 
-    /// The duel driver is deterministic: two identical runs produce
+    /// Runs the small 8-channel duel twice and asserts both runs produce
     /// identical latency traces and page counts.
-    #[test]
-    fn duel_runs_are_deterministic() {
+    fn assert_duel_deterministic(shared_tenant: bool) {
         let run = || {
-            let d = run_duel(SchedPolicy::Wfq, 8, 2, 1, 5);
+            let d = run_duel(&DuelConfig {
+                channels: 8,
+                antagonist_in_flight: 2,
+                victim_in_flight: 1,
+                victim_tickets: 5,
+                shared_tenant,
+            });
             (d.victim_latencies, d.victim_pages, d.antagonist_pages)
         };
         assert_eq!(run(), run());
     }
 
-    /// The intra-tenant duel is deterministic too, under both intra-lane
-    /// policies.
+    /// The duel driver is deterministic: two identical runs produce
+    /// identical latency traces and page counts.
+    #[test]
+    fn duel_runs_are_deterministic() {
+        assert_duel_deterministic(false);
+    }
+
+    /// The intra-tenant duel (both roles in one TEE) is deterministic
+    /// too.
     #[test]
     fn intra_duel_runs_are_deterministic() {
-        for policy in [TicketPolicy::Fifo, TicketPolicy::Wfq] {
-            let run = || {
-                let d = run_intra_duel(policy, 8, 2, 5);
-                (d.victim_latencies, d.victim_pages, d.antagonist_pages)
-            };
-            assert_eq!(run(), run());
-        }
+        assert_duel_deterministic(true);
     }
 }

@@ -206,8 +206,7 @@ pub fn table5(cfg: &WorkloadConfig) -> FigureReport {
         "0.17%".to_string(),
     ]);
     // Per-block-kind counter-cache hit rates: the split the
-    // metadata-hierarchy work attributes DRAM traffic by (and the
-    // per-ticket accounting hook for hierarchical WFQ).
+    // metadata-hierarchy work attributes DRAM traffic by.
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     table.row(&[
         "Counter-cache hit rate (counter blocks)".to_string(),

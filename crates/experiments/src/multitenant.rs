@@ -6,11 +6,10 @@
 //! its own LPN range. The host-side loop always advances the tenant
 //! whose virtual clock is earliest, and **inside the device** the
 //! fair-queueing channel arbiter
-//! ([`iceclave_ftl::wfq`](iceclave_ftl::WfqArbiter), the default
-//! [`SchedPolicy::Wfq`](iceclave_core::SchedPolicy)) splits every
-//! contended flash channel equally across the tenants' in-flight
-//! tickets in page-sized quanta, so one tenant's deep batches cannot
-//! collapse another's bandwidth share.
+//! ([`iceclave_ftl::wfq`](iceclave_ftl::WfqArbiter)) splits every
+//! contended flash channel equally across the tenants in page-sized
+//! quanta, so one tenant's deep batches cannot collapse another's
+//! bandwidth share.
 
 use iceclave_core::IceClave;
 use iceclave_sim::SimRng;

@@ -589,22 +589,37 @@ impl Ftl {
         };
 
         // Phase 3: re-derive plane allocation state from the physical
-        // program frontiers. Every block is classified explicitly, so
-        // the fresh-cursor machinery is bypassed (`next_fresh` at the
-        // end of the range, `retired_fresh` zero).
+        // program frontiers. The fresh cursor goes one past the last
+        // block ever programmed or erased (journal blocks, written but
+        // never allocated, aside), so untouched blocks stay behind it
+        // as on a new device, the reserved and empty retired ones among
+        // them counted out as `reserve_journal_region` and
+        // `retire_block` count them. Only the blocks below the cursor
+        // are classified.
         for plane_idx in 0..self.planes.len() {
-            self.planes[plane_idx] = PlaneState {
+            let mut plane = PlaneState {
                 next_fresh: g.blocks_per_plane,
                 ..PlaneState::default()
             };
-            for b in 0..g.blocks_per_plane {
+            while plane.next_fresh > 0 {
+                let addr = self.plane_block_addr(plane_idx, plane.next_fresh - 1);
+                let flat = g.block_index(addr);
+                if self.journal_reserved.contains(&flat) {
+                    plane.retired_fresh += 1;
+                } else if self.flash.frontier(addr) > 0 || self.flash.erase_count(addr) > 0 {
+                    break;
+                } else if self.grown_bad.contains(&flat) {
+                    plane.retired_fresh += 1;
+                }
+                plane.next_fresh -= 1;
+            }
+            for b in 0..plane.next_fresh {
                 let addr = self.plane_block_addr(plane_idx, b);
                 let flat = g.block_index(addr);
                 if self.journal_reserved.contains(&flat) {
                     continue;
                 }
                 let frontier = self.flash.frontier(addr);
-                let plane = &mut self.planes[plane_idx];
                 if self.grown_bad.contains(&flat) {
                     // A retired block with surviving programs goes to
                     // the full list so GC can drain its valid pages;
@@ -620,6 +635,7 @@ impl Ftl {
                     plane.full_blocks.push(b);
                 }
             }
+            self.planes[plane_idx] = plane;
         }
 
         // Phase 4: validity follows from the final tables — everything
@@ -2823,6 +2839,45 @@ mod tests {
         );
     }
 
+    /// Every block of every plane is accounted for once: below the
+    /// fresh cursor a block in service is listed once and a retired
+    /// one never as free; behind it every block is untouched and
+    /// `retired_fresh` counts the retired and reserved ones.
+    fn assert_planes_consistent(ftl: &Ftl, context: &str) {
+        let g = ftl.flash().config().geometry;
+        for (plane_idx, plane) in ftl.planes.iter().enumerate() {
+            let mut retired_fresh = 0;
+            for b in 0..g.blocks_per_plane {
+                let addr = ftl.plane_block_addr(plane_idx, b);
+                let flat = g.block_index(addr);
+                let reserved = ftl.journal_reserved.contains(&flat);
+                let retired = reserved || ftl.grown_bad.contains(&flat);
+                let free = plane.free_blocks.iter().filter(|&&f| f == b).count();
+                let listed = free
+                    + plane.full_blocks.iter().filter(|&&f| f == b).count()
+                    + usize::from(plane.open_block == Some(b));
+                let at = format!("{context}: plane {plane_idx} block {b} listed {listed}");
+                if b >= plane.next_fresh {
+                    let used = (ftl.flash.frontier(addr), ftl.flash.erase_count(addr));
+                    assert!(
+                        listed == 0 && (retired || used == (0, 0)),
+                        "{at}, used {used:?}"
+                    );
+                    retired_fresh += u32::from(retired);
+                } else if retired {
+                    // A journal block is never listed; a retired one may stay full.
+                    assert!(free == 0 && listed <= usize::from(!reserved), "{at}");
+                } else {
+                    assert_eq!(listed, 1, "{at}");
+                }
+            }
+            assert_eq!(
+                plane.retired_fresh, retired_fresh,
+                "{context}: plane {plane_idx}"
+            );
+        }
+    }
+
     #[test]
     fn block_records_match_the_mapping() {
         // A four-page CMT so translation pages are written back and
@@ -2864,12 +2919,16 @@ mod tests {
                 } else {
                     t = ftl.write(Requestor::Host, lpn_of(i), &mut m, t).unwrap();
                 }
-                assert_block_records_consistent(&ftl, &format!("round {round} step {step}"));
+                let context = format!("round {round} step {step}");
+                assert_block_records_consistent(&ftl, &context);
+                assert_planes_consistent(&ftl, &context);
             }
             t = ftl.journal_sync(t).unwrap();
             let mapped: Vec<Option<Ppn>> = (0..120).map(|i| ftl.current_ppn(lpn_of(i))).collect();
             t = ftl.recover(t).unwrap().end_time;
-            assert_block_records_consistent(&ftl, &format!("after recovery {round}"));
+            let context = format!("after recovery {round}");
+            assert_block_records_consistent(&ftl, &context);
+            assert_planes_consistent(&ftl, &context);
             let recovered: Vec<Option<Ppn>> =
                 (0..120).map(|i| ftl.current_ppn(lpn_of(i))).collect();
             assert_eq!(recovered, mapped, "a synced mapping survives recovery");

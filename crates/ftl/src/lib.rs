@@ -62,4 +62,4 @@ pub use iceclave_flash::{
     FaultInjector, FaultPlan, FlashError, JournalRecord, MetadataJournal, ReadFault,
 };
 pub use mapping::{MappingEntry, MappingTable};
-pub use wfq::{IssueGrant, SchedPolicy, TicketPolicy, WfqArbiter};
+pub use wfq::{IssueGrant, WfqArbiter};

@@ -10,8 +10,8 @@
 //!
 //! * Every channel keeps one *lane* per tenant (TEE). A lane holds the
 //!   tenant's queued page reads for that channel, ordered by
-//!   *(effective ready time, ticket id, page index)* — the exact order
-//!   a lone tenant's pages would issue in without the arbiter.
+//!   *(effective ready time, ticket id, page index)*, so a lone
+//!   tenant's pages issue on each channel in request order.
 //! * Each lane carries a *virtual finish tag*. Granting a page advances
 //!   the lane's tag by one page quantum; the channel's virtual time
 //!   follows the granted start tag. A tenant that went idle re-enters
@@ -22,21 +22,6 @@
 //!   an in-flight 32-page ticket yields the channel between pages —
 //!   these are the preemption points the multi-tenant figures
 //!   (Figures 17/18) schedule against.
-//!
-//! # Hierarchical (two-level) mode
-//!
-//! Under [`TicketPolicy::Wfq`] the same SFQ machinery recurses one
-//! level down: the winning *lane* runs its own virtual clock over
-//! per-ticket sub-lanes, so a tenant's deep analytics ticket yields to
-//! that same tenant's four-page point lookup at every page boundary.
-//! A fresh sub-lane enters at the lane clock (prompt first grant for
-//! sparse arrivals), and a *draining* sub-lane surrenders its finish
-//! tag to the lane clock on departure — so a tenant cannot grow its
-//! share by splitting work across many short tickets, and a cycling
-//! K-page ticket's long-run grant share is exactly an equal share.
-//! With one ticket per lane — or under the legacy
-//! [`TicketPolicy::Fifo`] — the grant sequence is bit-identical to the
-//! flat arbiter.
 //!
 //! # Invariants
 //!
@@ -50,22 +35,18 @@
 //! 2. **Fairness.** While two lanes stay backlogged, each is granted an
 //!    equal number of pages, within one quantum per lane
 //!    (regression-tested: any 10k-grant window of a duel stays within
-//!    10% of an even split). Under `TicketPolicy::Wfq` the same holds
-//!    one level down between a lane's backlogged tickets.
+//!    10% of an even split).
 //! 3. **Starvation freedom.** A backlogged lane's head page is granted
 //!    after at most one quantum of service per other backlogged lane,
-//!    no matter how deep the other queues are. Under
-//!    `TicketPolicy::Wfq` a backlogged *ticket* enjoys the same bound
-//!    against its sibling tickets.
-//! 4. **Single-tenant transparency.** With one lane, grants replay the
-//!    *(effective ready, ticket, page)* order of the pre-WFQ executor,
-//!    so a solo tenant's schedule is bit-identical to the legacy FIFO
-//!    path. Likewise, a lane holding a single ticket grants the same
-//!    *(ready, page)* order under either ticket policy.
+//!    no matter how deep the other queues are.
+//! 4. **Single-tenant order.** With one lane, grants follow
+//!    *(effective ready, ticket, page)*: a lone tenant's pages issue on
+//!    each channel in request order, one ticket's after another's,
+//!    with no arbitration between its tickets.
 //! 5. **Determinism.** Selection depends only on arbiter state: ties on
-//!    start tags break by TEE id (and by ticket id one level down),
-//!    ties inside a (sub-)lane by *(ready, ticket, page)*. Identical
-//!    submission sequences produce identical grant sequences.
+//!    start tags break by TEE id, ties inside a lane by *(ready,
+//!    ticket, page)*. Identical submission sequences produce identical
+//!    grant sequences.
 //!
 //! Writes do not queue here — [`Ftl::write_batch`](crate::Ftl) steers a
 //! whole batch in one secure-world entry — but their channel
@@ -84,34 +65,6 @@ use iceclave_types::{SimTime, TeeId, Ticket};
 /// tie-break order) for free.
 const MAX_TENANTS: usize = 16;
 
-/// Which cross-tenant policy the channel arbiter runs.
-#[derive(Copy, Clone, Eq, PartialEq, Debug, Default)]
-pub enum SchedPolicy {
-    /// Legacy behavior: per-ticket FIFO chains, no cross-tenant
-    /// pacing. A tenant's in-flight pages book the channel timelines
-    /// in event order, so a greedy tenant can starve the others.
-    Fifo,
-    /// Fair queueing across tenants (the default): per-channel SFQ
-    /// over page-sized quanta with preemption points at page
-    /// boundaries.
-    #[default]
-    Wfq,
-}
-
-/// How pages are ordered *inside* one tenant's lane.
-#[derive(Copy, Clone, Eq, PartialEq, Debug, Default)]
-pub enum TicketPolicy {
-    /// Legacy behavior (the default): the lane is one FIFO heap over
-    /// *(ready, ticket, page)*, so a deep ticket's earlier pages drain
-    /// before a later ticket's — intra-tenant head-of-line blocking.
-    #[default]
-    Fifo,
-    /// Hierarchical fair queueing: each ticket gets its own virtual
-    /// clock inside the lane, so sibling tickets share the tenant's
-    /// channel slots page by page.
-    Wfq,
-}
-
 /// One page-sized quantum in virtual-time units: every grant and every
 /// charged page advances a finish tag by exactly this much. The tags
 /// order same-tick executor events ([`IssueGrant::vstart`]).
@@ -129,22 +82,6 @@ pub struct IssueGrant {
     /// The SFQ start tag assigned to the grant — the virtual-time key
     /// the executor orders same-tick events by.
     pub vstart: u64,
-    /// The ticket-level start tag inside the winning lane — the
-    /// secondary virtual-time key under [`TicketPolicy::Wfq`]; always
-    /// zero under [`TicketPolicy::Fifo`].
-    pub tstart: u64,
-}
-
-/// One ticket's sub-lane inside a tenant lane ([`TicketPolicy::Wfq`]).
-#[derive(Clone, Debug)]
-struct TicketLane {
-    /// Raw ticket id.
-    ticket: u64,
-    /// Virtual finish tag of the ticket's last grant, in the lane's
-    /// ticket-clock domain.
-    finish: u64,
-    /// Queued pages as a min-heap over *(effective ready, page)*.
-    queue: BinaryHeap<Reverse<(SimTime, u32)>>,
 }
 
 /// One tenant's per-channel queue state.
@@ -153,27 +90,9 @@ struct Lane {
     /// Virtual finish tag of the lane's last grant (or charge).
     finish: u64,
     /// Queued pages as a min-heap over *(effective ready, ticket id,
-    /// page index)* — the pre-WFQ issue order of a lone tenant. Keys
-    /// are unique (a page queues once), so popping the heap yields
-    /// exactly the ascending key order the former ordered map gave.
-    /// Used under [`TicketPolicy::Fifo`]; empty otherwise.
+    /// page index)* — the issue order of a lone tenant. Keys are
+    /// unique (a page queues once), so pops come in ascending order.
     queue: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    /// Ticket-clock virtual time: the ticket-level start tag of the
-    /// lane's last grant ([`TicketPolicy::Wfq`] only).
-    tvtime: u64,
-    /// Per-ticket sub-lanes, each non-empty by construction (a drained
-    /// sub-lane is removed on the spot — read tickets enqueue all
-    /// their pages at submission, so an empty sub-lane can never
-    /// refill). Kept in ascending ticket-id order: ticket ids are
-    /// allocated monotonically and all pages of a ticket enqueue
-    /// together. Used under [`TicketPolicy::Wfq`]; empty otherwise.
-    tickets: Vec<TicketLane>,
-}
-
-impl Lane {
-    fn queued(&self) -> usize {
-        self.queue.len() + self.tickets.iter().map(|t| t.queue.len()).sum::<usize>()
-    }
 }
 
 /// One flash channel's SFQ state.
@@ -228,39 +147,13 @@ impl ChannelWfq {
 /// }
 /// assert_eq!(order[..5], [1, 2, 1, 2, 1], "B is served every other page");
 /// ```
-///
-/// Under [`TicketPolicy::Wfq`] the same holds between one tenant's own
-/// tickets:
-///
-/// ```
-/// use iceclave_ftl::{TicketPolicy, WfqArbiter};
-/// use iceclave_types::{SimTime, TeeId, Ticket};
-///
-/// let mut arb = WfqArbiter::new(1);
-/// arb.set_ticket_policy(TicketPolicy::Wfq);
-/// let a = TeeId::new(1).unwrap();
-/// for page in 0..8 {
-///     arb.enqueue(0, a, Ticket::new(1), page, SimTime::ZERO);
-/// }
-/// for page in 0..2 {
-///     arb.enqueue(0, a, Ticket::new(2), page, SimTime::ZERO);
-/// }
-/// let mut order = Vec::new();
-/// while let Some(grant) = arb.try_issue(0) {
-///     order.push(grant.ticket.raw());
-///     arb.release(grant.ticket, grant.page);
-/// }
-/// assert_eq!(order[..5], [1, 2, 1, 2, 1], "sibling tickets alternate");
-/// ```
 #[derive(Clone, Debug)]
 pub struct WfqArbiter {
     channels: Vec<ChannelWfq>,
-    ticket_policy: TicketPolicy,
 }
 
 impl WfqArbiter {
-    /// An arbiter over `channels` idle channels with ticket policy
-    /// [`TicketPolicy::Fifo`].
+    /// An arbiter over `channels` idle channels.
     ///
     /// # Panics
     ///
@@ -269,35 +162,7 @@ impl WfqArbiter {
         assert!(channels > 0, "arbiter needs at least one channel");
         WfqArbiter {
             channels: vec![ChannelWfq::default(); channels],
-            ticket_policy: TicketPolicy::Fifo,
         }
-    }
-
-    /// Selects how pages are ordered inside one tenant's lane. Must be
-    /// set while the arbiter is idle — the two policies keep queued
-    /// pages in different structures, so flipping mid-backlog would
-    /// strand entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any pages are queued.
-    pub fn set_ticket_policy(&mut self, policy: TicketPolicy) {
-        assert_eq!(
-            self.queued_total(),
-            0,
-            "ticket policy must be set while the arbiter is idle"
-        );
-        self.ticket_policy = policy;
-    }
-
-    /// The intra-lane scheduling policy currently in force.
-    pub fn ticket_policy(&self) -> TicketPolicy {
-        self.ticket_policy
-    }
-
-    /// Number of channels under arbitration.
-    pub fn channels(&self) -> usize {
-        self.channels.len()
     }
 
     /// Queues `(ticket, page)` of `tee` on `channel`, eligible from
@@ -314,35 +179,10 @@ impl WfqArbiter {
         page: u32,
         ready: SimTime,
     ) {
-        let lane = self.channels[channel].lane_mut(u16::from(tee.raw()));
-        match self.ticket_policy {
-            TicketPolicy::Fifo => lane.queue.push(Reverse((ready, ticket.raw(), page))),
-            TicketPolicy::Wfq => {
-                let raw = ticket.raw();
-                let sub = match lane.tickets.iter_mut().find(|t| t.ticket == raw) {
-                    Some(sub) => sub,
-                    None => {
-                        // New tickets enter at finish 0: their first
-                        // start tag is max(tvtime, 0) = tvtime, so a
-                        // fresh ticket starts at the lane clock and is
-                        // granted promptly. Churn cannot bank credit,
-                        // because a *departing* ticket surrenders its
-                        // finish tag to the lane clock (see
-                        // `try_issue`): back-to-back short tickets
-                        // each start one quantum later, keeping a
-                        // cycling K-page ticket's long-run share at
-                        // exactly an equal share.
-                        lane.tickets.push(TicketLane {
-                            ticket: raw,
-                            finish: 0,
-                            queue: BinaryHeap::new(),
-                        });
-                        lane.tickets.last_mut().expect("just pushed")
-                    }
-                };
-                sub.queue.push(Reverse((ready, page)));
-            }
-        }
+        self.channels[channel]
+            .lane_mut(u16::from(tee.raw()))
+            .queue
+            .push(Reverse((ready, ticket.raw(), page)));
     }
 
     /// Number of pages `tee` has queued (not yet granted) on
@@ -354,7 +194,7 @@ impl WfqArbiter {
     pub fn queued(&self, channel: usize, tee: TeeId) -> usize {
         self.channels[channel].lanes[usize::from(tee.raw())]
             .as_ref()
-            .map_or(0, Lane::queued)
+            .map_or(0, |lane| lane.queue.len())
     }
 
     /// Total queued pages across all channels and tenants.
@@ -362,52 +202,8 @@ impl WfqArbiter {
         self.channels
             .iter()
             .flat_map(|c| c.lanes.iter().flatten())
-            .map(Lane::queued)
+            .map(|lane| lane.queue.len())
             .sum()
-    }
-
-    /// Number of pages `ticket` still has queued on `channel` under
-    /// `tee` — zero once the ticket's sub-lane has drained (its clock
-    /// state is dropped with it). Test/introspection hook for the
-    /// lifecycle suite.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` is out of range.
-    pub fn ticket_backlog(&self, channel: usize, tee: TeeId, ticket: Ticket) -> usize {
-        let raw = ticket.raw();
-        self.channels[channel].lanes[usize::from(tee.raw())]
-            .as_ref()
-            .map_or(0, |lane| {
-                let flat = lane
-                    .queue
-                    .iter()
-                    .filter(|&&Reverse((_, t, _))| t == raw)
-                    .count();
-                let sub = lane
-                    .tickets
-                    .iter()
-                    .find(|t| t.ticket == raw)
-                    .map_or(0, |t| t.queue.len());
-                flat + sub
-            })
-    }
-
-    /// The ticket-clock finish tag of `ticket` on `channel` under
-    /// `tee`, or `None` once the sub-lane has drained (or under
-    /// [`TicketPolicy::Fifo`], which keeps no ticket clocks).
-    /// Test/introspection hook: the no-double-charge retry test pins
-    /// this tag across retry rungs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` is out of range.
-    pub fn ticket_clock(&self, channel: usize, tee: TeeId, ticket: Ticket) -> Option<u64> {
-        let raw = ticket.raw();
-        self.channels[channel].lanes[usize::from(tee.raw())]
-            .as_ref()
-            .and_then(|lane| lane.tickets.iter().find(|t| t.ticket == raw))
-            .map(|t| t.finish)
     }
 
     /// Grants `channel` to the queued page with the smallest virtual
@@ -417,12 +213,8 @@ impl WfqArbiter {
     ///
     /// Selection: per backlogged lane the prospective start tag is
     /// `max(vtime, lane.finish)`; the smallest tag wins, ties by TEE
-    /// id. Within the winning lane, [`TicketPolicy::Fifo`] issues the
-    /// head page (smallest *(ready, ticket, page)*);
-    /// [`TicketPolicy::Wfq`] first picks the ticket sub-lane with the
-    /// smallest ticket-clock start tag `max(tvtime, ticket.finish)`
-    /// (ties by ticket id), then issues that ticket's head page
-    /// (smallest *(ready, page)*).
+    /// id. The winning lane issues its head page (smallest *(ready,
+    /// ticket, page)*).
     ///
     /// # Panics
     ///
@@ -434,11 +226,11 @@ impl WfqArbiter {
         }
         // Smallest prospective start tag wins; scanning lanes in
         // ascending TEE id with a strict `<` breaks ties toward the
-        // smaller id, exactly as the former ordered-map min did.
+        // smaller id.
         let mut winner: Option<(u64, usize)> = None;
         for (tee_raw, lane) in ch.lanes.iter().enumerate() {
             let Some(lane) = lane else { continue };
-            if lane.queued() == 0 {
+            if lane.queue.is_empty() {
                 continue;
             }
             let start = ch.vtime.max(lane.finish);
@@ -448,45 +240,7 @@ impl WfqArbiter {
         }
         let (start, tee_raw) = winner?;
         let lane = ch.lanes[tee_raw].as_mut().expect("winning lane exists");
-        let (ready, ticket, page, tstart) = match self.ticket_policy {
-            TicketPolicy::Fifo => {
-                let Reverse((ready, ticket, page)) = lane.queue.pop().expect("lane is backlogged");
-                (ready, ticket, page, 0)
-            }
-            TicketPolicy::Wfq => {
-                // Same SFQ selection one level down: smallest
-                // prospective ticket start tag wins, ties toward the
-                // smaller ticket id (sub-lanes sit in ascending-id
-                // order, so strict `<` suffices).
-                let mut best: Option<(u64, usize)> = None;
-                for (index, sub) in lane.tickets.iter().enumerate() {
-                    let tstart = lane.tvtime.max(sub.finish);
-                    if best.is_none_or(|(b, _)| tstart < b) {
-                        best = Some((tstart, index));
-                    }
-                }
-                let (tstart, index) = best.expect("lane is backlogged");
-                let sub = &mut lane.tickets[index];
-                let Reverse((ready, page)) = sub.queue.pop().expect("sub-lane is non-empty");
-                sub.finish = tstart + QUANTUM_FP;
-                lane.tvtime = tstart;
-                let ticket = sub.ticket;
-                if sub.queue.is_empty() {
-                    // Read tickets enqueue every page at submission,
-                    // so a drained sub-lane never refills: drop it
-                    // (and its clock) to keep the scan short and the
-                    // channel leak-free. The departing ticket
-                    // surrenders its finish tag to the lane clock
-                    // first — a successor ticket entering at finish 0
-                    // then starts where this one left off, so a tenant
-                    // cannot bank credit by splitting work into
-                    // back-to-back short tickets (churn gaming).
-                    lane.tvtime = lane.tvtime.max(sub.finish);
-                    lane.tickets.remove(index);
-                }
-                (ready, ticket, page, tstart)
-            }
-        };
+        let Reverse((ready, ticket, page)) = lane.queue.pop().expect("lane is backlogged");
         lane.finish = start + QUANTUM_FP;
         ch.vtime = start;
         ch.busy = Some((ticket, page));
@@ -495,7 +249,6 @@ impl WfqArbiter {
             page,
             ready,
             vstart: start,
-            tstart,
         })
     }
 
@@ -543,8 +296,8 @@ impl WfqArbiter {
     }
 
     /// Drops every queued (ungranted) page of `ticket` across all
-    /// channels — including its ticket sub-lanes and their clocks —
-    /// and releases its in-flight grants — TEE teardown support. Stage
+    /// channels and releases its in-flight grants — TEE teardown
+    /// support. Stage
     /// events already on the executor's heap for the released grants
     /// become no-ops; the caller re-kicks the affected channels.
     ///
@@ -556,7 +309,6 @@ impl WfqArbiter {
         for (index, ch) in self.channels.iter_mut().enumerate() {
             for lane in ch.lanes.iter_mut().flatten() {
                 lane.queue.retain(|&Reverse((_, t, _))| t != raw);
-                lane.tickets.retain(|t| t.ticket != raw);
             }
             if matches!(ch.busy, Some((t, _)) if t == raw) {
                 ch.busy = None;
@@ -567,8 +319,8 @@ impl WfqArbiter {
     }
 
     /// Forgets `tee`'s lanes entirely (id recycling): queued pages are
-    /// dropped and the finish and ticket-clock tags reset, so the next
-    /// TEE to reuse the id starts fresh.
+    /// dropped and the finish tags reset, so the next TEE to reuse the
+    /// id starts fresh.
     pub fn forget_tee(&mut self, tee: TeeId) {
         let raw = usize::from(tee.raw());
         for ch in &mut self.channels {
@@ -714,183 +466,5 @@ mod tests {
     #[should_panic(expected = "at least one channel")]
     fn zero_channels_panics() {
         let _ = WfqArbiter::new(0);
-    }
-
-    // ---- hierarchical (TicketPolicy::Wfq) tests ----
-
-    fn hier(channels: usize) -> WfqArbiter {
-        let mut arb = WfqArbiter::new(channels);
-        arb.set_ticket_policy(TicketPolicy::Wfq);
-        arb
-    }
-
-    /// A same-tenant deep ticket and small ticket alternate page by
-    /// page under the hierarchical policy — the intra-tenant analog of
-    /// `equal_weights_alternate_under_backlog`.
-    #[test]
-    fn sibling_tickets_alternate_under_backlog() {
-        let mut arb = hier(1);
-        let a = tee(1);
-        for page in 0..8 {
-            arb.enqueue(0, a, Ticket::new(1), page, SimTime::ZERO);
-        }
-        for page in 0..4 {
-            arb.enqueue(0, a, Ticket::new(2), page, SimTime::ZERO);
-        }
-        let order = drain_grants(&mut arb, 0);
-        let tickets: Vec<u64> = order.iter().map(|&(t, _)| t).collect();
-        assert_eq!(tickets[..8], [1, 2, 1, 2, 1, 2, 1, 2]);
-        assert_eq!(tickets[8..], [1, 1, 1, 1], "survivor drains alone");
-    }
-
-    /// With exactly one ticket per tenant, the hierarchical arbiter
-    /// reproduces the flat grant sequence bit for bit.
-    #[test]
-    fn one_ticket_per_tenant_matches_flat_grants() {
-        let enqueue_all = |arb: &mut WfqArbiter| {
-            let (a, b) = (tee(1), tee(2));
-            for page in 0..6 {
-                arb.enqueue(
-                    0,
-                    a,
-                    Ticket::new(1),
-                    page,
-                    SimTime::from_ps(u64::from(page) * 3),
-                );
-            }
-            for page in 0..4 {
-                arb.enqueue(
-                    0,
-                    b,
-                    Ticket::new(2),
-                    page,
-                    SimTime::from_ps(u64::from(page) * 5),
-                );
-            }
-        };
-        let mut flat = WfqArbiter::new(1);
-        enqueue_all(&mut flat);
-        let mut two_level = hier(1);
-        enqueue_all(&mut two_level);
-        let mut flat_grants = Vec::new();
-        let mut hier_grants = Vec::new();
-        loop {
-            let f = flat.try_issue(0);
-            let h = two_level.try_issue(0);
-            match (f, h) {
-                (None, None) => break,
-                (Some(f), Some(h)) => {
-                    assert_eq!(
-                        (f.ticket, f.page, f.ready, f.vstart),
-                        (h.ticket, h.page, h.ready, h.vstart)
-                    );
-                    flat.release(f.ticket, f.page);
-                    two_level.release(h.ticket, h.page);
-                    flat_grants.push((f.ticket.raw(), f.page));
-                    hier_grants.push((h.ticket.raw(), h.page));
-                }
-                other => panic!("grant streams diverged: {other:?}"),
-            }
-        }
-        assert_eq!(flat_grants, hier_grants);
-        assert_eq!(flat_grants.len(), 10);
-    }
-
-    /// Cancelling a ticket under the hierarchical policy purges its
-    /// sub-lane and clock on every channel.
-    #[test]
-    fn cancel_ticket_purges_ticket_clocks() {
-        let mut arb = hier(2);
-        let a = tee(1);
-        for ch in 0..2 {
-            for page in 0..3 {
-                arb.enqueue(ch, a, Ticket::new(1), page, SimTime::ZERO);
-                arb.enqueue(ch, a, Ticket::new(2), page, SimTime::ZERO);
-            }
-        }
-        let g = arb.try_issue(0).unwrap();
-        assert!(arb.ticket_clock(0, a, Ticket::new(1)).is_some());
-        let released = arb.cancel_ticket(Ticket::new(1));
-        assert_eq!(released, vec![0], "in-flight grant released");
-        for ch in 0..2 {
-            assert_eq!(arb.ticket_backlog(ch, a, Ticket::new(1)), 0);
-            assert_eq!(
-                arb.ticket_clock(ch, a, Ticket::new(1)),
-                None,
-                "clock purged"
-            );
-        }
-        assert_eq!(arb.queued(0, a), 3, "survivor's pages untouched");
-        let _ = g;
-        let next = arb.try_issue(0).unwrap();
-        assert_eq!(next.ticket.raw(), 2);
-    }
-
-    /// A drained ticket sub-lane is dropped immediately, so long-lived
-    /// tenants never accumulate dead ticket clocks.
-    #[test]
-    fn drained_ticket_lane_is_dropped() {
-        let mut arb = hier(1);
-        let a = tee(1);
-        arb.enqueue(0, a, Ticket::new(1), 0, SimTime::ZERO);
-        assert!(arb.ticket_clock(0, a, Ticket::new(1)).is_some());
-        let g = arb.try_issue(0).unwrap();
-        arb.release(g.ticket, g.page);
-        assert_eq!(arb.ticket_clock(0, a, Ticket::new(1)), None, "lane dropped");
-        assert_eq!(arb.queued(0, a), 0);
-    }
-
-    /// `forget_tee` under the hierarchical policy drops ticket clocks
-    /// with the lanes, so a recycled TEE id reseeds from scratch.
-    #[test]
-    fn forget_tee_reseeds_ticket_lanes() {
-        let mut arb = hier(1);
-        let a = tee(1);
-        for page in 0..4 {
-            arb.enqueue(0, a, Ticket::new(1), page, SimTime::ZERO);
-        }
-        let g = arb.try_issue(0).unwrap();
-        arb.release(g.ticket, g.page);
-        assert!(arb.ticket_clock(0, a, Ticket::new(1)).unwrap() > 0);
-        arb.forget_tee(a);
-        assert_eq!(arb.ticket_clock(0, a, Ticket::new(1)), None);
-        assert_eq!(arb.queued(0, a), 0);
-        // The recycled id starts a fresh clock domain.
-        arb.enqueue(0, a, Ticket::new(9), 0, SimTime::ZERO);
-        let g = arb.try_issue(0).unwrap();
-        assert_eq!((g.vstart, g.tstart), (0, 0), "fresh lane, fresh clocks");
-        arb.release(g.ticket, g.page);
-    }
-
-    #[test]
-    #[should_panic(expected = "while the arbiter is idle")]
-    fn policy_flip_with_backlog_panics() {
-        let mut arb = WfqArbiter::new(1);
-        arb.enqueue(0, tee(1), Ticket::new(1), 0, SimTime::ZERO);
-        arb.set_ticket_policy(TicketPolicy::Wfq);
-    }
-
-    /// The grant's ticket-level start tag is reported (and zero under
-    /// Fifo), and the clock advances exactly once per grant.
-    #[test]
-    fn tstart_reported_and_advances_once_per_grant() {
-        let mut arb = hier(1);
-        let a = tee(1);
-        for page in 0..2 {
-            arb.enqueue(0, a, Ticket::new(1), page, SimTime::ZERO);
-            arb.enqueue(0, a, Ticket::new(2), page, SimTime::ZERO);
-        }
-        let g = arb.try_issue(0).unwrap();
-        assert_eq!(g.tstart, 0);
-        let clock = arb.ticket_clock(0, a, g.ticket).unwrap();
-        assert_eq!(clock, QUANTUM_FP, "one quantum per grant");
-        // Release without re-issue must not advance the clock again.
-        arb.release(g.ticket, g.page);
-        assert_eq!(arb.ticket_clock(0, a, g.ticket).unwrap(), clock);
-
-        let mut flat = WfqArbiter::new(1);
-        flat.enqueue(0, a, Ticket::new(1), 0, SimTime::ZERO);
-        let g = flat.try_issue(0).unwrap();
-        assert_eq!(g.tstart, 0, "Fifo grants carry a zero ticket tag");
     }
 }

@@ -168,9 +168,7 @@ pub struct MeeStats {
 /// Per-block-kind metadata-cache traffic: hits and misses of the
 /// on-chip L1 cache split by what the block holds, plus the L2 probe
 /// totals. `Copy` so callers can snapshot it cheaply around a request
-/// and attribute the delta — the per-ticket accounting hook the
-/// hierarchical-WFQ work needs to bill counter-cache DRAM traffic to
-/// the tenant that caused it.
+/// and attribute the delta to the ticket that caused it.
 #[derive(Copy, Clone, Eq, PartialEq, Debug, Default)]
 pub struct MetaTraffic {
     /// L1 hits on encryption-counter blocks (split or major).

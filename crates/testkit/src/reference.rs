@@ -40,9 +40,8 @@ pub trait RefStageMachine {
 }
 
 /// The same-tick event ordering key (mirrors the flattened
-/// executor): *(tenant virtual time, ticket virtual time, ticket id,
-/// page index)*.
-type EventKey = (u64, u64, u64, u32);
+/// executor): *(virtual time, ticket id, page index)*.
+type EventKey = (u64, u64, u32);
 
 /// The pre-flattening batch executor: `BinaryHeap` event queue plus
 /// `BTreeMap` ticket table (see the [module docs](self)).
@@ -81,22 +80,18 @@ impl<S> RefExecutor<S> {
         ticket
     }
 
-    /// Schedules a stage event under the two-level fair-queueing tags
-    /// `(vtime, tvtime)` (same key shape as the flattened executor).
-    pub fn schedule_hierarchical(
+    /// Schedules a stage event under the fair-queueing tag `vtime`
+    /// (same key shape as the flattened executor).
+    pub fn schedule_weighted(
         &mut self,
         at: SimTime,
         vtime: u64,
-        tvtime: u64,
         ticket: Ticket,
         page: u32,
         stage: S,
     ) {
-        self.events.push(
-            at,
-            (vtime, tvtime, ticket.raw(), page),
-            (ticket, page, stage),
-        );
+        self.events
+            .push(at, (vtime, ticket.raw(), page), (ticket, page, stage));
     }
 
     /// Retires one page into the completion queue; `true` when the

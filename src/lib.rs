@@ -118,14 +118,11 @@
 //! in flight therefore shares every contended channel page-by-page
 //! with a solo 4-page tenant instead of starving it
 //! (`tests/wfq_fairness.rs`: the victim's p99 improves ≥ 2x over the
-//! legacy FIFO scheduler, and a backlogged duel never leaves 10% of
-//! an even split over any 10k-page window). With a single tenant the
-//! WFQ schedule is byte-identical to the FIFO executor.
-//! Configuration: [`iceclave_core::FairnessConfig`] (the cross-tenant
-//! and per-ticket policies); the `fairness` bench emits the
-//! `BENCH_fairness.json` baseline (victim p99 + Jain's index over the
-//! antagonist sweep). See `docs/ARCHITECTURE.md` for the full
-//! treatment.
+//! same duel with both roles in one TEE, and a backlogged duel never
+//! leaves 10% of an even split over any 10k-page window). The
+//! `fairness` bench emits the `BENCH_fairness.json` baseline (victim
+//! p99 + Jain's index over the antagonist sweep). See
+//! `docs/ARCHITECTURE.md` for the full treatment.
 
 pub use iceclave_cipher;
 pub use iceclave_core;

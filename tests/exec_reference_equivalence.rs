@@ -34,12 +34,10 @@ enum ToyStage {
 /// both [`Executor`] and [`RefExecutor`] so the stage logic below is
 /// shared verbatim.
 trait Driver {
-    #[allow(clippy::too_many_arguments)]
-    fn schedule_hierarchical(
+    fn schedule_weighted(
         &mut self,
         at: SimTime,
         vtime: u64,
-        tvtime: u64,
         ticket: Ticket,
         page: u32,
         s: ToyStage,
@@ -48,16 +46,15 @@ trait Driver {
 }
 
 impl Driver for Executor<ToyStage> {
-    fn schedule_hierarchical(
+    fn schedule_weighted(
         &mut self,
         at: SimTime,
         vtime: u64,
-        tvtime: u64,
         ticket: Ticket,
         page: u32,
         s: ToyStage,
     ) {
-        Executor::schedule_hierarchical(self, at, vtime, tvtime, ticket, page, s);
+        Executor::schedule_weighted(self, at, vtime, ticket, page, s);
     }
     fn push_completion(&mut self, event: CompletionEvent) -> bool {
         Executor::push_completion(self, event)
@@ -65,16 +62,15 @@ impl Driver for Executor<ToyStage> {
 }
 
 impl Driver for RefExecutor<ToyStage> {
-    fn schedule_hierarchical(
+    fn schedule_weighted(
         &mut self,
         at: SimTime,
         vtime: u64,
-        tvtime: u64,
         ticket: Ticket,
         page: u32,
         s: ToyStage,
     ) {
-        RefExecutor::schedule_hierarchical(self, at, vtime, tvtime, ticket, page, s);
+        RefExecutor::schedule_weighted(self, at, vtime, ticket, page, s);
     }
     fn push_completion(&mut self, event: CompletionEvent) -> bool {
         RefExecutor::push_completion(self, event)
@@ -87,10 +83,6 @@ struct PageMeta {
     tee: TeeId,
     lpn: Lpn,
     submitted: SimTime,
-    /// Ticket-level virtual tag (the hierarchical WFQ sub-key); part
-    /// of the generated schedule so same-tick events exercise the full
-    /// (vtime, tvtime, ticket, page) event ordering in both executors.
-    tvtime: u64,
 }
 
 /// Deterministic toy timing model: per-channel busy timelines plus
@@ -112,7 +104,6 @@ impl ToyModel {
         tee: TeeId,
         base_lpn: u64,
         pages: u32,
-        tvtime: u64,
         now: SimTime,
     ) {
         for page in 0..pages {
@@ -124,11 +115,13 @@ impl ToyModel {
                     tee,
                     lpn,
                     submitted: now,
-                    tvtime,
                 },
             );
+            // Tags collide across tenants (0..3), so same-vtime
+            // same-tick events tie-break through the ticket-id and
+            // page components of the event key.
             let vtime = u64::from(tee.raw()) % 3;
-            d.schedule_hierarchical(now, vtime, tvtime, ticket, page, ToyStage::Prepare);
+            d.schedule_weighted(now, vtime, ticket, page, ToyStage::Prepare);
         }
     }
 
@@ -147,14 +140,7 @@ impl ToyModel {
                 let end = start + service;
                 self.chan_free[ch] = end;
                 let vtime = u64::from(meta.tee.raw()) % 3;
-                d.schedule_hierarchical(
-                    end,
-                    vtime,
-                    meta.tvtime,
-                    ev.ticket,
-                    ev.page,
-                    ToyStage::Flash,
-                );
+                d.schedule_weighted(end, vtime, ev.ticket, ev.page, ToyStage::Flash);
             }
             ToyStage::Flash => {
                 let cipher_done = ev.at + SimDuration::from_nanos(150);
@@ -206,29 +192,18 @@ struct Batch {
     base_lpn: u64,
     pages: u32,
     gap_ns: u64,
-    /// Ticket-level virtual tag: collides across batches (0..3) so
-    /// same-vtime same-tick events tie-break through the tvtime and
-    /// ticket-id components of the event key.
-    tvtime: u64,
 }
 
 fn batch_strategy() -> impl Strategy<Value = Batch> {
-    (
-        any::<bool>(),
-        0u16..4,
-        0u64..32,
-        0u32..5,
-        0u64..500,
-        0u64..3,
-    )
-        .prop_map(|(write, tee, base_lpn, pages, gap_ns, tvtime)| Batch {
+    (any::<bool>(), 0u16..4, 0u64..32, 0u32..5, 0u64..500).prop_map(
+        |(write, tee, base_lpn, pages, gap_ns)| Batch {
             write,
             tee,
             base_lpn,
             pages,
             gap_ns,
-            tvtime,
-        })
+        },
+    )
 }
 
 proptest! {
@@ -256,8 +231,8 @@ proptest! {
             prop_assert_eq!(ta, tb, "ticket allocators diverged");
             tickets.push((ta, tb));
 
-            model_a.submit(&mut exec, ta, kind, tee, batch.base_lpn, batch.pages, batch.tvtime, now);
-            model_b.submit(&mut reference, tb, kind, tee, batch.base_lpn, batch.pages, batch.tvtime, now);
+            model_a.submit(&mut exec, ta, kind, tee, batch.base_lpn, batch.pages, now);
+            model_b.submit(&mut reference, tb, kind, tee, batch.base_lpn, batch.pages, now);
 
             // Interleave partial progress with further submissions:
             // both executors step to `now` and drain what is due.
