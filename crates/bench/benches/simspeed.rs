@@ -16,7 +16,8 @@
 //! conservative pages/s floor — with op-log capture *off* — so a
 //! future PR cannot silently regress the hot path. A second datapoint
 //! measures the same scenario with capture *on*, quantifying the
-//! observer's overhead.
+//! observer's overhead; the two kinds of timed block alternate on the
+//! same device, so drift lands on both sides alike.
 //!
 //! Two gated numbers do not depend on the machine at all:
 //! `peak_heap_mib`, the heap high-water mark of setup plus the first
@@ -112,21 +113,38 @@ fn scenario(ice: &mut IceClave, tees: &[(TeeId, Vec<Lpn>)], start: SimTime) -> (
     (completions, t)
 }
 
-/// Median wall-clock pages/s over `SAMPLES` timed blocks.
-fn measure(ice: &mut IceClave, tees: &[(TeeId, Vec<Lpn>)], t: &mut SimTime) -> f64 {
+/// Median wall-clock pages/s with op-log capture off and on, over
+/// `SAMPLES` timed blocks of each kind. The two kinds alternate on the
+/// same device and swap which runs first on every sample, so device
+/// ageing and machine drift land on both sides alike; the trace is
+/// enabled before and taken after the timed region.
+fn measure(ice: &mut IceClave, tees: &[(TeeId, Vec<Lpn>)], t: &mut SimTime) -> (f64, f64) {
     const SAMPLES: usize = 5;
     const ITERS_PER_SAMPLE: u64 = 10;
-    let mut rates = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        let begin = Instant::now();
-        for _ in 0..ITERS_PER_SAMPLE {
-            *t = scenario(ice, tees, *t).1;
+    let mut rates = [Vec::with_capacity(SAMPLES), Vec::with_capacity(SAMPLES)];
+    for sample in 0..SAMPLES {
+        let traced_first = sample % 2 == 1;
+        for traced in [traced_first, !traced_first] {
+            if traced {
+                ice.enable_tracing();
+            }
+            let begin = Instant::now();
+            for _ in 0..ITERS_PER_SAMPLE {
+                *t = scenario(ice, tees, *t).1;
+            }
+            let wall = begin.elapsed().as_secs_f64();
+            if traced {
+                let trace = ice.take_trace().expect("tracing was enabled");
+                assert!(!trace.is_empty(), "capture-on block recorded tickets");
+            }
+            rates[usize::from(traced)].push((ITERS_PER_SAMPLE * PAGES_PER_ITER) as f64 / wall);
         }
-        let wall = begin.elapsed().as_secs_f64();
-        rates.push((ITERS_PER_SAMPLE * PAGES_PER_ITER) as f64 / wall);
     }
-    rates.sort_by(|a, b| a.partial_cmp(b).expect("finite rates"));
-    rates[SAMPLES / 2]
+    let [off, on] = rates.map(|mut side| {
+        side.sort_by(|a, b| a.partial_cmp(b).expect("finite rates"));
+        side[SAMPLES / 2]
+    });
+    (off, on)
 }
 
 fn bench_simspeed(c: &mut Criterion) {
@@ -149,14 +167,10 @@ fn bench_simspeed(c: &mut Criterion) {
     for _ in 0..3 {
         t = scenario(&mut ice, &tees, t).1;
     }
-    let pages_per_s = measure(&mut ice, &tees, &mut t);
-
-    // Capture-on datapoint: the same scenario with the op-log observer
-    // installed, so the trace hook's overhead has a tracked number.
-    ice.enable_tracing();
-    let pages_per_s_traced = measure(&mut ice, &tees, &mut t);
-    let trace = ice.take_trace().expect("tracing was enabled");
-    assert!(!trace.is_empty(), "capture-on run recorded tickets");
+    // The capture-on side runs the same scenario with the op-log
+    // observer installed, so the trace hook's overhead has a tracked
+    // number.
+    let (pages_per_s, pages_per_s_traced) = measure(&mut ice, &tees, &mut t);
 
     println!(
         "simspeed 2tee interleaving: {PAGES_PER_ITER} simulated pages/iter, \

@@ -76,7 +76,8 @@ fn main() -> ExitCode {
     ice.enable_tracing();
     workload(&mut ice, &tees, t0);
     let log = ice.take_trace().expect("tracing was enabled");
-    let pages: usize = log.records().iter().map(|r| r.pages.len()).sum();
+    let records = log.records();
+    let pages: usize = records.iter().map(|r| r.pages.len()).sum();
     println!(
         "captured {} tickets ({} pages) from the 2-tenant smoke workload",
         log.len(),
@@ -93,8 +94,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let captured: Vec<(u8, u64, bool)> = log
-        .records()
+    let mut expected: Vec<(u8, u64, bool)> = records
         .iter()
         .flat_map(|r| {
             r.pages
@@ -109,7 +109,6 @@ fn main() -> ExitCode {
         .collect();
     // The capture is keyed by close order while the drain is keyed by
     // ready order; compare as multisets of per-page outcomes.
-    let mut expected = captured.clone();
     expected.sort_unstable();
     replayed.sort_unstable();
     if expected != replayed {

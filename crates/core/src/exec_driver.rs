@@ -40,12 +40,12 @@ use iceclave_cipher::CipherEngine;
 use iceclave_exec::{Executor, StageEvent, StageMachine};
 use iceclave_ftl::FlashError;
 use iceclave_ftl::{FtlError, JournalRecord, Requestor, WfqArbiter};
-use iceclave_mee::{MeeEngine, MetaTraffic, PageClass, PageSeal, SealSpan};
+use iceclave_mee::{MeeEngine, PageClass, PageSeal, SealSpan};
 use iceclave_sim::Resource;
 use iceclave_types::{
     BatchCompletion, CompletionEvent, FaultStats, LatencyBreakdown, Lpn, PageError, PageErrorCause,
-    PageStatus, PageWrite, Ppn, SimDuration, SimTime, TeeId, Ticket, TicketAttribution, TicketKind,
-    WriteBatchRequest, WritePageRequest, PAGE_SIZE,
+    PageStatus, PageWrite, Ppn, SimDuration, SimTime, TeeId, Ticket, TicketKind, WriteBatchRequest,
+    WritePageRequest, PAGE_SIZE,
 };
 
 use crate::config::{IceClaveConfig, Link};
@@ -132,11 +132,8 @@ pub struct Job {
     /// Write path: lane stages still outstanding before the program
     /// phase may fire.
     pending_encrypts: usize,
-    /// Integrity-metadata traffic charged to this ticket: MEE counter
-    /// deltas snapshotted around each of its engine calls.
-    attrib: TicketAttribution,
-    /// Fault/recovery activity charged to this ticket (retries,
-    /// remaps, MAC fallbacks it triggered).
+    /// Fault/recovery activity charged to this ticket (the retries,
+    /// ECC corrections, remaps and retirements it triggered).
     faults: FaultStats,
 }
 
@@ -158,7 +155,6 @@ impl Job {
             sealed: Vec::new(),
             encrypted: Vec::new(),
             pending_encrypts: 0,
-            attrib: TicketAttribution::default(),
             faults: FaultStats::default(),
         }
     }
@@ -177,64 +173,6 @@ pub(crate) struct StageCtx<'a> {
     pub jobs: &'a mut JobTable,
     pub failed: &'a mut ErrorSlab,
     pub arbiter: &'a mut WfqArbiter,
-}
-
-/// Point-in-time snapshot of the MEE counters that feed per-ticket
-/// attribution: the metadata-cache traffic plus the L2 counter store
-/// and MAC-fallback totals (which live outside [`MetaTraffic`]).
-#[derive(Copy, Clone)]
-struct MeeSnap {
-    meta: MetaTraffic,
-    l2_hits: u64,
-    l2_misses: u64,
-    mac_fallbacks: u64,
-    fill_writes: u64,
-    seal_reads: u64,
-    extra_enc_writes: u64,
-    encryptions: u64,
-}
-
-impl MeeSnap {
-    fn of(mee: &MeeEngine) -> Self {
-        let stats = mee.stats();
-        MeeSnap {
-            meta: stats.meta_traffic,
-            l2_hits: stats.l2_hits,
-            l2_misses: stats.l2_misses,
-            mac_fallbacks: stats.mac_fallbacks,
-            fill_writes: stats.fill_writes,
-            seal_reads: stats.seal_reads,
-            extra_enc_writes: stats.extra_enc_writes,
-            encryptions: stats.encryptions,
-        }
-    }
-
-    /// The attribution accumulated on the MEE since `self`, plus the
-    /// MAC-fallback delta (a fault, not cache traffic). The bulk
-    /// fill/seal datapath bypasses the on-chip metadata caches by
-    /// design, so the cache fields stay zero for ticket work — the
-    /// bulk-engine line counts are what a ticket actually moves.
-    fn charge(self, mee: &MeeEngine) -> (TicketAttribution, u64) {
-        let now = MeeSnap::of(mee);
-        let meta = now.meta.since(&self.meta);
-        (
-            TicketAttribution {
-                counter_hits: meta.counter_hits,
-                counter_misses: meta.counter_misses,
-                mac_hits: meta.mac_hits,
-                mac_misses: meta.mac_misses,
-                tree_hits: meta.tree_hits,
-                tree_misses: meta.tree_misses,
-                l2_hits: now.l2_hits - self.l2_hits,
-                l2_misses: now.l2_misses - self.l2_misses,
-                fill_lines: now.fill_writes - self.fill_writes,
-                seal_lines: now.seal_reads - self.seal_reads,
-                meta_writes: now.extra_enc_writes - self.extra_enc_writes,
-                enc_pads: now.encryptions - self.encryptions,
-            },
-            now.mac_fallbacks - self.mac_fallbacks,
-        )
-    }
 }
 
 /// Grants `channel`'s next queued page (if the channel is free and any
@@ -348,7 +286,7 @@ impl StageCtx<'_> {
         };
         if exec.push_completion(event) {
             if let Some(job) = self.jobs.remove(ticket.raw()) {
-                exec.notify_close(ticket, &job.attrib, &job.faults);
+                exec.notify_close(ticket, &job.faults);
             }
         }
     }
@@ -514,7 +452,7 @@ impl StageCtx<'_> {
         }
         if closed {
             if let Some(job) = self.jobs.remove(ev.ticket.raw()) {
-                exec.notify_close(ev.ticket, &job.attrib, &job.faults);
+                exec.notify_close(ev.ticket, &job.faults);
             }
         }
     }
@@ -679,16 +617,9 @@ impl StageMachine for StageCtx<'_> {
                     let page = &job.pages[idx];
                     (page.slot, page.class)
                 };
-                // Attribution: every counter/MAC/tree access the fill
-                // performs is charged to this ticket via a stats delta.
-                let before = MeeSnap::of(self.mee);
                 let done = self
                     .mee
                     .fill_page(&mut self.platform.dram, slot, class, ev.at);
-                let (delta, mac_fallbacks) = before.charge(self.mee);
-                job.attrib.add(&delta);
-                job.faults.mac_fallbacks += mac_fallbacks;
-                self.stats.ticket_meta.add(&delta);
                 let page = &mut job.pages[idx];
                 page.breakdown.ready = done;
                 page.retired = true;
@@ -713,7 +644,7 @@ impl StageMachine for StageCtx<'_> {
                     data,
                 }) {
                     if let Some(job) = self.jobs.remove(ev.ticket.raw()) {
-                        exec.notify_close(ev.ticket, &job.attrib, &job.faults);
+                        exec.notify_close(ev.ticket, &job.faults);
                     }
                 }
             }
@@ -955,7 +886,6 @@ impl IceClave {
                 sealed: Vec::new(),
                 encrypted: Vec::new(),
                 pending_encrypts: 0,
-                attrib: TicketAttribution::default(),
                 faults: FaultStats::default(),
             },
         );
@@ -1069,12 +999,7 @@ impl IceClave {
                 })
                 .collect()
         };
-        // Attribution: the seal drain's counter/MAC traffic belongs to
-        // this write ticket.
-        let snap = MeeSnap::of(&self.mee);
         let sealed = self.mee.seal_pages(&mut self.platform.dram, &seals);
-        let (seal_attrib, seal_fallbacks) = snap.charge(&self.mee);
-        self.stats.ticket_meta.add(&seal_attrib);
 
         // The target channel is unknown until the FTL allocates, so
         // outbound pages go to the link's lanes round-robin. Payloads
@@ -1129,11 +1054,7 @@ impl IceClave {
                 encrypted,
                 pending_encrypts,
                 sealed,
-                attrib: seal_attrib,
-                faults: FaultStats {
-                    mac_fallbacks: seal_fallbacks,
-                    ..FaultStats::default()
-                },
+                faults: FaultStats::default(),
             },
         );
         Ok(ticket)
@@ -1264,8 +1185,8 @@ impl IceClave {
                 });
             }
             // Every page is now retired, which closed the ticket —
-            // report whatever attribution it accumulated before death.
-            self.exec.notify_close(ticket, &job.attrib, &job.faults);
+            // report whatever faults it accumulated before death.
+            self.exec.notify_close(ticket, &job.faults);
         }
     }
 

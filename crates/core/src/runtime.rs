@@ -12,8 +12,7 @@ use iceclave_mee::{MacFaultPlan, MeeEngine, PageClass};
 use iceclave_sim::Resource;
 use iceclave_trustzone::{AccessType, MemoryMap, ProtectionFault, Region, World};
 use iceclave_types::{
-    ByteSize, CacheLine, Lpn, Ppn, RecoveryStats, SimTime, TeeId, TicketAttribution,
-    LINES_PER_PAGE, PAGE_SIZE,
+    ByteSize, CacheLine, Lpn, Ppn, RecoveryStats, SimTime, TeeId, LINES_PER_PAGE, PAGE_SIZE,
 };
 
 use crate::config::{IceClaveConfig, Link};
@@ -177,11 +176,6 @@ pub struct RuntimeStats {
     pub uncorrectable_pages: u64,
     /// Pages that completed `Failed` instead of aborting their batch.
     pub pages_failed: u64,
-    /// Integrity-metadata traffic attributed to tickets: the sum of
-    /// the per-ticket MEE deltas charged by the executor's fill/seal
-    /// stages (counter, MAC and tree cache traffic plus the L2
-    /// counter store).
-    pub ticket_meta: TicketAttribution,
 }
 
 #[derive(Debug)]

@@ -3,8 +3,8 @@
 //!
 //! Capture hangs an [`iceclave_obs::TraceCapture`] observer off the
 //! executor's completion queue ([`IceClave::enable_tracing`]); every
-//! retired ticket lands in the in-memory [`TraceLog`] with its stage
-//! timestamps, per-page outcomes and the MEE/fault attribution the
+//! retired ticket is encoded into the in-memory [`TraceLog`] with its
+//! stage timestamps, per-page outcomes and the fault activity the
 //! stage machine charged to it. With no observer installed the hook is
 //! a single `Option` check on the retire path — capture-off costs
 //! nothing measurable (the `simspeed` bench keeps a datapoint on both
@@ -12,8 +12,7 @@
 //!
 //! Replay implements [`ReplayTarget`] for [`IceClave`], so a captured
 //! log can be fed back through the asynchronous batch API by
-//! [`iceclave_obs::replay()`] in sequential, paced or as-fast-as-possible
-//! mode. Because the executor is deterministic, an AFAP replay of a
+//! [`iceclave_obs::replay()`] in paced or as-fast-as-possible mode. Because the executor is deterministic, an AFAP replay of a
 //! capture against an identically configured device reproduces the
 //! captured completion sequence exactly.
 

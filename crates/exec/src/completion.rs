@@ -13,7 +13,7 @@
 use std::any::Any;
 use std::fmt;
 
-use iceclave_types::{CompletionEvent, FaultStats, SimTime, Ticket, TicketAttribution};
+use iceclave_types::{CompletionEvent, FaultStats, SimTime, Ticket};
 
 /// The drain-order contract, verbatim from the module documentation
 /// above (a unit test asserts the two stay identical, so there is no
@@ -35,21 +35,15 @@ pub const DRAIN_ORDER_CONTRACT: &str = "Completions drain in ascending ready tim
 /// `on_retire` fires once per page, in retirement (not drain) order.
 /// `on_close` fires once per ticket after its last page retired; the
 /// *driver* calls it (via [`crate::Executor::notify_close`]) because
-/// only the driver knows the per-ticket metadata-traffic and fault
-/// deltas it accumulated while the ticket was in flight.
+/// only the driver knows the fault activity it charged to the ticket
+/// while the ticket was in flight.
 pub trait RetireObserver {
     /// One page retired into the completion queue.
     fn on_retire(&mut self, event: &CompletionEvent);
 
-    /// `ticket` closed at `finished` with the metadata traffic and
-    /// fault activity charged to it over its lifetime.
-    fn on_close(
-        &mut self,
-        ticket: Ticket,
-        finished: SimTime,
-        attrib: &TicketAttribution,
-        faults: &FaultStats,
-    );
+    /// `ticket` closed at `finished` with the fault activity charged
+    /// to it over its lifetime.
+    fn on_close(&mut self, ticket: Ticket, finished: SimTime, faults: &FaultStats);
 
     /// Recovers the concrete observer after [`CompletionQueue::take_observer`]
     /// (`Box<dyn RetireObserver>` cannot be downcast directly).
@@ -150,15 +144,9 @@ impl CompletionQueue {
     }
 
     /// Forwards a ticket-close notification to the observer (if any).
-    pub fn notify_close(
-        &mut self,
-        ticket: Ticket,
-        finished: SimTime,
-        attrib: &TicketAttribution,
-        faults: &FaultStats,
-    ) {
+    pub fn notify_close(&mut self, ticket: Ticket, finished: SimTime, faults: &FaultStats) {
         if let Some(obs) = self.observer.as_deref_mut() {
-            obs.on_close(ticket, finished, attrib, faults);
+            obs.on_close(ticket, finished, faults);
         }
     }
 
@@ -371,22 +359,15 @@ mod tests {
     #[derive(Default)]
     struct Recorder {
         retired: Vec<(u64, u32)>,
-        closed: Vec<(u64, u64, u64)>,
+        closed: Vec<(u64, u64)>,
     }
 
     impl RetireObserver for Recorder {
         fn on_retire(&mut self, event: &CompletionEvent) {
             self.retired.push((event.ticket.raw(), event.index));
         }
-        fn on_close(
-            &mut self,
-            ticket: Ticket,
-            _finished: SimTime,
-            attrib: &iceclave_types::TicketAttribution,
-            faults: &iceclave_types::FaultStats,
-        ) {
-            self.closed
-                .push((ticket.raw(), attrib.counter_misses, faults.read_retries));
+        fn on_close(&mut self, ticket: Ticket, _finished: SimTime, faults: &FaultStats) {
+            self.closed.push((ticket.raw(), faults.read_retries));
         }
         fn into_any(self: Box<Self>) -> Box<dyn Any> {
             self
@@ -401,15 +382,11 @@ mod tests {
         assert!(q.has_observer());
         q.push(event(2, 1, 100));
         q.push(event(1, 0, 50));
-        let attrib = iceclave_types::TicketAttribution {
-            counter_misses: 7,
-            ..Default::default()
-        };
-        let faults = iceclave_types::FaultStats {
+        let faults = FaultStats {
             read_retries: 3,
             ..Default::default()
         };
-        q.notify_close(Ticket::new(2), at(100), &attrib, &faults);
+        q.notify_close(Ticket::new(2), at(100), &faults);
         let obs = q.take_observer().expect("observer was installed");
         assert!(!q.has_observer());
         let rec = obs
@@ -417,10 +394,10 @@ mod tests {
             .downcast::<Recorder>()
             .expect("concrete type survives into_any");
         assert_eq!(rec.retired, vec![(2, 1), (1, 0)], "push order, not drain");
-        assert_eq!(rec.closed, vec![(2, 7, 3)]);
+        assert_eq!(rec.closed, vec![(2, 3)]);
         // With the observer removed, pushes and closes are silent.
         q.push(event(3, 0, 10));
-        q.notify_close(Ticket::new(3), at(10), &attrib, &faults);
+        q.notify_close(Ticket::new(3), at(10), &faults);
         assert_eq!(q.len(), 3);
     }
 

@@ -4,7 +4,7 @@
 use std::collections::VecDeque;
 
 use iceclave_sim::{EventClock, KeyedEventQueue};
-use iceclave_types::{CompletionEvent, FaultStats, SimTime, Ticket, TicketAttribution};
+use iceclave_types::{CompletionEvent, FaultStats, SimTime, Ticket};
 
 use crate::completion::{CompletionQueue, RetireObserver};
 use crate::power::{PowerLossInjector, PowerLossPlan};
@@ -269,23 +269,17 @@ impl<S> Executor<S> {
     }
 
     /// Tells the observer (if any) that `ticket` closed, with the
-    /// metadata-traffic and fault deltas its driver charged to it. The
-    /// close time is the ticket's recorded finish time; the call is a
-    /// no-op for tickets that are still open or already retired.
-    pub fn notify_close(
-        &mut self,
-        ticket: Ticket,
-        attrib: &TicketAttribution,
-        faults: &FaultStats,
-    ) {
+    /// fault activity its driver charged to it. The close time is the
+    /// ticket's recorded finish time; the call is a no-op for tickets
+    /// that are still open or already retired.
+    pub fn notify_close(&mut self, ticket: Ticket, faults: &FaultStats) {
         if !self.completions.has_observer() {
             return;
         }
         let Some(finished) = self.finished_at(ticket) else {
             return;
         };
-        self.completions
-            .notify_close(ticket, finished, attrib, faults);
+        self.completions.notify_close(ticket, finished, faults);
     }
 
     /// Folds a batch-level completion time (e.g. the write path's

@@ -59,9 +59,9 @@ pub struct FaultPlan {
     /// per codeword). Sized against [`ecc_t`](FaultPlan::ecc_t): a
     /// burst of more than `ecc_t` byte errors is uncorrectable.
     pub max_burst: u32,
-    /// ECC correction strength `t` (byte errors per codeword the
-    /// Reed-Solomon codec corrects — see
-    /// [`EccCodec`](crate::EccCodec)).
+    /// ECC correction strength `t`: byte errors per codeword the
+    /// controller's ECC corrects. Faults are burst counts checked
+    /// against it; no codec runs on the stored bytes.
     pub ecc_t: u32,
     /// Probability that a page program reports status FAIL.
     pub program_fail_rate: f64,

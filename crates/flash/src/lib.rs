@@ -32,14 +32,12 @@
 
 pub mod array;
 pub mod config;
-pub mod ecc;
 pub mod faults;
 pub mod geometry;
 pub mod journal;
 
 pub use array::{FlashArray, FlashError, FlashStats};
 pub use config::{FlashConfig, FlashTiming};
-pub use ecc::EccCodec;
 pub use faults::{FaultInjector, FaultPlan, ReadFault};
 pub use geometry::{BlockAddr, FlashAddr, FlashGeometry};
 pub use journal::{JournalRecord, MetadataJournal, ReplaySummary};

@@ -1,7 +1,7 @@
 //! The on-chip metadata (counter) cache.
 //!
 //! Table 3 gives the MEE a 128 KiB counter cache. It holds counter
-//! blocks, MAC blocks and integrity-tree nodes; a hit short-circuits
+//! blocks and integrity-tree nodes; a hit short-circuits
 //! both the DRAM fetch and the remainder of the Merkle verification walk
 //! (a cached node is trusted — it was verified when it was brought
 //! on-chip). The cache is write-back: dirtied metadata reaches DRAM only

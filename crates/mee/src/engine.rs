@@ -1,16 +1,16 @@
 //! The MEE timing/traffic engine.
 //!
 //! Decomposes every program-visible cache-line access into its DRAM data
-//! access plus the metadata traffic (encryption counters, data MACs,
-//! integrity-tree nodes) implied by the configured counter mode, all
-//! filtered through the two-level metadata hierarchy: the on-chip
-//! counter cache (L1), then — when configured — the MAC-sealed
-//! [`L2MetaStore`] in a reserved region of SSD DRAM, and only then the
-//! home location with its Merkle verification walk. Metadata is
-//! write-back at both levels: updates dirty L1 blocks, L1 victims
-//! demote into L2, and dirty L2 victims reach their home location on
-//! eviction — which is what keeps Table 6's extra-traffic percentages
-//! tied to write intensity.
+//! access plus the metadata traffic (encryption counters and
+//! integrity-tree nodes; data MACs ride with their lines) implied by the
+//! configured counter mode, all filtered through the two-level metadata
+//! hierarchy: the on-chip counter cache (L1), then — when configured —
+//! the MAC-sealed [`L2MetaStore`] in a reserved region of SSD DRAM, and
+//! only then the home location with its Merkle verification walk.
+//! Metadata is write-back at both levels: updates dirty L1 blocks, L1
+//! victims demote into L2, and dirty L2 victims reach their home
+//! location on eviction — which is what keeps Table 6's extra-traffic
+//! percentages tied to write intensity.
 
 use iceclave_dram::{Dram, MemOp};
 use iceclave_types::{ByteSize, CacheLine, ChunkTable, SimDuration, SimTime, LINES_PER_PAGE};
@@ -50,13 +50,6 @@ pub struct MeeConfig {
     /// Pages of protected DRAM (sets the integrity-tree geometry).
     /// 4 GiB of protected memory is 2^20 pages.
     pub protected_pages: u64,
-    /// Store per-line data MACs alongside the data (in the ECC-spare
-    /// bits, as Synergy-style designs do) instead of in a separate MAC
-    /// region. Co-location removes the separate MAC fetch/write-back
-    /// traffic, leaving integrity-tree nodes as the only verification
-    /// traffic — which matches Table 6's encryption > verification
-    /// ordering for read-heavy workloads.
-    pub mac_colocated: bool,
     /// Capacity of the second-level counter store in the reserved
     /// SSD-DRAM region ([`crate::L2MetaStore`]); `ByteSize::ZERO` (the
     /// default) disables the level entirely, leaving the engine's
@@ -78,7 +71,6 @@ impl MeeConfig {
             aes_latency: SimDuration::from_nanos(60),
             mac_latency: SimDuration::from_nanos(40),
             protected_pages: 1 << 20,
-            mac_colocated: true,
             l2_capacity: ByteSize::ZERO,
             l2_ways: 16,
         }
@@ -120,9 +112,9 @@ pub struct MeeStats {
     /// Extra DRAM writes for counters (evictions, overflow
     /// re-encryption).
     pub extra_enc_writes: u64,
-    /// Extra DRAM reads for MACs and tree nodes.
+    /// Extra DRAM reads for integrity-tree nodes.
     pub extra_ver_reads: u64,
-    /// Extra DRAM writes for MACs and tree nodes.
+    /// Extra DRAM writes for integrity-tree nodes.
     pub extra_ver_writes: u64,
     /// DMA fill writes (flash-to-DRAM staging); kept separate from
     /// program traffic so Table 1/6 ratios cover program accesses only.
@@ -142,9 +134,7 @@ pub struct MeeStats {
     pub read_overhead: SimDuration,
     /// Total latency added to writes beyond the raw DRAM access.
     pub write_overhead: SimDuration,
-    /// Per-block-kind L1 (on-chip cache) traffic; also the per-ticket
-    /// attribution hook: snapshot before/after a ticket's accesses and
-    /// subtract ([`MetaTraffic::since`]).
+    /// Per-block-kind L1 (on-chip cache) traffic.
     pub meta_traffic: MetaTraffic,
     /// L2 probes that hit (L1 miss served by the DRAM store).
     pub l2_hits: u64,
@@ -166,19 +156,14 @@ pub struct MeeStats {
 }
 
 /// Per-block-kind metadata-cache traffic: hits and misses of the
-/// on-chip L1 cache split by what the block holds, plus the L2 probe
-/// totals. `Copy` so callers can snapshot it cheaply around a request
-/// and attribute the delta to the ticket that caused it.
+/// on-chip L1 cache split by what the block holds. Data MACs ride with
+/// their lines and never occupy the cache, so there is no MAC kind.
 #[derive(Copy, Clone, Eq, PartialEq, Debug, Default)]
 pub struct MetaTraffic {
     /// L1 hits on encryption-counter blocks (split or major).
     pub counter_hits: u64,
     /// L1 misses on encryption-counter blocks.
     pub counter_misses: u64,
-    /// L1 hits on data-MAC blocks.
-    pub mac_hits: u64,
-    /// L1 misses on data-MAC blocks.
-    pub mac_misses: u64,
     /// L1 hits on integrity-tree nodes.
     pub tree_hits: u64,
     /// L1 misses on integrity-tree nodes.
@@ -186,18 +171,6 @@ pub struct MetaTraffic {
 }
 
 impl MetaTraffic {
-    /// The traffic accumulated since an `earlier` snapshot.
-    pub fn since(&self, earlier: &MetaTraffic) -> MetaTraffic {
-        MetaTraffic {
-            counter_hits: self.counter_hits - earlier.counter_hits,
-            counter_misses: self.counter_misses - earlier.counter_misses,
-            mac_hits: self.mac_hits - earlier.mac_hits,
-            mac_misses: self.mac_misses - earlier.mac_misses,
-            tree_hits: self.tree_hits - earlier.tree_hits,
-            tree_misses: self.tree_misses - earlier.tree_misses,
-        }
-    }
-
     fn rate(hits: u64, misses: u64) -> f64 {
         let total = hits + misses;
         if total == 0 {
@@ -212,9 +185,11 @@ impl MetaTraffic {
         Self::rate(self.counter_hits, self.counter_misses)
     }
 
-    /// L1 hit rate on data-MAC blocks.
+    /// L1 hit rate on data-MAC blocks: always 0, since data MACs ride
+    /// with their lines and never occupy the cache (Table 5 prints the
+    /// row as "n/a (colocated)").
     pub fn mac_hit_rate(&self) -> f64 {
-        Self::rate(self.mac_hits, self.mac_misses)
+        0.0
     }
 
     /// L1 hit rate on integrity-tree nodes.
@@ -301,9 +276,10 @@ pub struct SealSpan {
 /// Metadata block kinds, encoded in the low bits of block ids so that
 /// ids of different kinds spread across counter-cache sets (tags in high
 /// bits would alias every kind's offset 0 into the same set).
+/// Tag 2 is unused: data MACs have no block of their own, and the
+/// tags fix each block's cache set, so the others keep their values.
 const KIND_SPLIT: u64 = 0;
 const KIND_MAJOR: u64 = 1;
-const KIND_MAC: u64 = 2;
 const KIND_STREE: u64 = 3;
 const KIND_MTREE: u64 = 4;
 /// Low bits of a metadata block id holding the kind tag (shared with
@@ -591,14 +567,13 @@ impl MeeEngine {
         let page = line.page_index();
         let class = self.effective_class(page);
 
-        // Counter fetch (+ verification walk on a miss).
+        // Counter fetch (+ verification walk on a miss). The data MAC
+        // is stored alongside its line (in the ECC-spare bits, as
+        // Synergy-style designs do), so it arrives with the data: no
+        // separate MAC fetch or write-back, which leaves tree nodes as
+        // the only verification traffic and matches Table 6's
+        // encryption > verification ordering for read-heavy workloads.
         let (counter_ready, counter_hit) = self.fetch_counter(dram, page, class, false, now);
-        // Data-MAC fetch: free when co-located with the data line.
-        let mac_ready = if self.config.mac_colocated {
-            counter_ready
-        } else {
-            self.fetch_mac(dram, line, counter_ready)
-        };
 
         // With the counter on-chip the engine precomputes the pad while
         // the data streams (SGX-style decryption pipelining); only a
@@ -617,7 +592,7 @@ impl MeeEngine {
         } else {
             self.config.mac_latency
         };
-        let done = plaintext.max(mac_ready) + verify_cost;
+        let done = plaintext.max(counter_ready) + verify_cost;
         self.stats.verifications += 1;
         self.stats.read_overhead += done.saturating_since(data.end);
         done
@@ -663,19 +638,7 @@ impl MeeEngine {
         let data = dram.access(line, MemOp::Write, gate);
         self.stats.data_writes += 1;
 
-        // Data-MAC update (rides with the data when co-located) and
-        // tree-path update.
-        if !self.config.mac_colocated {
-            let mac_id = meta_id(KIND_MAC, line.raw() / 8);
-            // The posted update supersedes any sealed L2 copy; dropping
-            // it (rather than promoting) keeps the hierarchy exclusive,
-            // and the dirty L1 insert below re-establishes the home
-            // write-back obligation a dirty sealed copy carried.
-            if let Some(l2) = self.l2.as_mut() {
-                let _ = l2.invalidate(mac_id);
-            }
-            let _ = self.l1_access(dram, mac_id, true, data.end);
-        }
+        // The data MAC rides with the line; only the tree path updates.
         let done = self.update_tree_path(dram, page, class, data.end);
         self.stats.verifications += 1;
         self.stats.write_overhead += done.saturating_since(data.end);
@@ -690,12 +653,6 @@ impl MeeEngine {
     /// Counter-cache (L1) hit rate.
     pub fn cache_hit_rate(&self) -> f64 {
         self.cache.hit_rate()
-    }
-
-    /// Per-block-kind L1 traffic plus L2 probe totals — snapshot this
-    /// around a request to attribute metadata traffic per ticket.
-    pub fn meta_traffic(&self) -> MetaTraffic {
-        self.stats.meta_traffic
     }
 
     /// The second-level store, when configured.
@@ -763,8 +720,6 @@ impl MeeEngine {
         match (id & KIND_MASK, out.hit) {
             (KIND_SPLIT | KIND_MAJOR, true) => t.counter_hits += 1,
             (KIND_SPLIT | KIND_MAJOR, false) => t.counter_misses += 1,
-            (KIND_MAC, true) => t.mac_hits += 1,
-            (KIND_MAC, false) => t.mac_misses += 1,
             (_, true) => t.tree_hits += 1,
             (_, false) => t.tree_misses += 1,
         }
@@ -932,20 +887,6 @@ impl MeeEngine {
         ready + self.config.mac_latency
     }
 
-    /// Fetches the data-MAC block covering `line` through the same
-    /// L1 → L2 → home hierarchy.
-    fn fetch_mac(&mut self, dram: &mut Dram, line: CacheLine, now: SimTime) -> SimTime {
-        let mac_id = meta_id(KIND_MAC, line.raw() / 8);
-        if self.l1_access(dram, mac_id, false, now) {
-            return now;
-        }
-        if let Some(ready) = self.l2_probe(dram, mac_id, now) {
-            return ready;
-        }
-        self.stats.extra_ver_reads += 1;
-        dram.access(meta_line(mac_id), MemOp::Read, now).end
-    }
-
     /// Dirties the counter's tree path: cached ancestors are updated in
     /// place (lazy Bonsai propagation — uncached ancestors are left to
     /// be recomputed when their children are written back). Off the
@@ -987,7 +928,7 @@ impl MeeEngine {
     }
 
     /// Attributes one metadata write to encryption (counters) or
-    /// verification (MACs, tree nodes) traffic.
+    /// verification (tree nodes) traffic.
     fn note_writeback(&mut self, id: u64) {
         match id & KIND_MASK {
             KIND_SPLIT | KIND_MAJOR => self.stats.extra_enc_writes += 1,
@@ -1274,42 +1215,6 @@ mod tests {
     }
 
     #[test]
-    fn noncolocated_mac_writes_keep_exclusivity() {
-        // Separate MAC region: the write path's MAC update must drop
-        // any sealed L2 copy before inserting into L1, or a block ends
-        // up resident at both levels.
-        let config = MeeConfig {
-            mode: CounterMode::SplitOnly,
-            counter_cache: ByteSize::from_kib(4),
-            l2_capacity: ByteSize::from_kib(64),
-            mac_colocated: false,
-            ..MeeConfig::split_only()
-        };
-        let mut dram = Dram::new(DramConfig::table3());
-        let mut mee = MeeEngine::new(config);
-        let mut t = SimTime::ZERO;
-        // Reads spread MAC blocks through L1 and (via demotion) L2,
-        // then writes revisit the same lines' MAC blocks.
-        for round in 0..2 {
-            for i in 0..2048u64 {
-                let line = CacheLine::new(i * 8);
-                t = if round == 0 {
-                    mee.read_line(&mut dram, line, t)
-                } else {
-                    mee.write_line(&mut dram, line, t)
-                };
-            }
-        }
-        let l2 = mee.l2_store().expect("configured");
-        for block in l2.resident_blocks() {
-            assert!(
-                !mee.cache.contains(block),
-                "block {block} resident in both levels"
-            );
-        }
-    }
-
-    #[test]
     fn dirty_demotions_eventually_write_home() {
         let (mut dram, mut mee) = setup_small_l2(CounterMode::SplitOnly, 8);
         // Tiny L2 (128 blocks): dirty counters demoted from L1 overflow
@@ -1330,28 +1235,15 @@ mod tests {
         for i in 0..200u64 {
             t = mee.read_line(&mut dram, CacheLine::new(i), t);
         }
-        let traffic = mee.meta_traffic();
+        let traffic = mee.stats().meta_traffic;
         let l1_total = mee.cache.hits() + mee.cache.misses();
         assert_eq!(
-            traffic.counter_hits
-                + traffic.counter_misses
-                + traffic.mac_hits
-                + traffic.mac_misses
-                + traffic.tree_hits
-                + traffic.tree_misses,
+            traffic.counter_hits + traffic.counter_misses + traffic.tree_hits + traffic.tree_misses,
             l1_total,
             "per-kind accounting must cover every L1 access"
         );
         assert!(traffic.counter_hit_rate() > 0.0);
         assert!(traffic.tree_hits + traffic.tree_misses > 0);
-        // Colocated MACs generate no MAC-block traffic.
-        assert_eq!(traffic.mac_hits + traffic.mac_misses, 0);
-        // The snapshot hook: a delta over one access attributes only
-        // that access's traffic.
-        let before = mee.meta_traffic();
-        mee.read_line(&mut dram, CacheLine::new(0), t);
-        let delta = mee.meta_traffic().since(&before);
-        assert_eq!(delta.counter_hits + delta.counter_misses, 1);
     }
 
     #[test]

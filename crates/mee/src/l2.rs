@@ -135,7 +135,7 @@ impl L2MetaStore {
     /// Stride-aware set selection, chosen for **DRAM row locality**
     /// rather than maximal scatter: block ids carry their kind tag in
     /// the low [`KIND_BITS`] bits, so shifting it out makes sequential
-    /// payloads (a page sweep's counters, a scan's MAC blocks) occupy
+    /// payloads (a page sweep's counters, a walk's sibling nodes) occupy
     /// *sequential* sets — and, through the way-major slot layout,
     /// sequential DRAM lines, which stream through the row buffers
     /// instead of conflicting on every access. The XOR-fold of the high

@@ -12,14 +12,14 @@
 //!
 //! [`MeeEngine`] implements the scheme as a **timing/traffic** model:
 //! every program-visible cache-line access is decomposed into DRAM data
-//! traffic plus the extra counter/MAC/tree traffic, filtered through a
-//! two-level metadata hierarchy: a real set-associative on-chip counter
-//! cache (128 KiB in Table 3's configuration) backed, when configured,
-//! by a MAC-sealed second-level store ([`L2MetaStore`]) in a reserved
-//! region of the SSD's DRAM — an L2 hit costs one DRAM fetch plus one
-//! MAC check instead of a Merkle walk. This is what produces the
-//! overhead numbers of Figures 8/11 and the extra-traffic percentages
-//! of Table 6. The byte-accurate functional model the threat-model
+//! traffic plus the extra counter and tree traffic (data MACs ride with
+//! their lines), filtered through a two-level metadata hierarchy: a real
+//! set-associative on-chip counter cache (128 KiB in Table 3's
+//! configuration) backed, when configured, by a MAC-sealed second-level
+//! store ([`L2MetaStore`]) in a reserved region of the SSD's DRAM — an
+//! L2 hit costs one DRAM fetch plus one MAC check instead of a Merkle
+//! walk. This is what produces the overhead numbers of Figures 8/11 and
+//! the extra-traffic percentages of Table 6. The byte-accurate functional model the threat-model
 //! tests run (AES-CTR pads, MACs and Merkle verification over real
 //! data) lives in the test-only `iceclave_testkit`.
 //!

@@ -4,17 +4,17 @@
 //!
 //! 1. **Ticket op-log capture** ([`trace`]): a [`TraceCapture`] observer
 //!    installed on the executor's completion queue — the single point
-//!    every retirement already passes — records each retired ticket
+//!    every retirement already passes — encodes each retired ticket
 //!    (tenant, kind, page set, per-stage latency breakdown, per-page
-//!    status, and the metadata-traffic / fault deltas charged to it)
-//!    into a compact, versioned, append-only binary [`TraceLog`]. With
-//!    capture off the executor pays one `Option` branch per retirement.
+//!    status, and the fault activity charged to it) into a compact,
+//!    versioned, append-only binary [`TraceLog`], which stores nothing
+//!    but that byte stream. With capture off the executor pays one
+//!    `Option` branch per retirement.
 //! 2. **Replay driver** ([`replay()`]): feeds a captured log back through
 //!    any [`ReplayTarget`] (implemented by `iceclave_core::IceClave`
-//!    over `submit_batch_async`/`submit_write_batch_async`) in
-//!    sequential, paced (original inter-arrival gaps), or
-//!    as-fast-as-possible modes — turning any run into a reusable
-//!    workload artifact.
+//!    over `submit_batch_async`/`submit_write_batch_async`) in paced
+//!    (original inter-arrival gaps) or as-fast-as-possible mode —
+//!    turning any run into a reusable workload artifact.
 //! 3. **Unified bench reports + gates** ([`report`]): every bench emits
 //!    one [`BenchReport`] JSON schema (bench id, config fingerprint,
 //!    metrics with units, directions and tolerance bands); the

@@ -9,9 +9,6 @@
 //!
 //! # Modes
 //!
-//! * [`ReplayMode::Sequential`] — one ticket at a time: submit, drain
-//!   the device to idle, then submit the next. The closed-loop lower
-//!   bound: no inter-ticket overlap at all.
 //! * [`ReplayMode::Paced`] — preserve the capture's inter-arrival gaps:
 //!   ticket *i* is submitted at `start + (submittedᵢ − submitted₀)`,
 //!   polling due completions before each submission. Reproduces the
@@ -29,8 +26,6 @@ use crate::trace::TraceLog;
 /// How to space the captured submissions in simulated time.
 #[derive(Copy, Clone, Eq, PartialEq, Debug)]
 pub enum ReplayMode {
-    /// Submit one ticket, drain to idle, repeat.
-    Sequential,
     /// Preserve the capture's original inter-arrival gaps.
     Paced,
     /// Submit everything at the start time, in capture order.
@@ -117,60 +112,33 @@ pub fn replay<T: ReplayTarget>(
     mode: ReplayMode,
     start: SimTime,
 ) -> Result<ReplayOutcome, ReplayError<T::Error>> {
-    let mut order: Vec<usize> = (0..log.records().len()).collect();
-    order.sort_by_key(|&i| {
-        let r = &log.records()[i];
-        (r.submitted, r.ticket)
-    });
+    let mut records = log.records();
+    records.sort_by_key(|r| (r.submitted, r.ticket));
+    let origin = records.first().map_or(SimTime::ZERO, |r| r.submitted);
 
     let mut outcome = ReplayOutcome {
-        submitted: Vec::with_capacity(order.len()),
+        submitted: Vec::with_capacity(records.len()),
         completions: Vec::new(),
     };
-    let origin = order
-        .first()
-        .map(|&i| log.records()[i].submitted)
-        .unwrap_or(SimTime::ZERO);
-
-    let submit =
-        |target: &mut T, idx: usize, at: SimTime| -> Result<Ticket, ReplayError<T::Error>> {
-            let rec = &log.records()[idx];
-            let tee = TeeId::new(u16::from(rec.tee)).map_err(|_| ReplayError::BadTee(rec.tee))?;
-            let lpns: Vec<Lpn> = rec.pages.iter().map(|p| p.lpn).collect();
-            let ticket = match rec.kind {
-                TicketKind::Read => target.replay_read(tee, &lpns, at),
-                TicketKind::Write => target.replay_write(tee, &lpns, at),
-            }
-            .map_err(ReplayError::Target)?;
-            Ok(ticket)
-        };
-
-    match mode {
-        ReplayMode::Afap => {
-            for &i in &order {
-                let ticket = submit(target, i, start)?;
-                outcome.submitted.push((log.records()[i].ticket, ticket));
-            }
-            outcome.completions.extend(target.replay_drain());
-        }
-        ReplayMode::Paced => {
-            for &i in &order {
-                let gap = log.records()[i].submitted.saturating_since(origin);
-                let at = start + gap;
+    for rec in &records {
+        let at = match mode {
+            ReplayMode::Afap => start,
+            ReplayMode::Paced => {
+                let at = start + rec.submitted.saturating_since(origin);
                 outcome.completions.extend(target.replay_poll(at));
-                let ticket = submit(target, i, at)?;
-                outcome.submitted.push((log.records()[i].ticket, ticket));
+                at
             }
-            outcome.completions.extend(target.replay_drain());
+        };
+        let tee = TeeId::new(u16::from(rec.tee)).map_err(|_| ReplayError::BadTee(rec.tee))?;
+        let lpns: Vec<Lpn> = rec.pages.iter().map(|p| p.lpn).collect();
+        let ticket = match rec.kind {
+            TicketKind::Read => target.replay_read(tee, &lpns, at),
+            TicketKind::Write => target.replay_write(tee, &lpns, at),
         }
-        ReplayMode::Sequential => {
-            for &i in &order {
-                let ticket = submit(target, i, start)?;
-                outcome.submitted.push((log.records()[i].ticket, ticket));
-                outcome.completions.extend(target.replay_drain());
-            }
-        }
+        .map_err(ReplayError::Target)?;
+        outcome.submitted.push((rec.ticket, ticket));
     }
+    outcome.completions.extend(target.replay_drain());
     Ok(outcome)
 }
 
@@ -179,9 +147,7 @@ pub fn replay<T: ReplayTarget>(
 mod tests {
     use super::*;
     use crate::trace::{PageTrace, TraceRecord};
-    use iceclave_types::{
-        FaultStats, LatencyBreakdown, PageStatus, SimDuration, TicketAttribution,
-    };
+    use iceclave_types::{FaultStats, LatencyBreakdown, PageStatus, SimDuration};
 
     /// Records submissions; completes one dummy event per drain call.
     #[derive(Default, Debug)]
@@ -253,7 +219,6 @@ mod tests {
             submitted,
             first_ready: submitted,
             finished: submitted,
-            meta: TicketAttribution::default(),
             faults: FaultStats::default(),
             pages: lpns
                 .iter()
@@ -273,8 +238,8 @@ mod tests {
         let mut log = TraceLog::new();
         // Pushed in close order (2 closed first) but 1 submitted first:
         // replay must sort by submission time.
-        log.push(record(2, 2, TicketKind::Write, 500, &[7, 8]));
-        log.push(record(1, 1, TicketKind::Read, 100, &[3]));
+        log.push(&record(2, 2, TicketKind::Write, 500, &[7, 8]));
+        log.push(&record(1, 1, TicketKind::Read, 100, &[3]));
         log
     }
 
@@ -299,19 +264,6 @@ mod tests {
         assert_eq!(gap_ps, 400_000, "400 ns original gap, in picoseconds");
         assert_eq!(mock.polls, 2, "polled before each submission");
         assert_eq!(mock.drains, 1);
-    }
-
-    #[test]
-    fn sequential_drains_between_tickets() {
-        let mut mock = Mock::default();
-        replay(
-            &mut mock,
-            &two_ticket_log(),
-            ReplayMode::Sequential,
-            SimTime::ZERO,
-        )
-        .unwrap();
-        assert_eq!(mock.drains, 2, "one drain per ticket");
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! The ticket op-log: capture, record format, and the binary codec.
 //!
-//! # Record format (version 1)
+//! # Record format (version 2)
 //!
 //! A [`TraceLog`] is a byte stream: an 8-byte magic (`ICLV-OPL`), a
 //! little-endian `u32` format version, then one length-prefixed record
 //! per *closed* ticket, appended in close order (which the executor's
 //! determinism contract makes reproducible — two identical runs produce
-//! byte-identical logs). Each record encodes, little-endian:
+//! byte-identical logs). The stream is the log's only representation:
+//! records are encoded as they close and decoded when read. Each record
+//! encodes, little-endian:
 //!
 //! | field        | encoding                                          |
 //! |--------------|---------------------------------------------------|
@@ -16,8 +18,7 @@
 //! | submitted    | `u64` picoseconds                                 |
 //! | first_ready  | `u64` picoseconds (earliest page ready)           |
 //! | finished     | `u64` picoseconds (ticket close time)             |
-//! | meta         | 12 × `u64` ([`TicketAttribution`] field order)    |
-//! | faults       | 6 × `u64` ([`FaultStats`] field order)            |
+//! | faults       | 5 × `u64` ([`FaultStats`] field order)            |
 //! | page count   | `u32`, then that many [`PageTrace`]s in index order |
 //!
 //! Each page: `u32` index, `u64` lpn, 5 × `u64` breakdown timestamps
@@ -34,14 +35,14 @@ use std::path::Path;
 use iceclave_exec::RetireObserver;
 use iceclave_types::{
     CompletionEvent, FastMap, FaultStats, FxHasher, LatencyBreakdown, Lpn, PageError,
-    PageErrorCause, PageStatus, Ppn, SimTime, Ticket, TicketAttribution, TicketKind,
+    PageErrorCause, PageStatus, Ppn, SimTime, Ticket, TicketKind,
 };
 
 /// Magic bytes opening every trace log.
 pub const TRACE_MAGIC: [u8; 8] = *b"ICLV-OPL";
 
 /// Current trace format version.
-pub const TRACE_VERSION: u32 = 1;
+pub const TRACE_VERSION: u32 = 2;
 
 /// Per-page entry of a [`TraceRecord`].
 #[derive(Clone, Eq, PartialEq, Debug)]
@@ -75,8 +76,6 @@ pub struct TraceRecord {
     pub first_ready: SimTime,
     /// When the ticket closed (last page retired / batch-level finish).
     pub finished: SimTime,
-    /// Integrity-metadata traffic charged to this ticket.
-    pub meta: TicketAttribution,
     /// Fault and recovery activity charged to this ticket.
     pub faults: FaultStats,
     /// Per-page entries, sorted by page index.
@@ -130,50 +129,57 @@ pub fn hash_payload(data: Option<&[u8]>) -> u64 {
 
 /// The versioned, append-only ticket op-log.
 ///
-/// Records are encoded into the byte buffer the moment they are pushed
-/// (append-only by construction); the decoded records ride alongside so
-/// replay and tests never re-parse their own capture.
-#[derive(Clone, Eq, PartialEq, Debug, Default)]
+/// The log holds only its encoded byte stream and a record count:
+/// [`push`](TraceLog::push) encodes a record the moment it arrives, and
+/// [`records`](TraceLog::records) decodes them on demand.
+#[derive(Clone, Eq, PartialEq, Debug)]
 pub struct TraceLog {
     buf: Vec<u8>,
-    records: Vec<TraceRecord>,
+    len: usize,
+}
+
+impl Default for TraceLog {
+    fn default() -> Self {
+        TraceLog::new()
+    }
 }
 
 impl TraceLog {
-    /// An empty log with the version-1 header.
+    /// An empty log: just the magic and the format version.
     pub fn new() -> Self {
         let mut buf = Vec::with_capacity(64);
         buf.extend_from_slice(&TRACE_MAGIC);
         buf.extend_from_slice(&TRACE_VERSION.to_le_bytes());
-        TraceLog {
-            buf,
-            records: Vec::new(),
-        }
+        TraceLog { buf, len: 0 }
     }
 
-    /// Appends one record (encoding it immediately).
-    pub fn push(&mut self, record: TraceRecord) {
-        let mut body = Vec::with_capacity(128 + record.pages.len() * 64);
-        encode_record(&record, &mut body);
-        self.buf
-            .extend_from_slice(&(body.len() as u32).to_le_bytes());
-        self.buf.extend_from_slice(&body);
-        self.records.push(record);
+    /// Appends one record, encoded in place behind its length prefix.
+    pub fn push(&mut self, record: &TraceRecord) {
+        let prefix = self.buf.len();
+        self.buf.extend_from_slice(&0u32.to_le_bytes());
+        encode_record(record, &mut self.buf);
+        let body = (self.buf.len() - prefix - 4) as u32;
+        self.buf[prefix..prefix + 4].copy_from_slice(&body.to_le_bytes());
+        self.len += 1;
     }
 
-    /// The captured records, in ticket close order.
-    pub fn records(&self) -> &[TraceRecord] {
-        &self.records
+    /// The captured records, in ticket close order, decoded from the
+    /// stream.
+    pub fn records(&self) -> Vec<TraceRecord> {
+        let mut records = Vec::with_capacity(self.len);
+        decode_stream(&self.buf, |r| records.push(r))
+            .expect("a TraceLog holds only well-formed records");
+        records
     }
 
     /// Number of captured tickets.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.len
     }
 
     /// True when nothing was captured.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len == 0
     }
 
     /// The encoded byte stream (header + records).
@@ -181,34 +187,18 @@ impl TraceLog {
         &self.buf
     }
 
-    /// Decodes a log from its byte stream.
+    /// Takes over an encoded stream after checking every record in it.
     ///
     /// # Errors
     ///
     /// Returns a [`TraceError`] on a bad header, a truncated stream, or
     /// an out-of-range enum tag.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, TraceError> {
-        let mut cur = Cursor { bytes, pos: 0 };
-        if cur.take(8)? != TRACE_MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        let version = cur.u32()?;
-        if version != TRACE_VERSION {
-            return Err(TraceError::BadVersion(version));
-        }
-        let mut records = Vec::new();
-        while !cur.at_end() {
-            let len = cur.u32()? as usize;
-            let body = cur.slice(len)?;
-            let mut rcur = Cursor {
-                bytes: body,
-                pos: 0,
-            };
-            records.push(decode_record(&mut rcur)?);
-        }
+        let mut len = 0;
+        decode_stream(bytes, |_| len += 1)?;
         Ok(TraceLog {
             buf: bytes.to_vec(),
-            records,
+            len,
         })
     }
 
@@ -222,7 +212,7 @@ impl TraceLog {
         f.write_all(&self.buf)
     }
 
-    /// Reads and decodes a log from `path`.
+    /// Reads and checks a log from `path`.
     ///
     /// # Errors
     ///
@@ -236,6 +226,28 @@ impl TraceLog {
     }
 }
 
+/// Checks the header of an encoded stream, then decodes its records
+/// in order, handing each to `f`.
+fn decode_stream(bytes: &[u8], mut f: impl FnMut(TraceRecord)) -> Result<(), TraceError> {
+    let mut cur = Cursor { bytes, pos: 0 };
+    if cur.take(8)? != TRACE_MAGIC {
+        return Err(TraceError::BadMagic);
+    }
+    let version = cur.u32()?;
+    if version != TRACE_VERSION {
+        return Err(TraceError::BadVersion(version));
+    }
+    while !cur.at_end() {
+        let len = cur.u32()? as usize;
+        let mut body = Cursor {
+            bytes: cur.slice(len)?,
+            pos: 0,
+        };
+        f(decode_record(&mut body)?);
+    }
+    Ok(())
+}
+
 fn encode_record(r: &TraceRecord, out: &mut Vec<u8>) {
     out.extend_from_slice(&r.ticket.to_le_bytes());
     out.push(r.tee);
@@ -247,24 +259,11 @@ fn encode_record(r: &TraceRecord, out: &mut Vec<u8>) {
         out.extend_from_slice(&t.as_ps().to_le_bytes());
     }
     for v in [
-        r.meta.counter_hits,
-        r.meta.counter_misses,
-        r.meta.mac_hits,
-        r.meta.mac_misses,
-        r.meta.tree_hits,
-        r.meta.tree_misses,
-        r.meta.l2_hits,
-        r.meta.l2_misses,
-        r.meta.fill_lines,
-        r.meta.seal_lines,
-        r.meta.meta_writes,
-        r.meta.enc_pads,
         r.faults.read_retries,
         r.faults.uncorrectable_pages,
         r.faults.corrected_bursts,
         r.faults.program_remaps,
         r.faults.blocks_retired,
-        r.faults.mac_fallbacks,
     ] {
         out.extend_from_slice(&v.to_le_bytes());
     }
@@ -348,27 +347,12 @@ fn decode_record(cur: &mut Cursor<'_>) -> Result<TraceRecord, TraceError> {
     let submitted = cur.time()?;
     let first_ready = cur.time()?;
     let finished = cur.time()?;
-    let meta = TicketAttribution {
-        counter_hits: cur.u64()?,
-        counter_misses: cur.u64()?,
-        mac_hits: cur.u64()?,
-        mac_misses: cur.u64()?,
-        tree_hits: cur.u64()?,
-        tree_misses: cur.u64()?,
-        l2_hits: cur.u64()?,
-        l2_misses: cur.u64()?,
-        fill_lines: cur.u64()?,
-        seal_lines: cur.u64()?,
-        meta_writes: cur.u64()?,
-        enc_pads: cur.u64()?,
-    };
     let faults = FaultStats {
         read_retries: cur.u64()?,
         uncorrectable_pages: cur.u64()?,
         corrected_bursts: cur.u64()?,
         program_remaps: cur.u64()?,
         blocks_retired: cur.u64()?,
-        mac_fallbacks: cur.u64()?,
     };
     let count = cur.u32()? as usize;
     let mut pages = Vec::with_capacity(count.min(4096));
@@ -419,7 +403,6 @@ fn decode_record(cur: &mut Cursor<'_>) -> Result<TraceRecord, TraceError> {
         submitted,
         first_ready,
         finished,
-        meta,
         faults,
         pages,
     })
@@ -435,7 +418,7 @@ struct OpenTicket {
     pages: Vec<PageTrace>,
 }
 
-/// The capture observer: builds one [`TraceRecord`] per closed ticket.
+/// The capture observer: encodes one [`TraceRecord`] per closed ticket.
 ///
 /// Installed on the executor's completion queue via
 /// `IceClave::enable_tracing` (which wraps
@@ -453,10 +436,7 @@ pub struct TraceCapture {
 impl TraceCapture {
     /// An empty capture.
     pub fn new() -> Self {
-        TraceCapture {
-            open: FastMap::default(),
-            log: TraceLog::new(),
-        }
+        TraceCapture::default()
     }
 
     /// Finishes the capture, returning the log. Tickets still open
@@ -494,27 +474,20 @@ impl RetireObserver for TraceCapture {
         });
     }
 
-    fn on_close(
-        &mut self,
-        ticket: Ticket,
-        finished: SimTime,
-        attrib: &TicketAttribution,
-        faults: &FaultStats,
-    ) {
+    fn on_close(&mut self, ticket: Ticket, finished: SimTime, faults: &FaultStats) {
         // A close with no retirements observed means capture was
         // enabled mid-flight; skip rather than record a partial ticket.
         let Some(mut open) = self.open.remove(&ticket.raw()) else {
             return;
         };
         open.pages.sort_by_key(|p| p.index);
-        self.log.push(TraceRecord {
+        self.log.push(&TraceRecord {
             ticket: ticket.raw(),
             tee: open.tee,
             kind: open.kind,
             submitted: open.submitted,
             first_ready: open.first_ready,
             finished,
-            meta: *attrib,
             faults: *faults,
             pages: open.pages,
         });
@@ -544,23 +517,9 @@ mod tests {
             submitted: base,
             first_ready: base + SimDuration::from_nanos(50),
             finished: base + SimDuration::from_nanos(90),
-            meta: TicketAttribution {
-                counter_hits: ticket,
-                counter_misses: 2 * ticket,
-                mac_hits: 3,
-                mac_misses: 4,
-                tree_hits: 5,
-                tree_misses: 6,
-                l2_hits: 7,
-                l2_misses: 8,
-                fill_lines: 9,
-                seal_lines: 10,
-                meta_writes: 11,
-                enc_pads: 12,
-            },
             faults: FaultStats {
                 read_retries: ticket,
-                mac_fallbacks: 1,
+                blocks_retired: 1,
                 ..FaultStats::default()
             },
             pages: (0..pages)
@@ -593,13 +552,20 @@ mod tests {
 
     #[test]
     fn codec_round_trips_records() {
+        let records = [
+            sample_record(1, 3),
+            sample_record(2, 0),
+            sample_record(7, 2),
+        ];
         let mut log = TraceLog::new();
-        log.push(sample_record(1, 3));
-        log.push(sample_record(2, 0));
-        log.push(sample_record(7, 2));
+        for r in &records {
+            log.push(r);
+        }
+        assert_eq!(log.len(), 3);
+        assert_eq!(log.records(), records);
         let decoded = TraceLog::from_bytes(log.as_bytes()).unwrap();
         assert_eq!(decoded, log);
-        assert_eq!(decoded.records(), log.records());
+        assert_eq!(decoded.records(), records);
     }
 
     #[test]
@@ -609,7 +575,7 @@ mod tests {
             Err(TraceError::BadMagic)
         );
         let mut log = TraceLog::new();
-        log.push(sample_record(1, 1));
+        log.push(&sample_record(1, 1));
         let mut bytes = log.as_bytes().to_vec();
         bytes.truncate(bytes.len() - 3);
         assert_eq!(TraceLog::from_bytes(&bytes), Err(TraceError::Truncated));
@@ -642,33 +608,58 @@ mod tests {
         cap.on_retire(&ev(2, 1, 300));
         cap.on_retire(&ev(1, 0, 100));
         cap.on_retire(&ev(2, 0, 200));
-        let attrib = TicketAttribution::default();
         let faults = FaultStats::default();
         cap.on_close(
             Ticket::new(2),
             SimTime::ZERO + SimDuration::from_nanos(300),
-            &attrib,
             &faults,
         );
         cap.on_close(
             Ticket::new(1),
             SimTime::ZERO + SimDuration::from_nanos(100),
-            &attrib,
             &faults,
         );
         // Close for a ticket never retired under capture: skipped.
-        cap.on_close(Ticket::new(9), SimTime::ZERO, &attrib, &faults);
+        cap.on_close(Ticket::new(9), SimTime::ZERO, &faults);
         let log = cap.into_log();
         assert_eq!(log.len(), 2);
-        assert_eq!(log.records()[0].ticket, 2, "close order, not ticket order");
-        assert_eq!(log.records()[0].pages[0].index, 0, "pages sorted by index");
-        assert_eq!(log.records()[0].pages[1].index, 1);
+        let records = log.records();
+        assert_eq!(records[0].ticket, 2, "close order, not ticket order");
+        assert_eq!(records[0].pages[0].index, 0, "pages sorted by index");
+        assert_eq!(records[0].pages[1].index, 1);
         assert_eq!(
-            log.records()[0].first_ready,
+            records[0].first_ready,
             SimTime::ZERO + SimDuration::from_nanos(200)
         );
-        assert_eq!(log.records()[1].ticket, 1);
-        assert_ne!(log.records()[1].pages[0].data_hash, 0);
+        assert_eq!(records[1].ticket, 1);
+        assert_ne!(records[1].pages[0].data_hash, 0);
+    }
+
+    #[test]
+    fn default_log_and_capture_carry_the_header() {
+        let log = TraceLog::default();
+        assert_eq!(log, TraceLog::new());
+        assert_eq!(TraceLog::from_bytes(log.as_bytes()), Ok(TraceLog::new()));
+
+        let mut cap = TraceCapture::default();
+        let at = SimTime::ZERO + SimDuration::from_nanos(10);
+        let mut breakdown = LatencyBreakdown::at_submission(SimTime::ZERO);
+        breakdown.ready = at;
+        cap.on_retire(&CompletionEvent {
+            ticket: Ticket::new(1),
+            kind: TicketKind::Write,
+            tee: TeeId::new(1).unwrap(),
+            index: 0,
+            lpn: Lpn::new(5),
+            status: PageStatus::Done,
+            breakdown,
+            data: None,
+        });
+        cap.on_close(Ticket::new(1), at, &FaultStats::default());
+        let log = cap.into_log();
+        let decoded = TraceLog::from_bytes(log.as_bytes()).unwrap();
+        assert_eq!(decoded.len(), 1);
+        assert_eq!(decoded.records(), log.records());
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   caller-supplied same-tick order, and [`EventClock`] the monotone
 //!   clock, both backing the `iceclave_exec` batch executor.
 //!
-//! [`stats`] adds the counters and histograms used to report every table
-//! and figure, and [`rng`] provides deterministically seeded random
+//! [`stats`] adds the latency histogram behind the reports' tail
+//! percentiles, and [`rng`] provides deterministically seeded random
 //! number generation so every experiment is reproducible bit-for-bit.
 //!
 //! # Examples
@@ -46,4 +46,4 @@ pub use clock::EventClock;
 pub use event::KeyedEventQueue;
 pub use resource::{Resource, ResourcePool, ServiceSpan};
 pub use rng::SimRng;
-pub use stats::{Counter, Histogram, RunningStats};
+pub use stats::Histogram;

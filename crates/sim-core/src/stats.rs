@@ -1,160 +1,4 @@
-//! Statistics primitives used to report every table and figure.
-
-use std::fmt;
-
-/// A monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use iceclave_sim::Counter;
-///
-/// let mut c = Counter::default();
-/// c.add(3);
-/// c.incr();
-/// assert_eq!(c.get(), 4);
-/// ```
-#[derive(Copy, Clone, Eq, PartialEq, Debug, Default)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds `n` to the counter.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Adds one to the counter.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-
-    /// Resets to zero.
-    #[inline]
-    pub fn reset(&mut self) {
-        self.0 = 0;
-    }
-
-    /// This counter as a fraction of `total` (0 if `total` is zero).
-    pub fn fraction_of(&self, total: u64) -> f64 {
-        if total == 0 {
-            0.0
-        } else {
-            self.0 as f64 / total as f64
-        }
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(&self.0, f)
-    }
-}
-
-/// Streaming mean/min/max over `f64` samples (Welford's algorithm for the
-/// variance).
-///
-/// # Examples
-///
-/// ```
-/// use iceclave_sim::RunningStats;
-///
-/// let mut s = RunningStats::new();
-/// for x in [1.0, 2.0, 3.0] {
-///     s.record(x);
-/// }
-/// assert_eq!(s.mean(), 2.0);
-/// assert_eq!(s.min(), 1.0);
-/// assert_eq!(s.max(), 3.0);
-/// assert_eq!(s.count(), 3);
-/// ```
-#[derive(Copy, Clone, Debug)]
-pub struct RunningStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        RunningStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sample mean, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance, or 0 with fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample, or +inf when empty.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest sample, or -inf when empty.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
-impl Default for RunningStats {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+//! The latency histogram behind the reports' tail percentiles.
 
 /// A power-of-two bucketed latency histogram.
 ///
@@ -253,37 +97,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.add(10);
-        c.incr();
-        assert_eq!(c.get(), 11);
-        assert_eq!(c.fraction_of(22), 0.5);
-        assert_eq!(c.fraction_of(0), 0.0);
-        c.reset();
-        assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn running_stats_mean_variance() {
-        let mut s = RunningStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn running_stats_empty() {
-        let s = RunningStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.count(), 0);
-    }
 
     #[test]
     fn histogram_bucketing() {

@@ -69,9 +69,10 @@ impl core::fmt::Display for PageError {
 
 /// Fault-and-recovery accounting for one ticket.
 ///
-/// The executor driver charges each ticket the retries, remaps and MAC
-/// fallbacks its own stages triggered, and hands the sum to the
-/// retirement observer when the ticket closes (the op-log records it).
+/// The executor driver charges each ticket the read retries, ECC
+/// corrections, program remaps and block retirements its own stages
+/// triggered, and hands the sum to the retirement observer when the
+/// ticket closes (the op-log records it).
 #[derive(Copy, Clone, Eq, PartialEq, Debug, Default)]
 pub struct FaultStats {
     /// Read attempts re-issued by the executor's retry ladder.
@@ -84,9 +85,6 @@ pub struct FaultStats {
     pub program_remaps: u64,
     /// Blocks retired into the grown-bad-block table.
     pub blocks_retired: u64,
-    /// L2 MAC mismatches absorbed by falling back to the home-location
-    /// Merkle walk (corruption suspected, not tampering).
-    pub mac_fallbacks: u64,
 }
 
 impl FaultStats {

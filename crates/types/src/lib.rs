@@ -31,7 +31,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod addr;
-pub mod attrib;
 pub mod fault;
 pub mod freq;
 pub mod hash;
@@ -43,7 +42,6 @@ pub mod ticket;
 pub mod time;
 
 pub use addr::{CacheLine, Lpn, PhysAddr, Ppn};
-pub use attrib::TicketAttribution;
 pub use fault::{FaultStats, PageError, PageErrorCause, RecoveryStats};
 pub use freq::Hertz;
 pub use hash::{FastMap, FastSet, FxHasher};

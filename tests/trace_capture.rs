@@ -1,10 +1,10 @@
 //! Op-log tracing integration tests: determinism of the captured
 //! byte stream, AFAP replay equivalence against a fresh device, and
-//! the per-ticket MetaTraffic/fault attribution surfaced by the
-//! capture hook.
+//! the per-ticket fault activity the capture hook records.
 
 use iceclave_repro::iceclave_core::IceClave;
 use iceclave_repro::iceclave_experiments::{Mode, Overrides};
+use iceclave_repro::iceclave_flash::FaultPlan;
 use iceclave_repro::iceclave_obs::trace::hash_payload;
 use iceclave_repro::iceclave_obs::{replay, ReplayMode, TraceLog};
 use iceclave_repro::iceclave_types::{Lpn, PageWrite, SimTime, TeeId, TicketKind};
@@ -118,51 +118,55 @@ fn capture_records_every_ticket_with_pages_and_timestamps() {
     assert_eq!(writes, TEES as usize * ROUNDS);
 }
 
-#[test]
-fn tickets_carry_mee_traffic_attribution() {
-    let log = capture();
-    // The bulk fill/seal datapath bypasses the on-chip metadata caches
-    // by design, so ticket attribution shows up in the bulk-engine line
-    // counters: every read ticket stages cache lines through the fill
-    // engine (one fresh counter epoch per page), every write ticket
-    // drains lines through the seal engine.
-    for rec in log.records() {
-        assert!(
-            !rec.meta.is_zero(),
-            "ticket {} closed with zero MEE attribution",
-            rec.ticket
-        );
-        match rec.kind {
-            TicketKind::Read => {
-                assert!(rec.meta.fill_lines > 0, "reads move fill lines");
-                assert!(rec.meta.meta_writes > 0, "fills mint counter epochs");
-                assert!(rec.meta.enc_pads > 0, "fills burn cipher pads");
-            }
-            TicketKind::Write => {
-                assert!(rec.meta.seal_lines > 0, "writes drain seal lines");
-                assert!(rec.meta.meta_writes > 0, "seals mint counter epochs");
-            }
-        }
-    }
+/// Device-wide counters of the fault activity a ticket can be charged
+/// with: read retries, uncorrectable pages, program remaps and block
+/// retirements.
+fn fault_counters(ice: &IceClave) -> [u64; 4] {
+    let ftl = ice.platform().ftl.stats();
+    [
+        ice.stats().read_retries,
+        ice.stats().uncorrectable_pages,
+        ftl.program_remaps,
+        ftl.blocks_retired,
+    ]
+}
 
+#[test]
+fn tickets_carry_their_fault_activity() {
+    // No faults injected: every record's fault block is quiet.
+    let log = capture();
+    assert!(!log.is_empty());
+    assert!(log.records().iter().all(|r| r.faults.is_quiet()));
+
+    // Read bursts and program failures: what the records charge to
+    // their tickets adds up to what the device counted while capturing.
     let (mut ice, tees, t0) = device();
+    ice.install_fault_plan(FaultPlan {
+        program_fail_rate: 0.05,
+        ..FaultPlan::transient(11, 0.3)
+    });
+    let before = fault_counters(&ice);
     ice.enable_tracing();
     workload(&mut ice, &tees, t0);
-    let stats_total = ice.stats().ticket_meta;
-    let log2 = ice.take_trace().unwrap();
-    let mut summed = iceclave_repro::iceclave_types::TicketAttribution::default();
-    for rec in log2.records() {
-        summed.add(&rec.meta);
+    let log = ice.take_trace().unwrap();
+    let after = fault_counters(&ice);
+    let device: [u64; 4] = std::array::from_fn(|i| after[i] - before[i]);
+    let mut tickets = [0u64; 4];
+    for rec in log.records() {
+        tickets[0] += rec.faults.read_retries;
+        tickets[1] += rec.faults.uncorrectable_pages;
+        tickets[2] += rec.faults.program_remaps;
+        tickets[3] += rec.faults.blocks_retired;
     }
     assert_eq!(
-        stats_total, summed,
-        "RuntimeStats::ticket_meta must equal the sum of per-ticket deltas"
+        tickets, device,
+        "per-ticket [retries, uncorrectable, remaps, retirements] must sum to the device's"
     );
-    // No faults were injected, so fault attribution stays zero.
-    assert!(log2
-        .records()
-        .iter()
-        .all(|r| r.faults == Default::default()));
+    assert!(
+        device[0] > 0,
+        "the plan's read bursts climbed the retry ladder"
+    );
+    assert!(device[2] > 0, "the plan's program failures were remapped");
 }
 
 /// One burst: every tenant's read and write batch submitted at the
@@ -200,7 +204,7 @@ fn afap_replay_reproduces_completion_order_and_bytes() {
     // The determinism contract, end to end: identical submissions into
     // an identically configured device produce the identical encoded
     // op-log — ticket close order, stage timestamps, page statuses,
-    // attribution and payload hashes, byte for byte.
+    // fault activity and payload hashes, byte for byte.
     assert_eq!(
         replay_log.as_bytes(),
         log.as_bytes(),
