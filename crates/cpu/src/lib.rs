@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use iceclave_types::{ByteSize, Hertz, SimDuration};
@@ -64,7 +63,9 @@ pub enum OpClass {
 }
 
 impl OpClass {
-    /// All classes, for iteration in reports.
+    /// All classes, for iteration in reports. Each class sits at the
+    /// index of its discriminant (`OpClass::ALL[i] as usize == i`),
+    /// which is how [`OpCounts`] stores its counters.
     pub const ALL: [OpClass; 9] = [
         OpClass::ScanTuple,
         OpClass::Filter,
@@ -106,45 +107,49 @@ impl fmt::Display for OpClass {
 
 /// A bag of operation counts: the compute demand of (part of) a
 /// workload.
+///
+/// One counter per [`OpClass`], indexed by the class's position in
+/// [`OpClass::ALL`]: workloads add to it once or more per generated
+/// row, so an add is one indexed increment.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct OpCounts {
-    counts: BTreeMap<OpClass, u64>,
+    counts: [u64; OpClass::ALL.len()],
 }
 
 impl OpCounts {
     /// An empty demand.
     pub fn new() -> Self {
-        OpCounts {
-            counts: BTreeMap::new(),
-        }
+        OpCounts::default()
     }
 
     /// Adds `n` operations of `class`.
+    #[inline]
     pub fn add(&mut self, class: OpClass, n: u64) {
-        *self.counts.entry(class).or_insert(0) += n;
+        self.counts[class as usize] += n;
     }
 
     /// The count for one class.
     pub fn get(&self, class: OpClass) -> u64 {
-        self.counts.get(&class).copied().unwrap_or(0)
+        self.counts[class as usize]
     }
 
     /// Merges another demand into this one.
     pub fn merge(&mut self, other: &OpCounts) {
-        for (&class, &n) in &other.counts {
-            self.add(class, n);
+        for (n, m) in self.counts.iter_mut().zip(other.counts) {
+            *n += m;
         }
     }
 
     /// Total operations, all classes.
     pub fn total_ops(&self) -> u64 {
-        self.counts.values().sum()
+        self.counts.iter().sum()
     }
 
     /// Total reference cycles of this demand.
     pub fn reference_cycles(&self) -> u64 {
-        self.counts
+        OpClass::ALL
             .iter()
+            .zip(self.counts)
             .map(|(c, n)| c.reference_cycles() * n)
             .sum()
     }
@@ -345,6 +350,13 @@ mod tests {
         assert_eq!(a.get(OpClass::TxnLogic), 0);
         assert!(!a.is_empty());
         assert!(OpCounts::new().is_empty());
+    }
+
+    #[test]
+    fn classes_sit_at_their_discriminant() {
+        for (i, class) in OpClass::ALL.into_iter().enumerate() {
+            assert_eq!(class as usize, i, "{class}");
+        }
     }
 
     #[test]

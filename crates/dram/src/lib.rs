@@ -580,9 +580,7 @@ impl Dram {
         x /= u64::from(c.banks_per_rank);
         let rank = x % u64::from(c.ranks_per_channel);
         x /= u64::from(c.ranks_per_channel);
-        let col = x % c.lines_per_row();
         let row = x / c.lines_per_row();
-        let _ = col;
         let flat_bank = (u64::from(channel) * u64::from(c.ranks_per_channel) + rank)
             * u64::from(c.banks_per_rank)
             + bank;

@@ -183,7 +183,6 @@ pub fn table5(cfg: &WorkloadConfig) -> FigureReport {
         counter_rates.push(r.counter_hit_rate);
         mac_rates.push(r.mac_hit_rate);
         tree_rates.push(r.tree_hit_rate);
-        let _ = &r;
     }
     // Per-operation means come from a dedicated micro-run.
     let micro = run(

@@ -48,8 +48,9 @@ pub struct RunResult {
     pub counter_cache_hit_rate: f64,
     /// L1 hit rate on encryption-counter blocks only.
     pub counter_hit_rate: f64,
-    /// L1 hit rate on data-MAC blocks only (zero when MACs are
-    /// co-located with the data).
+    /// L1 hit rate on data-MAC blocks only: always 0, since data MACs
+    /// ride with their lines and never occupy the cache (see
+    /// [`MetaTraffic::mac_hit_rate`](iceclave_mee::MetaTraffic::mac_hit_rate)).
     pub mac_hit_rate: f64,
     /// L1 hit rate on integrity-tree nodes only.
     pub tree_hit_rate: f64,

@@ -482,8 +482,7 @@ impl MeeEngine {
         let major = self.split_counters.get(page).major();
         *self.split_counters.get_mut(page) = SplitCounterBlock::with_major(major + 1);
         let id = self.counter_id(page, self.effective_class(page));
-        let was_cached = self.cache.invalidate(id);
-        let _ = was_cached;
+        self.cache.invalidate(id);
         // The home write below supersedes any sealed L2 copy.
         if let Some(l2) = self.l2.as_mut() {
             let _ = l2.invalidate(id);

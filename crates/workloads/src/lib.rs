@@ -365,6 +365,63 @@ mod tests {
         }
     }
 
+    /// Folds every field of a batch into `acc`, so two runs that emit
+    /// the same batches in the same order fold to the same value.
+    fn fold_batch(acc: u64, batch: &Batch) -> u64 {
+        let mut acc = acc;
+        let mut put = |v: u64| acc = data::mix64(acc ^ v);
+        put(batch.flash_reads.len() as u64);
+        for run in &batch.flash_reads {
+            put(run.start.raw());
+            put(u64::from(run.count));
+        }
+        put(batch.input_lines);
+        put(batch.staged_reads);
+        put(batch.working_reads);
+        put(batch.working_writes);
+        put(u64::from(batch.random_access));
+        for class in OpClass::ALL {
+            put(batch.ops.get(class));
+        }
+        acc
+    }
+
+    #[test]
+    fn generated_data_is_pinned() {
+        // (rows, checksum bits, fold of every emitted batch) at
+        // `WorkloadConfig::test()`. A change to any generated value,
+        // any batch field or any op count moves one of these.
+        use WorkloadKind::*;
+        let pinned: [(WorkloadKind, u64, u64, u64); 11] = [
+            (Aggregate, 8192, 0x4089279364633a9e, 0x1408c80fcb4d2a7b),
+            (Arithmetic, 8192, 0x4173498f951eb855, 0x5ae8a5d973728e3d),
+            (Filter, 9, 0x40dab28000000000, 0x8a5a0c151f5e9075),
+            (TpchQ1, 6, 0x41d2a47bf62e7aea, 0x58654eaa50bb8dcb),
+            (TpchQ3, 10, 0x4141568280922ea9, 0xc119544f901f66c3),
+            (TpchQ12, 2, 0x4186695048000000, 0x04812d3f46c7be2f),
+            (TpchQ14, 1, 0x402365cb320aa6da, 0xd222d8e8b08977d8),
+            (TpchQ19, 1, 0x0000000000000000, 0x03a4aac440af6560),
+            (TpcB, 64, 0x4147693a00000000, 0x4833dbf5f012aef2),
+            (TpcC, 32, 0x40d59cc000000000, 0xf3f6d05d758f57aa),
+            (Wordcount, 2783, 0x41549adf80000000, 0xf7fb80eca40e9d58),
+        ];
+        let config = WorkloadConfig::test();
+        for (kind, rows, checksum_bits, fold) in pinned {
+            let mut acc = 0u64;
+            let out = kind
+                .build(&config)
+                .run(&mut |batch| acc = fold_batch(acc, &batch));
+            assert_eq!(out.rows, rows, "{kind} rows");
+            assert_eq!(
+                out.checksum.to_bits(),
+                checksum_bits,
+                "{kind} checksum {:#018x}",
+                out.checksum.to_bits()
+            );
+            assert_eq!(acc, fold, "{kind} batches {acc:#018x}");
+        }
+    }
+
     #[test]
     fn labels_are_unique() {
         let mut labels: Vec<&str> = WorkloadKind::ALL.iter().map(|k| k.label()).collect();

@@ -9,7 +9,7 @@
 
 use iceclave_types::{ByteSize, Lpn};
 
-use crate::data::{self, row_hash};
+use crate::data::{self, TableHash};
 use crate::{
     Batch, LpnRun, OpClass, OpCounts, Workload, WorkloadConfig, WorkloadOutput, PAGES_PER_BATCH,
 };
@@ -26,8 +26,15 @@ const SPILL_PERIOD: u64 = 4096;
 /// id into the streamed result (Table 1: 1.71e-4).
 const FILTER_PERMILLE_X10: u64 = 18;
 
-fn record_value(seed: u64, i: u64) -> (f64, f64, f64) {
-    let h = row_hash(seed, 101, i);
+/// [`TableHash`] tags: the records' three values, Aggregate's group of
+/// each record and Filter's match test.
+const RECORD_TAG: u64 = 101;
+const GROUP_TAG: u64 = 102;
+const MATCH_TAG: u64 = 103;
+
+/// The three values of record `i` of the table `records` hashes.
+fn record_value(records: TableHash, i: u64) -> (f64, f64, f64) {
+    let h = records.row(i);
     let a = (h % 1000) as f64 / 10.0;
     let b = ((h >> 16) % 1000) as f64 / 10.0;
     let c = ((h >> 32) % 1000) as f64 / 10.0;
@@ -108,13 +115,13 @@ impl Workload for Arithmetic {
     }
 
     fn run(&self, emit: &mut dyn FnMut(Batch)) -> WorkloadOutput {
-        let seed = self.config.seed;
+        let records = TableHash::new(self.config.seed, RECORD_TAG);
         let mut acc = 0.0f64;
         let rows = scan(
             &self.config,
             &[(OpClass::ScanTuple, 1), (OpClass::Arithmetic, 1)],
             |i| {
-                let (a, b, c) = record_value(seed, i);
+                let (a, b, c) = record_value(records, i);
                 acc += a * b - c;
             },
             emit,
@@ -158,15 +165,16 @@ impl Workload for Aggregate {
     }
 
     fn run(&self, emit: &mut dyn FnMut(Batch)) -> WorkloadOutput {
-        let seed = self.config.seed;
+        let records = TableHash::new(self.config.seed, RECORD_TAG);
+        let groups = TableHash::new(self.config.seed, GROUP_TAG);
         let mut sums = [0.0f64; GROUPS];
         let mut counts = [0u64; GROUPS];
         let rows = scan(
             &self.config,
             &[(OpClass::ScanTuple, 1), (OpClass::Aggregate, 1)],
             |i| {
-                let (a, _, _) = record_value(seed, i);
-                let g = (row_hash(seed, 102, i) % GROUPS as u64) as usize;
+                let (a, _, _) = record_value(records, i);
+                let g = (groups.row(i) % GROUPS as u64) as usize;
                 sums[g] += a;
                 counts[g] += 1;
             },
@@ -210,17 +218,17 @@ impl Workload for Filter {
     }
 
     fn run(&self, emit: &mut dyn FnMut(Batch)) -> WorkloadOutput {
-        let seed = self.config.seed;
+        let tests = TableHash::new(self.config.seed, MATCH_TAG);
         let mut matches = 0u64;
         let mut checksum = 0.0f64;
         // Each match appends an 8-byte row id to the streamed output:
         // 8/64 of a line per match.
         let write_per_row = (FILTER_PERMILLE_X10 as f64 / 10_000.0) * (8.0 / 64.0);
-        let rows = scan(
+        scan(
             &self.config,
             &[(OpClass::ScanTuple, 1), (OpClass::Filter, 1)],
             |i| {
-                if row_hash(seed, 103, i) % 10_000 < FILTER_PERMILLE_X10 {
+                if tests.row(i) % 10_000 < FILTER_PERMILLE_X10 {
                     matches += 1;
                     checksum += i as f64;
                 }
@@ -228,7 +236,6 @@ impl Workload for Filter {
             emit,
             write_per_row,
         );
-        let _ = rows;
         WorkloadOutput {
             rows: matches,
             checksum,
@@ -262,11 +269,13 @@ mod tests {
         let out = w.run(&mut |_| {});
         // Naive recomputation.
         let rows = data::rows_for(cfg.functional_bytes.as_bytes(), ROW_SIZE);
+        let records = TableHash::new(cfg.seed, RECORD_TAG);
+        let groups = TableHash::new(cfg.seed, GROUP_TAG);
         let mut sums = [0.0f64; GROUPS];
         let mut counts = [0u64; GROUPS];
         for i in 0..rows {
-            let (a, _, _) = record_value(cfg.seed, i);
-            let g = (row_hash(cfg.seed, 102, i) % GROUPS as u64) as usize;
+            let (a, _, _) = record_value(records, i);
+            let g = (groups.row(i) % GROUPS as u64) as usize;
             sums[g] += a;
             counts[g] += 1;
         }

@@ -7,11 +7,9 @@
 //! account update, history append, log) lands on Table 1's 5.19e-2
 //! write ratio against the ~68 line reads per transaction.
 
-use std::collections::HashMap;
+use iceclave_types::{ByteSize, FastMap, Lpn};
 
-use iceclave_types::{ByteSize, Lpn};
-
-use crate::data::{self, row_hash, row_size};
+use crate::data::{self, row_size, AccountGen, Modulus, TableHash};
 use crate::{Batch, LpnRun, OpClass, OpCounts, Workload, WorkloadConfig, WorkloadOutput};
 
 /// Transactions per emitted batch.
@@ -19,6 +17,11 @@ const TXNS_PER_BATCH: u64 = 128;
 
 /// DRAM-visible line writes per transaction (account + history + log).
 const WRITES_PER_TXN: f64 = 3.5;
+
+/// [`TableHash`] tags of the per-transaction streams: the account a
+/// transaction updates and its balance delta.
+const ACCOUNT_TAG: u64 = 201;
+const DELTA_TAG: u64 = 202;
 
 /// TPC-B bank transactions.
 #[derive(Clone, Debug)]
@@ -59,11 +62,13 @@ impl Workload for TpcB {
 
     fn run(&self, emit: &mut dyn FnMut(Batch)) -> WorkloadOutput {
         let seed = self.config.seed;
-        let accounts = self.accounts();
-        let pages = self.dataset_pages();
+        let pick = TableHash::new(seed, ACCOUNT_TAG);
+        let deltas = TableHash::new(seed, DELTA_TAG);
+        let accounts = Modulus::new(self.accounts());
+        let initial = AccountGen::new(seed);
         let rows_per_page = 4096 / row_size::ACCOUNT;
         let txns = self.txn_count();
-        let mut balances: HashMap<u64, i64> = HashMap::new();
+        let mut balances: FastMap<u64, i64> = FastMap::default();
         let mut checksum = 0.0f64;
 
         let mut t = 0u64;
@@ -72,12 +77,11 @@ impl Workload for TpcB {
             let mut flash_reads = Vec::with_capacity(batch_txns as usize);
             let mut ops = OpCounts::new();
             for k in t..t + batch_txns {
-                let h = row_hash(seed, 201, k);
-                let account = h % accounts;
-                let delta = (row_hash(seed, 202, k) % 2001) as i64 - 1000;
+                let account = pick.row(k) % accounts;
+                let delta = (deltas.row(k) % 2001) as i64 - 1000;
                 let balance = balances
                     .entry(account)
-                    .or_insert_with(|| data::account_balance(seed, account));
+                    .or_insert_with(|| initial.balance(account));
                 *balance += delta;
                 checksum += *balance as f64;
                 flash_reads.push(LpnRun::new(Lpn::new(account / rows_per_page), 1));
@@ -96,7 +100,6 @@ impl Workload for TpcB {
             });
             t += batch_txns;
         }
-        let _ = pages;
         WorkloadOutput {
             rows: txns,
             checksum,
@@ -150,10 +153,12 @@ mod tests {
         // The checksum differs from the no-op sum of initial balances.
         let w = workload();
         let out = w.run(&mut |_| {});
+        let pick = TableHash::new(w.config.seed, ACCOUNT_TAG);
+        let initial = AccountGen::new(w.config.seed);
         let mut untouched = 0.0f64;
         for k in 0..w.txn_count() {
-            let account = row_hash(w.config.seed, 201, k) % w.accounts();
-            untouched += data::account_balance(w.config.seed, account) as f64;
+            let account = pick.row(k) % w.accounts();
+            untouched += initial.balance(account) as f64;
         }
         assert_ne!(out.checksum, untouched);
     }

@@ -8,11 +8,9 @@
 //! log records) lands on Table 1's 9.05e-2 ratio against ~734 line
 //! reads.
 
-use std::collections::HashMap;
+use iceclave_types::{ByteSize, FastMap, Lpn};
 
-use iceclave_types::{ByteSize, Lpn};
-
-use crate::data::{self, row_hash, row_size};
+use crate::data::{self, row_size, Modulus, TableHash};
 use crate::{Batch, LpnRun, OpClass, OpCounts, Workload, WorkloadConfig, WorkloadOutput};
 
 /// Transactions per emitted batch.
@@ -23,6 +21,12 @@ const ITEMS_PER_TXN: u64 = 10;
 
 /// DRAM-visible line writes per transaction.
 const WRITES_PER_TXN: u64 = 66;
+
+/// [`TableHash`] tags: each order line's stock item and quantity, each
+/// item's initial stock, and each transaction's customer page.
+const LINE_TAG: u64 = 301;
+const STOCK_TAG: u64 = 302;
+const CUSTOMER_TAG: u64 = 303;
 
 /// TPC-C warehouse transactions.
 #[derive(Clone, Debug)]
@@ -61,10 +65,14 @@ impl Workload for TpcC {
 
     fn run(&self, emit: &mut dyn FnMut(Batch)) -> WorkloadOutput {
         let seed = self.config.seed;
-        let stock_rows = self.stock_rows();
+        let lines = TableHash::new(seed, LINE_TAG);
+        let stock = TableHash::new(seed, STOCK_TAG);
+        let customers = TableHash::new(seed, CUSTOMER_TAG);
+        let stock_rows = Modulus::new(self.stock_rows());
+        let pages = Modulus::new(self.dataset_pages());
         let rows_per_page = 4096 / row_size::STOCK;
         let txns = self.txn_count();
-        let mut stock_qty: HashMap<u64, i64> = HashMap::new();
+        let mut stock_qty: FastMap<u64, i64> = FastMap::default();
         let mut checksum = 0.0f64;
         let mut committed = 0u64;
 
@@ -76,12 +84,12 @@ impl Workload for TpcC {
             for k in t..t + batch_txns {
                 // Ten stock line items plus one customer page.
                 for line in 0..ITEMS_PER_TXN {
-                    let h = row_hash(seed, 301, k * ITEMS_PER_TXN + line);
+                    let h = lines.row(k * ITEMS_PER_TXN + line);
                     let item = h % stock_rows;
                     let qty = 1 + (h >> 32) % 10;
                     let entry = stock_qty
                         .entry(item)
-                        .or_insert_with(|| 50 + (row_hash(seed, 302, item) % 50) as i64);
+                        .or_insert_with(|| 50 + (stock.row(item) % 50) as i64);
                     *entry -= qty as i64;
                     if *entry < 10 {
                         *entry += 91; // restock rule
@@ -89,7 +97,7 @@ impl Workload for TpcC {
                     checksum += *entry as f64;
                     flash_reads.push(LpnRun::new(Lpn::new(item / rows_per_page), 1));
                 }
-                let customer_page = row_hash(seed, 303, k) % self.dataset_pages().max(1);
+                let customer_page = customers.row(k) % pages;
                 flash_reads.push(LpnRun::new(Lpn::new(customer_page), 1));
                 committed += 1;
                 ops.add(OpClass::TxnLogic, 5);

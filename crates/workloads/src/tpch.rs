@@ -17,10 +17,9 @@
 //!   mode/instruction, probing parts against the three brand/container/
 //!   quantity predicate arms.
 
-use iceclave_types::{ByteSize, Lpn};
-use std::collections::HashMap;
+use iceclave_types::{ByteSize, FastMap, Lpn};
 
-use crate::data::{self, row_size, DATE_DOMAIN_DAYS};
+use crate::data::{self, row_size, LineitemGen, OrderGen, PartGen, DATE_DOMAIN_DAYS};
 use crate::{
     Batch, LpnRun, OpClass, OpCounts, Workload, WorkloadConfig, WorkloadOutput, PAGES_PER_BATCH,
 };
@@ -141,8 +140,9 @@ impl Workload for Q1 {
         // (returnflag, linestatus).
         let mut groups = [[0.0f64; 4]; 6];
         let mut counts = [0u64; 6];
+        let lineitem = LineitemGen::new(seed, rows / 4, rows / 8);
         scan_table(0, rows, row_size::LINEITEM, emit, |i, acc| {
-            let l = data::lineitem(seed, i, rows / 4, rows / 8);
+            let l = lineitem.row(i);
             acc.op(OpClass::ScanTuple, 1);
             acc.op(OpClass::Filter, 1);
             if l.shipdate <= cutoff {
@@ -214,14 +214,15 @@ impl Workload for Q3 {
         let l = self.layout();
         let date_cut = DATE_DOMAIN_DAYS / 4;
         // Build: BUILDING-segment orders placed before the cutoff.
-        let mut build: HashMap<u64, u32> = HashMap::new();
+        let orders = OrderGen::new(seed);
+        let mut build: FastMap<u64, u32> = FastMap::default();
         scan_table(
             l.lineitem_pages,
             l.side_rows,
             row_size::ORDERS,
             emit,
             |i, acc| {
-                let o = data::order(seed, i);
+                let o = orders.row(i);
                 acc.op(OpClass::ScanTuple, 1);
                 acc.op(OpClass::Filter, 2);
                 if o.mktsegment == 0 && o.orderdate < date_cut {
@@ -232,10 +233,13 @@ impl Workload for Q3 {
                 }
             },
         );
-        // Probe: lineitems shipped after the cutoff.
-        let mut revenue: HashMap<u64, f64> = HashMap::new();
+        // Probe: lineitems shipped after the cutoff. The revenue map's
+        // iteration order never reaches the output: the top 10 are
+        // sorted with an orderkey tie-break.
+        let mut revenue: FastMap<u64, f64> = FastMap::default();
+        let lineitem = LineitemGen::new(seed, l.side_rows, l.lineitem_rows / 8);
         scan_table(0, l.lineitem_rows, row_size::LINEITEM, emit, |i, acc| {
-            let item = data::lineitem(seed, i, l.side_rows, l.lineitem_rows / 8);
+            let item = lineitem.row(i);
             acc.op(OpClass::ScanTuple, 1);
             acc.op(OpClass::Filter, 1);
             if item.shipdate > date_cut {
@@ -302,7 +306,7 @@ impl Workload for Q12 {
     }
 
     fn staged_bytes(&self) -> ByteSize {
-        ByteSize::from_bytes(self.layout().side_rows * u64::from(row_size::ORDERS as u32))
+        ByteSize::from_bytes(self.layout().side_rows * row_size::ORDERS)
     }
 
     fn run(&self, emit: &mut dyn FnMut(Batch)) -> WorkloadOutput {
@@ -322,8 +326,10 @@ impl Workload for Q12 {
         let year_end = year_start + 365;
         let mut high = 0u64;
         let mut low = 0u64;
+        let lineitem = LineitemGen::new(seed, l.side_rows, l.lineitem_rows / 8);
+        let orders = OrderGen::new(seed);
         scan_table(0, l.lineitem_rows, row_size::LINEITEM, emit, |i, acc| {
-            let item = data::lineitem(seed, i, l.side_rows, l.lineitem_rows / 8);
+            let item = lineitem.row(i);
             acc.op(OpClass::ScanTuple, 1);
             acc.op(OpClass::Filter, 3);
             let mode_ok = item.shipmode <= 1; // MAIL, SHIP
@@ -335,8 +341,7 @@ impl Workload for Q12 {
                 acc.op(OpClass::Aggregate, 1);
                 acc.staged_reads += 1;
                 acc.write_credit += 1.0 / 131_072.0;
-                let o = data::order(seed, item.orderkey);
-                if o.orderpriority < 2 {
+                if orders.row(item.orderkey).orderpriority < 2 {
                     high += 1;
                 } else {
                     low += 1;
@@ -405,8 +410,10 @@ impl Workload for Q14 {
         let month_end = month_start + 30;
         let mut promo = 0.0f64;
         let mut total = 0.0f64;
+        let lineitem = LineitemGen::new(seed, l.lineitem_rows / 4, l.side_rows);
+        let parts = PartGen::new(seed);
         scan_table(0, l.lineitem_rows, row_size::LINEITEM, emit, |i, acc| {
-            let item = data::lineitem(seed, i, l.lineitem_rows / 4, l.side_rows);
+            let item = lineitem.row(i);
             acc.op(OpClass::ScanTuple, 1);
             acc.op(OpClass::Filter, 1);
             if (month_start..month_end).contains(&item.shipdate) {
@@ -415,7 +422,7 @@ impl Workload for Q14 {
                 acc.op(OpClass::Aggregate, 1);
                 acc.staged_reads += 1;
                 acc.write_credit += 1.0 / 131_072.0;
-                let p = data::part(seed, item.partkey);
+                let p = parts.row(item.partkey);
                 let rev = item.extendedprice * (1.0 - item.discount);
                 total += rev;
                 if p.p_type < 25 {
@@ -486,8 +493,10 @@ impl Workload for Q19 {
         );
         let mut revenue = 0.0f64;
         let mut matched = 0u64;
+        let lineitem = LineitemGen::new(seed, l.lineitem_rows / 4, l.side_rows);
+        let parts = PartGen::new(seed);
         scan_table(0, l.lineitem_rows, row_size::LINEITEM, emit, |i, acc| {
-            let item = data::lineitem(seed, i, l.lineitem_rows / 4, l.side_rows);
+            let item = lineitem.row(i);
             acc.op(OpClass::ScanTuple, 1);
             acc.op(OpClass::Filter, 2);
             // Pre-filter: AIR / AIR REG, DELIVER IN PERSON.
@@ -496,7 +505,7 @@ impl Workload for Q19 {
                 acc.op(OpClass::Filter, 6);
                 acc.staged_reads += 1;
                 acc.write_credit += 1.0 / 1_048_576.0;
-                let p = data::part(seed, item.partkey);
+                let p = parts.row(item.partkey);
                 let q = item.quantity;
                 let arm1 =
                     p.brand == 12 && p.container < 10 && (1.0..=11.0).contains(&q) && p.size <= 5;
@@ -579,14 +588,16 @@ mod tests {
         let year_start = DATE_DOMAIN_DAYS / 2;
         let year_end = year_start + 365;
         let (mut high, mut low) = (0u64, 0u64);
+        let lineitem = LineitemGen::new(cfg.seed, l.side_rows, l.lineitem_rows / 8);
+        let orders = OrderGen::new(cfg.seed);
         for i in 0..l.lineitem_rows {
-            let item = data::lineitem(cfg.seed, i, l.side_rows, l.lineitem_rows / 8);
+            let item = lineitem.row(i);
             let mode_ok = item.shipmode <= 1;
             let dates_ok = item.commitdate < item.receiptdate
                 && item.shipdate < item.commitdate
                 && (year_start..year_end).contains(&item.receiptdate);
             if mode_ok && dates_ok {
-                if data::order(cfg.seed, item.orderkey).orderpriority < 2 {
+                if orders.row(item.orderkey).orderpriority < 2 {
                     high += 1;
                 } else {
                     low += 1;
@@ -603,10 +614,12 @@ mod tests {
         let out = q19.run(&mut |_| {});
         let l = q19.layout();
         let mut revenue = 0.0f64;
+        let lineitem = LineitemGen::new(cfg.seed, l.lineitem_rows / 4, l.side_rows);
+        let parts = PartGen::new(cfg.seed);
         for i in 0..l.lineitem_rows {
-            let item = data::lineitem(cfg.seed, i, l.lineitem_rows / 4, l.side_rows);
+            let item = lineitem.row(i);
             if item.shipmode >= 4 && item.shipmode <= 5 && item.shipinstruct == 0 {
-                let p = data::part(cfg.seed, item.partkey);
+                let p = parts.row(item.partkey);
                 let q = item.quantity;
                 let arm1 =
                     p.brand == 12 && p.container < 10 && (1.0..=11.0).contains(&q) && p.size <= 5;

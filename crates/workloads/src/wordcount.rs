@@ -13,7 +13,7 @@
 
 use iceclave_types::{ByteSize, Lpn};
 
-use crate::data::{self, row_size};
+use crate::data::{row_size, TokenGen};
 use crate::{
     Batch, LpnRun, OpClass, OpCounts, Workload, WorkloadConfig, WorkloadOutput, PAGES_PER_BATCH,
 };
@@ -70,10 +70,10 @@ impl Workload for Wordcount {
     }
 
     fn run(&self, emit: &mut dyn FnMut(Batch)) -> WorkloadOutput {
-        let seed = self.config.seed;
         let pages = self.dataset_pages();
         let tokens = self.tokens();
         let vocab = self.vocabulary();
+        let corpus = TokenGen::new(self.config.seed, vocab);
         let tokens_per_page = 4096 / TOKEN_BYTES;
         // Word ids are dense in `0..vocab`: index, don't hash.
         let mut counts = vec![0u64; vocab as usize];
@@ -85,7 +85,7 @@ impl Workload for Wordcount {
             let last = ((page + batch_pages) * tokens_per_page).min(tokens);
             let batch_tokens = last.saturating_sub(first);
             for i in first..last {
-                counts[data::token(seed, i, vocab) as usize] += 1;
+                counts[corpus.token(i) as usize] += 1;
             }
             // Tokenizing costs a couple of cycles per short word on an
             // OoO core; batched probing amortizes the hash work (the
@@ -133,10 +133,10 @@ mod tests {
         // hold: a token never spans a page, so the tokens past the last
         // whole page's worth are never read.
         let stored = (w.dataset_pages() * (4096 / TOKEN_BYTES)).min(w.tokens());
+        let corpus = TokenGen::new(w.config.seed, w.vocabulary());
         let mut map: HashMap<u64, u64> = HashMap::new();
         for i in 0..stored {
-            *map.entry(data::token(w.config.seed, i, w.vocabulary()))
-                .or_insert(0) += 1;
+            *map.entry(corpus.token(i)).or_insert(0) += 1;
         }
         assert_eq!(out.rows, map.len() as u64);
         let checksum: f64 = map.values().map(|&c| (c as f64) * (c as f64)).sum();
@@ -146,10 +146,10 @@ mod tests {
     #[test]
     fn zipf_head_dominates() {
         let w = workload();
+        let corpus = TokenGen::new(w.config.seed, w.vocabulary());
         let mut map: HashMap<u64, u64> = HashMap::new();
         for i in 0..w.tokens() {
-            *map.entry(data::token(w.config.seed, i, w.vocabulary()))
-                .or_insert(0) += 1;
+            *map.entry(corpus.token(i)).or_insert(0) += 1;
         }
         let mut freqs: Vec<u64> = map.values().copied().collect();
         freqs.sort_unstable_by(|a, b| b.cmp(a));
