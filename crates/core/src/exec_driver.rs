@@ -36,22 +36,22 @@
 //! have no ordering guarantees between each other — drain a ticket
 //! before submitting work that depends on it).
 
-use iceclave_cipher::CipherEngine;
+use iceclave_cipher::{CipherEngine, PageIv};
 use iceclave_exec::{Executor, StageEvent, StageMachine};
 use iceclave_ftl::FlashError;
 use iceclave_ftl::{FtlError, JournalRecord, Requestor, WfqArbiter};
 use iceclave_mee::{MeeEngine, PageClass, PageSeal, SealSpan};
 use iceclave_sim::Resource;
 use iceclave_types::{
-    BatchCompletion, CompletionEvent, FaultStats, LatencyBreakdown, Lpn, PageError, PageErrorCause,
-    PageStatus, PageWrite, Ppn, SimDuration, SimTime, TeeId, Ticket, TicketKind, WriteBatchRequest,
-    WritePageRequest, PAGE_SIZE,
+    BatchCompletion, CompletionEvent, DenseTable, FaultStats, LatencyBreakdown, Lpn, PageError,
+    PageErrorCause, PageStatus, PageWrite, Ppn, SimDuration, SimTime, TeeId, Ticket, TicketKind,
+    WindowTable, WriteBatchRequest, WritePageRequest, PAGE_SIZE,
 };
 
 use crate::config::{IceClaveConfig, Link};
 use crate::platform::SsdPlatform;
 use crate::runtime::{AbortReason, IceClave, IceClaveError, RuntimeStats};
-use crate::slab::{ErrorSlab, IvTable, JobTable};
+use crate::slab::ErrorSlab;
 
 /// Read-retry ladder depth: how many times the FlashRead stage
 /// re-senses a page whose raw-bit-error burst exceeded the ECC before
@@ -143,21 +143,6 @@ impl Job {
     pub(crate) fn unretired_pages(&self) -> u64 {
         self.pages.iter().filter(|p| !p.retired).count() as u64
     }
-
-    /// A minimal zero-page job for the slab unit tests.
-    #[cfg(test)]
-    pub(crate) fn stub(tee: TeeId, kind: TicketKind, submitted: SimTime) -> Self {
-        Job {
-            tee,
-            kind,
-            submitted,
-            pages: Vec::new(),
-            sealed: Vec::new(),
-            encrypted: Vec::new(),
-            pending_encrypts: 0,
-            faults: FaultStats::default(),
-        }
-    }
 }
 
 /// Disjoint borrows of every runtime component a stage can touch —
@@ -167,10 +152,10 @@ pub(crate) struct StageCtx<'a> {
     pub mee: &'a mut MeeEngine,
     pub cipher: &'a mut CipherEngine,
     pub lanes: &'a mut [Resource],
-    pub page_ivs: &'a mut IvTable,
+    pub page_ivs: &'a mut DenseTable<PageIv>,
     pub config: &'a IceClaveConfig,
     pub stats: &'a mut RuntimeStats,
-    pub jobs: &'a mut JobTable,
+    pub jobs: &'a mut WindowTable<Job>,
     pub failed: &'a mut ErrorSlab,
     pub arbiter: &'a mut WfqArbiter,
 }
@@ -204,7 +189,7 @@ fn kick_channel(
 fn decipher_content(
     platform: &SsdPlatform,
     cipher: &mut CipherEngine,
-    page_ivs: &IvTable,
+    page_ivs: &DenseTable<PageIv>,
     link: Link,
     lpn: Lpn,
     ppn: Ppn,

@@ -12,7 +12,8 @@ use iceclave_mee::{MacFaultPlan, MeeEngine, PageClass};
 use iceclave_sim::Resource;
 use iceclave_trustzone::{AccessType, MemoryMap, ProtectionFault, Region, World};
 use iceclave_types::{
-    ByteSize, CacheLine, Lpn, Ppn, RecoveryStats, SimTime, TeeId, LINES_PER_PAGE, PAGE_SIZE,
+    ByteSize, CacheLine, DenseTable, Lpn, Ppn, RecoveryStats, SimTime, TeeId, WindowTable,
+    LINES_PER_PAGE, PAGE_SIZE,
 };
 
 use crate::config::{IceClaveConfig, Link};
@@ -219,7 +220,7 @@ pub struct IceClave {
     /// stand-in for the IV metadata the controller keeps in the
     /// out-of-band area). Keyed by LPN so GC relocation cannot orphan
     /// them.
-    pub(crate) page_ivs: crate::slab::IvTable,
+    pub(crate) page_ivs: DenseTable<PageIv>,
     memory_map: MemoryMap,
     pub(crate) config: IceClaveConfig,
     /// TEE state indexed by raw id. A slot fills when its id first
@@ -231,8 +232,9 @@ pub struct IceClave {
     pub(crate) stats: RuntimeStats,
     /// The event-driven batch executor behind the submission API.
     pub(crate) exec: iceclave_exec::Executor<crate::exec_driver::Stage>,
-    /// Per-ticket in-flight pipeline state, slab-indexed by ticket id.
-    pub(crate) jobs: crate::slab::JobTable,
+    /// Per-ticket in-flight pipeline state, indexed by ticket id (ids
+    /// start at 1).
+    pub(crate) jobs: WindowTable<crate::exec_driver::Job>,
     /// Ticket-level errors of batches that failed mid-flight.
     pub(crate) failed: crate::slab::ErrorSlab,
     /// The fair-queueing channel arbiter across TEEs
@@ -273,7 +275,7 @@ impl IceClave {
             mee: MeeEngine::new(config.mee),
             cipher: CipherEngine::new([0x1C; 10], config.cipher_clock, 0xACE1_CAFE),
             lanes,
-            page_ivs: crate::slab::IvTable::new(),
+            page_ivs: DenseTable::new(),
             memory_map,
             config,
             tees: Default::default(),
@@ -281,7 +283,7 @@ impl IceClave {
             free_regions,
             stats: RuntimeStats::default(),
             exec: iceclave_exec::Executor::new(),
-            jobs: crate::slab::JobTable::new(),
+            jobs: WindowTable::new(1),
             failed: crate::slab::ErrorSlab::new(),
             arbiter,
         }
@@ -422,7 +424,7 @@ impl IceClave {
         // the cumulative controller counters carry over.
         self.mee = MeeEngine::new(self.config.mee);
         self.mee.restore_counter_epoch(recovery.max_epoch);
-        self.page_ivs = crate::slab::IvTable::new();
+        self.page_ivs = DenseTable::new();
         for &(lpn, base, ppa) in &recovery.ivs {
             self.page_ivs.insert(lpn, PageIv::compose(base, ppa));
         }
@@ -432,7 +434,7 @@ impl IceClave {
         self.free_regions = Self::build_free_regions(&self.config);
         self.arbiter = Self::build_arbiter(&self.config);
         self.exec = iceclave_exec::Executor::new();
-        self.jobs = crate::slab::JobTable::new();
+        self.jobs = WindowTable::new(1);
         self.failed = crate::slab::ErrorSlab::new();
 
         Ok(RecoveryStats {

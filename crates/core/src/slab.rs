@@ -1,108 +1,7 @@
-//! Flat in-flight state storage for the exec driver: the ticket-id
-//! windowed job slab, the LPN-indexed IV arena, and the (rare) ticket
-//! error list. These replace the driver's former `HashMap`s so the
-//! stage hot path indexes state directly instead of hashing.
+//! The exec driver's ticket error list. Its jobs and per-LPN IVs live
+//! in [`iceclave_types::WindowTable`] and [`iceclave_types::DenseTable`].
 
-use iceclave_cipher::PageIv;
-
-use crate::exec_driver::Job;
 use crate::runtime::IceClaveError;
-
-/// Per-ticket jobs stored in a sliding window over the ticket-id
-/// space.
-///
-/// Ticket ids are allocated monotonically and never reused (they are
-/// the documented same-tick tie-breaker), so the live jobs always sit
-/// in a dense id window: `slots[i]` holds the job of ticket
-/// `base + i`. The window bounds double as the generation check — an
-/// id below `base` belongs to a retired job and misses, without any
-/// per-slot generation counter. Ids above the window (tickets opened
-/// without a job, e.g. empty batches) leave `None` gaps.
-#[derive(Debug, Default)]
-pub(crate) struct JobTable {
-    base: u64,
-    slots: std::collections::VecDeque<Option<Job>>,
-}
-
-impl JobTable {
-    pub(crate) fn new() -> Self {
-        JobTable {
-            // Ticket ids start at 1.
-            base: 1,
-            slots: std::collections::VecDeque::new(),
-        }
-    }
-
-    pub(crate) fn get_mut(&mut self, id: u64) -> Option<&mut Job> {
-        let idx = id.checked_sub(self.base)? as usize;
-        self.slots.get_mut(idx)?.as_mut()
-    }
-
-    /// Inserts the job of freshly opened ticket `id`. Ids between the
-    /// window end and `id` (tickets that never got a job) become
-    /// permanent `None` gaps until the window slides past them.
-    pub(crate) fn insert(&mut self, id: u64, job: Job) {
-        debug_assert!(
-            id >= self.base + self.slots.len() as u64,
-            "ticket ids are monotonic and never reused"
-        );
-        while self.base + (self.slots.len() as u64) < id {
-            self.slots.push_back(None);
-        }
-        self.slots.push_back(Some(job));
-    }
-
-    /// Removes and returns the job of `id`, then slides the window
-    /// past any leading retired slots. Only the front advances:
-    /// `insert` relies on the window end staying aligned with the
-    /// ticket allocator.
-    pub(crate) fn remove(&mut self, id: u64) -> Option<Job> {
-        let idx = id.checked_sub(self.base)? as usize;
-        let job = self.slots.get_mut(idx)?.take();
-        while matches!(self.slots.front(), Some(None)) {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-        job
-    }
-
-    /// Live `(ticket id, job)` pairs in ascending ticket-id order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &Job)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, slot)| slot.as_ref().map(|job| (self.base + i as u64, job)))
-    }
-}
-
-/// Per-LPN IVs of functionally encrypted page content, indexed
-/// directly by the LPN (the model's stand-in for the controller's
-/// out-of-band IV metadata; keyed by LPN so GC relocation cannot
-/// orphan an IV). LPNs are bounded by the device's logical capacity,
-/// so a dense arena grown on first touch replaces the former map.
-#[derive(Debug, Default)]
-pub(crate) struct IvTable {
-    slots: Vec<Option<PageIv>>,
-}
-
-impl IvTable {
-    pub(crate) fn new() -> Self {
-        IvTable { slots: Vec::new() }
-    }
-
-    #[inline]
-    pub(crate) fn get(&self, lpn: u64) -> Option<&PageIv> {
-        self.slots.get(lpn as usize)?.as_ref()
-    }
-
-    pub(crate) fn insert(&mut self, lpn: u64, iv: PageIv) {
-        let idx = lpn as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize(idx + 1, None);
-        }
-        self.slots[idx] = Some(iv);
-    }
-}
 
 /// Ticket-level errors of batches that failed mid-flight. Failures
 /// are rare and the set is swept every drain cycle, so a plain sorted
@@ -147,43 +46,7 @@ impl ErrorSlab {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use iceclave_types::{SimTime, TeeId, TicketKind};
-
-    fn job() -> Job {
-        Job::stub(TeeId::new(1).unwrap(), TicketKind::Read, SimTime::ZERO)
-    }
-
-    #[test]
-    fn job_window_slides_only_at_the_front() {
-        let mut t = JobTable::new();
-        t.insert(1, job());
-        t.insert(2, job());
-        // Removing the back job must not shrink the window end.
-        assert!(t.remove(2).is_some());
-        t.insert(3, job());
-        assert!(t.get_mut(3).is_some());
-        assert!(t.get_mut(2).is_none());
-        // Removing the front slides past the retired hole in one go.
-        assert!(t.remove(1).is_some());
-        assert!(t.get_mut(1).is_none());
-        assert!(t.get_mut(3).is_some());
-        assert_eq!(t.iter().map(|(id, _)| id).collect::<Vec<_>>(), vec![3]);
-    }
-
-    #[test]
-    fn job_ids_skipped_by_empty_batches_stay_vacant() {
-        let mut t = JobTable::new();
-        t.insert(1, job());
-        // Tickets 2 and 3 were opened without jobs (empty batches).
-        t.insert(4, job());
-        assert!(t.get_mut(2).is_none());
-        assert!(t.get_mut(3).is_none());
-        assert_eq!(
-            t.iter().map(|(id, _)| id).collect::<Vec<_>>(),
-            vec![1, 4],
-            "iteration skips the vacant ids"
-        );
-    }
+    use iceclave_types::TeeId;
 
     #[test]
     fn error_slab_keeps_first_error_per_ticket() {
@@ -196,15 +59,5 @@ mod tests {
         );
         assert_eq!(errs.remove(7), Some(IceClaveError::NotRunning(tee)));
         assert_eq!(errs.remove(7), None);
-    }
-
-    #[test]
-    fn iv_table_grows_on_demand() {
-        let mut ivs = IvTable::new();
-        assert!(ivs.get(100).is_none());
-        let iv = PageIv::compose(42, 7);
-        ivs.insert(100, iv);
-        assert_eq!(ivs.get(100), Some(&iv));
-        assert!(ivs.get(99).is_none());
     }
 }

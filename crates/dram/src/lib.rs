@@ -498,41 +498,6 @@ impl Dram {
         done
     }
 
-    /// Serves a set of independent cache-line accesses that all become
-    /// ready at `arrival` — a batched metadata write-back or fetch.
-    /// The batch is issued **bank-aware**: accesses are grouped by bank
-    /// and issued round-robin one per bank, so independent banks
-    /// overlap their activates instead of one bank's queue being booked
-    /// ahead while others sit idle (issue order decides who claims the
-    /// shared data bus first). Returns the completion time of the last
-    /// access.
-    pub fn access_batch(&mut self, lines: &[CacheLine], op: MemOp, arrival: SimTime) -> SimTime {
-        // Group by flat bank index, preserving arrival order per bank.
-        let mut groups: Vec<(usize, Vec<CacheLine>)> = Vec::new();
-        for &line in lines {
-            let bank = self.map(line).1;
-            match groups.iter_mut().find(|(b, _)| *b == bank) {
-                Some((_, q)) => q.push(line),
-                None => groups.push((bank, vec![line])),
-            }
-        }
-        let mut done = arrival;
-        let mut round = 0;
-        loop {
-            let mut issued = false;
-            for (_, q) in &groups {
-                if let Some(&line) = q.get(round) {
-                    issued = true;
-                    done = done.max(self.access(line, op, arrival).end);
-                }
-            }
-            if !issued {
-                return done;
-            }
-            round += 1;
-        }
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &DramStats {
         &self.stats
@@ -734,38 +699,6 @@ mod tests {
                 done = t_fast;
             }
         }
-    }
-
-    #[test]
-    fn access_batch_interleaves_across_banks() {
-        // Three lines: two on bank A (same row), one on bank B. Naive
-        // in-order issue puts both bank-A bursts on the bus before
-        // bank B's; bank-aware issue lets bank B's burst claim the bus
-        // between them, finishing the whole batch no later.
-        let c = DramConfig::table3();
-        let banks = u64::from(c.banks_per_rank) * u64::from(c.ranks_per_channel);
-        let lines = [
-            CacheLine::new(0),
-            CacheLine::new(banks), // bank 0, next column
-            CacheLine::new(1),     // bank 1
-        ];
-        let mut batched = Dram::new(c);
-        let batch_end = batched.access_batch(&lines, MemOp::Write, SimTime::ZERO);
-        let mut naive = Dram::new(c);
-        let mut naive_end = SimTime::ZERO;
-        for &l in &lines {
-            naive_end = naive_end.max(naive.access(l, MemOp::Write, SimTime::ZERO).end);
-        }
-        assert!(batch_end <= naive_end);
-        assert_eq!(batched.stats().writes, 3);
-    }
-
-    #[test]
-    fn access_batch_empty_is_a_no_op() {
-        let mut d = dram();
-        let t = SimTime::ZERO + SimDuration::from_nanos(5);
-        assert_eq!(d.access_batch(&[], MemOp::Read, t), t);
-        assert_eq!(d.stats().accesses(), 0);
     }
 
     #[test]

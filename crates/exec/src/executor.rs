@@ -1,10 +1,8 @@
 //! The deterministic discrete-event executor driving batches at stage
 //! granularity.
 
-use std::collections::VecDeque;
-
-use iceclave_sim::{EventClock, KeyedEventQueue};
-use iceclave_types::{CompletionEvent, FaultStats, SimTime, Ticket};
+use iceclave_sim::KeyedEventQueue;
+use iceclave_types::{CompletionEvent, FaultStats, SimTime, Ticket, WindowTable};
 
 use crate::completion::{CompletionQueue, RetireObserver};
 use crate::power::{PowerLossInjector, PowerLossPlan};
@@ -40,79 +38,12 @@ pub trait StageMachine {
 }
 
 #[derive(Copy, Clone, Debug)]
-pub(crate) struct TicketState {
-    pub(crate) pages: u32,
-    pub(crate) remaining: u32,
-    pub(crate) drained: u32,
-    pub(crate) issued: SimTime,
-    pub(crate) finished: SimTime,
-}
-
-/// Windowed slab of in-flight ticket state, indexed directly by raw
-/// ticket id.
-///
-/// Ticket ids are allocated monotonically and retired roughly in
-/// order, so live tickets occupy a dense sliding window
-/// `[base, base + slots.len())`: a lookup is one subtraction and one
-/// array index instead of a tree probe. The window bounds *are* the
-/// generation check — an id below `base` names a retired generation,
-/// an id at or past the window end was never issued, and a `None`
-/// slot inside the window is a retired ticket whose id can never be
-/// reissued (monotonic allocation is the documented same-tick
-/// tie-breaker, so ids are never reused).
-#[derive(Debug, Default)]
-pub(crate) struct TicketTable {
-    /// Raw ticket id of `slots[0]`.
-    base: u64,
-    /// Live window; `None` marks retired tickets awaiting window
-    /// advance.
-    slots: VecDeque<Option<TicketState>>,
-}
-
-impl TicketTable {
-    pub(crate) fn new(first_id: u64) -> Self {
-        TicketTable {
-            base: first_id,
-            slots: VecDeque::new(),
-        }
-    }
-
-    pub(crate) fn get(&self, id: u64) -> Option<&TicketState> {
-        let idx = id.checked_sub(self.base)?;
-        self.slots.get(idx as usize)?.as_ref()
-    }
-
-    pub(crate) fn get_mut(&mut self, id: u64) -> Option<&mut TicketState> {
-        let idx = id.checked_sub(self.base)?;
-        self.slots.get_mut(idx as usize)?.as_mut()
-    }
-
-    /// Inserts the state of the next monotonically allocated id.
-    pub(crate) fn push_next(&mut self, id: u64, state: TicketState) {
-        debug_assert_eq!(id, self.base + self.slots.len() as u64);
-        self.slots.push_back(Some(state));
-    }
-
-    /// Drops every ticket failing `keep`, then advances the window
-    /// past the retired prefix so the slab stays bounded.
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&TicketState) -> bool) {
-        for slot in self.slots.iter_mut() {
-            if slot.as_ref().is_some_and(|s| !keep(s)) {
-                *slot = None;
-            }
-        }
-        // Only the front advances: `push_next` relies on the window
-        // end staying aligned with the id allocator, so interior and
-        // trailing holes wait for the window to slide past them.
-        while matches!(self.slots.front(), Some(None)) {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-    }
-
-    pub(crate) fn values(&self) -> impl Iterator<Item = &TicketState> {
-        self.slots.iter().filter_map(|s| s.as_ref())
-    }
+struct TicketState {
+    pages: u32,
+    remaining: u32,
+    drained: u32,
+    issued: SimTime,
+    finished: SimTime,
 }
 
 /// The same-tick event ordering key: *(virtual time, ticket id, page
@@ -135,10 +66,13 @@ type EventKey = (u64, u64, u32);
 #[derive(Debug)]
 pub struct Executor<S> {
     events: KeyedEventQueue<EventKey, (Ticket, u32, S)>,
-    clock: EventClock,
+    /// High-water mark of processed simulated time: events scheduled
+    /// in the past run like any late arrival but never rewind it.
+    clock: SimTime,
     completions: CompletionQueue,
     next_ticket: u64,
-    tickets: TicketTable,
+    /// In-flight ticket state by raw ticket id.
+    tickets: WindowTable<TicketState>,
     power: Option<PowerLossInjector>,
 }
 
@@ -147,10 +81,10 @@ impl<S> Executor<S> {
     pub fn new() -> Self {
         Executor {
             events: KeyedEventQueue::new(),
-            clock: EventClock::new(),
+            clock: SimTime::ZERO,
             completions: CompletionQueue::new(),
             next_ticket: 1,
-            tickets: TicketTable::new(1),
+            tickets: WindowTable::new(1),
             power: None,
         }
     }
@@ -194,7 +128,7 @@ impl<S> Executor<S> {
     pub fn open_ticket(&mut self, pages: u32, now: SimTime) -> Ticket {
         let ticket = Ticket::new(self.next_ticket);
         self.next_ticket += 1;
-        self.tickets.push_next(
+        self.tickets.insert(
             ticket.raw(),
             TicketState {
                 pages,
@@ -320,7 +254,7 @@ impl<S> Executor<S> {
 
     /// Number of tickets with pages still in flight.
     pub fn open_tickets(&self) -> usize {
-        self.tickets.values().filter(|s| s.remaining > 0).count()
+        self.tickets.iter().filter(|(_, s)| s.remaining > 0).count()
     }
 
     /// Number of stage events waiting on the heap.
@@ -331,7 +265,7 @@ impl<S> Executor<S> {
     /// The executor's event clock (high-water mark of processed
     /// simulated time).
     pub fn clock(&self) -> SimTime {
-        self.clock.now()
+        self.clock
     }
 
     /// Processes every stage event due at or before `now`. Stops dead
@@ -346,7 +280,7 @@ impl<S> Executor<S> {
                 break;
             };
             self.power_note_event();
-            self.clock.advance_to(at);
+            self.clock = self.clock.max(at);
             machine.advance(
                 StageEvent {
                     at,
@@ -377,7 +311,7 @@ impl<S> Executor<S> {
                 break;
             };
             self.power_note_event();
-            self.clock.advance_to(at);
+            self.clock = self.clock.max(at);
             machine.advance(
                 StageEvent {
                     at,
@@ -401,7 +335,7 @@ impl<S> Executor<S> {
                 break;
             };
             self.power_note_event();
-            self.clock.advance_to(at);
+            self.clock = self.clock.max(at);
             machine.advance(
                 StageEvent {
                     at,
@@ -592,6 +526,24 @@ mod tests {
         exec.run_until(&mut toy, at(20));
         assert!(exec.is_closed(t));
         assert_eq!(exec.poll(at(20)).len(), 1);
+    }
+
+    #[test]
+    fn clock_is_monotone() {
+        // An event scheduled before the clock's high-water mark runs
+        // like a late arrival but never rewinds the clock.
+        let mut exec = Executor::new();
+        let mut toy = Toy {
+            hops: 1,
+            trace: Vec::new(),
+        };
+        submit(&mut exec, 1, at(10));
+        exec.run_to_idle(&mut toy);
+        assert_eq!(exec.clock(), at(10));
+        let late = submit(&mut exec, 1, at(5));
+        exec.run_to_idle(&mut toy);
+        assert!(exec.is_closed(late));
+        assert_eq!(exec.clock(), at(10), "never rewinds");
     }
 
     #[test]

@@ -11,7 +11,8 @@ use iceclave_flash::{
 use iceclave_sim::ServiceSpan;
 use iceclave_trustzone::{World, WorldMonitor};
 use iceclave_types::{
-    ByteSize, FastMap, FastSet, Lpn, Ppn, SimDuration, SimTime, TeeId, WriteBatchRequest,
+    ByteSize, DenseTable, FastMap, FastSet, Lpn, Ppn, SimDuration, SimTime, TeeId,
+    WriteBatchRequest,
 };
 
 use crate::cmt::CachedMappingTable;
@@ -265,37 +266,6 @@ impl PageContent {
     }
 }
 
-/// Grow-on-demand vector map for keys used densely from zero: the
-/// translation-page numbers (`lpn / ENTRIES_PER_TRANSLATION_PAGE`, and
-/// LPNs are staged from zero), where direct indexing replaces hashing
-/// on the per-I/O bookkeeping path. Keys the allocator strides across
-/// the device must NOT live here: PPNs span every die, and flat block
-/// indexes are plane-major, so one steered write batch touching every
-/// plane would grow the vector to nearly the device's block count.
-#[derive(Debug, Default)]
-struct DenseSlab<T> {
-    slots: Vec<Option<T>>,
-}
-
-impl<T> DenseSlab<T> {
-    fn new() -> Self {
-        DenseSlab { slots: Vec::new() }
-    }
-
-    #[inline]
-    fn get(&self, key: u64) -> Option<&T> {
-        self.slots.get(key as usize).and_then(Option::as_ref)
-    }
-
-    fn insert(&mut self, key: u64, value: T) -> Option<T> {
-        let idx = key as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize_with(idx + 1, || None);
-        }
-        self.slots[idx].replace(value)
-    }
-}
-
 /// A programmed block's record: what each of its valid pages holds.
 #[derive(Clone, Debug, Default)]
 struct BlockInfo {
@@ -374,7 +344,10 @@ pub struct Ftl {
     /// plane-major and the allocator steers the first batch across
     /// every plane.
     blocks: FastMap<u64, BlockInfo>,
-    translation_ppns: DenseSlab<Ppn>,
+    /// Where each translation page was last persisted, by
+    /// translation-page number (`lpn / ENTRIES_PER_TRANSLATION_PAGE`;
+    /// LPNs are staged from zero, so the numbers are dense).
+    translation_ppns: DenseTable<Ppn>,
     /// The channel of the next single-page placement ([`Ftl::write`],
     /// a translation write-back): channel-first round-robin, so
     /// consecutive single writes stripe across every channel bus.
@@ -417,7 +390,7 @@ impl Ftl {
             cmt: CachedMappingTable::new(config.cmt_capacity),
             planes,
             blocks: FastMap::default(),
-            translation_ppns: DenseSlab::new(),
+            translation_ppns: DenseTable::new(),
             write_cursor: 0,
             channel_cursors: vec![0; flash_config.geometry.channels as usize],
             last_secure_granule: None,
@@ -539,7 +512,7 @@ impl Ftl {
         self.mapping = MappingTable::new();
         self.cmt = CachedMappingTable::new(self.config.cmt_capacity);
         self.blocks = FastMap::default();
-        self.translation_ppns = DenseSlab::new();
+        self.translation_ppns = DenseTable::new();
         self.write_cursor = 0;
         self.channel_cursors = vec![0; g.channels as usize];
         self.last_secure_granule = None;
@@ -659,19 +632,13 @@ impl Ftl {
                 unprogrammed.push(lpn);
             }
         }
-        for (tvpn, slot) in self.translation_ppns.slots.iter_mut().enumerate() {
-            match *slot {
-                Some(ppn) if programmed(ppn) => {
-                    mark_valid(
-                        &mut self.blocks,
-                        g,
-                        ppn,
-                        PageContent::Translation(tvpn as u64),
-                    );
-                }
-                _ => *slot = None,
+        self.translation_ppns.retain(|tvpn, &ppn| {
+            let keep = programmed(ppn);
+            if keep {
+                mark_valid(&mut self.blocks, g, ppn, PageContent::Translation(tvpn));
             }
-        }
+            keep
+        });
         for lpn in unprogrammed {
             self.mapping.remove(lpn);
         }
@@ -2830,7 +2797,7 @@ mod tests {
                 valid += 1;
             }
         }
-        let translation_pages = ftl.translation_ppns.slots.iter().flatten().count();
+        let translation_pages = ftl.translation_ppns.iter().count();
         assert_eq!(valid, ftl.valid_pages(), "{context}");
         assert_eq!(
             valid,

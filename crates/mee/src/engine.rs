@@ -729,9 +729,8 @@ impl MeeEngine {
     /// Routes an L1 victim down the hierarchy. With an L2 the victim is
     /// demoted whether clean or dirty (victim-cache style — read-mostly
     /// metadata must populate L2 for scans to benefit); the sealed-slot
-    /// write and any displaced dirty home write-back are issued as one
-    /// bank-aware batch. Without an L2, dirty victims write straight
-    /// home as before.
+    /// write issues first, then any displaced dirty home write-back.
+    /// Without an L2, dirty victims write straight home as before.
     fn handle_l1_eviction(&mut self, dram: &mut Dram, evicted: Option<(u64, bool)>, now: SimTime) {
         let Some((block, was_dirty)) = evicted else {
             return;
@@ -740,16 +739,13 @@ impl MeeEngine {
             Some(l2) => {
                 let demotion = l2.demote(block, was_dirty);
                 self.stats.l2_demotions += 1;
-                let mut writes = [demotion.slot, CacheLine::new(0)];
-                let mut n = 1;
+                self.note_writeback(block); // the sealed-slot write is metadata traffic too
+                let _ = dram.access(demotion.slot, MemOp::Write, now);
                 if let Some(victim) = demotion.home_writeback {
                     self.stats.l2_writebacks += 1;
                     self.note_writeback(victim);
-                    writes[1] = meta_line(victim);
-                    n = 2;
+                    let _ = dram.access(meta_line(victim), MemOp::Write, now);
                 }
-                self.note_writeback(block); // the sealed-slot write is metadata traffic too
-                let _ = dram.access_batch(&writes[..n], MemOp::Write, now);
             }
             None => {
                 if was_dirty {

@@ -12,8 +12,8 @@
 //!   components yields queueing delay and cross-tenant interference
 //!   without a full event-driven core model.
 //! * [`KeyedEventQueue`] — a deterministic time-ordered queue with a
-//!   caller-supplied same-tick order, and [`EventClock`] the monotone
-//!   clock, both backing the `iceclave_exec` batch executor.
+//!   caller-supplied same-tick order, backing the `iceclave_exec`
+//!   batch executor.
 //!
 //! [`stats`] adds the latency histogram behind the reports' tail
 //! percentiles, and [`rng`] provides deterministically seeded random
@@ -36,13 +36,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod clock;
 pub mod event;
 pub mod resource;
 pub mod rng;
 pub mod stats;
 
-pub use clock::EventClock;
 pub use event::KeyedEventQueue;
 pub use resource::{Resource, ResourcePool, ServiceSpan};
 pub use rng::SimRng;

@@ -2,10 +2,8 @@
 //! never runs them; only `[dev-dependencies]` name this crate, and CI
 //! fails if a normal dependency edge reaches it.
 //!
-//! * Ordering oracles: [`HeapKeyedEventQueue`] for
-//!   [`iceclave_sim::KeyedEventQueue`], [`RefExecutor`] for
-//!   [`iceclave_exec::Executor`] and [`TriviumRef`] for
-//!   [`iceclave_cipher::Trivium`].
+//! * Ordering oracles: [`RefExecutor`] for [`iceclave_exec::Executor`]
+//!   and [`TriviumRef`] for [`iceclave_cipher::Trivium`].
 //! * The functional MEE: [`SecureMemory`] encrypts with [`Aes128`] pads
 //!   and verifies per-line MACs and a [`MerkleTree`], so the
 //!   threat-model tests can show tampering, splicing and replay being
@@ -42,7 +40,6 @@
 
 pub mod aes;
 pub mod alloc;
-pub mod event;
 pub mod reference;
 pub mod secure;
 pub mod tree;
@@ -50,7 +47,6 @@ pub mod trivium;
 
 pub use aes::Aes128;
 pub use alloc::CountingAlloc;
-pub use event::HeapKeyedEventQueue;
 pub use reference::{RefExecutor, RefStageMachine};
 pub use secure::{SecureMemory, VerifyError};
 pub use tree::MerkleTree;

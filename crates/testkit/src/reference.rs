@@ -1,22 +1,21 @@
-//! The reference executor: the pre-flattening data structures, kept
-//! as the ordering oracle for the hot-path rewrite.
+//! The reference executor: the pre-flattening ticket bookkeeping,
+//! kept as the ordering oracle for the executor's hot path.
 //!
-//! [`RefExecutor`] is the executor exactly as it stood before the
-//! calendar-queue/slab flattening: a binary-heap keyed event queue
-//! ([`HeapKeyedEventQueue`]) and a `BTreeMap` ticket table. The
-//! runtime never runs it. Its only job is to let the equivalence test
-//! (`tests/exec_reference_equivalence.rs`) run arbitrary interleaved
-//! schedules through both implementations and assert identical
-//! completion sequences, bytes, and latency breakdowns. Keep its
-//! semantics frozen; behavioral changes belong in
+//! [`RefExecutor`] is the executor as it stood before its hot path was
+//! flattened: a `BTreeMap` ticket table over the binary-heap
+//! [`KeyedEventQueue`] it was frozen on (the executor uses that queue
+//! too). The runtime never runs it. Its only job is to let the
+//! equivalence test (`tests/exec_reference_equivalence.rs`) run
+//! arbitrary interleaved schedules through both implementations and
+//! assert identical completion sequences, bytes, and latency
+//! breakdowns. Keep its semantics frozen; behavioral changes belong in
 //! [`iceclave_exec::Executor`].
 
 use std::collections::BTreeMap;
 
 use iceclave_exec::{CompletionQueue, StageEvent};
+use iceclave_sim::KeyedEventQueue;
 use iceclave_types::{CompletionEvent, SimTime, Ticket};
-
-use crate::event::HeapKeyedEventQueue;
 
 #[derive(Copy, Clone, Debug)]
 struct TicketState {
@@ -47,7 +46,7 @@ type EventKey = (u64, u64, u32);
 /// `BTreeMap` ticket table (see the [module docs](self)).
 #[derive(Debug)]
 pub struct RefExecutor<S> {
-    events: HeapKeyedEventQueue<EventKey, (Ticket, u32, S)>,
+    events: KeyedEventQueue<EventKey, (Ticket, u32, S)>,
     completions: CompletionQueue,
     next_ticket: u64,
     tickets: BTreeMap<u64, TicketState>,
@@ -57,7 +56,7 @@ impl<S> RefExecutor<S> {
     /// An idle executor with no tickets in flight.
     pub fn new() -> Self {
         RefExecutor {
-            events: HeapKeyedEventQueue::new(),
+            events: KeyedEventQueue::new(),
             completions: CompletionQueue::new(),
             next_ticket: 1,
             tickets: BTreeMap::new(),

@@ -4,8 +4,9 @@
 //! workspace: simulated time ([`SimTime`], [`SimDuration`]), storage
 //! addresses ([`Lpn`], [`Ppn`], [`PhysAddr`], [`CacheLine`]), byte sizes
 //! ([`ByteSize`]), clock frequencies ([`Hertz`]) and TEE identifiers
-//! ([`TeeId`]), plus two containers for simulator-internal state:
-//! [`FastMap`] for keys the allocator strides across the device and
+//! ([`TeeId`]), plus containers for simulator-internal state:
+//! [`FastMap`] for keys the allocator strides across the device,
+//! [`WindowTable`] and [`DenseTable`] for ids handed out in order, and
 //! [`ChunkTable`] for sparsely written index ranges.
 //!
 //! The vocabulary types are plain newtypes with value semantics.
@@ -47,7 +48,7 @@ pub use freq::Hertz;
 pub use hash::{FastMap, FastSet, FxHasher};
 pub use request::{BatchCompletion, PageWrite, WriteBatchRequest, WritePageRequest};
 pub use size::ByteSize;
-pub use table::ChunkTable;
+pub use table::{ChunkTable, DenseTable, WindowTable};
 pub use tee::{TeeId, TeeIdError};
 pub use ticket::{CompletionEvent, LatencyBreakdown, PageStatus, Ticket, TicketKind};
 pub use time::{SimDuration, SimTime};

@@ -1,5 +1,11 @@
-//! A two-level table for per-index device state whose index space is
-//! large but sparsely written.
+//! Index-addressed tables for per-id device state, so hot paths index
+//! instead of hashing.
+//!
+//! * [`WindowTable`]: ids handed out monotonically and never reused
+//!   (ticket ids). The live ids sit in a sliding window.
+//! * [`DenseTable`]: ids used densely from zero (LPNs,
+//!   translation-page numbers). A vector grown to the highest id.
+//! * [`ChunkTable`]: a large, sparsely written index space.
 //!
 //! The MEE keeps one counter block per protected DRAM page and the
 //! flash array one frontier per erase block. Both are read on
@@ -9,6 +15,183 @@
 //! pages and half a million blocks. A dense vector sized by the highest
 //! index (or by the device) pays for everything below it.
 //! [`ChunkTable`] pays for the fixed-size chunks a run writes instead.
+
+use std::collections::VecDeque;
+
+/// Per-id values over ids allocated monotonically and never reused,
+/// stored in a sliding window.
+///
+/// Live ids occupy a dense window `[base, base + slots.len())`:
+/// `slots[i]` holds the value of id `base + i`, and a lookup is one
+/// subtraction and one index. The window bounds double as the
+/// generation check: an id below `base` was retired and misses, an id
+/// at or past the window end was never inserted, with no per-slot
+/// counter. Only the front of the window advances, past retired ids,
+/// so the window end stays aligned with the id allocator.
+///
+/// # Examples
+///
+/// ```
+/// use iceclave_types::WindowTable;
+///
+/// let mut tickets: WindowTable<&str> = WindowTable::new(1);
+/// tickets.insert(1, "read");
+/// tickets.insert(3, "write"); // id 2 never gets a value
+/// assert_eq!(tickets.remove(1), Some("read"));
+/// assert_eq!(tickets.get(1), None); // retired
+/// assert_eq!(tickets.iter().collect::<Vec<_>>(), vec![(3, &"write")]);
+/// ```
+#[derive(Debug)]
+pub struct WindowTable<T> {
+    /// Id of `slots[0]`.
+    base: u64,
+    /// The live window; `None` marks an id that was retired or never
+    /// got a value, awaiting the window's advance.
+    slots: VecDeque<Option<T>>,
+}
+
+impl<T> WindowTable<T> {
+    /// An empty table whose first id will be `first_id`.
+    pub fn new(first_id: u64) -> Self {
+        WindowTable {
+            base: first_id,
+            slots: VecDeque::new(),
+        }
+    }
+
+    /// The value of `id`, if it is live.
+    pub fn get(&self, id: u64) -> Option<&T> {
+        let idx = id.checked_sub(self.base)?;
+        self.slots.get(idx as usize)?.as_ref()
+    }
+
+    /// The value of `id` for writing, if it is live.
+    pub fn get_mut(&mut self, id: u64) -> Option<&mut T> {
+        let idx = id.checked_sub(self.base)?;
+        self.slots.get_mut(idx as usize)?.as_mut()
+    }
+
+    /// Inserts the value of a freshly allocated `id`, at or past the
+    /// window end. Ids between the window end and `id` (allocated
+    /// without a value) stay vacant until the window slides past them.
+    pub fn insert(&mut self, id: u64, value: T) {
+        debug_assert!(
+            id >= self.base + self.slots.len() as u64,
+            "ids are monotonic and never reused"
+        );
+        while self.base + (self.slots.len() as u64) < id {
+            self.slots.push_back(None);
+        }
+        self.slots.push_back(Some(value));
+    }
+
+    /// Removes and returns the value of `id`, then slides the window
+    /// past the retired prefix.
+    pub fn remove(&mut self, id: u64) -> Option<T> {
+        let idx = id.checked_sub(self.base)?;
+        let value = self.slots.get_mut(idx as usize)?.take();
+        self.slide();
+        value
+    }
+
+    /// Removes every value `keep` rejects, then slides the window past
+    /// the retired prefix.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        for slot in self.slots.iter_mut() {
+            if slot.as_ref().is_some_and(|v| !keep(v)) {
+                *slot = None;
+            }
+        }
+        self.slide();
+    }
+
+    /// Live `(id, value)` pairs in ascending id order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, slot)| slot.as_ref().map(|v| (self.base + i as u64, v)))
+    }
+
+    /// Advances the window past its leading vacant slots. Interior and
+    /// trailing vacancies wait for the front to reach them.
+    fn slide(&mut self) {
+        while matches!(self.slots.front(), Some(None)) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+    }
+}
+
+/// Per-id values over ids used densely from zero: a vector of
+/// optional values grown to the highest id inserted.
+///
+/// A lookup is one bounds check and one index. Memory follows the
+/// highest id, so ids the allocator strides across the device (PPNs,
+/// plane-major block indexes) belong in a [`ChunkTable`] or a hash
+/// map instead.
+///
+/// # Examples
+///
+/// ```
+/// use iceclave_types::DenseTable;
+///
+/// let mut ivs: DenseTable<u64> = DenseTable::new();
+/// assert_eq!(ivs.insert(7, 42), None);
+/// assert_eq!(ivs.insert(7, 43), Some(42));
+/// assert_eq!((ivs.get(7), ivs.get(6)), (Some(&43), None));
+/// ```
+#[derive(Debug)]
+pub struct DenseTable<T> {
+    slots: Vec<Option<T>>,
+}
+
+impl<T> DenseTable<T> {
+    /// An empty table.
+    pub fn new() -> Self {
+        DenseTable { slots: Vec::new() }
+    }
+
+    /// The value at `index`, if one was inserted.
+    #[inline]
+    pub fn get(&self, index: u64) -> Option<&T> {
+        self.slots.get(index as usize)?.as_ref()
+    }
+
+    /// Stores `value` at `index`, growing the table to reach it, and
+    /// returns the value it replaces.
+    pub fn insert(&mut self, index: u64, value: T) -> Option<T> {
+        let idx = index as usize;
+        if idx >= self.slots.len() {
+            self.slots.resize_with(idx + 1, || None);
+        }
+        self.slots[idx].replace(value)
+    }
+
+    /// Removes every value `keep` rejects, visiting indexes in
+    /// ascending order.
+    pub fn retain(&mut self, mut keep: impl FnMut(u64, &T) -> bool) {
+        for (index, slot) in self.slots.iter_mut().enumerate() {
+            if slot.as_ref().is_some_and(|v| !keep(index as u64, v)) {
+                *slot = None;
+            }
+        }
+    }
+
+    /// Stored `(index, value)` pairs in ascending index order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| slot.as_ref().map(|v| (i as u64, v)))
+    }
+}
+
+impl<T> Default for DenseTable<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 /// Directory entry of a chunk that no write has touched.
 const ABSENT: u32 = u32::MAX;
@@ -108,6 +291,54 @@ impl<T: Clone, const CHUNK: usize> ChunkTable<T, CHUNK> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn window_slides_only_at_the_front() {
+        let mut t: WindowTable<u32> = WindowTable::new(1);
+        t.insert(1, 10);
+        t.insert(2, 20);
+        // Removing the back value must not shrink the window end.
+        assert_eq!(t.remove(2), Some(20));
+        t.insert(3, 30);
+        assert_eq!(t.get(3), Some(&30));
+        assert!(t.get(2).is_none());
+        // Removing the front slides past the retired hole in one go.
+        assert_eq!(t.remove(1), Some(10));
+        assert!(t.get(1).is_none());
+        assert_eq!(t.iter().collect::<Vec<_>>(), vec![(3, &30)]);
+        // `retain` slides the same way.
+        t.insert(4, 40);
+        t.retain(|&v| v != 30);
+        assert!(t.get_mut(3).is_none());
+        assert_eq!(t.iter().collect::<Vec<_>>(), vec![(4, &40)]);
+    }
+
+    #[test]
+    fn window_ids_without_a_value_stay_vacant() {
+        let mut t: WindowTable<u32> = WindowTable::new(1);
+        t.insert(1, 10);
+        // Ids 2 and 3 were allocated without a value (empty batches).
+        t.insert(4, 40);
+        assert!(t.get(2).is_none());
+        assert!(t.get(3).is_none());
+        assert_eq!(
+            t.iter().map(|(id, _)| id).collect::<Vec<_>>(),
+            vec![1, 4],
+            "iteration skips the vacant ids"
+        );
+    }
+
+    #[test]
+    fn dense_table_grows_on_demand() {
+        let mut t: DenseTable<u64> = DenseTable::new();
+        assert!(t.get(100).is_none());
+        assert_eq!(t.insert(100, 42), None);
+        assert_eq!(t.get(100), Some(&42));
+        assert!(t.get(99).is_none());
+        t.insert(3, 7);
+        t.retain(|index, _| index != 100);
+        assert_eq!(t.iter().collect::<Vec<_>>(), vec![(3, &7)]);
+    }
 
     /// Chunks written so far.
     fn chunks<T, const CHUNK: usize>(t: &ChunkTable<T, CHUNK>) -> usize {

@@ -609,11 +609,17 @@ mod tests {
 
     #[test]
     fn q19_matches_naive_revenue() {
-        let cfg = config();
+        // No lineitem passes Q19 at `config()`'s 512 KiB; 2 MiB holds
+        // a few matches.
+        let cfg = WorkloadConfig {
+            functional_bytes: ByteSize::from_mib(2),
+            ..config()
+        };
         let q19 = Q19::new(&cfg);
         let out = q19.run(&mut |_| {});
         let l = q19.layout();
         let mut revenue = 0.0f64;
+        let mut matched = 0u64;
         let lineitem = LineitemGen::new(cfg.seed, l.lineitem_rows / 4, l.side_rows);
         let parts = PartGen::new(cfg.seed);
         for i in 0..l.lineitem_rows {
@@ -633,9 +639,12 @@ mod tests {
                     && p.size <= 15;
                 if arm1 || arm2 || arm3 {
                     revenue += item.extendedprice * (1.0 - item.discount);
+                    matched += 1;
                 }
             }
         }
+        assert!(revenue > 0.0, "no lineitem matched, so nothing is checked");
+        assert_eq!(out.rows, matched);
         assert!((out.checksum - revenue).abs() < 1e-9);
     }
 

@@ -1,8 +1,8 @@
 //! Equivalence of the flattened executor and the reference
 //! implementation (`iceclave_testkit::RefExecutor`).
 //!
-//! The hot-path rewrite (calendar event queue, windowed ticket slab,
-//! in-place completion drain) must be *invisible*: for any interleaved
+//! The hot-path rewrite (windowed ticket slab, in-place completion
+//! drain) must be *invisible*: for any interleaved
 //! read/write schedule, the flattened [`Executor`] and the frozen
 //! pre-flattening [`RefExecutor`] must produce identical completion
 //! sequences — same order, same bytes, same [`LatencyBreakdown`]s.
