@@ -1,9 +1,13 @@
 //! IceClave runtime configuration.
 
 use iceclave_mee::MeeConfig;
-use iceclave_types::{ByteSize, Hertz, SimDuration};
+use iceclave_types::ByteSize;
 
 use crate::platform::PlatformConfig;
+
+/// Secure-region carve-out at the bottom of DRAM (FTL code/data +
+/// runtime metadata).
+pub(crate) const SECURE_REGION: ByteSize = ByteSize::from_mib(64);
 
 /// What carries a page between a flash channel and DRAM: the lane
 /// every read crosses after the channel bus, and every write before
@@ -16,14 +20,16 @@ pub enum Link {
     /// A plaintext internal bus with no engine on it: the insecure ISC
     /// baseline.
     Plain,
-    /// One PCIe link that every channel shares, at the platform's
-    /// `pcie_bandwidth`: the host baselines, whose "DRAM" is host
-    /// memory.
+    /// One PCIe link that every channel shares, at the host's
+    /// effective 1.6 GB/s ([`crate::SsdPlatform::pcie_transfer_time`]):
+    /// the host baselines, whose "DRAM" is host memory.
     Pcie,
 }
 
-/// Everything the IceClave runtime needs to know: platform, security
-/// engines, and the measured lifecycle costs of Table 5.
+/// What an IceClave run varies: the platform, the memory-encryption
+/// engine, the link and the TEE region size. The lifecycle costs
+/// Table 5 measures, the cipher clock, the secure region and the code
+/// size limit are constants.
 #[derive(Clone, Debug)]
 pub struct IceClaveConfig {
     /// The underlying SSD platform (Table 3).
@@ -31,25 +37,12 @@ pub struct IceClaveConfig {
     /// Memory-encryption engine configuration (§4.4; hybrid counters by
     /// default).
     pub mee: MeeConfig,
-    /// Stream-cipher engine clock (shared with the controller, §5).
-    pub cipher_clock: Hertz,
     /// The lane between the flash channels and DRAM. Only
     /// [`Link::Cipher`] encrypts page content.
     pub link: Link,
-    /// TEE creation cost (Table 5: 95 us, measured on the Cosmos+
-    /// FPGA).
-    pub tee_create: SimDuration,
-    /// TEE deletion cost (Table 5: 58 us).
-    pub tee_delete: SimDuration,
     /// Contiguous memory preallocated per TEE to avoid fragmentation
     /// (§4.5: 16 MiB).
     pub tee_region: ByteSize,
-    /// Secure-region carve-out at the bottom of DRAM (FTL code/data +
-    /// runtime metadata).
-    pub secure_region: ByteSize,
-    /// Largest offloaded binary accepted (popular in-storage programs
-    /// are 28–528 KiB, §4.5).
-    pub max_code_size: ByteSize,
 }
 
 impl IceClaveConfig {
@@ -58,13 +51,8 @@ impl IceClaveConfig {
         IceClaveConfig {
             platform: PlatformConfig::table3(),
             mee: MeeConfig::hybrid(),
-            cipher_clock: Hertz::from_mhz(800),
             link: Link::Cipher,
-            tee_create: SimDuration::from_micros(95),
-            tee_delete: SimDuration::from_micros(58),
             tee_region: ByteSize::from_mib(16),
-            secure_region: ByteSize::from_mib(64),
-            max_code_size: ByteSize::from_mib(1),
         }
     }
 
@@ -93,7 +81,7 @@ impl IceClaveConfig {
             self.mee.l2_capacity.as_bytes()
         };
         let reserved =
-            self.secure_region.as_bytes() + self.platform.ftl.cmt_capacity.as_bytes() + l2_reserved;
+            SECURE_REGION.as_bytes() + self.platform.ftl.cmt_capacity.as_bytes() + l2_reserved;
         let normal = self
             .platform
             .dram
@@ -108,12 +96,14 @@ impl IceClaveConfig {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::runtime::{TEE_CREATE, TEE_DELETE};
+    use iceclave_types::SimDuration;
 
     #[test]
     fn table3_lifecycle_costs() {
         let c = IceClaveConfig::table3();
-        assert_eq!(c.tee_create, SimDuration::from_micros(95));
-        assert_eq!(c.tee_delete, SimDuration::from_micros(58));
+        assert_eq!(TEE_CREATE, SimDuration::from_micros(95));
+        assert_eq!(TEE_DELETE, SimDuration::from_micros(58));
         assert_eq!(c.tee_region, ByteSize::from_mib(16));
     }
 
@@ -121,6 +111,7 @@ mod tests {
     fn region_slots_fit_in_dram() {
         let c = IceClaveConfig::table3();
         // 4 GiB minus 64 MiB secure minus 16 MiB CMT, in 16 MiB slots.
+        assert_eq!(SECURE_REGION, ByteSize::from_mib(64));
         assert_eq!(c.region_slots(), (4096 - 64 - 16) / 16);
     }
 

@@ -8,7 +8,14 @@ use iceclave_sim::ResourcePool;
 use iceclave_trustzone::WorldMonitor;
 use iceclave_types::{Lpn, SimDuration, SimTime, WriteBatchRequest};
 
-/// Configuration of the computational SSD platform (Table 3).
+/// Effective host ingest bandwidth in bytes/second: the PCIe 3.0 x4
+/// link's 3.2 GB/s reduced by the host I/O stack (filesystem, block
+/// layer, page-cache copies, DMA setup) to ~1.6 GB/s — the external
+/// bottleneck of §2.2.
+const PCIE_BANDWIDTH: u64 = 1_600_000_000;
+
+/// Configuration of the computational SSD platform (Table 3). The
+/// host link's effective bandwidth is a constant of this module.
 #[derive(Clone, Debug)]
 pub struct PlatformConfig {
     /// Flash geometry and timing.
@@ -21,11 +28,6 @@ pub struct PlatformConfig {
     pub cores: usize,
     /// The embedded core model.
     pub core_model: CoreModel,
-    /// Effective host ingest bandwidth in bytes/second: the PCIe 3.0 x4
-    /// link's 3.2 GB/s reduced by the host I/O stack (filesystem, block
-    /// layer, page-cache copies, DMA setup) to ~1.6 GB/s — the external
-    /// bottleneck of §2.2.
-    pub pcie_bandwidth: u64,
 }
 
 impl PlatformConfig {
@@ -37,7 +39,6 @@ impl PlatformConfig {
             dram: DramConfig::table3(),
             cores: 4,
             core_model: CoreModel::a72_1_6ghz(),
-            pcie_bandwidth: 1_600_000_000,
         }
     }
 
@@ -114,7 +115,7 @@ impl SsdPlatform {
     /// Time to move `bytes` across the host link (the external
     /// bottleneck for host-based computing).
     pub fn pcie_transfer_time(&self, bytes: u64) -> SimDuration {
-        let ps = (bytes as u128 * 1_000_000_000_000u128) / self.config.pcie_bandwidth as u128;
+        let ps = (bytes as u128 * 1_000_000_000_000u128) / u128::from(PCIE_BANDWIDTH);
         SimDuration::from_ps(ps as u64)
     }
 

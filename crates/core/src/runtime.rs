@@ -12,16 +12,26 @@ use iceclave_mee::{MacFaultPlan, MeeEngine, PageClass};
 use iceclave_sim::Resource;
 use iceclave_trustzone::{AccessType, MemoryMap, ProtectionFault, Region, World};
 use iceclave_types::{
-    ByteSize, CacheLine, DenseTable, Lpn, Ppn, RecoveryStats, SimTime, TeeId, WindowTable,
-    LINES_PER_PAGE, PAGE_SIZE,
+    ByteSize, CacheLine, DenseTable, Hertz, Lpn, Ppn, RecoveryStats, SimDuration, SimTime, TeeId,
+    WindowTable, LINES_PER_PAGE, PAGE_SIZE,
 };
 
-use crate::config::{IceClaveConfig, Link};
+use crate::config::{IceClaveConfig, Link, SECURE_REGION};
 use crate::platform::SsdPlatform;
 
 /// One TEE slot per value of the 4-bit mapping-entry ID field (§4.3),
 /// the reserved unowned id 0 included.
 const TEE_SLOTS: usize = 1 << iceclave_types::tee::DEFAULT_ID_BITS;
+
+/// TEE creation cost (Table 5: 95 us, measured on the Cosmos+ FPGA).
+pub(crate) const TEE_CREATE: SimDuration = SimDuration::from_micros(95);
+/// TEE deletion cost (Table 5: 58 us).
+pub(crate) const TEE_DELETE: SimDuration = SimDuration::from_micros(58);
+/// Stream-cipher engine clock (shared with the controller, §5).
+const CIPHER_CLOCK: Hertz = Hertz::from_mhz(800);
+/// Largest offloaded binary accepted (popular in-storage programs are
+/// 28–528 KiB, §4.5).
+const MAX_CODE_SIZE: ByteSize = ByteSize::from_mib(1);
 
 /// Why a TEE was thrown out (§4.5: access-control violation, corrupted
 /// memory/metadata, or a program exception).
@@ -253,13 +263,13 @@ impl IceClave {
         memory_map
             .define(
                 iceclave_types::PhysAddr::new(0),
-                config.secure_region,
+                SECURE_REGION,
                 Region::Secure,
             )
             .expect("secure region fits");
         memory_map
             .define(
-                iceclave_types::PhysAddr::new(config.secure_region.as_bytes()),
+                iceclave_types::PhysAddr::new(SECURE_REGION.as_bytes()),
                 config.platform.ftl.cmt_capacity,
                 Region::Protected,
             )
@@ -273,7 +283,7 @@ impl IceClave {
         IceClave {
             platform,
             mee: MeeEngine::new(config.mee),
-            cipher: CipherEngine::new([0x1C; 10], config.cipher_clock, 0xACE1_CAFE),
+            cipher: CipherEngine::new([0x1C; 10], CIPHER_CLOCK, 0xACE1_CAFE),
             lanes,
             page_ivs: DenseTable::new(),
             memory_map,
@@ -493,13 +503,9 @@ impl IceClave {
     ) -> Result<(TeeId, SimTime), IceClaveError> {
         self.ensure_powered()?;
         let requested = ByteSize::from_bytes(code_bytes);
-        if requested.as_bytes() > self.config.max_code_size.as_bytes()
-            || requested.as_bytes() > self.config.tee_region.as_bytes()
-        {
-            return Err(IceClaveError::CodeTooLarge {
-                requested,
-                limit: self.config.max_code_size.min(self.config.tee_region),
-            });
+        let limit = MAX_CODE_SIZE.min(self.config.tee_region);
+        if requested > limit {
+            return Err(IceClaveError::CodeTooLarge { requested, limit });
         }
         let id = self.free_ids.pop().ok_or(IceClaveError::NoFreeIds)?;
         let region_page = match self.free_regions.pop() {
@@ -534,11 +540,10 @@ impl IceClave {
             next_seal: 0,
         });
         self.stats.created += 1;
-        let create_cost = self.config.tee_create;
         let done = self
             .platform
             .monitor
-            .call_into(World::Secure, now, |t| t + create_cost);
+            .call_into(World::Secure, now, |t| t + TEE_CREATE);
         Ok((id, done))
     }
 
@@ -748,7 +753,7 @@ impl IceClave {
     /// Always returns the [`ProtectionFault`] (as an error) — that is
     /// the point.
     pub fn attempt_mapping_table_write(&self) -> Result<(), IceClaveError> {
-        let table_addr = iceclave_types::PhysAddr::new(self.config.secure_region.as_bytes() + 64);
+        let table_addr = iceclave_types::PhysAddr::new(SECURE_REGION.as_bytes() + 64);
         self.memory_map
             .check(World::Normal, table_addr, AccessType::Write)?;
         Ok(())
@@ -762,7 +767,7 @@ impl IceClave {
     ///
     /// Never for the protected region; present for symmetry.
     pub fn attempt_mapping_table_read(&self) -> Result<(), IceClaveError> {
-        let table_addr = iceclave_types::PhysAddr::new(self.config.secure_region.as_bytes() + 64);
+        let table_addr = iceclave_types::PhysAddr::new(SECURE_REGION.as_bytes() + 64);
         self.memory_map
             .check(World::Normal, table_addr, AccessType::Read)?;
         Ok(())
@@ -781,9 +786,8 @@ impl IceClave {
     }
 
     fn build_free_regions(config: &IceClaveConfig) -> Vec<u64> {
-        let region_base_page = (config.secure_region.as_bytes()
-            + config.platform.ftl.cmt_capacity.as_bytes())
-            / PAGE_SIZE;
+        let region_base_page =
+            (SECURE_REGION.as_bytes() + config.platform.ftl.cmt_capacity.as_bytes()) / PAGE_SIZE;
         let region_pages = config.tee_region.as_bytes() / PAGE_SIZE;
         (0..config.region_slots())
             .rev()
@@ -875,11 +879,10 @@ impl IceClave {
         self.platform.ftl.clear_id_bits(&lpns);
         self.free_regions.push(region_page);
         self.free_ids.push(tee);
-        let delete_cost = self.config.tee_delete;
         Ok(self
             .platform
             .monitor
-            .call_into(World::Secure, now, |t| t + delete_cost))
+            .call_into(World::Secure, now, |t| t + TEE_DELETE))
     }
 }
 

@@ -6,7 +6,9 @@
 //! row-buffer **hit** (`tCL` + burst), **closed-row miss**
 //! (`tRCD + tCL` + burst) or **conflict** (`tRP + tRCD + tCL` + burst,
 //! plus write recovery when the previous access wrote), and serialized on
-//! its bank and on the channel data bus.
+//! its bank and on the channel data bus. The timing, the rank count and
+//! the row size are constants of this crate; [`DramConfig`] holds only
+//! what a run varies.
 //!
 //! The memory-encryption engine (`iceclave-mee`) drives this model with
 //! both program data and its own metadata traffic (counters, MACs,
@@ -53,33 +55,40 @@ pub enum RowOutcome {
     Conflict,
 }
 
-/// DDR3 device and timing configuration (Table 3).
+/// Ranks per channel (Table 3).
+const RANKS_PER_CHANNEL: u32 = 2;
+/// Cache lines per 8 KiB row buffer.
+const LINES_PER_ROW: u64 = ByteSize::from_kib(8).as_bytes() / CACHE_LINE_SIZE;
+/// Command clock: 800 MHz for DDR3-1600.
+const CLOCK: Hertz = Hertz::from_mhz(800);
+/// Activate-to-read delay, in command-clock cycles (Table 3's
+/// 11-28-11-11-12 timing).
+const T_RCD: u32 = 11;
+/// Activate-to-precharge minimum, in cycles.
+const T_RAS: u32 = 28;
+/// Precharge time, in cycles.
+const T_RP: u32 = 11;
+/// CAS (read) latency, in cycles.
+const T_CL: u32 = 11;
+/// Write recovery time, in cycles.
+const T_WR: u32 = 12;
+/// Data-burst occupancy of the bus per 64 B line (BL8 = 4 cycles).
+const BURST_CYCLES: u32 = 4;
+/// Most DRAM channels a device may have: [`Dram::access_run`] keeps one
+/// bus frontier per channel on the stack.
+const MAX_CHANNELS: usize = 64;
+
+/// The DRAM geometry a run varies (Table 3 otherwise): DDR3-1600 with
+/// two ranks per channel, 8 KiB rows and 11-28-11-11-12 timing at the
+/// 800 MHz command clock.
 #[derive(Copy, Clone, Eq, PartialEq, Debug)]
 pub struct DramConfig {
-    /// Independent channels.
+    /// Independent channels: a power of two, at most 64.
     pub channels: u32,
-    /// Ranks per channel.
-    pub ranks_per_channel: u32,
-    /// Banks per rank.
+    /// Banks per rank: a power of two.
     pub banks_per_rank: u32,
     /// Total capacity.
     pub capacity: ByteSize,
-    /// Row-buffer size per bank.
-    pub row_size: ByteSize,
-    /// Command clock (800 MHz for DDR3-1600).
-    pub clock: Hertz,
-    /// Activate-to-read delay, in command-clock cycles.
-    pub t_rcd: u32,
-    /// Activate-to-precharge minimum, in cycles.
-    pub t_ras: u32,
-    /// Precharge time, in cycles.
-    pub t_rp: u32,
-    /// CAS (read) latency, in cycles.
-    pub t_cl: u32,
-    /// Write recovery time, in cycles.
-    pub t_wr: u32,
-    /// Data-burst occupancy of the bus per 64 B line (BL8 = 4 cycles).
-    pub burst_cycles: u32,
 }
 
 impl DramConfig {
@@ -88,17 +97,8 @@ impl DramConfig {
     pub fn table3() -> Self {
         DramConfig {
             channels: 1,
-            ranks_per_channel: 2,
             banks_per_rank: 8,
             capacity: ByteSize::from_gib(4),
-            row_size: ByteSize::from_kib(8),
-            clock: Hertz::from_mhz(800),
-            t_rcd: 11,
-            t_ras: 28,
-            t_rp: 11,
-            t_cl: 11,
-            t_wr: 12,
-            burst_cycles: 4,
         }
     }
 
@@ -109,20 +109,9 @@ impl DramConfig {
         self
     }
 
-    /// Cache lines per row buffer.
-    pub fn lines_per_row(&self) -> u64 {
-        self.row_size.as_bytes() / CACHE_LINE_SIZE
-    }
-
     /// Total banks across the device.
     pub fn total_banks(&self) -> u32 {
-        self.channels * self.ranks_per_channel * self.banks_per_rank
-    }
-
-    /// Peak data-bus bandwidth per channel in bytes/second.
-    pub fn peak_bandwidth_per_channel(&self) -> u64 {
-        // One 64 B line every `burst_cycles` command cycles.
-        self.clock.as_hz() / u64::from(self.burst_cycles) * CACHE_LINE_SIZE
+        self.channels * RANKS_PER_CHANNEL * self.banks_per_rank
     }
 }
 
@@ -185,17 +174,17 @@ struct Bank {
 
 /// Command durations precomputed at construction so the per-access path
 /// never re-derives them through `Hertz::cycles` (a 128-bit division).
-/// Each field caches `clock.cycles(n)` for exactly the cycle count `n`
+/// Each field caches `CLOCK.cycles(n)` for exactly the cycle count `n`
 /// the access path would otherwise pass, so timings are bit-identical.
 #[derive(Copy, Clone, Debug)]
 struct Timing {
-    /// Bank occupancy of a row-buffer hit (`burst_cycles`).
+    /// Bank occupancy of a row-buffer hit (`BURST_CYCLES`).
     occ_hit: SimDuration,
-    /// Bank occupancy of a conflict (`t_rp + t_rcd + burst_cycles`).
+    /// Bank occupancy of a conflict (`T_RP + T_RCD + BURST_CYCLES`).
     occ_conflict: SimDuration,
-    /// Conflict occupancy plus write recovery (`… + t_wr`).
+    /// Conflict occupancy plus write recovery (`… + T_WR`).
     occ_conflict_wr: SimDuration,
-    /// Bank occupancy of a closed-row miss (`t_rcd + burst_cycles`).
+    /// Bank occupancy of a closed-row miss (`T_RCD + BURST_CYCLES`).
     occ_closed: SimDuration,
     /// Activate-to-precharge minimum.
     t_ras: SimDuration,
@@ -206,49 +195,60 @@ struct Timing {
 }
 
 impl Timing {
-    fn new(c: &DramConfig) -> Self {
-        let clock = c.clock;
+    fn new() -> Self {
         Timing {
-            occ_hit: clock.cycles(c.burst_cycles.into()),
-            occ_conflict: clock.cycles(u64::from(c.t_rp + c.t_rcd + c.burst_cycles)),
-            occ_conflict_wr: clock.cycles(u64::from(c.t_rp + c.t_rcd + c.burst_cycles + c.t_wr)),
-            occ_closed: clock.cycles(u64::from(c.t_rcd + c.burst_cycles)),
-            t_ras: clock.cycles(c.t_ras.into()),
-            t_cl: clock.cycles(c.t_cl.into()),
-            burst: clock.cycles(c.burst_cycles.into()),
+            occ_hit: CLOCK.cycles(BURST_CYCLES.into()),
+            occ_conflict: CLOCK.cycles(u64::from(T_RP + T_RCD + BURST_CYCLES)),
+            occ_conflict_wr: CLOCK.cycles(u64::from(T_RP + T_RCD + BURST_CYCLES + T_WR)),
+            occ_closed: CLOCK.cycles(u64::from(T_RCD + BURST_CYCLES)),
+            t_ras: CLOCK.cycles(T_RAS.into()),
+            t_cl: CLOCK.cycles(T_CL.into()),
+            burst: CLOCK.cycles(BURST_CYCLES.into()),
         }
     }
 }
 
-/// Shift/mask address decomposition for power-of-two geometries; the
-/// general divide/modulo path stays as the fallback for odd configs.
+/// Rank bits of a line index (after the channel and bank bits).
+const RANK_SHIFT: u32 = RANKS_PER_CHANNEL.trailing_zeros();
+const RANK_MASK: u64 = RANKS_PER_CHANNEL as u64 - 1;
+/// Column bits of a line index (between the rank and the row bits).
+const ROW_SHIFT: u32 = LINES_PER_ROW.trailing_zeros();
+
+/// Shift/mask address decomposition of the power-of-two channel and
+/// bank counts.
 #[derive(Copy, Clone, Debug)]
 struct MapShifts {
     ch_mask: u64,
     ch_shift: u32,
     bank_mask: u64,
     bank_shift: u32,
-    rank_mask: u64,
-    rank_shift: u32,
-    row_shift: u32,
 }
 
 impl MapShifts {
-    fn new(c: &DramConfig) -> Option<Self> {
-        let log2 = |v: u64| (v.is_power_of_two()).then(|| v.trailing_zeros());
-        let ch_shift = log2(u64::from(c.channels))?;
-        let bank_shift = log2(u64::from(c.banks_per_rank))?;
-        let rank_shift = log2(u64::from(c.ranks_per_channel))?;
-        let row_shift = log2(c.lines_per_row())?;
-        Some(MapShifts {
+    fn new(c: &DramConfig) -> Self {
+        MapShifts {
             ch_mask: u64::from(c.channels) - 1,
-            ch_shift,
+            ch_shift: c.channels.trailing_zeros(),
             bank_mask: u64::from(c.banks_per_rank) - 1,
-            bank_shift,
-            rank_mask: u64::from(c.ranks_per_channel) - 1,
-            rank_shift,
-            row_shift,
-        })
+            bank_shift: c.banks_per_rank.trailing_zeros(),
+        }
+    }
+
+    /// Maps a line index to `(channel, flat bank index, row)`.
+    ///
+    /// Layout (LSB to MSB): channel, bank, rank, column, row — standard
+    /// bank-interleaved mapping so consecutive lines hit the same row via
+    /// different columns once the channel/bank bits wrap.
+    #[inline]
+    fn map(&self, x: u64) -> (usize, usize, u64) {
+        let channel = x & self.ch_mask;
+        let y = x >> self.ch_shift;
+        let bank = y & self.bank_mask;
+        let y = y >> self.bank_shift;
+        let rank = y & RANK_MASK;
+        let row = (y >> RANK_SHIFT) >> ROW_SHIFT;
+        let flat_bank = (((channel << RANK_SHIFT) + rank) << self.bank_shift) + bank;
+        (channel as usize, flat_bank as usize, row)
     }
 }
 
@@ -257,7 +257,7 @@ impl MapShifts {
 pub struct Dram {
     config: DramConfig,
     timing: Timing,
-    shifts: Option<MapShifts>,
+    shifts: MapShifts,
     banks: Vec<Bank>,
     buses: Vec<Resource>,
     stats: DramStats,
@@ -265,7 +265,20 @@ pub struct Dram {
 
 impl Dram {
     /// Creates an idle DRAM with all banks precharged.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `channels` and `banks_per_rank` are powers of two
+    /// and `channels` is at most 64.
     pub fn new(config: DramConfig) -> Self {
+        assert!(
+            config.channels.is_power_of_two() && config.banks_per_rank.is_power_of_two(),
+            "DRAM channels and banks per rank must be powers of two: {config:?}"
+        );
+        assert!(
+            config.channels as usize <= MAX_CHANNELS,
+            "at most {MAX_CHANNELS} DRAM channels: {config:?}"
+        );
         let banks = (0..config.total_banks())
             .map(|i| Bank {
                 busy: Resource::new(format!("bank{i}")),
@@ -278,7 +291,7 @@ impl Dram {
             .map(|i| Resource::new(format!("dram-bus{i}")))
             .collect();
         Dram {
-            timing: Timing::new(&config),
+            timing: Timing::new(),
             shifts: MapShifts::new(&config),
             config,
             banks,
@@ -295,7 +308,7 @@ impl Dram {
     /// Serves one cache-line access, returning its service span (`end` is
     /// when the data burst completes on the bus).
     pub fn access(&mut self, line: CacheLine, op: MemOp, arrival: SimTime) -> ServiceSpan {
-        let (channel, bank_idx, row) = self.map(line);
+        let (channel, bank_idx, row) = self.shifts.map(line.raw());
         let timing = self.timing;
 
         // Bank *occupancy* covers only the commands that keep the bank
@@ -324,8 +337,8 @@ impl Dram {
         let command = self.banks[bank_idx].busy.acquire(earliest_start, occupancy);
         // Data appears tCL after the column command and occupies the
         // shared data bus for the burst.
-        let burst = self.buses[channel as usize]
-            .acquire(command.end + timing.t_cl - timing.burst, timing.burst);
+        let burst =
+            self.buses[channel].acquire(command.end + timing.t_cl - timing.burst, timing.burst);
 
         let bank = &mut self.banks[bank_idx];
         if outcome != RowOutcome::Hit {
@@ -362,39 +375,18 @@ impl Dram {
         arrival: SimTime,
     ) -> SimTime {
         // The streaming runs of the page fill/seal paths dominate the
-        // simulator's wall-clock profile, so the common case (power-of-
-        // two geometry) runs a specialized loop with the timing
-        // constants hoisted and statistics batched into locals.
-        // `run_equals_access_loop` pins it to the general path.
-        let Some(s) = self.shifts else {
-            let mut t = arrival;
-            for i in 0..count {
-                t = self
-                    .access(CacheLine::new(line.raw() + i), op, arrival)
-                    .end
-                    .max(t);
-            }
-            return t;
-        };
+        // simulator's wall-clock profile, so this loop hoists the timing
+        // constants and batches statistics into locals.
+        // `run_equals_access_loop` pins it to per-line `access` calls.
+        let s = self.shifts;
         let timing = self.timing;
         let is_write = op == MemOp::Write;
         // The per-channel data buses form independent acquire chains;
         // keep each chain's frontier in a stack slot and commit the
         // aggregate back to the `Resource` once after the loop.
-        const MAX_LOCAL_CH: usize = 64;
         let nch = self.buses.len();
-        if nch > MAX_LOCAL_CH {
-            let mut t = arrival;
-            for i in 0..count {
-                t = self
-                    .access(CacheLine::new(line.raw() + i), op, arrival)
-                    .end
-                    .max(t);
-            }
-            return t;
-        }
-        let mut bus_free = [SimTime::ZERO; MAX_LOCAL_CH];
-        let mut bus_ops = [0u64; MAX_LOCAL_CH];
+        let mut bus_free = [SimTime::ZERO; MAX_CHANNELS];
+        let mut bus_ops = [0u64; MAX_CHANNELS];
         for (c, bus) in self.buses.iter().enumerate() {
             bus_free[c] = bus.next_free();
         }
@@ -410,18 +402,11 @@ impl Dram {
         // lines burst back to back. Only the first round runs line by
         // line; the rest is summed per bank and per channel below.
         let banks = self.banks.len() as u64;
-        let row_shift = s.ch_shift + s.bank_shift + s.rank_shift + s.row_shift;
+        let row_shift = s.ch_shift + s.bank_shift + RANK_SHIFT + ROW_SHIFT;
         let one_row = count > 0 && line.raw() >> row_shift == (line.raw() + count - 1) >> row_shift;
         let exact = if one_row { count.min(banks) } else { count };
         for i in 0..exact {
-            let x = line.raw() + i;
-            let channel = (x & s.ch_mask) as usize;
-            let y = x >> s.ch_shift;
-            let bank_lo = y & s.bank_mask;
-            let rank = (y >> s.bank_shift) & s.rank_mask;
-            let row = ((y >> s.bank_shift) >> s.rank_shift) >> s.row_shift;
-            let bank_idx =
-                (((((x & s.ch_mask) << s.rank_shift) + rank) << s.bank_shift) + bank_lo) as usize;
+            let (channel, bank_idx, row) = s.map(line.raw() + i);
             let bank = &mut self.banks[bank_idx];
             let (hit, occupancy, earliest) = match bank.open_row {
                 Some(open) if open == row => {
@@ -459,14 +444,14 @@ impl Dram {
             // Line `exact + j` and every `banks`-th line after it hit
             // the same bank: `k` chained row-hit commands there.
             let rest = count - exact;
-            let mut channel_lines = [0u64; MAX_LOCAL_CH];
+            let mut channel_lines = [0u64; MAX_CHANNELS];
             for j in 0..rest.min(banks) {
                 let k = rest / banks + u64::from(j < rest % banks);
-                let (channel, bank_idx, _) = self.map(CacheLine::new(line.raw() + exact + j));
+                let (channel, bank_idx, _) = s.map(line.raw() + exact + j);
                 let busy = &mut self.banks[bank_idx].busy;
                 let occupied = timing.occ_hit * k;
                 busy.commit_run(busy.next_free() + occupied, occupied, k);
-                channel_lines[channel as usize] += k;
+                channel_lines[channel] += k;
             }
             hits += rest;
             // A channel's `n` bursts end one burst apart after its bus
@@ -516,41 +501,6 @@ impl Dram {
         }
         self.stats = DramStats::default();
     }
-
-    /// Maps a cache line to `(channel, flat bank index, row)`.
-    ///
-    /// Layout (LSB to MSB): channel, bank, rank, column, row — standard
-    /// bank-interleaved mapping so consecutive lines hit the same row via
-    /// different columns once the channel/bank bits wrap.
-    fn map(&self, line: CacheLine) -> (u32, usize, u64) {
-        let c = &self.config;
-        if let Some(s) = self.shifts {
-            // Power-of-two geometry (every stock config): the chained
-            // divides reduce to shifts and masks.
-            let x = line.raw();
-            let channel = (x & s.ch_mask) as u32;
-            let x = x >> s.ch_shift;
-            let bank = x & s.bank_mask;
-            let x = x >> s.bank_shift;
-            let rank = x & s.rank_mask;
-            let x = x >> s.rank_shift;
-            let row = x >> s.row_shift;
-            let flat_bank = ((u64::from(channel) << s.rank_shift) + rank) << s.bank_shift;
-            return (channel, (flat_bank + bank) as usize, row);
-        }
-        let mut x = line.raw();
-        let channel = (x % u64::from(c.channels)) as u32;
-        x /= u64::from(c.channels);
-        let bank = x % u64::from(c.banks_per_rank);
-        x /= u64::from(c.banks_per_rank);
-        let rank = x % u64::from(c.ranks_per_channel);
-        x /= u64::from(c.ranks_per_channel);
-        let row = x / c.lines_per_row();
-        let flat_bank = (u64::from(channel) * u64::from(c.ranks_per_channel) + rank)
-            * u64::from(c.banks_per_rank)
-            + bank;
-        (channel, flat_bank as usize, row)
-    }
 }
 
 #[cfg(test)]
@@ -570,12 +520,12 @@ mod tests {
         let mut d = dram();
         let c = *d.config();
         let first = d.access(CacheLine::new(0), MemOp::Read, SimTime::ZERO);
-        assert_eq!(first.service(), cycles(c.t_rcd + c.t_cl + c.burst_cycles));
+        assert_eq!(first.service(), cycles(T_RCD + T_CL + BURST_CYCLES));
         // Consecutive lines map to different banks (bank-interleaved), so
         // revisit line 0's row through a line in the same bank+row.
-        let same_row = CacheLine::new(u64::from(c.banks_per_rank) * u64::from(c.ranks_per_channel));
+        let same_row = CacheLine::new(u64::from(c.banks_per_rank) * u64::from(RANKS_PER_CHANNEL));
         let second = d.access(same_row, MemOp::Read, first.end);
-        assert_eq!(second.service(), cycles(c.t_cl + c.burst_cycles));
+        assert_eq!(second.service(), cycles(T_CL + BURST_CYCLES));
         assert_eq!(d.stats().row_hits, 1);
         assert_eq!(d.stats().row_closed_misses, 1);
     }
@@ -584,14 +534,14 @@ mod tests {
     fn conflict_costs_precharge() {
         let mut d = dram();
         let c = *d.config();
-        let lines_per_row = c.lines_per_row();
-        let banks = u64::from(c.banks_per_rank) * u64::from(c.ranks_per_channel);
+        let lines_per_row = LINES_PER_ROW;
+        let banks = u64::from(c.banks_per_rank) * u64::from(RANKS_PER_CHANNEL);
         // Two lines in the same bank but different rows.
         let a = CacheLine::new(0);
         let b = CacheLine::new(banks * lines_per_row);
         let first = d.access(a, MemOp::Read, SimTime::ZERO);
         let second = d.access(b, MemOp::Read, first.end);
-        assert!(second.service() >= cycles(c.t_rp + c.t_rcd + c.t_cl + c.burst_cycles));
+        assert!(second.service() >= cycles(T_RP + T_RCD + T_CL + BURST_CYCLES));
         assert_eq!(d.stats().row_conflicts, 1);
     }
 
@@ -599,9 +549,9 @@ mod tests {
     fn write_recovery_penalizes_following_conflict() {
         let mut d = dram();
         let c = *d.config();
-        let banks = u64::from(c.banks_per_rank) * u64::from(c.ranks_per_channel);
+        let banks = u64::from(c.banks_per_rank) * u64::from(RANKS_PER_CHANNEL);
         let a = CacheLine::new(0);
-        let b = CacheLine::new(banks * c.lines_per_row());
+        let b = CacheLine::new(banks * LINES_PER_ROW);
         let w = d.access(a, MemOp::Write, SimTime::ZERO);
         let after_write = d.access(b, MemOp::Read, w.end);
 
@@ -688,7 +638,7 @@ mod tests {
                 // Probe the bank the run touched last with a conflict
                 // from the run's arrival: it queues behind the bank's
                 // last command and precharges the row the run left open.
-                let row_span = u64::from(config.total_banks()) * config.lines_per_row();
+                let row_span = u64::from(config.total_banks()) * LINES_PER_ROW;
                 let probe = CacheLine::new(base + count - 1 + row_span);
                 assert_eq!(
                     fast.access(probe, MemOp::Read, arrival),
@@ -716,14 +666,25 @@ mod tests {
         d.reset();
         assert_eq!(d.stats().accesses(), 0);
         let first = d.access(CacheLine::new(0), MemOp::Read, SimTime::ZERO);
-        let c = *d.config();
-        assert_eq!(first.service(), cycles(c.t_rcd + c.t_cl + c.burst_cycles));
+        // A closed-row miss again: tRCD + tCL + burst, 26 cycles of
+        // 1.25 ns.
+        assert_eq!(first.service(), cycles(T_RCD + T_CL + BURST_CYCLES));
+        assert_eq!(first.service(), SimDuration::from_ps(32_500));
     }
 
     #[test]
     fn peak_bandwidth_is_ddr3_1600() {
-        let c = DramConfig::table3();
         // 800 MHz command clock / 4 cycles per line * 64 B = 12.8 GB/s.
-        assert_eq!(c.peak_bandwidth_per_channel(), 12_800_000_000);
+        let per_channel = CLOCK.as_hz() / u64::from(BURST_CYCLES) * CACHE_LINE_SIZE;
+        assert_eq!(per_channel, 12_800_000_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "powers of two")]
+    fn three_channels_panic() {
+        let _ = Dram::new(DramConfig {
+            channels: 3,
+            ..DramConfig::table3()
+        });
     }
 }

@@ -275,22 +275,7 @@ impl<S> Executor<S> {
     where
         M: StageMachine<Stage = S>,
     {
-        while !self.power_cut() {
-            let Some((at, _, (ticket, page, stage))) = self.events.pop_due(now) else {
-                break;
-            };
-            self.power_note_event();
-            self.clock = self.clock.max(at);
-            machine.advance(
-                StageEvent {
-                    at,
-                    ticket,
-                    page,
-                    stage,
-                },
-                self,
-            );
-        }
+        self.run_loop(machine, Some(now), None);
     }
 
     /// Processes stage events (in global time order) until `ticket`
@@ -302,26 +287,7 @@ impl<S> Executor<S> {
     where
         M: StageMachine<Stage = S>,
     {
-        while !self.is_closed(ticket) {
-            if self.power_cut() {
-                break;
-            }
-            let Some((at, _, (t, page, stage))) = self.events.pop() else {
-                debug_assert!(false, "{ticket} can never close: event heap ran dry");
-                break;
-            };
-            self.power_note_event();
-            self.clock = self.clock.max(at);
-            machine.advance(
-                StageEvent {
-                    at,
-                    ticket: t,
-                    page,
-                    stage,
-                },
-                self,
-            );
-        }
+        self.run_loop(machine, None, Some(ticket));
     }
 
     /// Processes every pending stage event regardless of time. Stops
@@ -330,8 +296,26 @@ impl<S> Executor<S> {
     where
         M: StageMachine<Stage = S>,
     {
-        while !self.power_cut() {
-            let Some((at, _, (ticket, page, stage))) = self.events.pop() else {
+        self.run_loop(machine, None, None);
+    }
+
+    /// The one event loop behind the three `run_*` entry points: until
+    /// `until` (when given) closes, the armed power plan trips or no
+    /// event is left (due at or before `due`, when given), pops the
+    /// next event and advances the machine with it.
+    fn run_loop<M>(&mut self, machine: &mut M, due: Option<SimTime>, until: Option<Ticket>)
+    where
+        M: StageMachine<Stage = S>,
+    {
+        while until.is_none_or(|t| !self.is_closed(t)) && !self.power_cut() {
+            let next = match due {
+                Some(now) => self.events.pop_due(now),
+                None => self.events.pop(),
+            };
+            let Some((at, _, (ticket, page, stage))) = next else {
+                if let Some(t) = until {
+                    debug_assert!(false, "{t} can never close: event heap ran dry");
+                }
                 break;
             };
             self.power_note_event();

@@ -62,11 +62,6 @@ impl PowerLossPlan {
             cut_after_events: Some(z % horizon),
         }
     }
-
-    /// The scheduled cut index, if any.
-    pub fn cut_index(&self) -> Option<u64> {
-        self.cut_after_events
-    }
 }
 
 /// The armed injector: a plan plus the running event count.
@@ -168,7 +163,7 @@ mod tests {
             let a = PowerLossPlan::seeded(seed, 100);
             let b = PowerLossPlan::seeded(seed, 100);
             assert_eq!(a, b);
-            let cut = a.cut_index().expect("non-zero horizon always cuts");
+            let cut = a.cut_after_events.expect("non-zero horizon always cuts");
             assert!(cut < 100);
         }
         assert_eq!(PowerLossPlan::seeded(7, 0), PowerLossPlan::none());

@@ -11,26 +11,38 @@
 //! the host's 16 GiB.
 
 use iceclave_types::ByteSize;
+use iceclave_workloads::WorkloadConfig;
+
+/// Fraction of DRAM usable for data (the rest holds firmware, buffers,
+/// the CMT, TEE metadata).
+const USABLE_FRACTION: f64 = 0.75;
 
 /// Residency model for one execution environment.
 #[derive(Copy, Clone, Debug)]
 pub struct CapacityModel {
     /// The dataset size being modeled (32 GiB in the paper).
-    pub modeled_dataset: ByteSize,
+    modeled_dataset: ByteSize,
     /// DRAM capacity of the executing side (SSD: 4 or 2 GiB; host:
     /// 16 GiB per §6.1).
-    pub dram: ByteSize,
-    /// Fraction of DRAM usable for data (the rest holds firmware,
-    /// buffers, the CMT, TEE metadata).
-    pub usable_fraction: f64,
+    dram: ByteSize,
     /// modeled-bytes / functional-bytes of the running workload.
-    pub scale_factor: f64,
+    scale_factor: f64,
 }
 
 impl CapacityModel {
+    /// The model of a workload run at `workload`'s scale on a side with
+    /// `dram` bytes of DRAM.
+    pub fn new(workload: &WorkloadConfig, dram: ByteSize) -> Self {
+        CapacityModel {
+            modeled_dataset: workload.modeled_bytes,
+            dram,
+            scale_factor: workload.scale_factor(),
+        }
+    }
+
     /// Usable bytes for cached data.
     pub fn usable(&self) -> f64 {
-        self.dram.as_bytes() as f64 * self.usable_fraction
+        self.dram.as_bytes() as f64 * USABLE_FRACTION
     }
 
     /// Probability a random page of the dataset is cache-resident
@@ -54,13 +66,13 @@ impl CapacityModel {
 mod tests {
     use super::*;
 
+    /// 32 MiB functional modeling 32 GiB: a 1024x scale factor.
     fn model(dram_gib: u64) -> CapacityModel {
-        CapacityModel {
-            modeled_dataset: ByteSize::from_gib(32),
-            dram: ByteSize::from_gib(dram_gib),
-            usable_fraction: 0.75,
-            scale_factor: 1024.0,
-        }
+        let workload = WorkloadConfig {
+            functional_bytes: ByteSize::from_mib(32),
+            ..WorkloadConfig::test()
+        };
+        CapacityModel::new(&workload, ByteSize::from_gib(dram_gib))
     }
 
     #[test]

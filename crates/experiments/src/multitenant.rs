@@ -14,7 +14,7 @@
 use iceclave_core::IceClave;
 use iceclave_sim::SimRng;
 use iceclave_types::{Lpn, SimDuration, SimTime};
-use iceclave_workloads::{Batch, WorkloadConfig, WorkloadKind, WorkloadOutput};
+use iceclave_workloads::{Batch, Workload, WorkloadConfig, WorkloadKind, WorkloadOutput};
 
 use crate::capacity::CapacityModel;
 use crate::modes::{Mode, Overrides};
@@ -43,17 +43,13 @@ pub fn run_colocated(kinds: &[WorkloadKind], wl_config: &WorkloadConfig) -> Vec<
         "tenant count must fit the TEE id space"
     );
     let config = Mode::IceClave.ssd_config(&Overrides::none());
-    let cap = CapacityModel {
-        modeled_dataset: wl_config.modeled_bytes,
-        dram: config.platform.dram.capacity,
-        usable_fraction: 0.75,
-        scale_factor: wl_config.scale_factor(),
-    };
+    let cap = CapacityModel::new(wl_config, config.platform.dram.capacity);
     let mut ice = IceClave::new(config);
 
     // Build workloads, collect batches, stage datasets back to back.
     struct Tenant {
         kind: WorkloadKind,
+        workload: Box<dyn Workload>,
         batches: Vec<Batch>,
         next_batch: usize,
         session: Option<Session>,
@@ -74,6 +70,7 @@ pub fn run_colocated(kinds: &[WorkloadKind], wl_config: &WorkloadConfig) -> Vec<
             .expect("device holds all tenants");
         tenants.push(Tenant {
             kind,
+            workload,
             batches,
             next_batch: 0,
             session: None,
@@ -89,7 +86,6 @@ pub fn run_colocated(kinds: &[WorkloadKind], wl_config: &WorkloadConfig) -> Vec<
     // from before its own offload so lifecycle costs are included, as
     // in the solo runs it is compared against.
     for tenant in &mut tenants {
-        let workload = tenant.kind.build(wl_config);
         let rng = SimRng::new(wl_config.seed).derive(&format!(
             "tenant/{}/{}",
             tenant.base_lpn,
@@ -99,7 +95,7 @@ pub fn run_colocated(kinds: &[WorkloadKind], wl_config: &WorkloadConfig) -> Vec<
             &mut ice,
             Mode::IceClave,
             tenant.base_lpn,
-            &*workload,
+            &*tenant.workload,
             wl_config.scale_factor(),
             run_start,
             rng,

@@ -425,12 +425,7 @@ fn execute(
     let workload = kind.build(wl_config);
     let mut batches = Vec::new();
     let output = workload.run(&mut |b| batches.push(b));
-    let cap = CapacityModel {
-        modeled_dataset: wl_config.modeled_bytes,
-        dram: config.platform.dram.capacity,
-        usable_fraction: 0.75,
-        scale_factor: wl_config.scale_factor(),
-    };
+    let cap = CapacityModel::new(wl_config, config.platform.dram.capacity);
     let mut ice = IceClave::new(config);
     let t = ice.populate(Lpn::new(0), workload.dataset_pages(), SimTime::ZERO)?;
     let flash_base = (

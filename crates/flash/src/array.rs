@@ -6,6 +6,7 @@ use std::fmt;
 use iceclave_sim::{Histogram, Resource, ServiceSpan};
 use iceclave_types::{ChunkTable, FastMap, Ppn, SimTime};
 
+use crate::config::{ERASE, PROGRAM};
 use crate::faults::{FaultInjector, ReadFault};
 use crate::{BlockAddr, FlashConfig};
 
@@ -76,10 +77,6 @@ pub struct FlashStats {
     pub programs: u64,
     /// Blocks erased.
     pub erases: u64,
-    /// Bytes moved from flash over channel buses.
-    pub bytes_read: u64,
-    /// Bytes moved to flash over channel buses.
-    pub bytes_written: u64,
     /// End-to-end page read latency (ns) distribution.
     pub read_latency_ns: Histogram,
     /// Injected raw-bit-error bursts the ECC corrected transparently.
@@ -233,7 +230,6 @@ impl FlashArray {
         let xfer = self.channels[addr.channel as usize]
             .acquire(cell.end, self.config.page_transfer_time());
         self.stats.reads += 1;
-        self.stats.bytes_read += u64::from(self.config.geometry.page_size);
         // A failed read occupies the die and the bus like a good one
         // (the burst is only detected after the transfer decodes), but
         // delivers no data: it counts no latency sample.
@@ -284,7 +280,7 @@ impl FlashArray {
             .die_index(addr.channel, addr.chip, addr.die) as usize;
         let xfer =
             self.channels[addr.channel as usize].acquire(arrival, self.config.page_transfer_time());
-        let prog = self.dies[die_idx].acquire(xfer.end, self.config.timing.program);
+        let prog = self.dies[die_idx].acquire(xfer.end, PROGRAM);
         // A failed program occupies the bus and the die for the full
         // attempt, but the frontier does not advance: the page stays
         // unwritten and the FTL re-steers it to another block.
@@ -294,7 +290,6 @@ impl FlashArray {
         }
         self.blocks.get_mut(block_idx).frontier = frontier + 1;
         self.stats.programs += 1;
-        self.stats.bytes_written += u64::from(self.config.geometry.page_size);
         Ok(ServiceSpan {
             start: xfer.start,
             end: prog.end,
@@ -321,7 +316,7 @@ impl FlashArray {
             .injector
             .as_mut()
             .is_some_and(FaultInjector::erase_fails);
-        let span = self.dies[die_idx].acquire(arrival, self.config.timing.erase);
+        let span = self.dies[die_idx].acquire(arrival, ERASE);
         if failed {
             self.stats.erase_faults += 1;
             return Err(FlashError::EraseFailed(block));
@@ -530,8 +525,6 @@ mod tests {
         let s = a.stats();
         assert_eq!(s.programs, 1);
         assert_eq!(s.reads, 2);
-        assert_eq!(s.bytes_read, 2 * 4096);
-        assert_eq!(s.bytes_written, 4096);
         assert_eq!(s.read_latency_ns.count(), 2);
     }
 

@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use iceclave_types::{ByteSize, Ppn};
+use iceclave_types::{ByteSize, Ppn, PAGE_SIZE};
 
 /// The shape of the flash array (§2.1 / Table 3).
 ///
@@ -29,8 +29,6 @@ pub struct FlashGeometry {
     pub blocks_per_plane: u32,
     /// Pages per block.
     pub pages_per_block: u32,
-    /// Page size in bytes.
-    pub page_size: u32,
 }
 
 /// Fully decomposed physical flash address.
@@ -77,7 +75,6 @@ impl FlashGeometry {
             planes_per_die: 2,
             blocks_per_plane: 2048,
             pages_per_block: 512,
-            page_size: 4096,
         }
     }
 
@@ -91,7 +88,6 @@ impl FlashGeometry {
             planes_per_die: 1,
             blocks_per_plane: 8,
             pages_per_block: 16,
-            page_size: 4096,
         }
     }
 
@@ -124,7 +120,7 @@ impl FlashGeometry {
 
     /// Raw device capacity.
     pub fn capacity(&self) -> ByteSize {
-        ByteSize::from_bytes(self.total_pages() * u64::from(self.page_size))
+        ByteSize::from_bytes(self.total_pages() * PAGE_SIZE)
     }
 
     /// Splits `v` into `(v / d, v % d)`, reducing to shift/mask for

@@ -39,7 +39,7 @@
 
 use std::hash::Hasher;
 
-use iceclave_types::{FxHasher, Ppn, SimTime};
+use iceclave_types::{FxHasher, Ppn, SimTime, PAGE_SIZE};
 
 use crate::array::{FlashArray, FlashError};
 use crate::geometry::BlockAddr;
@@ -331,7 +331,7 @@ impl MetadataJournal {
         if self.pending.is_empty() {
             return Ok(now);
         }
-        let page_size = flash.config().geometry.page_size as usize;
+        let page_size = PAGE_SIZE as usize;
         let mut t = now;
         let mut image = Vec::with_capacity(page_size);
         let pending = std::mem::take(&mut self.pending);
@@ -364,7 +364,7 @@ impl MetadataJournal {
         if image.is_empty() {
             return Ok(now);
         }
-        let page_size = flash.config().geometry.page_size as usize;
+        let page_size = PAGE_SIZE as usize;
         image.push(TAG_END);
         image.resize(page_size, 0);
         let mut t = now;

@@ -5,7 +5,9 @@
 //! planes, planes of blocks, blocks of pages — with per-die operation
 //! timing (page read / program, block erase), per-channel bus transfer
 //! time, and the NAND state machine (pages are program-once and must be
-//! erased a block at a time, in page order within a block).
+//! erased a block at a time, in page order within a block). Program and
+//! erase times, the channel bandwidth and the 4 KiB page are Table 3
+//! constants; a run varies the geometry and the page-read latency.
 //!
 //! The array is a *timing* model first: operations return completion
 //! times computed from resource timelines. A sparse data store keeps the

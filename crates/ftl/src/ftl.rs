@@ -18,23 +18,26 @@ use iceclave_types::{
 use crate::cmt::CachedMappingTable;
 use crate::mapping::MappingTable;
 
-/// FTL configuration knobs.
+/// Latency of reading a mapping entry from the protected region (one
+/// SSD-DRAM access).
+const CMT_HIT_LATENCY: SimDuration = SimDuration::from_nanos(100);
+
+/// In the secure-world ablation, one service call translates a whole
+/// I/O request (consecutive pages share the call): the request size in
+/// pages. In-storage programs issue multi-page extents, so the switch
+/// amortizes over this many pages.
+const SECURE_TRANSLATION_BATCH: u64 = 64;
+
+/// FTL configuration knobs. The CMT hit latency and the secure-world
+/// translation granule are constants of this module.
 #[derive(Copy, Clone, Debug)]
 pub struct FtlConfig {
     /// Protected-region budget for the cached mapping table (16 MiB by
     /// default, the paper's preallocated region size of §4.5).
     pub cmt_capacity: ByteSize,
-    /// Latency of reading a mapping entry from the protected region (one
-    /// SSD-DRAM access).
-    pub cmt_hit_latency: SimDuration,
     /// Figure 5 ablation: place the mapping table in the secure world so
     /// translations pay world switches.
     pub mapping_in_secure_world: bool,
-    /// In the secure-world ablation, one service call translates a whole
-    /// I/O request (consecutive pages share the call): the request size
-    /// in pages. In-storage programs issue multi-page extents, so the
-    /// switch amortizes over this many pages.
-    pub secure_translation_batch: u32,
     /// Per-plane free-block low-water mark that triggers GC.
     pub gc_free_block_threshold: u32,
     /// Erase-count spread that triggers static wear leveling.
@@ -52,9 +55,7 @@ impl Default for FtlConfig {
     fn default() -> Self {
         FtlConfig {
             cmt_capacity: ByteSize::from_mib(16),
-            cmt_hit_latency: SimDuration::from_nanos(100),
             mapping_in_secure_world: false,
-            secure_translation_batch: 64,
             gc_free_block_threshold: 2,
             wear_delta_threshold: 16,
             journal_blocks: 0,
@@ -762,7 +763,6 @@ impl Ftl {
             // One service call translates a whole request granule;
             // consecutive pages of the same granule reuse the copied
             // entries without another switch.
-            let hit_latency = self.config.cmt_hit_latency;
             let look = self.cmt.lookup(lpn);
             let miss_time = if look.hit {
                 SimDuration::ZERO
@@ -770,13 +770,13 @@ impl Ftl {
                 self.stats.translation_misses += 1;
                 self.translation_miss_penalty(lpn, look.evicted_dirty, now)
             };
-            let granule = lpn.raw() / u64::from(self.config.secure_translation_batch.max(1));
+            let granule = lpn.raw() / SECURE_TRANSLATION_BATCH;
             let same_request = self.last_secure_granule == Some(granule);
             self.last_secure_granule = Some(granule);
             let ready_at = if same_request && look.hit {
-                now + hit_latency
+                now + CMT_HIT_LATENCY
             } else {
-                monitor.call_into(World::Secure, now, |t| t + hit_latency + miss_time)
+                monitor.call_into(World::Secure, now, |t| t + CMT_HIT_LATENCY + miss_time)
             };
             return Ok(Translation {
                 ppn: entry.ppn(),
@@ -790,7 +790,7 @@ impl Ftl {
             // Normal-world read of the protected region: no switch.
             return Ok(Translation {
                 ppn: entry.ppn(),
-                ready_at: now + self.config.cmt_hit_latency,
+                ready_at: now + CMT_HIT_LATENCY,
                 cmt_hit: true,
             });
         }
@@ -799,8 +799,7 @@ impl Ftl {
         // (§4.6 step 4-5).
         self.stats.translation_misses += 1;
         let penalty = self.translation_miss_penalty(lpn, look.evicted_dirty, now);
-        let hit_latency = self.config.cmt_hit_latency;
-        let ready_at = monitor.call_into(World::Secure, now, |t| t + penalty + hit_latency);
+        let ready_at = monitor.call_into(World::Secure, now, |t| t + penalty + CMT_HIT_LATENCY);
         Ok(Translation {
             ppn: entry.ppn(),
             ready_at,
@@ -1930,15 +1929,15 @@ mod tests {
     fn mapping_in_secure_world_switches_per_request() {
         let config = FtlConfig {
             mapping_in_secure_world: true,
-            secure_translation_batch: 32,
             ..FtlConfig::default()
         };
         let mut ftl = Ftl::new(FlashConfig::tiny(), config);
         let mut m = WorldMonitor::with_table5_cost();
-        // Map pages in two different request granules.
+        // Map pages in two different 64-page request granules.
+        assert_eq!(SECURE_TRANSLATION_BATCH, 64);
         ftl.write(Requestor::Host, Lpn::new(1), &mut m, SimTime::ZERO)
             .unwrap();
-        ftl.write(Requestor::Host, Lpn::new(40), &mut m, SimTime::ZERO)
+        ftl.write(Requestor::Host, Lpn::new(70), &mut m, SimTime::ZERO)
             .unwrap();
         let before = m.stats().switches;
         // First lookup of a granule pays the secure-world round trip.
@@ -1951,7 +1950,7 @@ mod tests {
         let same_granule_switches = m.stats().switches;
         assert_eq!(same_granule_switches, before + 2, "no extra switch");
         // A different granule pays again.
-        ftl.translate(Requestor::Host, Lpn::new(40), &mut m, SimTime::ZERO)
+        ftl.translate(Requestor::Host, Lpn::new(70), &mut m, SimTime::ZERO)
             .unwrap();
         assert_eq!(m.stats().switches, before + 4);
     }

@@ -85,8 +85,6 @@ pub struct MetaCache {
     sets: Vec<Vec<Way>>,
     ways: usize,
     tick: u64,
-    hits: u64,
-    misses: u64,
     writebacks: u64,
 }
 
@@ -108,8 +106,6 @@ impl MetaCache {
             sets: (0..set_count).map(|_| Vec::with_capacity(ways)).collect(),
             ways,
             tick: 0,
-            hits: 0,
-            misses: 0,
             writebacks: 0,
         }
     }
@@ -151,7 +147,6 @@ impl MetaCache {
         if let Some(way) = set.iter_mut().find(|w| w.block == block) {
             way.stamp = stamp;
             way.dirty |= dirty;
-            self.hits += 1;
             return CacheOutcome {
                 hit: true,
                 evicted: None,
@@ -182,14 +177,13 @@ impl MetaCache {
                 stamp,
             });
         }
-        self.misses += 1;
         CacheOutcome {
             hit: false,
             evicted,
         }
     }
 
-    /// True if `block` is resident (no LRU update, no stats update).
+    /// True if `block` is resident (no LRU update).
     pub fn contains(&self, block: u64) -> bool {
         self.sets[self.set_of(block)]
             .iter()
@@ -197,8 +191,8 @@ impl MetaCache {
     }
 
     /// Marks an already-resident `block` dirty without touching LRU
-    /// state or statistics (used when a block promoted from the
-    /// second-level store carries a deferred write-back obligation).
+    /// state (used when a block promoted from the second-level store
+    /// carries a deferred write-back obligation).
     /// Returns `false` if the block is not resident.
     pub fn mark_dirty(&mut self, block: u64) -> bool {
         let set_idx = self.set_of(block);
@@ -224,45 +218,9 @@ impl MetaCache {
         }
     }
 
-    /// Flushes every dirty block, returning them; the cache ends clean
-    /// but still resident (a "clean" operation, not an invalidation).
-    pub fn flush_dirty(&mut self) -> Vec<u64> {
-        let mut out = Vec::new();
-        for set in &mut self.sets {
-            for way in set.iter_mut() {
-                if way.dirty {
-                    way.dirty = false;
-                    out.push(way.block);
-                    self.writebacks += 1;
-                }
-            }
-        }
-        out
-    }
-
-    /// Hits observed so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses observed so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Dirty evictions observed so far.
     pub fn writebacks(&self) -> u64 {
         self.writebacks
-    }
-
-    /// Hit rate in `[0,1]`, zero when never accessed.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
     }
 
     /// Total blocks the cache can hold.
@@ -300,9 +258,7 @@ mod tests {
         let mut c = small();
         assert!(!c.access(0).hit);
         assert!(c.access(0).hit);
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
-        assert_eq!(c.hit_rate(), 0.5);
+        assert!(c.contains(0));
     }
 
     #[test]
@@ -378,19 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_dirty_cleans_in_place() {
-        let mut c = small();
-        c.access_dirty(1);
-        c.access_dirty(2);
-        c.access(3);
-        let mut flushed = c.flush_dirty();
-        flushed.sort_unstable();
-        assert_eq!(flushed, vec![1, 2]);
-        assert!(c.contains(1));
-        assert!(c.flush_dirty().is_empty());
-    }
-
-    #[test]
     fn table3_capacity() {
         let c = MetaCache::new(ByteSize::from_kib(128), 8);
         assert_eq!(c.capacity_blocks(), 2048);
@@ -426,11 +369,7 @@ mod tests {
         for p in 0..256u64 {
             c.access(p * 8);
         }
-        let misses_before = c.misses();
-        for p in 0..256u64 {
-            c.access(p * 8);
-        }
-        let second_pass_misses = c.misses() - misses_before;
+        let second_pass_misses = (0..256u64).filter(|p| !c.access(p * 8).hit).count();
         // Uniform mixing still leaves a few overfull sets (balls into
         // bins), but nothing like the old collapse: modulo indexing kept
         // only 64 of the 256 blocks resident (8 aliased sets), missing

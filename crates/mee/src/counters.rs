@@ -7,6 +7,9 @@
 //! metadata line; a minor overflow bumps the major and forces the whole
 //! page to be re-encrypted. Read-only pages never increment, so IceClave
 //! stores only major counters for them — eight pages per metadata line.
+//! The timing engine models that layout through its metadata block ids
+//! (one major-only block per eight pages) and keeps each page's major
+//! value in its [`SplitCounterBlock`] ([`SplitCounterBlock::with_major`]).
 
 /// Exclusive upper bound of a 6-bit minor counter.
 pub const MINOR_LIMIT: u8 = 64;
@@ -108,54 +111,6 @@ impl Default for SplitCounterBlock {
     }
 }
 
-/// Major-only counter block covering eight read-only pages (Figure 7a).
-#[derive(Copy, Clone, Eq, PartialEq, Debug)]
-pub struct MajorCounterBlock {
-    majors: [u64; 8],
-}
-
-impl MajorCounterBlock {
-    /// A fresh block with all majors at zero.
-    pub fn new() -> Self {
-        MajorCounterBlock { majors: [0; 8] }
-    }
-
-    /// The counter for `slot` (0..8); every line of a read-only page
-    /// shares its page's major counter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot >= 8`.
-    pub fn counter(&self, slot: usize) -> u128 {
-        u128::from(self.majors[slot]) << 6
-    }
-
-    /// Raw major value for `slot`.
-    pub fn major(&self, slot: usize) -> u64 {
-        self.majors[slot]
-    }
-
-    /// Sets `slot`'s major (page fill or RW→RO migration).
-    pub fn set_major(&mut self, slot: usize, major: u64) {
-        self.majors[slot] = major;
-    }
-
-    /// Serializes the block for MAC computation.
-    pub fn to_line_bytes(&self) -> [u8; 64] {
-        let mut out = [0u8; 64];
-        for (i, m) in self.majors.iter().enumerate() {
-            out[i * 8..(i + 1) * 8].copy_from_slice(&m.to_be_bytes());
-        }
-        out
-    }
-}
-
-impl Default for MajorCounterBlock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -196,17 +151,6 @@ mod tests {
             assert!(seen.insert(b.line_counter(0)), "counter reuse");
             b.increment(0);
         }
-    }
-
-    #[test]
-    fn major_block_packs_eight_pages() {
-        let mut m = MajorCounterBlock::new();
-        m.set_major(7, 42);
-        assert_eq!(m.major(7), 42);
-        assert_eq!(m.counter(7), 42u128 << 6);
-        assert_eq!(m.counter(0), 0);
-        let bytes = m.to_line_bytes();
-        assert_eq!(&bytes[56..64], &42u64.to_be_bytes());
     }
 
     #[test]

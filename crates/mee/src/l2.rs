@@ -95,10 +95,6 @@ pub struct L2MetaStore {
     ways: usize,
     base_line: u64,
     tick: u64,
-    hits: u64,
-    misses: u64,
-    demotions: u64,
-    writebacks: u64,
 }
 
 impl L2MetaStore {
@@ -121,10 +117,6 @@ impl L2MetaStore {
             ways,
             base_line,
             tick: 0,
-            hits: 0,
-            misses: 0,
-            demotions: 0,
-            writebacks: 0,
         }
     }
 
@@ -171,7 +163,6 @@ impl L2MetaStore {
             if let Some(slot) = self.slots[i] {
                 if slot.block == block {
                     self.slots[i] = None;
-                    self.hits += 1;
                     return Some(L2Promotion {
                         line: self.slot_line(i),
                         dirty: slot.dirty,
@@ -179,7 +170,6 @@ impl L2MetaStore {
                 }
             }
         }
-        self.misses += 1;
         None
     }
 
@@ -188,7 +178,6 @@ impl L2MetaStore {
     /// Returns the slot to write the sealed block to and any dirty
     /// victim displaced to its home location.
     pub fn demote(&mut self, block: u64, dirty: bool) -> L2Demotion {
-        self.demotions += 1;
         let stamp = self.next_stamp();
         let range = self.set_range(block);
         // Already resident (possible after an invalidation raced a
@@ -218,7 +207,6 @@ impl L2MetaStore {
         if let Some(victim) = self.slots[target] {
             if victim.dirty {
                 home_writeback = Some(victim.block);
-                self.writebacks += 1;
             }
         }
         self.slots[target] = Some(Slot {
@@ -247,7 +235,7 @@ impl L2MetaStore {
         false
     }
 
-    /// True if `block` is resident (no LRU or stats update).
+    /// True if `block` is resident (no LRU update).
     pub fn contains(&self, block: u64) -> bool {
         self.set_range(block)
             .any(|i| self.slots[i].is_some_and(|s| s.block == block))
@@ -267,36 +255,6 @@ impl L2MetaStore {
     /// Total sealed blocks the store can hold.
     pub fn capacity_blocks(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Probe hits observed so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Probe misses observed so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Demotions accepted so far.
-    pub fn demotions(&self) -> u64 {
-        self.demotions
-    }
-
-    /// Dirty evictions to home locations so far.
-    pub fn writebacks(&self) -> u64 {
-        self.writebacks
-    }
-
-    /// Probe hit rate in `[0,1]`, zero when never probed.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
     }
 }
 
@@ -329,9 +287,7 @@ mod tests {
         assert_eq!(p.line, d.slot);
         assert!(p.dirty);
         assert!(!s.contains(42), "promotion is exclusive");
-        assert_eq!(s.hits(), 1);
         assert_eq!(s.take(42), None);
-        assert_eq!(s.misses(), 1);
     }
 
     #[test]
@@ -343,11 +299,11 @@ mod tests {
         // Evicts ids[0] (LRU, dirty) -> home write-back.
         let d = s.demote(ids[2], false);
         assert_eq!(d.home_writeback, Some(ids[0]));
-        assert_eq!(s.writebacks(), 1);
+        assert!(!s.contains(ids[0]));
         // Evicts ids[1] (clean) -> dropped.
         let d = s.demote(ids[3], false);
         assert_eq!(d.home_writeback, None);
-        assert_eq!(s.writebacks(), 1);
+        assert!(!s.contains(ids[1]));
     }
 
     #[test]
@@ -356,7 +312,7 @@ mod tests {
         let d1 = s.demote(9, false);
         let d2 = s.demote(9, true);
         assert_eq!(d1.slot, d2.slot, "same slot reused");
-        assert_eq!(s.demotions(), 2);
+        assert_eq!(d2.home_writeback, None, "a merge displaces nothing");
         assert!(s.take(9).expect("resident").dirty, "dirty bit merged");
     }
 

@@ -49,7 +49,7 @@ pub mod l2;
 pub mod tree;
 
 pub use cache::{CacheOutcome, MetaCache};
-pub use counters::{MajorCounterBlock, PageClass, SplitCounterBlock, MINOR_LIMIT};
+pub use counters::{PageClass, SplitCounterBlock, MINOR_LIMIT};
 pub use engine::{CounterMode, MeeConfig, MeeEngine, MeeStats, MetaTraffic, PageSeal, SealSpan};
 pub use faults::{MacFault, MacFaultInjector, MacFaultPlan};
 pub use l2::{L2Demotion, L2MetaStore, L2Promotion};

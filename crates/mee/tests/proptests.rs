@@ -50,7 +50,6 @@ impl Rig {
             cache_ways: 2,
             l2_capacity: l2,
             l2_ways: 4,
-            ..MeeConfig::hybrid()
         };
         Rig {
             dram: Dram::new(DramConfig::table3()),

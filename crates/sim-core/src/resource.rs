@@ -195,21 +195,6 @@ impl ResourcePool {
         self.servers[idx].acquire(arrival, service)
     }
 
-    /// Serves a request pinned to a specific server (e.g., a task pinned to
-    /// one core).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn acquire_on(
-        &mut self,
-        index: usize,
-        arrival: SimTime,
-        service: SimDuration,
-    ) -> ServiceSpan {
-        self.servers[index].acquire(arrival, service)
-    }
-
     /// Number of servers in the pool.
     #[inline]
     pub fn len(&self) -> usize {
@@ -323,16 +308,6 @@ mod tests {
         assert_eq!(queued.start, SimTime::ZERO + us(10));
         assert_eq!(p.operations(), 4);
         assert_eq!(p.busy_time(), us(40));
-    }
-
-    #[test]
-    fn pool_pinning() {
-        let mut p = ResourcePool::new("p", 2);
-        p.acquire_on(1, SimTime::ZERO, us(10));
-        // Server 0 is still free at time zero.
-        assert_eq!(p.next_free(), SimTime::ZERO);
-        let s = p.acquire_on(1, SimTime::ZERO, us(5));
-        assert_eq!(s.start, SimTime::ZERO + us(10));
     }
 
     #[test]

@@ -11,13 +11,12 @@ use iceclave_types::{SimDuration, SimTime};
 
 use crate::attributes::World;
 
-/// Switch statistics for reports.
+/// Switch statistics for reports. The time spent switching is
+/// `switches` times [`WorldMonitor::switch_cost`].
 #[derive(Copy, Clone, Debug, Default)]
 pub struct SwitchStats {
     /// Number of world switches performed.
     pub switches: u64,
-    /// Total time spent switching.
-    pub total_time: SimDuration,
 }
 
 /// Tracks the current world of one core and bills switch latency.
@@ -76,7 +75,6 @@ impl WorldMonitor {
         }
         self.current = world;
         self.stats.switches += 1;
-        self.stats.total_time += self.switch_cost;
         self.timeline.acquire(now, self.switch_cost).end
     }
 
@@ -97,12 +95,10 @@ impl WorldMonitor {
         }
         let entered = self.timeline.acquire(now, self.switch_cost).end;
         self.stats.switches += 1;
-        self.stats.total_time += self.switch_cost;
         let done = f(entered);
         // The return switch also holds the timeline until complete.
         let span = self.timeline.acquire(done, self.switch_cost);
         self.stats.switches += 1;
-        self.stats.total_time += self.switch_cost;
         span.end
     }
 

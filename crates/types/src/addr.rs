@@ -96,22 +96,10 @@ impl PhysAddr {
         self.0
     }
 
-    /// The cache line containing this address.
-    #[inline]
-    pub const fn cache_line(self) -> CacheLine {
-        CacheLine(self.0 / CACHE_LINE_SIZE)
-    }
-
     /// The 4 KiB DRAM page index containing this address.
     #[inline]
     pub const fn page_index(self) -> u64 {
         self.0 / PAGE_SIZE
-    }
-
-    /// Byte offset within the containing 4 KiB page.
-    #[inline]
-    pub const fn page_offset(self) -> u64 {
-        self.0 % PAGE_SIZE
     }
 
     /// This address offset by `delta` bytes.
@@ -132,12 +120,6 @@ impl CacheLine {
     #[inline]
     pub const fn raw(self) -> u64 {
         self.0
-    }
-
-    /// The byte address of the first byte of this line.
-    #[inline]
-    pub const fn base_addr(self) -> PhysAddr {
-        PhysAddr(self.0 * CACHE_LINE_SIZE)
     }
 
     /// The 4 KiB page index containing this line.
@@ -220,8 +202,7 @@ mod tests {
     fn phys_addr_decomposition() {
         let a = PhysAddr::new(4096 + 130);
         assert_eq!(a.page_index(), 1);
-        assert_eq!(a.page_offset(), 130);
-        assert_eq!(a.cache_line().raw(), (4096 + 130) / 64);
+        assert_eq!(a.offset(4096).page_index(), 2);
     }
 
     #[test]
@@ -229,7 +210,6 @@ mod tests {
         let line = CacheLine::new(65);
         assert_eq!(line.page_index(), 1);
         assert_eq!(line.line_in_page(), 1);
-        assert_eq!(line.base_addr().raw(), 65 * 64);
     }
 
     #[test]

@@ -71,12 +71,6 @@ impl Hertz {
         let ps = (cycles as u128 * 1_000_000_000_000u128) / self.0 as u128;
         SimDuration::from_ps(ps as u64)
     }
-
-    /// Number of whole cycles that fit in `d` at this frequency.
-    #[inline]
-    pub fn cycles_in(self, d: SimDuration) -> u64 {
-        ((d.as_ps() as u128 * self.0 as u128) / 1_000_000_000_000u128) as u64
-    }
 }
 
 impl fmt::Display for Hertz {
@@ -107,7 +101,6 @@ mod tests {
         let clk = Hertz::from_mhz(1600);
         let d = clk.cycles(1_600_000); // 1 ms worth of cycles
         assert_eq!(d.as_millis_f64(), 1.0);
-        assert_eq!(clk.cycles_in(d), 1_600_000);
     }
 
     #[test]

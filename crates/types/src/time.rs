@@ -131,13 +131,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000_000)
     }
 
-    /// Creates a duration from fractional nanoseconds, rounding to the
-    /// nearest picosecond. Negative inputs clamp to zero.
-    #[inline]
-    pub fn from_nanos_f64(ns: f64) -> Self {
-        SimDuration((ns * 1_000.0).round().max(0.0) as u64)
-    }
-
     /// Creates a duration from fractional seconds, rounding to the nearest
     /// picosecond. Negative inputs clamp to zero.
     #[inline]
@@ -185,13 +178,6 @@ impl SimDuration {
     #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Duration scaled by a floating-point factor, rounding to the nearest
-    /// picosecond. Negative factors clamp to zero.
-    #[inline]
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        SimDuration((self.0 as f64 * factor).round().max(0.0) as u64)
     }
 
     /// Saturating subtraction.
@@ -360,7 +346,6 @@ mod tests {
     #[test]
     fn scaling() {
         let d = SimDuration::from_nanos(100);
-        assert_eq!(d.mul_f64(0.5).as_ps(), 50_000);
         assert_eq!((d * 3).as_nanos(), 300);
         assert_eq!((d / 4).as_nanos(), 25);
         assert!((d / d - 1.0).abs() < 1e-12);
@@ -368,8 +353,8 @@ mod tests {
 
     #[test]
     fn fractional_constructors_clamp() {
-        assert_eq!(SimDuration::from_nanos_f64(-5.0).as_ps(), 0);
-        assert_eq!(SimDuration::from_nanos_f64(0.5).as_ps(), 500);
+        assert_eq!(SimDuration::from_secs_f64(-5.0).as_ps(), 0);
+        assert_eq!(SimDuration::from_secs_f64(2.6e-12).as_ps(), 3);
         assert_eq!(SimDuration::from_secs_f64(1e-12).as_ps(), 1);
     }
 

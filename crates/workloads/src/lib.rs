@@ -123,13 +123,9 @@ pub struct WorkloadConfig {
     /// Bytes of data actually generated and computed over.
     pub functional_bytes: ByteSize,
     /// The dataset size being *modeled* (the paper populates 32 GiB);
-    /// structure sizes are scaled by `modeled/functional` before cache
-    /// visibility decisions.
+    /// structure sizes are scaled by `modeled/functional` before DRAM
+    /// residency decisions.
     pub modeled_bytes: ByteSize,
-    /// Last-level cache of the executing processor (Table 3: 1 MiB L2
-    /// for the SSD's A72), used to decide which working-set accesses
-    /// are DRAM-visible.
-    pub llc: ByteSize,
     /// Root seed for data generation.
     pub seed: u64,
 }
@@ -140,7 +136,6 @@ impl WorkloadConfig {
         WorkloadConfig {
             functional_bytes: ByteSize::from_kib(512),
             modeled_bytes: ByteSize::from_gib(32),
-            llc: ByteSize::from_mib(1),
             seed: 42,
         }
     }
@@ -150,7 +145,6 @@ impl WorkloadConfig {
         WorkloadConfig {
             functional_bytes: ByteSize::from_mib(32),
             modeled_bytes: ByteSize::from_gib(32),
-            llc: ByteSize::from_mib(1),
             seed: 42,
         }
     }
@@ -159,15 +153,6 @@ impl WorkloadConfig {
     /// one.
     pub fn scale_factor(&self) -> f64 {
         self.modeled_bytes.as_bytes() as f64 / self.functional_bytes.as_bytes() as f64
-    }
-
-    /// Fraction of accesses to a working-set structure of (functional)
-    /// size `structure` that reach DRAM: structures whose *modeled*
-    /// size exceeds the LLC miss almost always; small ones are absorbed
-    /// by the cache hierarchy.
-    pub fn dram_visibility(&self, structure: ByteSize) -> f64 {
-        let modeled = structure.as_bytes() as f64 * self.scale_factor();
-        (modeled / self.llc.as_bytes() as f64).min(1.0)
     }
 }
 
@@ -342,15 +327,6 @@ mod tests {
         b.working_reads = 10;
         assert_eq!(b.flash_pages(), 5);
         assert_eq!(b.dram_reads(), 330);
-    }
-
-    #[test]
-    fn visibility_scales_with_modeled_size() {
-        let config = WorkloadConfig::test();
-        // 1 KiB functional structure modeled at 64 Ki x = 64 MiB >> LLC.
-        assert_eq!(config.dram_visibility(ByteSize::from_kib(1)), 1.0);
-        // A 1-byte structure stays cache-resident even scaled.
-        assert!(config.dram_visibility(ByteSize::from_bytes(1)) < 0.1);
     }
 
     #[test]
