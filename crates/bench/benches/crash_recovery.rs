@@ -21,8 +21,6 @@
 //! the later the cut the more records replay (the journal only
 //! grows).
 
-use criterion::{criterion_group, criterion_main, Criterion};
-
 use iceclave_core::{IceClave, IceClaveError, PowerLossPlan};
 use iceclave_experiments::{Mode, Overrides};
 use iceclave_obs::{BenchReport, Direction};
@@ -129,7 +127,7 @@ fn run_cut(cut: u64) -> CrashPoint {
     }
 }
 
-fn bench_crash_recovery(c: &mut Criterion) {
+fn main() {
     let events = event_horizon();
     let points: Vec<CrashPoint> = (0..CUTS).map(|i| run_cut(i * events / CUTS)).collect();
     for p in &points {
@@ -150,15 +148,6 @@ fn bench_crash_recovery(c: &mut Criterion) {
         );
     }
     write_artifact(events, &points);
-
-    // The criterion group tracks the wall-clock cost of one full
-    // crash-and-reboot cycle at the deepest swept point.
-    let deepest = points.last().map_or(0, |p| p.cut);
-    let mut group = c.benchmark_group("crash_recovery");
-    group.bench_function("cut_recover_deepest", |b| {
-        b.iter(|| run_cut(deepest).records_replayed)
-    });
-    group.finish();
 }
 
 /// Emits the sweep as a [`BenchReport`]. The scenario and the cut
@@ -237,14 +226,3 @@ fn write_artifact(events: u64, points: &[CrashPoint]) {
         Err(e) => eprintln!("could not write crash-recovery report: {e}"),
     }
 }
-
-fn config() -> Criterion {
-    Criterion::default().measurement_time(std::time::Duration::from_millis(400))
-}
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_crash_recovery
-}
-criterion_main!(benches);

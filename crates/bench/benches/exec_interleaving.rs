@@ -4,19 +4,17 @@
 //! Each configuration submits `in_flight` 32-page read batches per TEE
 //! as concurrent tickets at the same simulated instant and drains the
 //! completion queue. The bench reports the simulated throughput
-//! (pages/s) and per-page p99 latency, times the submit+drain path
-//! with criterion, and emits a `BENCH_exec.json` baseline (uploaded as
-//! a CI artifact beside `BENCH_writes.json`) so the executor's
-//! interleaving trajectory is tracked across PRs. Override the output
-//! path with the `BENCH_EXEC_JSON` environment variable.
-
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+//! (pages/s) and per-page p99 latency and emits a `BENCH_exec.json`
+//! baseline (uploaded as a CI artifact beside `BENCH_writes.json`) so
+//! the executor's interleaving trajectory is tracked across PRs.
+//! Override the output path with the `BENCH_EXEC_JSON` environment
+//! variable.
 
 use iceclave_core::IceClave;
 use iceclave_experiments::{Mode, Overrides};
 use iceclave_obs::{BenchReport, Direction};
 use iceclave_sim::Histogram;
-use iceclave_types::{CompletionEvent, Lpn, SimTime, TeeId, PAGE_SIZE};
+use iceclave_types::{CompletionEvent, Lpn, SimTime, TeeId};
 
 const TEES: u64 = 2;
 const BATCH_PAGES: u64 = 32;
@@ -64,14 +62,10 @@ fn interleave(
     ice.drain_completions()
 }
 
-fn bench_exec_interleaving(c: &mut Criterion) {
-    let mut group = c.benchmark_group("exec_interleaving");
+fn main() {
     let mut baseline: Vec<(u64, f64, u64)> = Vec::new();
     for &in_flight in &IN_FLIGHT {
         let total_pages = TEES * BATCH_PAGES * in_flight;
-        group.throughput(Throughput::Bytes(total_pages * PAGE_SIZE));
-
-        // Report the simulated numbers once, outside the timed loop.
         let (mut ice, tees, t) = setup(in_flight);
         let events = interleave(&mut ice, &tees, in_flight, t);
         assert_eq!(events.len(), total_pages as usize);
@@ -89,17 +83,7 @@ fn bench_exec_interleaving(c: &mut Criterion) {
              {pages_per_s:.0} pages/s, p99 page latency {p99_ns} ns"
         );
         baseline.push((in_flight, pages_per_s, p99_ns));
-
-        // Time ONLY the submit+drain path: device construction stays
-        // outside the measured region (the runtime persists across
-        // iterations; every iteration schedules the same ticket mix).
-        group.bench_with_input(
-            BenchmarkId::new("submit_drain_2tee_32p", in_flight),
-            &in_flight,
-            |b, &in_flight| b.iter(|| interleave(&mut ice, &tees, in_flight, t).len()),
-        );
     }
-    group.finish();
     write_baseline(&baseline);
 }
 
@@ -134,14 +118,3 @@ fn write_baseline(baseline: &[(u64, f64, u64)]) {
         Err(e) => eprintln!("could not write interleaving report: {e}"),
     }
 }
-
-fn config() -> Criterion {
-    Criterion::default().measurement_time(std::time::Duration::from_millis(400))
-}
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_exec_interleaving
-}
-criterion_main!(benches);

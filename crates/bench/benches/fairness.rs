@@ -27,10 +27,7 @@
 //! `BENCH_fairness.json` [`BenchReport`] (uploaded as a CI artifact
 //! beside `BENCH_writes.json` and `BENCH_exec.json`, and gated by
 //! `check_regression`). Override the output path with the
-//! `BENCH_FAIRNESS_JSON` environment variable. Criterion times the
-//! two-TEE duel's submit+poll loop as a smoke check.
-
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+//! `BENCH_FAIRNESS_JSON` environment variable.
 
 use iceclave_experiments::fairness::{
     jain, p99, run_duel, DuelConfig, DuelOutcome, ANTAGONIST_TICKET_PAGES, VICTIM_TICKET_PAGES,
@@ -67,8 +64,7 @@ fn duel(
     })
 }
 
-fn bench_fairness(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fairness");
+fn main() {
     let mut sweep: Vec<SweepPoint> = Vec::new();
     for &in_flight in &ANTAGONIST_IN_FLIGHT {
         // Latency mode: strictly solo victim (one ticket at a time).
@@ -96,13 +92,6 @@ fn bench_fairness(c: &mut Criterion) {
         );
         sweep.push(point);
     }
-
-    // Criterion smoke: time the deepest two-TEE duel's submit+poll loop.
-    group.sample_size(10);
-    group.bench_with_input(BenchmarkId::new("wfq_duel_8x32_vs_solo4", 8), &8, |b, _| {
-        b.iter(|| duel(false, 8, 1, 8).victim_latencies.len())
-    });
-    group.finish();
     write_baseline(&sweep);
 
     // The acceptance floor of the antagonist sweep's deepest point.
@@ -179,6 +168,3 @@ fn write_baseline(sweep: &[SweepPoint]) {
         Err(e) => eprintln!("could not write fairness report: {e}"),
     }
 }
-
-criterion_group!(benches, bench_fairness);
-criterion_main!(benches);

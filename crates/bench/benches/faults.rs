@@ -18,13 +18,11 @@
 //! preserve at least 90% of fault-free goodput — degradation has to be
 //! graceful, not a cliff.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-
 use iceclave_core::IceClave;
 use iceclave_experiments::{Mode, Overrides};
 use iceclave_flash::FaultPlan;
 use iceclave_obs::{BenchReport, Direction};
-use iceclave_types::{Lpn, SimTime, TeeId, PAGE_SIZE};
+use iceclave_types::{Lpn, SimTime, TeeId};
 
 const PAGES: u64 = 256;
 const BATCH_PAGES: u64 = 32;
@@ -134,7 +132,7 @@ fn run_rate(rate: f64) -> RatePoint {
     }
 }
 
-fn bench_faults(c: &mut Criterion) {
+fn main() {
     let points: Vec<RatePoint> = RATES.iter().map(|&rate| run_rate(rate)).collect();
     for p in &points {
         println!(
@@ -151,14 +149,6 @@ fn bench_faults(c: &mut Criterion) {
         );
     }
     write_artifact(&points);
-
-    // The criterion group tracks the wall-clock cost of the faulting
-    // path itself (retry scheduling, remap bookkeeping) at the highest
-    // swept rate.
-    let mut group = c.benchmark_group("faults");
-    group.throughput(Throughput::Bytes(ROUNDS * 2 * PAGES * PAGE_SIZE));
-    group.bench_function("sweep_1e-2", |b| b.iter(|| run_rate(RATES[2]).done_pages));
-    group.finish();
 
     // Recovery contract: a realistic 1e-3 fault rate must not cost more
     // than 10% of fault-free goodput.
@@ -236,14 +226,3 @@ fn write_artifact(points: &[RatePoint]) {
         Err(e) => eprintln!("could not write fault sweep report: {e}"),
     }
 }
-
-fn config() -> Criterion {
-    Criterion::default().measurement_time(std::time::Duration::from_millis(400))
-}
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_faults
-}
-criterion_main!(benches);

@@ -28,13 +28,11 @@
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-
 use iceclave_core::{IceClave, PowerLossPlan};
 use iceclave_experiments::{Mode, Overrides};
 use iceclave_obs::{BenchReport, Direction};
 use iceclave_testkit::CountingAlloc;
-use iceclave_types::{Lpn, PageWrite, SimTime, TeeId, PAGE_SIZE};
+use iceclave_types::{Lpn, PageWrite, SimTime, TeeId};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -147,7 +145,7 @@ fn measure(ice: &mut IceClave, tees: &[(TeeId, Vec<Lpn>)], t: &mut SimTime) -> (
     (off, on)
 }
 
-fn bench_simspeed(c: &mut Criterion) {
+fn main() {
     ALLOC.reset_peak();
     let heap_base = ALLOC.live_bytes();
     let (mut ice, tees, t0) = setup();
@@ -160,9 +158,8 @@ fn bench_simspeed(c: &mut Criterion) {
         .expect("setup installed a power-loss plan");
     let events_per_page = events as f64 / PAGES_PER_ITER as f64;
 
-    // Wall-clock measurement for the JSON report: warm up, then time a
-    // fixed block of iterations with a plain monotonic clock (the
-    // criterion group below tracks the same path statistically).
+    // Wall-clock measurement for the JSON report: warm up, then time
+    // fixed blocks of iterations with a plain monotonic clock.
     let mut t = t0;
     for _ in 0..3 {
         t = scenario(&mut ice, &tees, t).1;
@@ -241,31 +238,9 @@ fn bench_simspeed(c: &mut Criterion) {
         Err(e) => eprintln!("could not write simspeed report: {e}"),
     }
 
-    let mut group = c.benchmark_group("simspeed");
-    group.throughput(Throughput::Bytes(PAGES_PER_ITER * PAGE_SIZE));
-    group.bench_function("interleaving_2tee_16ch", |b| {
-        b.iter(|| {
-            let (n, finished) = scenario(&mut ice, &tees, t);
-            t = finished;
-            n
-        })
-    });
-    group.finish();
-
     assert!(
         pages_per_s >= FLOOR_PAGES_PER_S,
         "simulator speed regressed: {pages_per_s:.0} pages/s (capture off) is below \
          the {FLOOR_PAGES_PER_S:.0} pages/s floor"
     );
 }
-
-fn config() -> Criterion {
-    Criterion::default().measurement_time(std::time::Duration::from_millis(400))
-}
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_simspeed
-}
-criterion_main!(benches);

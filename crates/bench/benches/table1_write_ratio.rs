@@ -1,8 +1,8 @@
 //! Table 1 (write-intensity sweep), rebuilt on the batched data path:
-//! criterion benches that push a 64-page mixed batch through one read
-//! ticket and one write ticket (each submitted, then waited with
-//! `IceClave::wait_batch`) at write ratios {0, 20, 50, 80, 100}% and
-//! report the simulated latency and throughput alongside.
+//! a 64-page mixed batch goes through one read ticket and one write
+//! ticket (each submitted, then waited with `IceClave::wait_batch`) at
+//! write ratios {0, 20, 50, 80, 100}%, and the bench prints its
+//! simulated latency and throughput.
 //!
 //! The bench also sweeps a pure write batch across 2/4/8/16 channels
 //! and emits a `BENCH_writes.json` [`BenchReport`] (simulated pages/s
@@ -10,12 +10,10 @@
 //! gated across PRs. Override the output path with the
 //! `BENCH_WRITES_JSON` environment variable.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-
 use iceclave_core::IceClave;
 use iceclave_experiments::{Mode, Overrides};
 use iceclave_obs::{BenchReport, Direction};
-use iceclave_types::{Lpn, SimTime, PAGE_SIZE};
+use iceclave_types::{Lpn, SimTime};
 
 const BATCH_PAGES: u64 = 64;
 const WRITE_RATIOS: [u64; 5] = [0, 20, 50, 80, 100];
@@ -69,14 +67,17 @@ fn mixed_step(
     finished
 }
 
-fn bench_write_ratio_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("table1_write_ratio");
-    group.throughput(Throughput::Bytes(BATCH_PAGES * PAGE_SIZE));
+fn main() {
+    write_ratio_sweep();
+    write_channel_sweep();
+}
+
+/// Mixed batch across the write-ratio sweep on an 8-channel device.
+fn write_ratio_sweep() {
     for &ratio in &WRITE_RATIOS {
         let writes = (BATCH_PAGES * ratio / 100) as usize;
         let lpns: Vec<Lpn> = (0..BATCH_PAGES).map(Lpn::new).collect();
         let (read_lpns, write_lpns) = lpns.split_at(lpns.len() - writes);
-        // Report the simulated numbers once, outside the timed loop.
         let (mut ice, tee, t) = setup(8);
         let done = mixed_step(&mut ice, tee, read_lpns, write_lpns, t);
         let sim_latency = done.saturating_since(t);
@@ -85,24 +86,12 @@ fn bench_write_ratio_sweep(c: &mut Criterion) {
             "table1 {ratio:>3}% writes: simulated batch latency {sim_latency}, \
              {pages_per_s:.0} pages/s"
         );
-
-        // Time ONLY the batched data path: device construction stays
-        // outside the measured region (the runtime persists across
-        // iterations; each call schedules the same 64-page mix).
-        group.bench_with_input(
-            BenchmarkId::new("mixed_batch_64p", format!("writes{ratio}pct")),
-            &ratio,
-            |b, _| b.iter(|| mixed_step(&mut ice, tee, read_lpns, write_lpns, t)),
-        );
     }
-    group.finish();
 }
 
 /// Pure write batch across the channel sweep; emits the
 /// `BENCH_writes.json` baseline of simulated write throughput.
-fn bench_write_channel_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("table1_write_channel_sweep");
-    group.throughput(Throughput::Bytes(BATCH_PAGES * PAGE_SIZE));
+fn write_channel_sweep() {
     let lpns: Vec<Lpn> = (0..BATCH_PAGES).map(Lpn::new).collect();
     let mut baseline: Vec<(u32, f64)> = Vec::new();
     for &channels in &CHANNELS {
@@ -118,21 +107,7 @@ fn bench_write_channel_sweep(c: &mut Criterion) {
              {pages_per_s:.0} pages/s"
         );
         baseline.push((channels, pages_per_s));
-
-        group.bench_with_input(
-            BenchmarkId::new("write_batch_64p", channels),
-            &channels,
-            |b, _| {
-                b.iter(|| {
-                    ice.submit_write_batch_async(tee, &lpns, t)
-                        .and_then(|tk| ice.wait_batch(tk))
-                        .expect("granted batch")
-                        .finished
-                })
-            },
-        );
     }
-    group.finish();
     write_baseline(&baseline);
 }
 
@@ -156,14 +131,3 @@ fn write_baseline(baseline: &[(u32, f64)]) {
         Err(e) => eprintln!("could not write write-path report: {e}"),
     }
 }
-
-fn config() -> Criterion {
-    Criterion::default().measurement_time(std::time::Duration::from_millis(400))
-}
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = bench_write_ratio_sweep, bench_write_channel_sweep
-}
-criterion_main!(benches);

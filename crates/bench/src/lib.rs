@@ -4,7 +4,7 @@
 //! by calling into [`iceclave_experiments::figures`] (`repro
 //! <artifact>` prints one); `repro --json <path>` also writes the gated
 //! paper-fidelity report (`BENCH_paper.json`). The `benches/` targets
-//! are the component microbenchmarks and the other gated `BENCH_*.json`
+//! are plain programs that write the other gated `BENCH_*.json`
 //! reports. This crate only holds the scale configuration they share.
 
 #![warn(missing_docs)]

@@ -40,7 +40,7 @@ use iceclave_cipher::{CipherEngine, PageIv};
 use iceclave_exec::{Executor, StageEvent, StageMachine};
 use iceclave_ftl::FlashError;
 use iceclave_ftl::{FtlError, JournalRecord, Requestor, WfqArbiter};
-use iceclave_mee::{MeeEngine, PageClass, PageSeal, SealSpan};
+use iceclave_mee::{MeeEngine, PageClass, SealSpan};
 use iceclave_sim::Resource;
 use iceclave_types::{
     BatchCompletion, CompletionEvent, DenseTable, FaultStats, LatencyBreakdown, Lpn, PageError,
@@ -906,7 +906,8 @@ impl IceClave {
     ///    foreign page aborts the batch *before any DRAM, allocation
     ///    or flash traffic* and throws the TEE out (§4.5);
     /// 2. the MEE drains the source pages out of the TEE's working
-    ///    half ([`MeeEngine::seal_pages`]): the DRAM read-out gates the
+    ///    half in request order ([`MeeEngine::seal_page`]): the DRAM
+    ///    read-out gates the
     ///    downstream stages, while the counter-epoch increments and
     ///    outbound MAC generation run concurrently with the channel
     ///    programs and gate durability alone;
@@ -965,26 +966,26 @@ impl IceClave {
         }
 
         // Stage 1 at submission: MEE drain of the source pages (working
-        // half of the TEE region). Only the DRAM read-out gates the
-        // downstream stages; the seal's counter-increment + MAC
-        // generation run concurrently and gate durability alone.
-        let seals: Vec<PageSeal> = {
+        // half of the TEE region), in request order. Only the DRAM
+        // read-out gates the downstream stages; the seal's
+        // counter-increment + MAC generation run concurrently and gate
+        // durability alone.
+        let (working_base, working_pages, first_seal) = {
             let state = self.tee_mut(tee).expect("running tee exists");
-            let working_pages = (state.region_pages - state.input_pages()).max(1);
-            let working_base = state.region_page + state.input_pages();
-            writes
-                .iter()
-                .map(|_| {
-                    let slot = working_base + (state.next_seal % working_pages);
-                    state.next_seal += 1;
-                    PageSeal {
-                        page: slot,
-                        ready: now,
-                    }
-                })
-                .collect()
+            let first_seal = state.next_seal;
+            state.next_seal += writes.len() as u64;
+            (
+                state.region_page + state.input_pages(),
+                (state.region_pages - state.input_pages()).max(1),
+                first_seal,
+            )
         };
-        let sealed = self.mee.seal_pages(&mut self.platform.dram, &seals);
+        let sealed: Vec<SealSpan> = (first_seal..first_seal + writes.len() as u64)
+            .map(|n| {
+                let slot = working_base + n % working_pages;
+                self.mee.seal_page(&mut self.platform.dram, slot, now)
+            })
+            .collect();
 
         // The target channel is unknown until the FTL allocates, so
         // outbound pages go to the link's lanes round-robin. Payloads

@@ -137,31 +137,6 @@ impl DramStats {
     pub fn accesses(&self) -> u64 {
         self.reads + self.writes
     }
-
-    /// Bytes moved on the data bus.
-    pub fn bytes(&self) -> u64 {
-        self.accesses() * CACHE_LINE_SIZE
-    }
-
-    /// Mean access latency, or zero when idle.
-    pub fn mean_latency(&self) -> SimDuration {
-        let n = self.accesses();
-        if n == 0 {
-            SimDuration::ZERO
-        } else {
-            self.total_latency / n
-        }
-    }
-
-    /// Row-buffer hit rate in `[0,1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let n = self.accesses();
-        if n == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / n as f64
-        }
-    }
 }
 
 #[derive(Clone, Debug)]
@@ -578,7 +553,7 @@ mod tests {
         let t = d.access_run(CacheLine::new(0), 8, MemOp::Read, SimTime::ZERO);
         assert!(t > SimTime::ZERO);
         assert_eq!(d.stats().reads, 8);
-        assert_eq!(d.stats().bytes(), 8 * 64);
+        assert_eq!(d.stats().accesses(), 8);
     }
 
     #[test]
@@ -649,14 +624,6 @@ mod tests {
                 done = t_fast;
             }
         }
-    }
-
-    #[test]
-    fn stats_mean_latency() {
-        let mut d = dram();
-        d.access(CacheLine::new(0), MemOp::Read, SimTime::ZERO);
-        assert!(d.stats().mean_latency() > SimDuration::ZERO);
-        assert_eq!(d.stats().hit_rate(), 0.0);
     }
 
     #[test]

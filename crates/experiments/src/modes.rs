@@ -6,7 +6,7 @@ use iceclave_core::{IceClaveConfig, Link};
 use iceclave_cpu::CoreModel;
 use iceclave_dram::DramConfig;
 use iceclave_ftl::FtlConfig;
-use iceclave_mee::{CounterMode, MeeConfig};
+use iceclave_mee::MeeConfig;
 use iceclave_types::{ByteSize, SimDuration};
 
 /// Host DRAM of the evaluation server (16 GB DDR4 in §6.1).
@@ -105,12 +105,7 @@ impl Mode {
                     ..config.platform.ftl
                 };
             }
-            Mode::IceClaveSc64 => {
-                config.mee = MeeConfig {
-                    mode: CounterMode::SplitOnly,
-                    ..MeeConfig::split_only()
-                };
-            }
+            Mode::IceClaveSc64 => config.mee = MeeConfig::split_only(),
         }
         overrides.apply(&mut config, self.is_host());
         config
@@ -166,6 +161,7 @@ impl Overrides {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iceclave_mee::CounterMode;
 
     #[test]
     fn isc_mode_disables_security() {

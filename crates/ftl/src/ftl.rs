@@ -28,8 +28,12 @@ const CMT_HIT_LATENCY: SimDuration = SimDuration::from_nanos(100);
 /// amortizes over this many pages.
 const SECURE_TRANSLATION_BATCH: u64 = 64;
 
-/// FTL configuration knobs. The CMT hit latency and the secure-world
-/// translation granule are constants of this module.
+/// Per-plane free-block low-water mark that triggers GC.
+const GC_FREE_BLOCK_THRESHOLD: u32 = 2;
+
+/// FTL configuration knobs. The CMT hit latency, the secure-world
+/// translation granule and the GC free-block threshold are constants of
+/// this module.
 #[derive(Copy, Clone, Debug)]
 pub struct FtlConfig {
     /// Protected-region budget for the cached mapping table (16 MiB by
@@ -38,8 +42,6 @@ pub struct FtlConfig {
     /// Figure 5 ablation: place the mapping table in the secure world so
     /// translations pay world switches.
     pub mapping_in_secure_world: bool,
-    /// Per-plane free-block low-water mark that triggers GC.
-    pub gc_free_block_threshold: u32,
     /// Erase-count spread that triggers static wear leveling.
     pub wear_delta_threshold: u32,
     /// Flash blocks reserved for the write-ahead metadata journal,
@@ -56,7 +58,6 @@ impl Default for FtlConfig {
         FtlConfig {
             cmt_capacity: ByteSize::from_mib(16),
             mapping_in_secure_world: false,
-            gc_free_block_threshold: 2,
             wear_delta_threshold: 16,
             journal_blocks: 0,
         }
@@ -758,52 +759,37 @@ impl Ftl {
         }
         self.stats.translations += 1;
 
-        if self.config.mapping_in_secure_world {
-            // Figure 5 ablation: the table lives in the secure world.
-            // One service call translates a whole request granule;
-            // consecutive pages of the same granule reuse the copied
-            // entries without another switch.
-            let look = self.cmt.lookup(lpn);
-            let miss_time = if look.hit {
-                SimDuration::ZERO
-            } else {
-                self.stats.translation_misses += 1;
-                self.translation_miss_penalty(lpn, look.evicted_dirty, now)
-            };
-            let granule = lpn.raw() / SECURE_TRANSLATION_BATCH;
-            let same_request = self.last_secure_granule == Some(granule);
-            self.last_secure_granule = Some(granule);
-            let ready_at = if same_request && look.hit {
-                now + CMT_HIT_LATENCY
-            } else {
-                monitor.call_into(World::Secure, now, |t| t + CMT_HIT_LATENCY + miss_time)
-            };
-            return Ok(Translation {
-                ppn: entry.ppn(),
-                ready_at,
-                cmt_hit: look.hit,
-            });
-        }
-
-        let look = self.cmt.lookup(lpn);
-        if look.hit {
-            // Normal-world read of the protected region: no switch.
-            return Ok(Translation {
-                ppn: entry.ppn(),
-                ready_at: now + CMT_HIT_LATENCY,
-                cmt_hit: true,
-            });
-        }
-        // Miss: the TEE is paused, the secure world loads the missing
+        // A miss pauses the TEE while the secure world loads the missing
         // translation page from flash and refreshes the protected region
         // (§4.6 step 4-5).
-        self.stats.translation_misses += 1;
-        let penalty = self.translation_miss_penalty(lpn, look.evicted_dirty, now);
-        let ready_at = monitor.call_into(World::Secure, now, |t| t + penalty + CMT_HIT_LATENCY);
+        let look = self.cmt.lookup(lpn);
+        let penalty = if look.hit {
+            SimDuration::ZERO
+        } else {
+            self.stats.translation_misses += 1;
+            self.translation_miss_penalty(lpn, look.evicted_dirty, now)
+        };
+        let crosses = if self.config.mapping_in_secure_world {
+            // Figure 5 ablation: the table lives in the secure world.
+            // One service call translates a whole request granule;
+            // consecutive hits in the same granule reuse the copied
+            // entries without another switch.
+            let granule = lpn.raw() / SECURE_TRANSLATION_BATCH;
+            let same_request = self.last_secure_granule.replace(granule) == Some(granule);
+            !(same_request && look.hit)
+        } else {
+            // A hit is a normal-world read of the protected region.
+            !look.hit
+        };
+        let ready_at = if crosses {
+            monitor.call_into(World::Secure, now, |t| t + CMT_HIT_LATENCY + penalty)
+        } else {
+            now + CMT_HIT_LATENCY
+        };
         Ok(Translation {
             ppn: entry.ppn(),
             ready_at,
-            cmt_hit: false,
+            cmt_hit: look.hit,
         })
     }
 
@@ -1260,7 +1246,7 @@ impl Ftl {
         evicted: &mut Vec<u64>,
     ) -> Result<(usize, SimTime), FtlError> {
         let plane = self.advance_plane_cursor(channel);
-        if self.free_block_count(plane) < self.config.gc_free_block_threshold {
+        if self.free_block_count(plane) < GC_FREE_BLOCK_THRESHOLD {
             return Ok((plane, self.collect_plane(plane, now, evicted)?));
         }
         Ok((plane, now))
@@ -1957,11 +1943,7 @@ mod tests {
 
     #[test]
     fn gc_reclaims_space_under_overwrites() {
-        let config = FtlConfig {
-            gc_free_block_threshold: 2,
-            ..FtlConfig::default()
-        };
-        let mut ftl = Ftl::new(FlashConfig::tiny(), config);
+        let mut ftl = Ftl::new(FlashConfig::tiny(), FtlConfig::default());
         let mut m = WorldMonitor::with_table5_cost();
         // tiny: 4 planes x 8 blocks x 16 pages = 512 pages. Overwrite a
         // small working set far beyond capacity.
@@ -1977,11 +1959,7 @@ mod tests {
 
     #[test]
     fn gc_preserves_data_and_ownership() {
-        let config = FtlConfig {
-            gc_free_block_threshold: 2,
-            ..FtlConfig::default()
-        };
-        let mut ftl = Ftl::new(FlashConfig::tiny(), config);
+        let mut ftl = Ftl::new(FlashConfig::tiny(), FtlConfig::default());
         let mut m = WorldMonitor::with_table5_cost();
         let mut t = SimTime::ZERO;
         // A TEE-owned page with content.
@@ -2018,7 +1996,6 @@ mod tests {
     #[test]
     fn wear_spread_stays_bounded() {
         let config = FtlConfig {
-            gc_free_block_threshold: 2,
             wear_delta_threshold: 8,
             ..FtlConfig::default()
         };
@@ -2123,11 +2100,7 @@ mod tests {
     /// pages the one listed first in the plane's full list goes.
     #[test]
     fn gc_victim_is_fewest_valid_first_on_ties() {
-        let config = FtlConfig {
-            gc_free_block_threshold: 0,
-            ..FtlConfig::default()
-        };
-        let mut ftl = Ftl::new(FlashConfig::tiny(), config);
+        let mut ftl = Ftl::new(FlashConfig::tiny(), FtlConfig::default());
         let mut m = WorldMonitor::with_table5_cost();
         let mut t = SimTime::ZERO;
         // Host writes stripe across the 4 planes, so plane 0 holds every
@@ -2178,11 +2151,7 @@ mod tests {
 
     #[test]
     fn greedy_gc_survives_random_churn() {
-        let config = FtlConfig {
-            gc_free_block_threshold: 2,
-            ..FtlConfig::default()
-        };
-        let mut ftl = Ftl::new(FlashConfig::tiny(), config);
+        let mut ftl = Ftl::new(FlashConfig::tiny(), FtlConfig::default());
         let mut m = WorldMonitor::with_table5_cost();
         let mut t = SimTime::ZERO;
         let mut lcg: u64 = 7;
@@ -2393,11 +2362,7 @@ mod tests {
     fn write_batch_survives_gc_churn() {
         // Overwrite a small working set far beyond device capacity in
         // batches: GC must fire mid-batch and mapping consistency hold.
-        let config = FtlConfig {
-            gc_free_block_threshold: 2,
-            ..FtlConfig::default()
-        };
-        let mut ftl = Ftl::new(FlashConfig::tiny(), config);
+        let mut ftl = Ftl::new(FlashConfig::tiny(), FtlConfig::default());
         let mut m = WorldMonitor::with_table5_cost();
         let mut t = SimTime::ZERO;
         for round in 0..60u64 {
@@ -2428,14 +2393,10 @@ mod tests {
         // the middle of a batch. The steering must retry the channel's
         // other planes and the other channels instead of reporting
         // CapacityExhausted where sequential writes would succeed.
-        let config = FtlConfig {
-            gc_free_block_threshold: 2,
-            ..FtlConfig::default()
-        };
         // tiny: 512 physical pages; a 380-page working set is ~74%
         // utilization, so free blocks are permanently scarce.
         let working_set = 380u64;
-        let mut ftl = Ftl::new(FlashConfig::tiny(), config);
+        let mut ftl = Ftl::new(FlashConfig::tiny(), FtlConfig::default());
         let mut m = WorldMonitor::with_table5_cost();
         let mut t = SimTime::ZERO;
         let lpns: Vec<Lpn> = (0..working_set).map(Lpn::new).collect();
@@ -2617,11 +2578,7 @@ mod tests {
 
     #[test]
     fn erase_fail_retires_the_block_for_good() {
-        let config = FtlConfig {
-            gc_free_block_threshold: 2,
-            ..FtlConfig::default()
-        };
-        let mut ftl = Ftl::new(FlashConfig::tiny(), config);
+        let mut ftl = Ftl::new(FlashConfig::tiny(), FtlConfig::default());
         ftl.install_fault_plan(FaultPlan {
             erase_fail_ops: vec![0],
             ..FaultPlan::none()
@@ -2721,7 +2678,6 @@ mod tests {
         // GC relocations and trims update mappings too.
         let config = FtlConfig {
             cmt_capacity: ByteSize::from_kib(8),
-            gc_free_block_threshold: 2,
             ..FtlConfig::default()
         };
         let mut ftl = Ftl::new(FlashConfig::tiny(), config);
@@ -2851,7 +2807,6 @@ mod tests {
         // migrates blocks; scripted program and erase failures.
         let config = FtlConfig {
             cmt_capacity: ByteSize::from_kib(16),
-            gc_free_block_threshold: 2,
             wear_delta_threshold: 2,
             journal_blocks: 8,
             ..FtlConfig::default()

@@ -20,7 +20,7 @@
 //! * **LRU is an explicit stamp** per way, not a move-to-front vector:
 //!   a hit updates one integer instead of memmoving the set, which keeps
 //!   the simulator's hottest path (every modeled memory access probes
-//!   this cache at least once) cheap. `micro_components` benchmarks it.
+//!   this cache at least once) cheap.
 
 use iceclave_types::ByteSize;
 
@@ -85,7 +85,6 @@ pub struct MetaCache {
     sets: Vec<Vec<Way>>,
     ways: usize,
     tick: u64,
-    writebacks: u64,
 }
 
 impl MetaCache {
@@ -94,34 +93,29 @@ impl MetaCache {
     ///
     /// # Panics
     ///
-    /// Panics if the capacity holds fewer blocks than one set.
+    /// Panics if the capacity holds fewer blocks than one set, or if
+    /// the set count is not a power of two (every configured cache has
+    /// one, so a set is picked with a mask rather than a division).
     pub fn new(capacity: ByteSize, ways: usize) -> Self {
         let blocks = (capacity.as_bytes() / 64) as usize;
         assert!(
             ways > 0 && blocks >= ways,
             "cache must hold at least one set"
         );
-        let set_count = (blocks / ways).max(1);
+        let set_count = blocks / ways;
+        assert!(
+            set_count.is_power_of_two(),
+            "set count {set_count} must be a power of two"
+        );
         MetaCache {
             sets: (0..set_count).map(|_| Vec::with_capacity(ways)).collect(),
             ways,
             tick: 0,
-            writebacks: 0,
         }
     }
 
     fn set_of(&self, block: u64) -> usize {
-        // Stock capacities give a power-of-two set count; the mask is
-        // bit-identical to the modulo there and skips the division on
-        // the per-access hot path.
-        let n = self.sets.len() as u64;
-        let h = mix64(block);
-        let set = if n.is_power_of_two() {
-            h & (n - 1)
-        } else {
-            h % n
-        };
-        set as usize
+        (mix64(block) & (self.sets.len() as u64 - 1)) as usize
     }
 
     fn next_stamp(&mut self) -> u64 {
@@ -162,9 +156,6 @@ impl MetaCache {
                 .expect("full set is non-empty");
             let victim = set[lru];
             evicted = Some((victim.block, victim.dirty));
-            if victim.dirty {
-                self.writebacks += 1;
-            }
             set[lru] = Way {
                 block,
                 dirty,
@@ -216,11 +207,6 @@ impl MetaCache {
         } else {
             false
         }
-    }
-
-    /// Dirty evictions observed so far.
-    pub fn writebacks(&self) -> u64 {
-        self.writebacks
     }
 
     /// Total blocks the cache can hold.
@@ -284,7 +270,6 @@ mod tests {
         let out = c.access(ids[2]);
         assert_eq!(out.writeback(), None);
         assert!(out.evicted.is_some(), "the clean victim is still reported");
-        assert_eq!(c.writebacks(), 0);
     }
 
     #[test]
@@ -297,7 +282,6 @@ mod tests {
         let out = c.access(ids[2]);
         assert_eq!(out.writeback(), Some(ids[0]));
         assert_eq!(out.evicted, Some((ids[0], true)));
-        assert_eq!(c.writebacks(), 1);
     }
 
     #[test]
@@ -384,5 +368,12 @@ mod tests {
     #[should_panic(expected = "at least one set")]
     fn zero_ways_panics() {
         let _ = MetaCache::new(ByteSize::from_kib(1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn three_set_cache_panics() {
+        // 6 blocks at 2 ways: 3 sets.
+        let _ = MetaCache::new(ByteSize::from_bytes(6 * 64), 2);
     }
 }

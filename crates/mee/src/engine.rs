@@ -248,17 +248,6 @@ impl MeeStats {
     }
 }
 
-/// One page of a batched DRAM drain (DRAM-to-flash persistence).
-#[derive(Copy, Clone, Debug)]
-pub struct PageSeal {
-    /// Source DRAM page.
-    pub page: u64,
-    /// When the flash side is ready to accept the page's outbound
-    /// stream (the seal's metadata work can start immediately; this
-    /// only gates the DRAM reads).
-    pub ready: SimTime,
-}
-
 /// The two completion times of one sealed page.
 #[derive(Copy, Clone, Eq, PartialEq, Debug)]
 pub struct SealSpan {
@@ -528,30 +517,6 @@ impl MeeEngine {
             data_out: end,
             sealed: end + AES_LATENCY + MAC_LATENCY,
         }
-    }
-
-    /// Seals a batch of DRAM pages, each admitted at its ready time.
-    ///
-    /// Seals are issued in ascending ready order, so counter increments
-    /// and MAC generation of early pages overlap with the channel
-    /// programs of later ones; the DRAM channel timelines provide the
-    /// only serialization. Returns per-page [`SealSpan`]s **in input
-    /// order**.
-    pub fn seal_pages(&mut self, dram: &mut Dram, seals: &[PageSeal]) -> Vec<SealSpan> {
-        let mut order: Vec<usize> = (0..seals.len()).collect();
-        order.sort_by_key(|&i| (seals[i].ready, i));
-        let mut done = vec![
-            SealSpan {
-                data_out: SimTime::ZERO,
-                sealed: SimTime::ZERO,
-            };
-            seals.len()
-        ];
-        for i in order {
-            let seal = &seals[i];
-            done[i] = self.seal_page(dram, seal.page, seal.ready);
-        }
-        done
     }
 
     /// A protected read of one cache line. Returns the time the verified
@@ -1023,27 +988,6 @@ mod tests {
         let span2 = mee2.seal_page(&mut dram2, 7, SimTime::ZERO);
         assert_eq!(span2.sealed, span2.data_out);
         assert_eq!(mee2.stats().extra_enc_writes, 0);
-    }
-
-    #[test]
-    fn seal_pages_returns_input_order() {
-        let (mut dram, mut mee) = setup(CounterMode::Hybrid);
-        let us = |n| SimTime::ZERO + SimDuration::from_micros(n);
-        let seals = [
-            PageSeal {
-                page: 3,
-                ready: us(20),
-            },
-            PageSeal {
-                page: 4,
-                ready: us(0),
-            },
-        ];
-        let done = mee.seal_pages(&mut dram, &seals);
-        assert_eq!(done.len(), 2);
-        // The later-ready page completes later, yet stays at index 0.
-        assert!(done[0].sealed > done[1].sealed);
-        assert_eq!(mee.stats().seal_reads, 2 * LINES_PER_PAGE);
     }
 
     #[test]

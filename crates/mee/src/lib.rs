@@ -50,7 +50,7 @@ pub mod tree;
 
 pub use cache::{CacheOutcome, MetaCache};
 pub use counters::{PageClass, SplitCounterBlock, MINOR_LIMIT};
-pub use engine::{CounterMode, MeeConfig, MeeEngine, MeeStats, MetaTraffic, PageSeal, SealSpan};
+pub use engine::{CounterMode, MeeConfig, MeeEngine, MeeStats, MetaTraffic, SealSpan};
 pub use faults::{MacFault, MacFaultInjector, MacFaultPlan};
 pub use l2::{L2Demotion, L2MetaStore, L2Promotion};
 pub use tree::TreeGeometry;
